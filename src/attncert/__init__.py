@@ -6,8 +6,6 @@ from .attention import (
     PixelBox,
     ScoreBoxTensor,
     ValueCoeffs,
-    affine_lower_over_box,
-    affine_upper_over_box,
     margin_lower_bound,
     model_score_boxes,
     qk_scalar_bounds,
@@ -15,7 +13,7 @@ from .attention import (
     value_coefficients,
     value_scalar_bounds,
 )
-from .baseline import SoftmaxOutputBox, baseline_directional_min, baseline_directional_max, softmax_output_box
+from .baseline import SoftmaxOutputBox, baseline_directional_min, softmax_output_box
 from .certified import CertifiedBound, certified_directional_min
 from .errors import CertificationInfeasibleError, InternalInvariantError, ValidationError
 from .harness import (
@@ -27,7 +25,7 @@ from .harness import (
     selfcheck,
     synth_instance,
 )
-from .intervals import Interval, iv_add, iv_div, iv_exp, iv_min, iv_mul, iv_neg, iv_sum
+from .intervals import Interval, iv_add, iv_div, iv_exp, iv_mul
 from .model import (
     AttentionModelSpec,
     LinearSuffix,
@@ -47,7 +45,6 @@ from .solver import (
     directional_min,
     exhaustive_vertex_min,
     softmax_objective,
-    solve_rows,
 )
 from .suffix import (
     PreActBox,
@@ -82,11 +79,8 @@ __all__ = [
     "TrialRecord",
     "ValidationError",
     "ValueCoeffs",
-    "affine_lower_over_box",
-    "affine_upper_over_box",
     "attack_min_margin",
     "attack_min_objective",
-    "baseline_directional_max",
     "baseline_directional_min",
     "block_output_bounds",
     "certified_directional_min",
@@ -101,10 +95,7 @@ __all__ = [
     "iv_add",
     "iv_div",
     "iv_exp",
-    "iv_min",
     "iv_mul",
-    "iv_neg",
-    "iv_sum",
     "linear_suffix_bound",
     "load_model",
     "margin_lower_bound",
@@ -120,7 +111,6 @@ __all__ = [
     "selfcheck",
     "softmax_objective",
     "softmax_output_box",
-    "solve_rows",
     "synth_instance",
     "value_coefficients",
     "value_scalar_bounds",

@@ -87,21 +87,6 @@ class ValueCoeffs:
     b_prime: np.ndarray
 
 
-def affine_lower_over_box(w, b: float, lo, hi) -> float:
-    """Exact minimum of w . x + b over the box [lo, hi]."""
-    w = np.asarray(w, dtype=np.float64)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if w.shape != lo.shape or w.shape != hi.shape:
-        raise ValidationError("affine bound: mismatched shapes")
-    return float(np.sum(np.where(w >= 0.0, w * lo, w * hi)) + b)
-
-
-def affine_upper_over_box(w, b: float, lo, hi) -> float:
-    w = np.asarray(w, dtype=np.float64)
-    return -affine_lower_over_box(-w, -float(b), lo, hi)
-
-
 def _matrix_box_bounds(w: np.ndarray, off: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Rowwise exact affine bounds: w (..., n) against a box (..., n)."""
     wp = np.maximum(w, 0.0)

@@ -45,7 +45,3 @@ def baseline_directional_min(c, box: ScoreBox) -> float:
     c = _as_direction(c, box.size)
     ob = softmax_output_box(box)
     return float(np.sum(np.where(c >= 0.0, c * ob.a_lo, c * ob.a_hi)))
-
-
-def baseline_directional_max(c, box: ScoreBox) -> float:
-    return -baseline_directional_min(-np.asarray(c, dtype=np.float64), box)

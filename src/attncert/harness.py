@@ -13,7 +13,7 @@ import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,6 +101,31 @@ def _threshold_vertices(c: np.ndarray, box: ScoreBox) -> np.ndarray:
     return out
 
 
+def _endpoint_polish(score: Callable[[np.ndarray], float], start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Endpoint coordinate descent from `start`: up to two rounds that try
+    each coordinate at its lower and upper endpoint in turn, keeping every
+    move that lowers `score`.  Returns the best score seen."""
+    best = start.copy()
+    best_val = score(best)
+    for _ in range(2):
+        improved = False
+        for j in range(best.size):
+            for cand in (lo[j], hi[j]):
+                if cand == best[j]:
+                    continue
+                old = best[j]
+                best[j] = cand
+                v = score(best)
+                if v < best_val:
+                    best_val = v
+                    improved = True
+                else:
+                    best[j] = old
+        if not improved:
+            break
+    return best_val
+
+
 def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
     """Best (smallest) objective value over a feasible candidate set; an upper
     bound on the exact minimum, and equal to it whenever a threshold vertex
@@ -114,25 +139,7 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
     points = np.vstack(cands)
     vals = _objective_batch(c, points)
     best_idx = int(np.argmin(vals))
-    best = points[best_idx].copy()
-    best_val = softmax_objective(c, best)
-    # Endpoint coordinate descent from the best candidate.
-    for _ in range(2):
-        improved = False
-        for j in range(box.size):
-            for cand in (box.lower[j], box.upper[j]):
-                if cand == best[j]:
-                    continue
-                old = best[j]
-                best[j] = cand
-                v = softmax_objective(c, best)
-                if v < best_val:
-                    best_val = v
-                    improved = True
-                else:
-                    best[j] = old
-        if not improved:
-            break
+    best_val = _endpoint_polish(lambda s: softmax_objective(c, s), points[best_idx], box.lower, box.upper)
     return float(min(best_val, float(vals[best_idx])))
 
 
@@ -157,29 +164,12 @@ def attack_min_margin(
     logits = forward_batch(model, points)
     margins = logits[:, y] - logits[:, target]
     best_idx = int(np.argmin(margins))
-    best = points[best_idx].copy()
 
     def margin_at(x: np.ndarray) -> float:
         lg = forward(model, x)
         return float(lg[y] - lg[target])
 
-    best_val = margin_at(best)
-    for _ in range(2):
-        improved = False
-        for j in range(box.size):
-            for cand in (box.lo[j], box.hi[j]):
-                if cand == best[j]:
-                    continue
-                old = best[j]
-                best[j] = cand
-                v = margin_at(best)
-                if v < best_val:
-                    best_val = v
-                    improved = True
-                else:
-                    best[j] = old
-        if not improved:
-            break
+    best_val = _endpoint_polish(margin_at, points[best_idx], box.lo, box.hi)
     return float(min(best_val, float(margins[best_idx])))
 
 

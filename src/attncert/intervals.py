@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import ValidationError
 
@@ -42,12 +41,6 @@ class Interval:
     def point(x: float) -> "Interval":
         x = float(x)
         return Interval(x, x)
-
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
 
 def _down(x: float) -> float:
@@ -75,11 +68,6 @@ def iv_add(a: Interval, b: Interval) -> Interval:
     lo, slo = _clip_lo(_down(a.lo + b.lo))
     hi, shi = _clip_hi(_up(a.hi + b.hi))
     return Interval(lo, hi, a.saturated or b.saturated or slo or shi)
-
-
-def iv_neg(a: Interval) -> Interval:
-    # Negation of doubles is exact; no rounding step needed.
-    return Interval(-a.hi, -a.lo, a.saturated)
 
 
 def iv_mul(a: Interval, b: Interval) -> Interval:
@@ -125,21 +113,3 @@ def iv_exp(x: Interval) -> Interval:
     hi = hi_raw if shi else _up(_up(hi_raw))
     hi, shi2 = _clip_hi(hi)
     return Interval(lo, hi, x.saturated or slo or shi or shi2)
-
-
-def iv_sum(terms: Iterable[Interval]) -> Interval:
-    """Sequential outward-rounded sum; the empty sum is the exact zero."""
-    acc = Interval.point(0.0)
-    for t in terms:
-        acc = iv_add(acc, t)
-    return acc
-
-
-def iv_min(intervals: Iterable[Interval]) -> Interval:
-    """Enclosure of the pointwise minimum: [min of los, min of his]."""
-    items = list(intervals)
-    if not items:
-        raise ValidationError("iv_min of an empty collection")
-    lo = min(t.lo for t in items)
-    hi = min(t.hi for t in items)
-    return Interval(lo, hi, any(t.saturated for t in items))

@@ -154,21 +154,8 @@ def _check_suffix_arrays(sfx: Suffix, shapes: dict[str, tuple[int, ...]]) -> Non
 def patch_pixel_indices(model: AttentionModelSpec) -> np.ndarray:
     """(tokens, patch_dim) int matrix: flat image index of every patch entry."""
     p = model.patch
-    rows = model.height // p
-    cols = model.width // p
-    out = np.empty((model.tokens, model.patch_dim), dtype=np.int64)
-    for gr in range(rows):
-        for gc in range(cols):
-            tok = gr * cols + gc
-            pos = 0
-            for ch in range(model.channels):
-                for pr in range(p):
-                    for pc in range(p):
-                        r = gr * p + pr
-                        c = gc * p + pc
-                        out[tok, pos] = ch * (model.height * model.width) + r * model.width + c
-                        pos += 1
-    return out
+    grid = np.arange(model.image_size).reshape(model.channels, model.height // p, p, model.width // p, p)
+    return grid.transpose(1, 3, 0, 2, 4).reshape(model.tokens, model.patch_dim)
 
 
 def _check_image(model: AttentionModelSpec, x) -> np.ndarray:
@@ -180,9 +167,7 @@ def _check_image(model: AttentionModelSpec, x) -> np.ndarray:
 
 def patch_tokenize(model: AttentionModelSpec, x) -> np.ndarray:
     """Embedded tokens, shape (tokens, d_model)."""
-    x = _check_image(model, x)
-    patches = x[patch_pixel_indices(model)]
-    return patches @ model.w_embed.T + model.b_embed
+    return forward_trace(model, x).tokens
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,28 +181,29 @@ class ForwardTrace:
     logits: np.ndarray  # (classes,)
 
 
-def forward_trace(model: AttentionModelSpec, x) -> ForwardTrace:
-    toks = patch_tokenize(model, x)
-    q = np.einsum("hdm,rm->hrd", model.wq, toks) + model.bq[:, None, :]
-    k = np.einsum("hdm,rm->hrd", model.wk, toks) + model.bk[:, None, :]
-    v = np.einsum("hdm,rm->hrd", model.wv, toks) + model.bv[:, None, :]
-    scores = model.scale * np.einsum("hid,hjd->hij", q, k) + model.mask
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    attn = e / e.sum(axis=2, keepdims=True)
-    head_out = np.einsum("hij,hjd->hid", attn, v)
-    mixed = np.einsum("hmd,hid->im", model.wo, head_out)
-    hplus = mixed + model.bo
+def _forward(model: AttentionModelSpec, xs: np.ndarray) -> ForwardTrace:
+    """The forward pass over (..., image_size) inputs; every trace field
+    carries the same leading axes.  Heads are a broadcast matmul axis."""
+    toks = xs[..., patch_pixel_indices(model)] @ model.w_embed.T + model.b_embed
+    t = toks[..., None, :, :]  # (..., 1, R, d_model)
+    q = t @ model.wq.swapaxes(1, 2) + model.bq[:, None, :]
+    k = t @ model.wk.swapaxes(1, 2) + model.bk[:, None, :]
+    v = t @ model.wv.swapaxes(1, 2) + model.bv[:, None, :]
+    scores = model.scale * (q @ k.swapaxes(-1, -2)) + model.mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    head_out = attn @ v
+    hplus = (head_out @ model.wo.swapaxes(1, 2)).sum(axis=-3) + model.bo
     if model.residual:
         hplus = hplus + toks
-    pooled = hplus.reshape(-1)
+    pooled = hplus.reshape(*hplus.shape[:-2], -1)
     sfx = model.suffix
     if isinstance(sfx, LinearSuffix):
         hidden_pre = None
-        logits = sfx.w @ pooled + sfx.b
+        logits = pooled @ sfx.w.T + sfx.b
     else:
-        hidden_pre = sfx.w1 @ pooled + sfx.b1
-        logits = sfx.w2 @ np.maximum(hidden_pre, 0.0) + sfx.b2
+        hidden_pre = pooled @ sfx.w1.T + sfx.b1
+        logits = np.maximum(hidden_pre, 0.0) @ sfx.w2.T + sfx.b2
     return ForwardTrace(
         tokens=toks,
         scores=scores,
@@ -227,6 +213,11 @@ def forward_trace(model: AttentionModelSpec, x) -> ForwardTrace:
         hidden_pre=hidden_pre,
         logits=logits,
     )
+
+
+def forward_trace(model: AttentionModelSpec, x) -> ForwardTrace:
+    """Every intermediate of the forward pass for one flat image vector."""
+    return _forward(model, _check_image(model, x))
 
 
 def forward(model: AttentionModelSpec, x) -> np.ndarray:
@@ -240,24 +231,7 @@ def forward_batch(model: AttentionModelSpec, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.image_size:
         raise ValidationError(f"batch must have shape (N, {model.image_size}), got {xs.shape}")
-    idx = patch_pixel_indices(model)
-    toks = xs[:, idx] @ model.w_embed.T + model.b_embed  # (N, R, d_model)
-    q = np.einsum("hdm,nrm->nhrd", model.wq, toks) + model.bq[None, :, None, :]
-    k = np.einsum("hdm,nrm->nhrd", model.wk, toks) + model.bk[None, :, None, :]
-    v = np.einsum("hdm,nrm->nhrd", model.wv, toks) + model.bv[None, :, None, :]
-    scores = model.scale * np.einsum("nhid,nhjd->nhij", q, k) + model.mask[None]
-    e = np.exp(scores - scores.max(axis=3, keepdims=True))
-    attn = e / e.sum(axis=3, keepdims=True)
-    head_out = np.einsum("nhij,nhjd->nhid", attn, v)
-    hplus = np.einsum("hmd,nhid->nim", model.wo, head_out) + model.bo
-    if model.residual:
-        hplus = hplus + toks
-    pooled = hplus.reshape(xs.shape[0], -1)
-    sfx = model.suffix
-    if isinstance(sfx, LinearSuffix):
-        return pooled @ sfx.w.T + sfx.b
-    hidden = np.maximum(pooled @ sfx.w1.T + sfx.b1, 0.0)
-    return hidden @ sfx.w2.T + sfx.b2
+    return _forward(model, xs).logits
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +246,17 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": [float(v) for v in a.reshape(-1)]}
 
 
+def _decode_shape(shape, path: str) -> tuple[int, ...]:
+    if not isinstance(shape, list) or not shape or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape
+    ):
+        raise ValidationError(f"{path}.shape: expected a non-empty list of positive integers, got {shape!r}")
+    return tuple(shape)
+
+
 def _decode_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
-    if not isinstance(node, dict):
-        raise ValidationError(f"{path}: expected an object with 'shape' and 'data'")
-    extra = set(node) - {"shape", "data"}
-    if extra:
-        raise ValidationError(f"{path}: unknown fields {sorted(extra)}")
-    if "shape" not in node or "data" not in node:
-        raise ValidationError(f"{path}: missing 'shape' or 'data'")
-    got = tuple(node["shape"])
+    _require_keys(node, {"shape", "data"}, set(), path)
+    got = _decode_shape(node["shape"], path)
     if got != shape:
         raise ValidationError(f"{path}: expected shape {list(shape)}, got {list(got)}")
     data = node["data"]
@@ -295,7 +271,9 @@ def _decode_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
     return a
 
 
-def _require_keys(node: dict, required: set[str], optional: set[str], path: str) -> None:
+def _require_keys(node, required: set[str], optional: set[str], path: str) -> None:
+    if not isinstance(node, dict):
+        raise ValidationError(f"{path}: expected an object")
     extra = set(node) - required - optional
     if extra:
         raise ValidationError(f"{path}: unknown fields {sorted(extra)}")
@@ -358,15 +336,11 @@ def load_model(path: str) -> AttentionModelSpec:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("top level: expected an object")
     _require_keys(doc, {"arch", "dims", "patch", "heads", "suffix_kind", "weights"}, set(), "top level")
     arch = doc["arch"]
     if arch not in _ARCHES:
         raise ValidationError(f"arch: expected one of {sorted(_ARCHES)}, got {arch!r}")
     dims = doc["dims"]
-    if not isinstance(dims, dict):
-        raise ValidationError("dims: expected an object")
     _require_keys(dims, set(_DIM_KEYS), set(), "dims")
     vals = {}
     for key in _DIM_KEYS:
@@ -391,13 +365,9 @@ def load_model(path: str) -> AttentionModelSpec:
     pooled = tokens * d_model
 
     weights = doc["weights"]
-    if not isinstance(weights, dict):
-        raise ValidationError("weights: expected an object")
     _require_keys(weights, _WEIGHT_KEYS - {"mask"}, {"mask"}, "weights")
 
     embed = weights["embed"]
-    if not isinstance(embed, dict):
-        raise ValidationError("weights.embed: expected an object")
     _require_keys(embed, {"w", "b"}, set(), "weights.embed")
     w_embed = _decode_array(embed["w"], (d_model, patch_dim), "weights.embed.w")
     b_embed = _decode_array(embed["b"], (d_model,), "weights.embed.b")
@@ -409,8 +379,6 @@ def load_model(path: str) -> AttentionModelSpec:
         ws, bs = [], []
         for h, entry in enumerate(node):
             p = f"weights.{key}[{h}]"
-            if not isinstance(entry, dict):
-                raise ValidationError(f"{p}: expected an object")
             _require_keys(entry, {"w", "b"}, set(), p)
             ws.append(_decode_array(entry["w"], (d_head, d_model), f"{p}.w"))
             bs.append(_decode_array(entry["b"], (d_head,), f"{p}.b"))
@@ -421,8 +389,6 @@ def load_model(path: str) -> AttentionModelSpec:
     wv, bv = head_stack("wv")
 
     out = weights["wo"]
-    if not isinstance(out, dict):
-        raise ValidationError("weights.wo: expected an object")
     _require_keys(out, {"w", "b"}, set(), "weights.wo")
     if not isinstance(out["w"], list) or len(out["w"]) != heads:
         raise ValidationError(f"weights.wo.w: expected a list of {heads} head matrices")
@@ -437,8 +403,6 @@ def load_model(path: str) -> AttentionModelSpec:
         mask = np.zeros((heads, tokens, tokens))
 
     sfx_node = weights["suffix"]
-    if not isinstance(sfx_node, dict):
-        raise ValidationError("weights.suffix: expected an object")
     if suffix_kind == "linear":
         _require_keys(sfx_node, {"w", "b"}, set(), "weights.suffix")
         suffix: Suffix = LinearSuffix(
@@ -447,12 +411,8 @@ def load_model(path: str) -> AttentionModelSpec:
         )
     else:
         _require_keys(sfx_node, {"w1", "b1", "w2", "b2"}, set(), "weights.suffix")
-        w1_node = sfx_node["w1"]
-        if not isinstance(w1_node, dict) or "shape" not in w1_node or not w1_node["shape"]:
-            raise ValidationError("weights.suffix.w1: expected an object with a 'shape'")
-        hidden = w1_node["shape"][0]
-        if not isinstance(hidden, int) or hidden < 1:
-            raise ValidationError(f"weights.suffix.w1: bad hidden size {hidden!r}")
+        _require_keys(sfx_node["w1"], {"shape", "data"}, set(), "weights.suffix.w1")
+        hidden = _decode_shape(sfx_node["w1"]["shape"], "weights.suffix.w1")[0]
         suffix = MlpSuffix(
             w1=_decode_array(sfx_node["w1"], (hidden, pooled), "weights.suffix.w1"),
             b1=_decode_array(sfx_node["b1"], (hidden,), "weights.suffix.b1"),

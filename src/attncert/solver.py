@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ValidationError
@@ -60,9 +58,6 @@ class ScoreBox:
     @property
     def size(self) -> int:
         return int(self.lower.shape[0])
-
-    def clip(self, s: np.ndarray) -> np.ndarray:
-        return np.clip(s, self.lower, self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,14 +194,3 @@ def _decode_vertex(lower: np.ndarray, upper: np.ndarray, free: list[int], idx: i
         if (idx >> (b - 1 - rank)) & 1:
             vertex[j] = upper[j]
     return vertex
-
-
-def solve_rows(directions: Sequence, boxes: Sequence[ScoreBox], sense: str = "min") -> list[ThresholdResult]:
-    """Solve a batch of independent instances; identical to calling the
-    single-instance entry point in sequence."""
-    if len(directions) != len(boxes):
-        raise ValidationError(f"{len(directions)} directions vs {len(boxes)} boxes")
-    if sense not in ("min", "max"):
-        raise ValidationError(f"sense must be 'min' or 'max', got {sense!r}")
-    solve = directional_min if sense == "min" else directional_max
-    return [solve(c, box) for c, box in zip(directions, boxes)]

@@ -8,8 +8,6 @@ from attncert import (
     ScoreBoxTensor,
     ValidationError,
     ValueCoeffs,
-    affine_lower_over_box,
-    affine_upper_over_box,
     baseline_directional_min,
     forward_trace,
     linear_suffix_bound,
@@ -21,7 +19,7 @@ from attncert import (
     value_coefficients,
     value_scalar_bounds,
 )
-from attncert.attention import exact_row_bound, token_bounds
+from attncert.attention import _matrix_box_bounds, exact_row_bound, token_bounds
 from attncert.solver import ScoreBox
 
 # 1 / (1 + e^2): row minimum of direction (0, 1) over the point scores (1, -1).
@@ -34,14 +32,6 @@ def degenerate_box(x0):
 
 
 class TestAffineBounds:
-    def test_hand_examples(self):
-        lo = np.array([-1.0, -1.0])
-        hi = np.array([1.0, 1.0])
-        assert affine_lower_over_box([1.0, -1.0], 0.0, lo, hi) == -2.0
-        assert affine_upper_over_box([1.0, -1.0], 0.0, lo, hi) == 2.0
-        assert affine_lower_over_box([2.0, 1.0], 1.0, np.zeros(2), np.ones(2)) == 1.0
-        assert affine_upper_over_box([2.0, 1.0], 1.0, np.zeros(2), np.ones(2)) == 4.0
-
     def test_attained_at_a_corner(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -52,12 +42,9 @@ class TestAffineBounds:
             hi = lo + rng.uniform(0, 2, size=n)
             corners = np.array(list(itertools.product(*zip(lo, hi))))
             vals = corners @ w + b
-            assert affine_lower_over_box(w, b, lo, hi) == pytest.approx(vals.min(), abs=1e-12)
-            assert affine_upper_over_box(w, b, lo, hi) == pytest.approx(vals.max(), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            affine_lower_over_box([1.0, 2.0], 0.0, np.zeros(3), np.ones(3))
+            out_lo, out_hi = _matrix_box_bounds(w, b, lo, hi)
+            assert out_lo == pytest.approx(vals.min(), abs=1e-12)
+            assert out_hi == pytest.approx(vals.max(), abs=1e-12)
 
 
 class TestScoreBoxes:

@@ -5,7 +5,6 @@ import pytest
 
 from attncert import (
     ScoreBox,
-    baseline_directional_max,
     baseline_directional_min,
     directional_min,
     softmax_output_box,
@@ -113,14 +112,3 @@ def test_dominance_with_strictness():
         if exact > base + 1e-9:
             strict += 1
     assert strict / n >= 0.3
-
-
-def test_max_by_negation():
-    rng = np.random.default_rng(34)
-    for _ in range(50):
-        k = int(rng.integers(1, 8))
-        centers = rng.uniform(-2, 2, k)
-        w = rng.uniform(0, 1, k)
-        c = rng.uniform(-2, 2, k)
-        b = box(centers - w, centers + w)
-        assert baseline_directional_max(c, b) == -baseline_directional_min(-c, b)

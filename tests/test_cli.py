@@ -186,6 +186,17 @@ class TestCertify:
     def test_missing_model(self, tmp_path):
         assert main(["certify", str(tmp_path / "none.json")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("group, name", [("embed", "w"), ("suffix", "w1")])
+    def test_non_list_weight_shape(self, tmp_path, capsys, group, name):
+        path, _ = model_file(tmp_path, suffix_kind="mlp1")
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["weights"][group][name]["shape"] = 3
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["certify", path]) == EXIT_VALIDATION
+        assert f"weights.{group}.{name}" in capsys.readouterr().err
+
 
 class TestSelfcheck:
     def test_passes(self, capsys):

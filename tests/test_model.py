@@ -67,6 +67,16 @@ class TestPatchLayout:
         toks = patch_tokenize(m, x)
         assert np.array_equal(toks[0], x)
 
+    @pytest.mark.parametrize("height, width, channels, patch", [(4, 6, 3, 2), (6, 3, 2, 3), (2, 8, 1, 1)])
+    def test_indices_match_layout_loop(self, height, width, channels, patch):
+        m = identity_embed_model(height, width, channels, patch)
+        want = [
+            [ch * height * width + (gr * patch + pr) * width + gc * patch + pc
+             for ch in range(channels) for pr in range(patch) for pc in range(patch)]
+            for gr in range(height // patch) for gc in range(width // patch)
+        ]
+        assert np.array_equal(patch_pixel_indices(m), want)
+
     def test_constant_image_identical_tokens(self):
         m = identity_embed_model(4, 6, 1, 2)
         toks = patch_tokenize(m, np.full(24, 0.7))
@@ -259,6 +269,15 @@ class TestModelIO:
         doc, path = self._doc(tmp_path)
         doc["weights"]["embed"]["b"]["data"].append(0.0)
         with pytest.raises(ValidationError, match=r"weights\.embed\.b"):
+            load_model(self._write(doc, path))
+
+    @pytest.mark.parametrize("kind, group, name", [("linear", "embed", "w"), ("mlp1", "suffix", "w1")])
+    def test_non_list_shape_names_field_path(self, tmp_path, kind, group, name):
+        path = tmp_path / "m.json"
+        save_model(random_model(seed=23, tokens=2, suffix_kind=kind), str(path))
+        doc = json.loads(path.read_text())
+        doc["weights"][group][name]["shape"] = 3
+        with pytest.raises(ValidationError, match=rf"weights\.{group}\.{name}\.shape"):
             load_model(self._write(doc, path))
 
     def test_missing_mask_defaults_to_zeros(self, tmp_path):

@@ -10,7 +10,6 @@ from attncert import (
     directional_min,
     exhaustive_vertex_min,
     softmax_objective,
-    solve_rows,
 )
 from oracles import naive_vertex_min
 
@@ -260,29 +259,3 @@ class TestProperties:
         r = directional_min(c, b)
         assert c.min() <= r.value <= c.max()
         assert ((r.vertex == b.lower) | (r.vertex == b.upper)).all()
-
-
-class TestBatch:
-    def test_matches_sequential(self):
-        rng = np.random.default_rng(16)
-        instances = [rand_instance(rng, int(rng.integers(1, 10))) for _ in range(25)]
-        cs = [c for c, _ in instances]
-        boxes = [b for _, b in instances]
-        batch = solve_rows(cs, boxes)
-        for (c, b), r in zip(instances, batch):
-            single = directional_min(c, b)
-            assert r.value == single.value
-            assert r.m == single.m
-            assert np.array_equal(r.vertex, single.vertex)
-
-    def test_max_sense(self):
-        rng = np.random.default_rng(17)
-        c, b = rand_instance(rng, 5)
-        (r,) = solve_rows([c], [b], sense="max")
-        assert r.value == directional_max(c, b).value
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            solve_rows([np.ones(2)], [])
-        with pytest.raises(ValidationError):
-            solve_rows([], [], sense="median")
