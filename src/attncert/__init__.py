@@ -6,6 +6,7 @@ from .attention import (
     PixelBox,
     ScoreBoxTensor,
     ValueCoeffs,
+    baseline_margin_lower_bound,
     margin_lower_bound,
     model_score_boxes,
     qk_scalar_bounds,
@@ -82,6 +83,7 @@ __all__ = [
     "attack_min_margin",
     "attack_min_objective",
     "baseline_directional_min",
+    "baseline_margin_lower_bound",
     "block_output_bounds",
     "certified_directional_min",
     "certify_targets",

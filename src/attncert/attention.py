@@ -4,25 +4,26 @@ Everything before the softmax is affine in the pixels of a single patch, so
 query/key/value coordinates get exact interval bounds over a pixel box.
 Score boxes come from interval products of the query and key bounds.  The
 margin of a linear functional of the attention output then decomposes into
-one directional softmax row problem per (head, query token), each solved
-exactly by the threshold sweep or bounded by a pluggable row method.
+one directional softmax row problem per (head, query token); a target's
+rows are solved together, exactly by the threshold sweep or bounded by the
+interval-softmax baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .baseline import baseline_min
 from .errors import ValidationError
 from .model import AttentionModelSpec, patch_pixel_indices
-from .solver import ScoreBox, directional_min
+from .solver import ScoreBox, sweep_min
+from .solver import directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps this name
 
 if TYPE_CHECKING:  # pragma: no cover
     from .suffix import SuffixAffineBound
-
-RowBound = Callable[[np.ndarray, ScoreBox], float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +62,10 @@ class ScoreBoxTensor:
         upper = np.asarray(self.upper, dtype=np.float64)
         if lower.ndim != 3 or lower.shape != upper.shape:
             raise ValidationError(f"score tensor must be (heads, R, R) pairs, got {lower.shape} and {upper.shape}")
+        if lower.shape[1] < 1:
+            raise ValidationError("score tensor must have at least one token")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValidationError("score tensor endpoints must be finite")
         if np.any(lower > upper):
             raise ValidationError("score tensor has lower > upper")
         object.__setattr__(self, "lower", lower)
@@ -153,10 +158,14 @@ def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> 
     qh = q_hi[:, :, None, :]
     kl = k_lo[:, None, :, :]
     kh = k_hi[:, None, :, :]
-    corners = np.stack((ql * kl, ql * kh, qh * kl, qh * kh))
-    p_min = corners.min(axis=0).sum(axis=3)
-    p_max = corners.max(axis=0).sum(axis=3)
-    return ScoreBoxTensor(lower=scale * p_min + mask, upper=scale * p_max + mask)
+    # Products that overflow give non-finite scores, which ScoreBoxTensor
+    # rejects; the float warnings on the way there would be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = np.stack((ql * kl, ql * kh, qh * kl, qh * kh))
+        p_min = corners.min(axis=0).sum(axis=3)
+        p_max = corners.max(axis=0).sum(axis=3)
+        lower, upper = scale * p_min + mask, scale * p_max + mask
+    return ScoreBoxTensor(lower=lower, upper=upper)
 
 
 def model_score_boxes(model: AttentionModelSpec, box: PixelBox) -> ScoreBoxTensor:
@@ -217,23 +226,30 @@ def value_coefficients(
     return ValueCoeffs(c=c, b_prime=b_prime)
 
 
-def exact_row_bound(c_row: np.ndarray, box: ScoreBox) -> float:
-    return directional_min(c_row, box).value
-
-
-def margin_lower_bound(
-    coeffs: ValueCoeffs,
-    scores: ScoreBoxTensor,
-    target_pos: int,
-    row_bound: RowBound = exact_row_bound,
-) -> float:
-    """Sound margin lower bound for one target: the floor plus one directional
-    row bound per (head, query token), accumulated in a fixed order."""
+def _target_block(coeffs: ValueCoeffs, scores: ScoreBoxTensor, target_pos: int) -> np.ndarray:
     c = coeffs.c[target_pos]
     if c.shape != scores.lower.shape:
         raise ValidationError(f"coefficient block {c.shape} does not match score tensor {scores.lower.shape}")
-    total = float(coeffs.b_prime[target_pos])
-    for h in range(scores.heads):
-        for i in range(scores.tokens):
-            total += row_bound(c[h, i], scores.row(h, i))
-    return total
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("value coefficients must be finite")
+    return c
+
+
+def _accumulate(floor: float, rows: np.ndarray) -> float:
+    # cumsum adds left to right in (head, token) order, so the total is
+    # bit-identical to a scalar `total += row` loop.
+    return float(np.cumsum(np.concatenate(([floor], rows.ravel())))[-1])
+
+
+def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor, target_pos: int) -> float:
+    """Sound margin lower bound for one target: the floor plus the exact
+    directional minimum of every (head, query token) row."""
+    c = _target_block(coeffs, scores, target_pos)
+    values, _, _ = sweep_min(c, scores.lower, scores.upper)
+    return _accumulate(float(coeffs.b_prime[target_pos]), values)
+
+
+def baseline_margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor, target_pos: int) -> float:
+    """margin_lower_bound with the interval-softmax baseline bounding each row."""
+    c = _target_block(coeffs, scores, target_pos)
+    return _accumulate(float(coeffs.b_prime[target_pos]), baseline_min(c, scores.lower, scores.upper))

@@ -18,6 +18,7 @@ from .errors import ValidationError
 # Denominators below the smallest normal double trigger a shift-stable
 # re-evaluation of that candidate instead of a 0/0.
 _DEN_TINY = sys.float_info.min
+_DBL_MAX = sys.float_info.max
 
 
 def _as_direction(c, size: int) -> np.ndarray:
@@ -90,8 +91,84 @@ def softmax_objective(c, s) -> float:
     return float(min(max(val, c.min()), c.max()))
 
 
-def _threshold_vertex(ls: np.ndarray, us: np.ndarray, m: int) -> np.ndarray:
-    return np.concatenate((us[:m], ls[m:]))
+def _objective(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """softmax_objective over the rows of matched (..., K) arrays, bit for
+    bit: on contiguous rows a (1, K) @ (K, 1) matmul equals np.dot.  The
+    one-row function stays separate because the attack polish calls it per
+    point, where the batched form's overhead showed on the rows workload."""
+    c = np.ascontiguousarray(c)
+    s = np.ascontiguousarray(s)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    val = np.matmul(c[..., None, :], e[..., :, None])[..., 0, 0] / e.sum(axis=-1)
+    return np.minimum(np.maximum(val, c.min(axis=-1)), c.max(axis=-1))
+
+
+def _threshold_vertices(ls: np.ndarray, us: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Rows of (n, K) sorted endpoints with the first m[row] coordinates at
+    their upper endpoint and the rest at their lower endpoint."""
+    return np.where(np.arange(ls.shape[-1]) < m[:, None], us, ls)
+
+
+def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Threshold sweep over every row of matched (..., K) arrays.
+
+    Returns (value, m, vertex) with shapes (...), (...) and (..., K); row by
+    row this is exactly directional_min.  The inputs are trusted: finite,
+    K >= 1 and lower <= upper (callers validate at their API boundary).
+    """
+    c = np.asarray(c, dtype=np.float64)
+    lead, k = c.shape[:-1], c.shape[-1]
+    n = c.size // k
+    c = c.reshape(n, k)
+    lower = np.asarray(lower, dtype=np.float64).reshape(n, k)
+    upper = np.asarray(upper, dtype=np.float64).reshape(n, k)
+
+    # Coefficients this large overflow the weighted prefix sums; such rows
+    # are scaled by an exact power of two and the value scaled back.
+    limit = _DBL_MAX / (2 * (k + 1))
+    shift = None
+    if np.abs(c).max(initial=0.0) > limit:
+        amax = np.abs(c).max(axis=-1)
+        shift = np.where(amax > limit, np.frexp(amax)[1], 0)
+        c = np.ldexp(c, -shift[:, None])
+
+    rows = np.arange(n)[:, None]
+    order = np.argsort(c, axis=-1, kind="stable")
+    cs = c[rows, order]
+    ls = lower[rows, order]
+    us = upper[rows, order]
+
+    a = us.max(axis=-1, keepdims=True)
+    eu = np.exp(us - a)
+    el = np.exp(ls - a)
+
+    # Candidate m takes the prefix sums of the upper terms before it and the
+    # suffix sums of the lower terms from it on.  Planes 0-1 hold the upper
+    # terms and planes 2-3 the lower terms reversed, so one cumsum gives both
+    # kinds of sum; column 0 is the zero of an empty side.
+    t = np.zeros((4, n, k + 1))
+    t[0, :, 1:] = eu
+    t[2, :, 1:] = el[:, ::-1]
+    np.multiply(cs, eu, out=t[1, :, 1:])
+    np.multiply(cs[:, ::-1], t[2, :, 1:], out=t[3, :, 1:])
+    np.cumsum(t, axis=-1, out=t)
+    den, num = t[0:2] + t[2:4, :, ::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = num / den
+    # A fully underflowed denominator means every retained exponential was
+    # below realmin; re-evaluate those candidates with their own shift.
+    tiny = den < _DEN_TINY
+    if tiny.any():
+        at, ms = np.nonzero(tiny)
+        tau[at, ms] = _objective(cs[at], _threshold_vertices(ls[at], us[at], ms))
+
+    m_star = np.argmin(tau, axis=-1)
+    vertex = np.empty((n, k))
+    vertex[rows, order] = _threshold_vertices(ls, us, m_star)
+    value = _objective(c, vertex)
+    if shift is not None:
+        value = np.ldexp(value, shift)
+    return value.reshape(lead), m_star.reshape(lead), vertex.reshape(lead + (k,))
 
 
 def directional_min(c, box: ScoreBox) -> ThresholdResult:
@@ -101,35 +178,8 @@ def directional_min(c, box: ScoreBox) -> ThresholdResult:
     ties between candidate thresholds resolve to the smallest m.
     """
     c = _as_direction(c, box.size)
-    order = np.argsort(c, kind="stable")
-    cs = c[order]
-    ls = box.lower[order]
-    us = box.upper[order]
-
-    a = float(us.max())
-    eu = np.exp(us - a)
-    el = np.exp(ls - a)
-
-    zero = np.zeros(1)
-    pre_u = np.concatenate((zero, np.cumsum(eu)))
-    pre_cu = np.concatenate((zero, np.cumsum(cs * eu)))
-    suf_l = np.concatenate((np.cumsum(el[::-1])[::-1], zero))
-    suf_cl = np.concatenate((np.cumsum((cs * el)[::-1])[::-1], zero))
-
-    den = pre_u + suf_l
-    num = pre_cu + suf_cl
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = num / den
-    # A fully underflowed denominator means every retained exponential was
-    # below realmin; re-evaluate those candidates with their own shift.
-    for m in np.flatnonzero(den < _DEN_TINY):
-        tau[m] = softmax_objective(cs, _threshold_vertex(ls, us, int(m)))
-
-    m_star = int(np.argmin(tau))
-    vertex = np.empty(box.size)
-    vertex[order] = _threshold_vertex(ls, us, m_star)
-    value = softmax_objective(c, vertex)
-    return ThresholdResult(value=value, m=m_star, vertex=vertex, sense="min")
+    value, m, vertex = sweep_min(c, box.lower, box.upper)
+    return ThresholdResult(value=float(value), m=int(m), vertex=vertex, sense="min")
 
 
 def directional_max(c, box: ScoreBox) -> ThresholdResult:

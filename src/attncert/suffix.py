@@ -17,7 +17,8 @@ import numpy as np
 from .attention import PixelBox, model_score_boxes, token_bounds, value_scalar_bounds
 from .errors import ValidationError
 from .model import AttentionModelSpec, LinearSuffix, MlpSuffix
-from .solver import directional_max, directional_min
+from .solver import sweep_min
+from .solver import directional_max, directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps these names
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,15 +106,19 @@ def block_output_bounds(model: AttentionModelSpec, box: PixelBox) -> tuple[np.nd
     """
     scores = model_score_boxes(model, box)
     v_lo, v_hi = value_scalar_bounds(model, box)
+    if not (np.all(np.isfinite(v_lo)) and np.all(np.isfinite(v_hi))):
+        raise ValidationError("value bounds must be finite")
     heads, tokens, d_head = v_lo.shape
     o_lo = np.empty((heads, tokens, d_head))
     o_hi = np.empty((heads, tokens, d_head))
+    # Row (i, r) of head h: coefficients v[h, :, r] over the score box of
+    # query token i; the maximum is -min(-c).
+    rows = (tokens, d_head, tokens)
     for h in range(heads):
-        for i in range(tokens):
-            row = scores.row(h, i)
-            for r in range(d_head):
-                o_lo[h, i, r] = directional_min(v_lo[h, :, r], row).value
-                o_hi[h, i, r] = directional_max(v_hi[h, :, r], row).value
+        lower = np.broadcast_to(scores.lower[h][:, None, :], rows)
+        upper = np.broadcast_to(scores.upper[h][:, None, :], rows)
+        o_lo[h] = sweep_min(np.broadcast_to(v_lo[h].T, rows), lower, upper)[0]
+        o_hi[h] = -sweep_min(np.broadcast_to(-v_hi[h].T, rows), lower, upper)[0]
     # The two optima can cross by a ulp on near-degenerate rows; widen outward.
     o_lo, o_hi = np.minimum(o_lo, o_hi), np.maximum(o_lo, o_hi)
     wo_p = np.maximum(model.wo, 0.0)

@@ -15,19 +15,20 @@ import numpy as np
 from .attention import (
     PixelBox,
     ScoreBoxTensor,
+    ValueCoeffs,
+    baseline_margin_lower_bound,
     margin_lower_bound,
     model_score_boxes,
     value_coefficients,
 )
-from .baseline import baseline_directional_min
+from .baseline import baseline_directional_min  # noqa: F401  unused since the baseline arm is batched; benchmark/tracing.py wraps this name
 from .certified import certified_directional_min
 from .errors import CertificationInfeasibleError, ValidationError
 from .model import AttentionModelSpec, MlpSuffix
-from .solver import ScoreBox
 from .suffix import interval_forward, linear_suffix_bound, relu_suffix_bound
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MarginBound:
     """Sound lower bounds on logit_y - logit_target over the input box."""
 
@@ -37,7 +38,7 @@ class MarginBound:
     l_hybrid: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CertificationResult:
     y: int
     bounds: list[MarginBound]
@@ -54,13 +55,20 @@ def pixel_box(x0, epsilon: float) -> PixelBox:
     return PixelBox(lo=np.clip(x0 - epsilon, 0.0, 1.0), hi=np.clip(x0 + epsilon, 0.0, 1.0))
 
 
-def _certified_row(c_row: np.ndarray, box: ScoreBox) -> float:
-    cb = certified_directional_min(c_row, box)
-    if cb.saturated:
-        raise CertificationInfeasibleError(
-            "interval evaluation saturated; the certified bound is not valid for this instance"
-        )
-    return cb.lower
+def _certified_margin(coeffs: ValueCoeffs, scores: ScoreBoxTensor, target_pos: int) -> float:
+    """margin_lower_bound through the outward-rounded row solver, one row at
+    a time in (head, query token) order."""
+    c = coeffs.c[target_pos]
+    total = float(coeffs.b_prime[target_pos])
+    for h in range(scores.heads):
+        for i in range(scores.tokens):
+            cb = certified_directional_min(c[h, i], scores.row(h, i))
+            if cb.saturated:
+                raise CertificationInfeasibleError(
+                    "interval evaluation saturated; the certified bound is not valid for this instance"
+                )
+            total += cb.lower
+    return total
 
 
 def certify_targets(
@@ -89,14 +97,11 @@ def certify_targets(
     coeffs = value_coefficients(suffix_bounds, model, box)
     scores: ScoreBoxTensor = model_score_boxes(model, box)
 
-    vertex_row = _certified_row if certified else None
+    vertex_margin = _certified_margin if certified else margin_lower_bound
     bounds = []
     for pos, t in enumerate(targets):
-        if vertex_row is None:
-            l_vertex = margin_lower_bound(coeffs, scores, pos)
-        else:
-            l_vertex = margin_lower_bound(coeffs, scores, pos, row_bound=vertex_row)
-        l_baseline = margin_lower_bound(coeffs, scores, pos, row_bound=baseline_directional_min)
+        l_vertex = vertex_margin(coeffs, scores, pos)
+        l_baseline = baseline_margin_lower_bound(coeffs, scores, pos)
         bounds.append(
             MarginBound(target=t, l_vertex=l_vertex, l_baseline=l_baseline, l_hybrid=max(l_vertex, l_baseline))
         )

@@ -8,6 +8,10 @@ Two oracles, deliberately built on different machinery than the package:
   sweep with directed rounding on every add/multiply/divide and padded
   exponentials, giving a rigorous enclosure of the true minimum that does
   not depend on the package's shift or rounding choices.
+
+Two row-loop references reuse the package's own row solvers instead: they
+are the one-row-at-a-time forms of the batched margin and block-output
+bounds, so a test can check that batching leaves every result unchanged.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+
+import numpy as np
+
+from attncert import directional_max, directional_min, model_score_boxes, value_scalar_bounds
+from attncert.attention import token_bounds
 
 PREC = 60
 CTX_DN = Context(prec=PREC, rounding=ROUND_FLOOR)
@@ -83,3 +92,40 @@ def decimal_min_enclosure(c, lower, upper) -> tuple[Decimal, Decimal]:
 # 60-digit reference constants for the interval tests.
 E_HI_PREC = Decimal("2.71828182845904523536028747135266249775724709369995957496697")
 E_INV_HI_PREC = Decimal("0.367879441171442321595523770161460867445811131031767834507837")
+
+
+def margin_row_loop(coeffs, scores, target_pos, row_bound) -> float:
+    """The floor plus row_bound(c_row, row_box) for every (head, query
+    token) row of one target, added one row at a time in that order."""
+    c = coeffs.c[target_pos]
+    total = float(coeffs.b_prime[target_pos])
+    for h in range(scores.heads):
+        for i in range(scores.tokens):
+            total += row_bound(c[h, i], scores.row(h, i))
+    return total
+
+
+def block_output_row_loop(model, box):
+    """block_output_bounds with one directional_min / directional_max call
+    per (head, query token, value coordinate) row."""
+    scores = model_score_boxes(model, box)
+    v_lo, v_hi = value_scalar_bounds(model, box)
+    heads, tokens, d_head = v_lo.shape
+    o_lo = np.empty((heads, tokens, d_head))
+    o_hi = np.empty((heads, tokens, d_head))
+    for h in range(heads):
+        for i in range(tokens):
+            row = scores.row(h, i)
+            for r in range(d_head):
+                o_lo[h, i, r] = directional_min(v_lo[h, :, r], row).value
+                o_hi[h, i, r] = directional_max(v_hi[h, :, r], row).value
+    o_lo, o_hi = np.minimum(o_lo, o_hi), np.maximum(o_lo, o_hi)
+    wo_p = np.maximum(model.wo, 0.0)
+    wo_n = np.minimum(model.wo, 0.0)
+    out_lo = np.einsum("hmd,hid->im", wo_p, o_lo) + np.einsum("hmd,hid->im", wo_n, o_hi) + model.bo
+    out_hi = np.einsum("hmd,hid->im", wo_p, o_hi) + np.einsum("hmd,hid->im", wo_n, o_lo) + model.bo
+    if model.residual:
+        t_lo, t_hi = token_bounds(model, box)
+        out_lo = out_lo + t_lo
+        out_hi = out_hi + t_hi
+    return out_lo, out_hi

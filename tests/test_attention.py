@@ -8,7 +8,7 @@ from attncert import (
     ScoreBoxTensor,
     ValidationError,
     ValueCoeffs,
-    baseline_directional_min,
+    baseline_margin_lower_bound,
     forward_trace,
     linear_suffix_bound,
     margin_lower_bound,
@@ -19,8 +19,7 @@ from attncert import (
     value_coefficients,
     value_scalar_bounds,
 )
-from attncert.attention import _matrix_box_bounds, exact_row_bound, token_bounds
-from attncert.solver import ScoreBox
+from attncert.attention import _matrix_box_bounds, token_bounds
 
 # 1 / (1 + e^2): row minimum of direction (0, 1) over the point scores (1, -1).
 ROW_MIN_01 = 0.11920292202211755
@@ -80,6 +79,20 @@ class TestScoreBoxes:
             ScoreBoxTensor(lower=np.zeros((1, 2, 2)), upper=-np.ones((1, 2, 2)))
         with pytest.raises(ValidationError):
             ScoreBoxTensor(lower=np.zeros((2, 2)), upper=np.zeros((2, 2)))
+
+    def test_tensor_needs_a_token(self):
+        with pytest.raises(ValidationError, match="at least one token"):
+            ScoreBoxTensor(lower=np.zeros((2, 0, 0)), upper=np.zeros((2, 0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_tensor_rejects_non_finite(self, bad):
+        lo = np.zeros((1, 2, 2))
+        hi = np.ones((1, 2, 2))
+        for which in ("lower", "upper"):
+            arrays = {"lower": lo.copy(), "upper": hi.copy()}
+            arrays[which][0, 1, 0] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                ScoreBoxTensor(**arrays)
 
     def test_degenerate_box_matches_trace(self):
         for seed in range(4):
@@ -226,7 +239,7 @@ class TestMarginLowerBound:
         with pytest.raises(ValidationError):
             margin_lower_bound(coeffs, ScoreBoxTensor(lower=z, upper=z), 0)
 
-    def test_row_method_is_pluggable(self):
+    def test_vertex_arm_dominates_baseline_arm(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             heads, r = int(rng.integers(1, 3)), int(rng.integers(1, 4))
@@ -234,11 +247,17 @@ class TestMarginLowerBound:
             lo = rng.normal(size=(heads, r, r))
             scores = ScoreBoxTensor(lower=lo, upper=lo + rng.uniform(0, 2, size=lo.shape))
             exact = margin_lower_bound(coeffs, scores, 0)
-            relaxed = margin_lower_bound(coeffs, scores, 0, row_bound=baseline_directional_min)
+            relaxed = baseline_margin_lower_bound(coeffs, scores, 0)
             assert exact >= relaxed - 1e-12
-        floor_only = margin_lower_bound(coeffs, scores, 0, row_bound=lambda c, b: 0.0)
-        assert floor_only == pytest.approx(float(coeffs.b_prime[0]), abs=0)
+        floor_only = ValueCoeffs(c=np.zeros_like(coeffs.c), b_prime=coeffs.b_prime)
+        assert margin_lower_bound(floor_only, scores, 0) == float(coeffs.b_prime[0])
+        assert baseline_margin_lower_bound(floor_only, scores, 0) == float(coeffs.b_prime[0])
 
-    def test_exact_row_bound_matches_solver(self):
-        row = ScoreBox(lower=np.array([1.0, -1.0]), upper=np.array([1.0, -1.0]))
-        assert exact_row_bound(np.array([0.0, 1.0]), row) == pytest.approx(ROW_MIN_01, abs=1e-15)
+    def test_non_finite_coefficients_rejected(self):
+        z = np.zeros((1, 1, 2))
+        scores = ScoreBoxTensor(lower=z, upper=z)
+        for bad in (np.inf, np.nan):
+            coeffs = ValueCoeffs(c=np.array([[[[0.0, bad]]]]), b_prime=np.zeros(1))
+            for arm in (margin_lower_bound, baseline_margin_lower_bound):
+                with pytest.raises(ValidationError, match="finite"):
+                    arm(coeffs, scores, 0)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -182,6 +183,15 @@ class TestCertify:
     def test_negative_epsilon(self, tmp_path):
         path, _ = model_file(tmp_path)
         assert main(["certify", path, "--epsilon", "-0.1"]) == EXIT_VALIDATION
+
+    def test_overflowing_scores_exit_3(self, tmp_path, capsys):
+        m = random_model(seed=0, tokens=4, heads=1, d_model=4)
+        m = dataclasses.replace(m, wq=m.wq * 1e160, wk=m.wk * 1e160)
+        path = str(tmp_path / "model.json")
+        save_model(m, path)
+        x = write_instance(tmp_path, x=[0.5] * m.image_size, y=0)
+        assert main(["certify", path, "--input", x]) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
 
     def test_missing_model(self, tmp_path):
         assert main(["certify", str(tmp_path / "none.json")]) == EXIT_VALIDATION

@@ -1,4 +1,6 @@
 import math
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from attncert import (
     exhaustive_vertex_min,
     softmax_objective,
 )
-from oracles import naive_vertex_min
+from attncert.solver import sweep_min
+from oracles import decimal_min_enclosure, naive_vertex_min
 
 # Frozen oracle values (exhaustive enumeration, see oracles.naive_vertex_min).
 K3_C = np.array([-1.0, 0.0, 1.0])
@@ -259,3 +262,49 @@ class TestProperties:
         r = directional_min(c, b)
         assert c.min() <= r.value <= c.max()
         assert ((r.vertex == b.lower) | (r.vertex == b.upper)).all()
+
+
+class TestSweepMin:
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64, 256])
+    def test_stacked_matches_rows(self, k):
+        rng = np.random.default_rng(1000 + k)
+        shape = (3, 5)
+        c = rng.normal(size=shape + (k,))
+        c[0] = np.round(c[0])  # tied coefficients
+        c[1, 0] = 0.0  # every threshold ties
+        lower = rng.uniform(-3, 3, shape + (k,))
+        upper = lower + rng.uniform(0, 2, shape + (k,))
+        upper[1, 1] = lower[1, 1]  # degenerate box
+        upper[1, 2, : k // 2] = lower[1, 2, : k // 2]  # partly degenerate
+        # Lowers far below the largest upper: the m = 0 denominator underflows.
+        lower[2] = upper[2].max(axis=-1, keepdims=True) - 800.0 - rng.uniform(0, 10, (shape[1], k))
+        if k > 1:
+            assert np.exp(lower[2] - upper[2].max(axis=-1, keepdims=True)).sum(axis=-1).max() == 0.0
+        value, m, vertex = sweep_min(c, lower, upper)
+        assert value.shape == shape and m.shape == shape and vertex.shape == shape + (k,)
+        for idx in np.ndindex(shape):
+            r = directional_min(c[idx], ScoreBox(lower=lower[idx], upper=upper[idx]))
+            assert value[idx] == r.value
+            assert m[idx] == r.m
+            assert np.array_equal(vertex[idx], r.vertex)
+
+    def test_no_rows(self):
+        value, m, vertex = sweep_min(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+        assert value.shape == (0,) and m.shape == (0,) and vertex.shape == (0, 3)
+
+
+class TestHugeCoefficients:
+    def test_minimum_inside_decimal_enclosure(self):
+        # Coefficients near DBL_MAX used to overflow the weighted prefix sums
+        # and return a "minimum" above the true one.
+        rng = np.random.default_rng(31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3000):
+                k = int(rng.integers(2, 7))
+                c = rng.choice([-1.0, 1.0], k) * rng.uniform(2e307, 1.79e308, k)
+                _, b = rand_instance(rng, k)
+                value = directional_min(c, b).value
+                lo, hi = decimal_min_enclosure(c, b.lower, b.upper)
+                tol = Decimal(1e-12) * Decimal(float(np.abs(c).max()))
+                assert lo - tol <= Decimal(value) <= hi + tol

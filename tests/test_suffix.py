@@ -7,6 +7,7 @@ from attncert import (
     MlpSuffix,
     PreActBox,
     ValidationError,
+    block_output_bounds,
     forward_trace,
     interval_forward,
     linear_suffix_bound,
@@ -15,6 +16,7 @@ from attncert import (
     relu_suffix_bound,
 )
 from attncert.model import patch_pixel_indices
+from oracles import block_output_row_loop
 
 
 def sample_inputs(model, n, rng, box=None):
@@ -194,3 +196,15 @@ class TestIntervalForward:
     def test_preact_box_validation(self):
         with pytest.raises(ValidationError):
             PreActBox(lo=np.array([1.0]), hi=np.array([0.0]))
+
+
+class TestBlockOutputBounds:
+    def test_matches_row_loop(self):
+        for seed in range(3):
+            m = random_model(seed=seed, tokens=3, heads=2, d_model=6, d_head=3, suffix_kind="mlp1")
+            x0 = np.random.default_rng(90 + seed).uniform(0, 1, m.image_size)
+            for eps in (0.0, 0.05, 0.5):
+                box = pixel_box(x0, eps)
+                lo, hi = block_output_bounds(m, box)
+                ref_lo, ref_hi = block_output_row_loop(m, box)
+                assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)

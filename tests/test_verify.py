@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,21 @@ from attncert import (
     CertificationInfeasibleError,
     CertifiedBound,
     ValidationError,
+    baseline_directional_min,
+    certified_directional_min,
     certify_targets,
+    directional_min,
     forward,
     forward_batch,
+    interval_forward,
+    linear_suffix_bound,
+    model_score_boxes,
     pixel_box,
     random_model,
+    relu_suffix_bound,
+    value_coefficients,
 )
+from oracles import margin_row_loop
 
 
 def clean_margins(model, x0, y):
@@ -165,3 +177,46 @@ class TestValidation:
         m = tiny_model(0, "linear")
         with pytest.raises(ValidationError):
             certify_targets(m, pixel_box(np.full(3, 0.5), 0.01), 0)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_overflowing_scores_rejected(self, kind, certified):
+        m = random_model(seed=0, tokens=4, heads=1, d_model=4, suffix_kind=kind)
+        m = dataclasses.replace(m, wq=m.wq * 1e160, wk=m.wk * 1e160)
+        box = pixel_box(np.full(m.image_size, 0.5), 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                certify_targets(m, box, 0, certified=certified)
+
+
+class TestBatchedArms:
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    def test_bounds_match_row_loop(self, kind):
+        def vertex_row(c, row):
+            return directional_min(c, row).value
+
+        def certified_row(c, row):
+            return certified_directional_min(c, row).lower
+
+        for seed in range(2):
+            m = random_model(seed=seed, tokens=4, heads=2, d_model=8, n_classes=4, suffix_kind=kind)
+            x0 = np.random.default_rng(70 + seed).uniform(0, 1, m.image_size)
+            y = int(np.argmax(forward(m, x0)))
+            targets = [t for t in range(m.n_classes) if t != y]
+            for eps in (0.0, 0.01, 0.1):
+                box = pixel_box(x0, eps)
+                if kind == "mlp1":
+                    preact = interval_forward(m, box)
+                    suffix_bounds = [relu_suffix_bound(m, preact, y, t) for t in targets]
+                else:
+                    suffix_bounds = [linear_suffix_bound(m, y, t) for t in targets]
+                coeffs = value_coefficients(suffix_bounds, m, box)
+                scores = model_score_boxes(m, box)
+                fast = certify_targets(m, box, y)
+                cert = certify_targets(m, box, y, certified=True)
+                for pos, (b, cb) in enumerate(zip(fast.bounds, cert.bounds)):
+                    assert b.l_vertex == margin_row_loop(coeffs, scores, pos, vertex_row)
+                    assert b.l_baseline == margin_row_loop(coeffs, scores, pos, baseline_directional_min)
+                    assert cb.l_vertex == margin_row_loop(coeffs, scores, pos, certified_row)
+                    assert cb.l_baseline == b.l_baseline
