@@ -26,7 +26,6 @@ from .harness import (
     selfcheck,
     synth_instance,
 )
-from .intervals import Interval, iv_add, iv_div, iv_exp, iv_mul
 from .model import (
     AttentionModelSpec,
     LinearSuffix,
@@ -65,7 +64,6 @@ __all__ = [
     "CertificationResult",
     "CertifiedBound",
     "InternalInvariantError",
-    "Interval",
     "LinearSuffix",
     "MarginBound",
     "MlpSuffix",
@@ -94,10 +92,6 @@ __all__ = [
     "forward_batch",
     "forward_trace",
     "interval_forward",
-    "iv_add",
-    "iv_div",
-    "iv_exp",
-    "iv_mul",
     "linear_suffix_bound",
     "load_model",
     "margin_lower_bound",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import ScoreBox, _as_direction
+from .solver import _DEN_TINY, ScoreBox, _as_direction
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,15 +25,45 @@ class SoftmaxOutputBox:
 
 
 def _output_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate softmax output bounds over the rows of (..., K) boxes."""
+    """Per-coordinate softmax output bounds over the rows of (..., K) boxes.
+
+    Plane 0 holds the lower bounds (coordinate j at its lower endpoint, its
+    rivals at their upper endpoints) and plane 1 the mirrored upper bounds.
+    A rivals' sum is the shared sum minus j's own rival term, off by up to
+    about (K + 1) * 2**-53 of the shared sum.  Where that could exceed 2**-40
+    of the denominator, or the denominator is below realmin (0/0 when every
+    term underflowed), coordinate j is re-evaluated with its own shift.
+    """
     a = upper.max(axis=-1, keepdims=True)
-    eu = np.exp(upper - a)
-    el = np.exp(lower - a)
-    rival_hi = np.maximum(eu.sum(axis=-1, keepdims=True) - eu, 0.0)
-    rival_lo = np.maximum(el.sum(axis=-1, keepdims=True) - el, 0.0)
-    a_lo = el / (el + rival_hi)
-    a_hi = eu / (eu + rival_lo)
-    return np.minimum(a_lo, 1.0), np.minimum(a_hi, 1.0)
+    e = np.empty((2,) + upper.shape)
+    np.subtract(lower, a, out=e[0])
+    np.subtract(upper, a, out=e[1])
+    np.exp(e, out=e)
+    rival = e[::-1]
+    shared = rival.sum(axis=-1, keepdims=True)
+    den = e + np.maximum(shared - rival, 0.0)
+    slack = (upper.shape[-1] + 1) * 2.0**-13
+    if den.min(initial=np.inf) >= max(slack * shared.max(initial=0.0), _DEN_TINY):
+        share = e / den
+    else:
+        flagged = den < np.maximum(slack * shared, _DEN_TINY)
+        with np.errstate(invalid="ignore"):
+            share = e / den
+        share[flagged] = _own_shift(np.stack((lower, upper)), np.stack((upper, lower)), flagged)
+    return np.minimum(share[0], 1.0), np.minimum(share[1], 1.0)
+
+
+def _own_shift(own: np.ndarray, rival: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """Softmax coordinate j at the vertex with s_j = own[j] and every other
+    coordinate at rival, for each flagged (row, j), shifted by that vertex's
+    own max."""
+    k = own.shape[-1]
+    rows, j = np.nonzero(flagged.reshape(-1, k))
+    at = np.arange(j.size)
+    v = rival.reshape(-1, k)[rows]
+    v[at, j] = own.reshape(-1, k)[rows, j]
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e[at, j] / e.sum(axis=-1)
 
 
 def baseline_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -105,6 +105,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _predicted_class(model, x0: np.ndarray) -> int:
+    """The clean prediction, the default label.  A model whose logits
+    overflow at x0 has no prediction: that is a validation error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward(model, x0)
+    if not np.all(np.isfinite(logits)):
+        raise ValidationError("model logits at the input are not finite")
+    return int(np.argmax(logits))
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
     model = load_model(args.model)
@@ -119,10 +129,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
             if not isinstance(y, int) or isinstance(y, bool):
                 raise ValidationError(f"{args.input}: field 'y' must be an integer class index")
         else:
-            y = int(np.argmax(forward(model, x0)))
+            y = _predicted_class(model, x0)
     else:
         x0 = _rng(args.seed, model.image_size).uniform(0.0, 1.0, model.image_size)
-        y = int(np.argmax(forward(model, x0)))
+        y = _predicted_class(model, x0)
 
     box = pixel_box(x0, args.epsilon)
     result = certify_targets(model, box, y, certified=args.certified)

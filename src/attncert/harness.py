@@ -132,6 +132,10 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
     attains the optimum."""
     if budget < 1:
         raise ValidationError("budget must be >= 1")
+    with np.errstate(over="ignore"):
+        width = box.upper - box.lower
+    if not np.all(np.isfinite(width)):
+        raise ValidationError("box widths must be finite to sample the box")
     c = np.asarray(c, dtype=np.float64)
     cands = [_threshold_vertices(c, box), _threshold_vertices(-c, box)]
     rng = _rng(seed, box.size)

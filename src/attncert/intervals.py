@@ -1,115 +1,123 @@
-"""Outward-rounded interval arithmetic on double precision floats.
+"""Outward-rounded interval arithmetic on float64 arrays.
 
-Every operation returns an interval that is guaranteed to contain the true
-real-valued result for all points of its operand intervals.  Soundness is
-obtained by nudging computed endpoints outward with ``math.nextafter``:
-one ulp for the correctly rounded operations (+, *, /) and two ulps for
-``exp``, whose libm implementation is only faithfully rounded.
+An `Intervals` value holds matched arrays of lower and upper endpoints.
+Every operation works elementwise and returns endpoints that contain the
+true real-valued result for all points of its operand intervals.
+Soundness comes from nudging computed endpoints outward with
+``np.nextafter``. The correctly rounded operations (+, *, /) get one ulp.
+``exp`` gets two ulps, because libm's ``exp`` is only faithfully rounded.
+Running sums (`cumsum`) get an a-priori error bound instead of a nudge per
+addition.
 
-Endpoints are always finite.  When a true endpoint exceeds the largest
-finite double the endpoint saturates at ``sys.float_info.max`` and the
-``saturated`` flag is set; a saturated interval still encloses its lower
-range but must not be used to certify anything that depends on the upper
-endpoint.  The flag is sticky under all operations.
+Endpoints are always finite. When a true endpoint lies beyond the largest
+finite double, the endpoint saturates at ``sys.float_info.max`` and its
+``saturated`` flag is set. A saturated interval still encloses its lower
+range, but nothing that depends on its upper endpoint may be certified from
+it. The flag is sticky under all operations.
+
+Operands are trusted: finite endpoints with ``lo <= hi``. Callers validate
+at their API boundary (`ScoreBox`, `ScoreBoxTensor`).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ValidationError
+import numpy as np
 
 _MAX_FLOAT = sys.float_info.max
-_INF = math.inf
+# exp(709) is about 8.2e307, so math.exp never overflows on clamped
+# arguments; above it the upper endpoint saturates.
+_EXP_ARG_MAX = 709.0
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-    saturated: bool = False
+class Intervals(NamedTuple):
+    """Elementwise intervals [lo, hi] with their sticky saturation flags."""
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValidationError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValidationError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def point(x: float) -> "Interval":
-        x = float(x)
-        return Interval(x, x)
+    lo: np.ndarray
+    hi: np.ndarray
+    saturated: np.ndarray
 
 
-def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+def point(x) -> Intervals:
+    """Degenerate intervals [x, x]."""
+    x = np.asarray(x, dtype=np.float64)
+    return Intervals(x, x, np.zeros(x.shape, dtype=bool))
 
 
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+def _outward(lo: np.ndarray, hi: np.ndarray, saturated: np.ndarray) -> Intervals:
+    """Nudge computed endpoints one ulp outward; an endpoint that overflowed
+    saturates at the largest double. A NaN endpoint (inf - inf in `cumsum`)
+    only arises when the other endpoint overflowed, so the flag is set, and
+    fmax/fmin clip it too."""
+    lo = np.nextafter(lo, -np.inf)
+    hi = np.nextafter(hi, np.inf)
+    saturated = saturated | (lo == -np.inf) | (hi == np.inf)
+    return Intervals(np.fmax(lo, -_MAX_FLOAT), np.fmin(hi, _MAX_FLOAT), saturated)
 
 
-def _clip_lo(x: float) -> tuple[float, bool]:
-    # Saturate a lower endpoint that overflowed to -inf.
-    if x == -_INF:
-        return -_MAX_FLOAT, True
-    return x, False
+def add(a: Intervals, b: Intervals) -> Intervals:
+    with np.errstate(over="ignore"):
+        return _outward(a.lo + b.lo, a.hi + b.hi, a.saturated | b.saturated)
 
 
-def _clip_hi(x: float) -> tuple[float, bool]:
-    if x == _INF:
-        return _MAX_FLOAT, True
-    return x, False
+def mul(a: Intervals, b: Intervals) -> Intervals:
+    with np.errstate(over="ignore"):
+        p = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    lo = np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3]))
+    hi = np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
+    return _outward(lo, hi, a.saturated | b.saturated)
 
 
-def iv_add(a: Interval, b: Interval) -> Interval:
-    lo, slo = _clip_lo(_down(a.lo + b.lo))
-    hi, shi = _clip_hi(_up(a.hi + b.hi))
-    return Interval(lo, hi, a.saturated or b.saturated or slo or shi)
+def div(a: Intervals, b: Intervals) -> Intervals:
+    """Quotient intervals. Where the divisor interval contains zero the
+    quotient is unbounded: the result is the whole float range, saturated."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    lo = np.minimum(np.minimum(q[0], q[1]), np.minimum(q[2], q[3]))
+    hi = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    unbounded = (b.lo <= 0.0) & (b.hi >= 0.0)
+    return _outward(np.where(unbounded, -np.inf, lo), np.where(unbounded, np.inf, hi), a.saturated | b.saturated)
 
 
-def iv_mul(a: Interval, b: Interval) -> Interval:
-    p = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    lo, slo = _clip_lo(_down(min(p)))
-    hi, shi = _clip_hi(_up(max(p)))
-    return Interval(lo, hi, a.saturated or b.saturated or slo or shi)
-
-
-def iv_div(a: Interval, b: Interval) -> Interval:
-    """Quotient interval.  Requires a strictly positive divisor: b.lo > 0."""
-    if not b.lo > 0.0:
-        raise ValidationError(f"iv_div requires a strictly positive divisor, got lo={b.lo}")
-    q = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-    lo, slo = _clip_lo(_down(min(q)))
-    hi, shi = _clip_hi(_up(max(q)))
-    return Interval(lo, hi, a.saturated or b.saturated or slo or shi)
-
-
-def _exp_endpoint(t: float) -> tuple[float, bool]:
-    try:
-        v = math.exp(t)
-    except OverflowError:
-        return _MAX_FLOAT, True
-    if v == _INF:
-        return _MAX_FLOAT, True
-    return v, False
-
-
-def iv_exp(x: Interval) -> Interval:
+def exp(x: Intervals) -> Intervals:
     """Enclosure of exp over x, padded two ulps beyond the computed endpoints.
 
-    exp underflow leaves the lower endpoint clamped at 0.0 (sound: the true
-    value is positive) while the padded upper endpoint stays above it.
-    Overflow saturates the affected endpoint at the largest finite double
-    and sets the flag.
+    The endpoints are evaluated with ``math.exp`` (libm), one element at a
+    time. numpy's ``exp`` may dispatch to SIMD kernels with a different
+    error: on an AVX-512 host it differed from libm by one ulp on 4.6% of 2M
+    arguments in [-700, 0], which the libm error argument for the pad does
+    not cover.
+
+    Underflow leaves the lower endpoint at 0.0 (sound: the true value is
+    positive) while the padded upper endpoint stays above it. An upper
+    argument above 709 saturates the upper endpoint; the lower endpoint is
+    then bounded by exp(709).
     """
-    if not (math.isfinite(x.lo) and math.isfinite(x.hi)):
-        raise ValidationError("iv_exp requires finite endpoints")
-    lo_raw, slo = _exp_endpoint(x.lo)
-    hi_raw, shi = _exp_endpoint(x.hi)
-    lo = lo_raw if slo else max(0.0, _down(_down(lo_raw)))
-    hi = hi_raw if shi else _up(_up(hi_raw))
-    hi, shi2 = _clip_hi(hi)
-    return Interval(lo, hi, x.saturated or slo or shi or shi2)
+    args = np.minimum(np.stack((x.lo, x.hi)), _EXP_ARG_MAX)
+    e = np.fromiter(map(math.exp, args.ravel().tolist()), dtype=np.float64, count=args.size).reshape(args.shape)
+    lo = np.maximum(np.nextafter(np.nextafter(e[0], -np.inf), -np.inf), 0.0)
+    hi = np.nextafter(np.nextafter(e[1], np.inf), np.inf)
+    over = x.hi > _EXP_ARG_MAX
+    return Intervals(lo, np.where(over, _MAX_FLOAT, hi), x.saturated | over)
+
+
+def cumsum(x: Intervals) -> Intervals:
+    """Enclosures of the running sums along the last axis.
+
+    np.cumsum adds left to right, and recursive summation of n terms obeys
+    |fl(S) - S| <= gamma_{n-1} * sum|x_i| with gamma_k = k*u / (1 - k*u) and
+    u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 4.2). The computed sum of magnitudes reads low by at most the same
+    factor, so padding each sum by n * 2**-52 times that computed sum,
+    rounded up, covers the whole error while (n - 1) * u <= 1/4. One cumsum
+    over three stacked planes gives both endpoint sums and the magnitudes.
+    """
+    n = x.lo.shape[-1]
+    t = np.stack((x.lo, x.hi, np.maximum(-x.lo, x.hi)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(t, axis=-1, out=t)
+        pad = np.nextafter(t[2] * (n * 2.0**-52), np.inf)
+        return _outward(t[0] - pad, t[1] + pad, np.logical_or.accumulate(x.saturated, axis=-1))

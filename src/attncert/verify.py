@@ -3,7 +3,10 @@
 For every wrong class t the margin logit_y - logit_t gets two independent
 sound lower bounds: the vertex path (exact directional softmax rows) and the
 baseline path (interval-softmax rows).  Their maximum is the hybrid bound;
-the input is certified when every hybrid bound is positive.
+the input is certified when every hybrid bound is positive.  In certified
+mode the vertex arm is outward-rounded and the hybrid is that arm alone:
+the baseline arm is round-to-nearest, so it is reported but never lifts a
+certified bound.
 """
 
 from __future__ import annotations
@@ -16,13 +19,16 @@ from .attention import (
     PixelBox,
     ScoreBoxTensor,
     ValueCoeffs,
+    _accumulate,
+    _target_block,
     baseline_margin_lower_bound,
     margin_lower_bound,
     model_score_boxes,
     value_coefficients,
 )
 from .baseline import baseline_directional_min  # noqa: F401  unused since the baseline arm is batched; benchmark/tracing.py wraps this name
-from .certified import certified_directional_min
+from .certified import certified_directional_min  # noqa: F401  unused since the certified arm is batched; benchmark/tracing.py wraps this name
+from .certified import certified_sweep_min
 from .errors import CertificationInfeasibleError, ValidationError
 from .model import AttentionModelSpec, MlpSuffix
 from .suffix import interval_forward, linear_suffix_bound, relu_suffix_bound
@@ -56,19 +62,15 @@ def pixel_box(x0, epsilon: float) -> PixelBox:
 
 
 def _certified_margin(coeffs: ValueCoeffs, scores: ScoreBoxTensor, target_pos: int) -> float:
-    """margin_lower_bound through the outward-rounded row solver, one row at
-    a time in (head, query token) order."""
-    c = coeffs.c[target_pos]
-    total = float(coeffs.b_prime[target_pos])
-    for h in range(scores.heads):
-        for i in range(scores.tokens):
-            cb = certified_directional_min(c[h, i], scores.row(h, i))
-            if cb.saturated:
-                raise CertificationInfeasibleError(
-                    "interval evaluation saturated; the certified bound is not valid for this instance"
-                )
-            total += cb.lower
-    return total
+    """margin_lower_bound with every (head, query token) row bounded by the
+    outward-rounded sweep, in one kernel call over the target's block."""
+    c = _target_block(coeffs, scores, target_pos)
+    rows, saturated = certified_sweep_min(c, scores.lower, scores.upper)
+    if saturated.any():
+        raise CertificationInfeasibleError(
+            "interval evaluation saturated; the certified bound is not valid for this instance"
+        )
+    return _accumulate(float(coeffs.b_prime[target_pos]), rows)
 
 
 def certify_targets(
@@ -80,7 +82,8 @@ def certify_targets(
     """Hybrid margin bounds for all targets t != y, in ascending target order.
 
     With certified=True the vertex arm runs through the outward-rounded
-    interval path; saturation raises CertificationInfeasibleError.
+    interval path and l_hybrid is l_vertex; saturation raises
+    CertificationInfeasibleError.
     """
     if not 0 <= y < model.n_classes:
         raise ValidationError(f"class index y={y} out of range for {model.n_classes} classes")
@@ -102,7 +105,6 @@ def certify_targets(
     for pos, t in enumerate(targets):
         l_vertex = vertex_margin(coeffs, scores, pos)
         l_baseline = baseline_margin_lower_bound(coeffs, scores, pos)
-        bounds.append(
-            MarginBound(target=t, l_vertex=l_vertex, l_baseline=l_baseline, l_hybrid=max(l_vertex, l_baseline))
-        )
+        l_hybrid = l_vertex if certified else max(l_vertex, l_baseline)
+        bounds.append(MarginBound(target=t, l_vertex=l_vertex, l_baseline=l_baseline, l_hybrid=l_hybrid))
     return CertificationResult(y=y, bounds=bounds, certified=all(b.l_hybrid > 0.0 for b in bounds))

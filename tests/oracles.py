@@ -12,12 +12,17 @@ Two oracles, deliberately built on different machinery than the package:
 Two row-loop references reuse the package's own row solvers instead: they
 are the one-row-at-a-time forms of the batched margin and block-output
 bounds, so a test can check that batching leaves every result unchanged.
+
+scalar_certified_min is the certified sweep as it was before the batched
+kernel: one row, scalar intervals, a one-ulp nudge on every addition of the
+prefix and suffix sums.  It is the reference the kernel is compared with.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
@@ -87,6 +92,97 @@ def decimal_min_enclosure(c, lower, upper) -> tuple[Decimal, Decimal]:
         best_lo = tau_lo if best_lo is None else min(best_lo, tau_lo)
         best_hi = tau_hi if best_hi is None else min(best_hi, tau_hi)
     return best_lo, best_hi
+
+
+_MAX_FLOAT = sys.float_info.max
+
+
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _iv(lo: float, hi: float, sat: bool) -> tuple[float, float, bool]:
+    """A scalar interval (lo, hi, saturated), endpoints clipped to the
+    finite range with the saturation flag set."""
+    if lo == -math.inf:
+        lo, sat = -_MAX_FLOAT, True
+    if hi == math.inf:
+        hi, sat = _MAX_FLOAT, True
+    return lo, hi, sat
+
+
+def _iv_add(a, b):
+    return _iv(_down(a[0] + b[0]), _up(a[1] + b[1]), a[2] or b[2])
+
+
+def _iv_mul(a, b):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _iv(_down(min(p)), _up(max(p)), a[2] or b[2])
+
+
+def _iv_exp(x):
+    def endpoint(t):
+        try:
+            v = math.exp(t)
+        except OverflowError:
+            return _MAX_FLOAT, True
+        return (_MAX_FLOAT, True) if v == math.inf else (v, False)
+
+    lo_raw, slo = endpoint(x[0])
+    hi_raw, shi = endpoint(x[1])
+    lo = lo_raw if slo else max(0.0, _down(_down(lo_raw)))
+    hi = hi_raw if shi else _up(_up(hi_raw))
+    return _iv(lo, hi, x[2] or slo or shi)
+
+
+def scalar_certified_min(c, lower, upper) -> tuple[float, bool]:
+    """(lower bound, saturated) for one row, evaluated as the pre-batching
+    certified_directional_min did."""
+    c = np.asarray(c, dtype=np.float64)
+    order = np.argsort(c, kind="stable")
+    cs = c[order]
+    ls = np.asarray(lower, dtype=np.float64)[order]
+    us = np.asarray(upper, dtype=np.float64)[order]
+    k = len(cs)
+
+    def point(x):
+        return (float(x), float(x), False)
+
+    neg_a = point(-us.max())
+    upper_exp = [_iv_exp(_iv_add(point(us[j]), neg_a)) for j in range(k)]
+    lower_exp = [_iv_exp(_iv_add(point(ls[j]), neg_a)) for j in range(k)]
+    upper_cexp = [_iv_mul(point(cs[j]), upper_exp[j]) for j in range(k)]
+    lower_cexp = [_iv_mul(point(cs[j]), lower_exp[j]) for j in range(k)]
+
+    def prefix(terms):
+        out = [point(0.0)]
+        for t in terms:
+            out.append(_iv_add(out[-1], t))
+        return out
+
+    def suffix(terms):
+        return prefix(terms[::-1])[::-1]
+
+    pre_u, pre_cu = prefix(upper_exp), prefix(upper_cexp)
+    suf_l, suf_cl = suffix(lower_exp), suffix(lower_cexp)
+    c_floor = float(cs[0])
+    best = math.inf
+    saturated = False
+    for m in range(k + 1):
+        den = _iv_add(pre_u[m], suf_l[m])
+        num = _iv_add(pre_cu[m], suf_cl[m])
+        saturated = saturated or den[2] or num[2]
+        if den[0] <= 0.0:
+            tau_lo = c_floor
+        else:
+            q = (num[0] / den[0], num[0] / den[1], num[1] / den[0], num[1] / den[1])
+            tau_lo = max(_down(min(q)), -_MAX_FLOAT)
+        best = min(best, tau_lo)
+    return max(best, c_floor), saturated
 
 
 # 60-digit reference constants for the interval tests.

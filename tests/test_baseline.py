@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from attncert import (
     directional_min,
     softmax_output_box,
 )
+from oracles import naive_vertex_min
 
 K3_MIN = -0.6804790632423976
 K3_BASELINE = -0.7236071038285609
@@ -112,3 +114,29 @@ def test_dominance_with_strictness():
         if exact > base + 1e-9:
             strict += 1
     assert strict / n >= 0.3
+
+
+def test_fully_underflowed_coordinate():
+    # Under the shared shift, coordinate 0 at its lower endpoint and its
+    # rival both underflow; the bounds used to be 0/0 = NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ob = softmax_output_box(box([-1000.0, -1000.0], [0.0, -1000.0]))
+        assert ob.a_lo[0] == 0.5 and ob.a_hi[1] == 0.5
+        assert baseline_directional_min([1.0, -1.0], box([-1000.0, -1000.0], [0.0, -1000.0])) == 0.0
+
+
+def test_wide_boxes_stay_below_exact_minimum():
+    # Boxes up to 1000 wide: exponentials underflow under the shared shift,
+    # and a dominant coordinate's rivals vanish in its shared sum.
+    rng = np.random.default_rng(41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3000):
+            k = int(rng.integers(1, 7))
+            centers = rng.uniform(-500.0, 500.0, k)
+            half = rng.uniform(0.0, 500.0, k)
+            c = rng.uniform(-2.0, 2.0, k)
+            lower, upper = centers - half, centers + half
+            exact = naive_vertex_min(c, lower, upper)
+            assert baseline_directional_min(c, box(lower, upper)) <= exact + 1e-12 * max(1.0, abs(exact))

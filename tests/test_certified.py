@@ -1,10 +1,15 @@
+import sys
+import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from attncert import ScoreBox, certified_directional_min, directional_min
-from oracles import decimal_min_enclosure
+from attncert.certified import certified_sweep_min
+from oracles import decimal_min_enclosure, scalar_certified_min
+
+MAX_FLOAT = sys.float_info.max
 
 K3_MIN = -0.6804790632423976
 
@@ -99,3 +104,82 @@ def test_never_below_coefficient_floor():
         c, b = rand_instance(rng, k)
         cb = certified_directional_min(c, b)
         assert cb.lower >= c.min()
+
+
+def stacked_rows(rng, shape, k):
+    """Rows with tied coefficients, degenerate and partly degenerate boxes,
+    and lowers so far below the largest upper that the m = 0 denominator
+    underflows."""
+    c = rng.normal(size=shape + (k,))
+    c[0] = np.round(c[0])
+    c[1, 0] = 0.0
+    lower = rng.uniform(-3, 3, shape + (k,))
+    upper = lower + rng.uniform(0, 2, shape + (k,))
+    upper[1, 1] = lower[1, 1]
+    upper[1, 2, : k // 2] = lower[1, 2, : k // 2]
+    lower[2] = upper[2].max(axis=-1, keepdims=True) - 800.0 - rng.uniform(0, 10, (shape[1], k))
+    return c, lower, upper
+
+
+class TestCertifiedSweepMin:
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64, 256])
+    def test_stacked_matches_rows(self, k):
+        rng = np.random.default_rng(2000 + k)
+        shape = (3, 5)
+        c, lower, upper = stacked_rows(rng, shape, k)
+        bound, saturated = certified_sweep_min(c, lower, upper)
+        assert bound.shape == shape and saturated.shape == shape
+        for idx in np.ndindex(shape):
+            cb = certified_directional_min(c[idx], ScoreBox(lower=lower[idx], upper=upper[idx]))
+            assert bound[idx] == cb.lower
+            assert saturated[idx] == cb.saturated
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64, 256])
+    def test_close_to_scalar_reference(self, k):
+        # The kernel pads whole running sums by an a-priori error bound where
+        # the scalar reference nudged every addition; both are sound, and
+        # they may differ by a few ulps of the coefficients' scale.
+        rng = np.random.default_rng(3000 + k)
+        c, lower, upper = stacked_rows(rng, (3, 5), k)
+        c[2] *= 10.0 ** rng.integers(-6, 7, (5, 1))
+        bound, saturated = certified_sweep_min(c, lower, upper)
+        for idx in np.ndindex(c.shape[:-1]):
+            ref, ref_saturated = scalar_certified_min(c[idx], lower[idx], upper[idx])
+            assert saturated[idx] == ref_saturated
+            assert abs(bound[idx] - ref) <= 1e-12 * max(1.0, np.abs(c[idx]).max())
+
+    def test_inside_decimal_enclosure(self):
+        rng = np.random.default_rng(25)
+        for k in range(1, 9):
+            n = 250
+            centers = rng.uniform(-3, 3, (n, k)) * 10.0 ** rng.integers(-1, 2, (n, 1))
+            w = rng.uniform(0, 1, (n, k)) * 10.0 ** rng.integers(-2, 2, (n, 1))
+            c = rng.uniform(-2, 2, (n, k)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+            bound, saturated = certified_sweep_min(c, centers - w, centers + w)
+            assert not saturated.any()
+            for r in range(n):
+                _, hi = decimal_min_enclosure(c[r], centers[r] - w[r], centers[r] + w[r])
+                assert Decimal(bound[r]) <= hi
+
+    def test_saturation_rows_flagged(self):
+        c = np.array(
+            [
+                [MAX_FLOAT, MAX_FLOAT, 1.0],
+                [-MAX_FLOAT, 0.5 * MAX_FLOAT, 0.9 * MAX_FLOAT],
+                [1.0, -1.0, 0.5],
+                [1.0, -1.0, 0.5],
+            ]
+        )
+        lower = np.array([[0.0, 0.0, 0.0], [-1.0, -1.0, -1.0], [-1e308, 0.0, 1.0], [-1e308, -1e308, -1e308]])
+        upper = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1e308, 2.0], [1e308, 1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound, saturated = certified_sweep_min(c, lower, upper)
+        assert saturated.all()
+        assert np.all(np.isfinite(bound)) and np.all(bound >= c.min(axis=-1))
+        for r in range(len(c)):
+            assert scalar_certified_min(c[r], lower[r], upper[r])[1]
+
+    def test_no_rows(self):
+        bound, saturated = certified_sweep_min(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+        assert bound.shape == (0,) and saturated.shape == (0,)

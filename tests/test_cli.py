@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,18 @@ class TestCertify:
         save_model(m, path)
         x = write_instance(tmp_path, x=[0.5] * m.image_size, y=0)
         assert main(["certify", path, "--input", x]) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_logits_without_input_exit_3(self, tmp_path, capsys):
+        # Without --input the label is the clean prediction, which such a
+        # model does not have; no RuntimeWarning may escape while picking it.
+        m = random_model(seed=0, tokens=4, heads=1, d_model=4)
+        m = dataclasses.replace(m, wq=m.wq * 1e160, wk=m.wk * 1e160)
+        path = str(tmp_path / "model.json")
+        save_model(m, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", path]) == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
 
     def test_missing_model(self, tmp_path):

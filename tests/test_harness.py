@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from attncert import (
     AttentionModelSpec,
     LinearSuffix,
+    ScoreBox,
     SweepConfig,
     ValidationError,
     attack_min_margin,
@@ -103,6 +105,14 @@ class TestAttackObjective:
         c, box = synth_instance(3, 0)
         with pytest.raises(ValidationError):
             attack_min_objective(c, box, budget=0)
+
+    def test_unsampleable_box_rejected(self):
+        # The width 2e308 overflows, so the box cannot be sampled.
+        box = ScoreBox(lower=np.array([-1e308, 0.0]), upper=np.array([1e308, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="width"):
+                attack_min_objective(np.array([1.0, -1.0]), box, budget=10)
 
 
 class TestAttackMargin:

@@ -7,87 +7,118 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attncert import Interval, ValidationError, iv_add, iv_div, iv_exp, iv_mul
+from attncert import ScoreBox, ValidationError
+from attncert.intervals import Intervals, add, cumsum, div, exp, mul, point
 from oracles import E_HI_PREC, E_INV_HI_PREC
 
 MAX_FLOAT = sys.float_info.max
 
 
+def iv(lo, hi):
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    return Intervals(lo, hi, np.zeros(lo.shape, dtype=bool))
+
+
 def test_interval_invariants():
+    # The operations trust their operands; malformed endpoints are rejected
+    # where they enter, at the box boundary.
     with pytest.raises(ValidationError):
-        Interval(2.0, 1.0)
+        ScoreBox(lower=np.array([2.0]), upper=np.array([1.0]))
     with pytest.raises(ValidationError):
-        Interval(math.nan, 1.0)
+        ScoreBox(lower=np.array([math.nan]), upper=np.array([1.0]))
     with pytest.raises(ValidationError):
-        Interval(0.0, math.inf)
-    assert Interval.point(3.0) == Interval(3.0, 3.0)
+        ScoreBox(lower=np.array([0.0]), upper=np.array([math.inf]))
+    p = point(3.0)
+    assert p.lo == 3.0 and p.hi == 3.0 and not p.saturated
 
 
 def test_exp_of_zero_tight():
-    r = iv_exp(Interval.point(0.0))
+    r = exp(point(0.0))
     assert r.lo <= 1.0 <= r.hi
     assert r.hi - r.lo <= 1e-12
     assert not r.saturated
 
 
 def test_exp_of_one_contains_e():
-    r = iv_exp(Interval.point(1.0))
-    assert Decimal(r.lo) <= E_HI_PREC <= Decimal(r.hi)
+    r = exp(point(1.0))
+    assert Decimal(float(r.lo)) <= E_HI_PREC <= Decimal(float(r.hi))
 
 
 def test_exp_of_symmetric_interval():
-    r = iv_exp(Interval(-1.0, 1.0))
-    assert Decimal(r.lo) <= E_INV_HI_PREC
-    assert E_HI_PREC <= Decimal(r.hi)
+    r = exp(iv(-1.0, 1.0))
+    assert Decimal(float(r.lo)) <= E_INV_HI_PREC
+    assert E_HI_PREC <= Decimal(float(r.hi))
 
 
 def test_exp_underflow_keeps_soundness():
-    r = iv_exp(Interval.point(-800.0))
+    r = exp(point(-800.0))
     assert r.lo == 0.0
     assert r.hi > 0.0
     assert not r.saturated
 
 
 def test_exp_overflow_saturates():
-    r = iv_exp(Interval(0.0, 800.0))
+    r = exp(iv(0.0, 800.0))
     assert r.saturated
     assert r.hi == MAX_FLOAT
     assert r.lo <= 1.0
 
 
 def test_saturation_is_sticky():
-    sat = iv_exp(Interval.point(800.0))
-    assert iv_add(sat, Interval.point(1.0)).saturated
-    assert iv_mul(sat, Interval.point(0.5)).saturated
-    assert iv_div(Interval.point(1.0), sat).saturated
+    sat = exp(point(800.0))
+    assert add(sat, point(1.0)).saturated
+    assert mul(sat, point(0.5)).saturated
+    assert div(point(1.0), sat).saturated
+    terms = Intervals(*(np.array([a, b]) for a, b in zip(point(1.0), sat)))
+    assert cumsum(terms).saturated.tolist() == [False, True]
 
 
 def test_add_mul_div_examples():
-    r = iv_add(Interval(1.0, 2.0), Interval(3.0, 4.0))
+    r = add(iv(1.0, 2.0), iv(3.0, 4.0))
     assert r.lo <= 4.0 and r.hi >= 6.0 and r.hi - r.lo <= 2.0 + 1e-12
 
-    r = iv_mul(Interval(-1.0, 2.0), Interval(3.0, 4.0))
+    r = mul(iv(-1.0, 2.0), iv(3.0, 4.0))
     assert r.lo <= -4.0 and r.hi >= 8.0 and r.hi - r.lo <= 12.0 + 1e-12
 
-    r = iv_div(Interval.point(1.0), Interval.point(2.0))
+    r = div(point(1.0), point(2.0))
     assert r.lo <= 0.5 <= r.hi
     assert r.hi - r.lo <= 1e-15
 
 
 def test_div_rejects_nonpositive_divisor():
-    with pytest.raises(ValidationError):
-        iv_div(Interval.point(1.0), Interval.point(0.0))
-    with pytest.raises(ValidationError):
-        iv_div(Interval.point(1.0), Interval(-1.0, 2.0))
-    with pytest.raises(ValidationError):
-        iv_div(Interval.point(1.0), Interval(-2.0, -1.0))
+    # A divisor interval that contains zero bounds nothing: the quotient is
+    # the whole float range, saturated.  A negative one is an ordinary divisor.
+    for divisor in (point(0.0), iv(-1.0, 2.0)):
+        r = div(point(1.0), divisor)
+        assert r.saturated
+        assert r.lo == -MAX_FLOAT and r.hi == MAX_FLOAT
+    r = div(point(1.0), iv(-2.0, -1.0))
+    assert not r.saturated
+    assert r.lo <= -1.0 and -0.5 <= r.hi and r.hi - r.lo <= 0.5 + 1e-12
 
 
 def test_add_overflow_saturates_instead_of_inf():
-    big = Interval.point(MAX_FLOAT)
-    r = iv_add(big, big)
+    big = point(MAX_FLOAT)
+    r = add(big, big)
     assert r.saturated
     assert math.isfinite(r.hi)
+
+
+def test_cumsum_encloses_the_exact_running_sums():
+    # Terms of mixed sign and magnitude, so every sum rounds; the exact
+    # running sums are taken in 60-digit decimal.
+    rng = np.random.default_rng(7)
+    lo = rng.standard_normal((50, 64)) * 10.0 ** rng.integers(-8, 8, (50, 64))
+    hi = lo + np.abs(rng.standard_normal((50, 64)))
+    r = cumsum(iv(lo, hi))
+    assert not r.saturated.any()
+    for row in range(50):
+        s_lo = s_hi = Decimal(0)
+        for j in range(64):
+            s_lo += Decimal(lo[row, j])
+            s_hi += Decimal(hi[row, j])
+            assert Decimal(r.lo[row, j]) <= s_lo and s_hi <= Decimal(r.hi[row, j])
 
 
 def test_enclosure_soundness_mass():
@@ -102,31 +133,16 @@ def test_enclosure_soundness_mass():
         b_w = rng.uniform(0.0, 0.4, chunk)
         a_lo, a_hi = a_mid - a_w, a_mid + a_w
         b_lo, b_hi = b_mid - b_w, b_mid + b_w
-
-        add_lo = np.empty(chunk); add_hi = np.empty(chunk)
-        mul_lo = np.empty(chunk); mul_hi = np.empty(chunk)
-        div_lo = np.empty(chunk); div_hi = np.empty(chunk)
-        exp_lo = np.empty(chunk); exp_hi = np.empty(chunk)
-        for i in range(chunk):
-            a = Interval(a_lo[i], a_hi[i])
-            b = Interval(b_lo[i], b_hi[i])
-            r = iv_add(a, b); add_lo[i], add_hi[i] = r.lo, r.hi
-            r = iv_mul(a, b); mul_lo[i], mul_hi[i] = r.lo, r.hi
-            r = iv_div(a, b); div_lo[i], div_hi[i] = r.lo, r.hi
-            r = iv_exp(a); exp_lo[i], exp_hi[i] = r.lo, r.hi
+        a, b = iv(a_lo, a_hi), iv(b_lo, b_hi)
+        s_iv, p_iv, q_iv, e_iv = add(a, b), mul(a, b), div(a, b), exp(a)
 
         ra = rng.random((chunk, pts))
         rb = rng.random((chunk, pts))
         xs = a_lo[:, None] + ra * (a_hi - a_lo)[:, None]
         ys = b_lo[:, None] + rb * (b_hi - b_lo)[:, None]
-        s = xs + ys
-        assert np.all((add_lo[:, None] <= s) & (s <= add_hi[:, None]))
-        p = xs * ys
-        assert np.all((mul_lo[:, None] <= p) & (p <= mul_hi[:, None]))
-        q = xs / ys
-        assert np.all((div_lo[:, None] <= q) & (q <= div_hi[:, None]))
-        e = np.exp(xs)
-        assert np.all((exp_lo[:, None] <= e) & (e <= exp_hi[:, None]))
+        for r, v in ((s_iv, xs + ys), (p_iv, xs * ys), (q_iv, xs / ys), (e_iv, np.exp(xs))):
+            assert not r.saturated.any()
+            assert np.all((r.lo[:, None] <= v) & (v <= r.hi[:, None]))
 
 
 _fin = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
@@ -134,7 +150,11 @@ _wid = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 
 
 def _make(mid, w):
-    return Interval(mid - w, mid + w)
+    return iv(mid - w, mid + w)
+
+
+def _width(r):
+    return float(r.hi - r.lo)
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,14 +163,14 @@ def test_widening_monotone_add_mul_exp(mid_a, w_a, extra, mid_b, w_b):
     a = _make(mid_a, w_a)
     a_wide = _make(mid_a, w_a + extra)
     b = _make(mid_b, w_b)
-    for op in (iv_add, iv_mul):
+    for op in (add, mul):
         narrow = op(a, b)
         wide = op(a_wide, b)
-        assert wide.hi - wide.lo >= narrow.hi - narrow.lo
+        assert _width(wide) >= _width(narrow)
         assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
-    narrow = iv_exp(a)
-    wide = iv_exp(a_wide)
-    assert wide.hi - wide.lo >= narrow.hi - narrow.lo
+    narrow = exp(a)
+    wide = exp(a_wide)
+    assert _width(wide) >= _width(narrow)
     assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
 
 
@@ -160,7 +180,7 @@ def test_widening_monotone_div(mid_a, w_a, extra, mid_b, w_b):
     a = _make(mid_a, w_a)
     a_wide = _make(mid_a, w_a + extra)
     b = _make(mid_b, w_b)
-    narrow = iv_div(a, b)
-    wide = iv_div(a_wide, b)
-    assert wide.hi - wide.lo >= narrow.hi - narrow.lo
+    narrow = div(a, b)
+    wide = div(a_wide, b)
+    assert _width(wide) >= _width(narrow)
     assert wide.lo <= narrow.lo and narrow.hi <= wide.hi

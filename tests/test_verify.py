@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from attncert import (
     CertificationInfeasibleError,
-    CertifiedBound,
     ValidationError,
     baseline_directional_min,
     certified_directional_min,
@@ -153,16 +153,34 @@ class TestCertifiedMode:
         y = int(np.argmax(forward(m, x0)))
         assert certify_targets(m, pixel_box(x0, 0.02), y, certified=True).certified
 
-    def test_saturation_is_infeasible(self, monkeypatch):
-        m = tiny_model(0, "linear")
-        x0 = np.full(m.image_size, 0.5)
+    def test_saturation_is_infeasible(self):
+        # Scale W_o so the largest value coefficient is 0.3 * DBL_MAX: the
+        # coefficients stay finite, but the weighted sums of a row overflow.
+        m = random_model(seed=0, tokens=4, heads=1, d_model=4, suffix_kind="linear")
+        box = pixel_box(np.full(m.image_size, 0.5), 0.01)
+        bounds = [linear_suffix_bound(m, 0, t) for t in range(1, m.n_classes)]
+        c_max = np.abs(value_coefficients(bounds, m, box).c).max()
+        m = dataclasses.replace(m, wo=m.wo * (0.3 * sys.float_info.max / c_max))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert certify_targets(m, box, 0).bounds
+            with pytest.raises(CertificationInfeasibleError):
+                certify_targets(m, box, 0, certified=True)
 
-        def saturated(c, box):
-            return CertifiedBound(lower=-1.0, float_value=-1.0, saturated=True)
-
-        monkeypatch.setattr("attncert.verify.certified_directional_min", saturated)
-        with pytest.raises(CertificationInfeasibleError):
-            certify_targets(m, pixel_box(x0, 0.01), 0, certified=True)
+    def test_hybrid_uses_certified_arm_only(self):
+        # The baseline arm is round-to-nearest: where it beats the certified
+        # vertex arm (at tiny radii the two agree up to roundoff), it must
+        # not become the certified bound.
+        lifted = 0
+        for seed in range(10):
+            m = tiny_model(seed, "linear", n_classes=3)
+            x0 = np.random.default_rng(300 + seed).uniform(0.1, 0.9, m.image_size)
+            y = int(np.argmax(forward(m, x0)))
+            for eps in (0.0, 1e-12, 1e-9):
+                for b in certify_targets(m, pixel_box(x0, eps), y, certified=True).bounds:
+                    lifted += b.l_baseline > b.l_vertex
+                    assert b.l_hybrid == b.l_vertex
+        assert lifted > 0
 
 
 class TestValidation:
