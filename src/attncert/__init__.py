@@ -34,7 +34,6 @@ from .model import (
     forward_batch,
     forward_trace,
     load_model,
-    patch_tokenize,
     random_model,
     save_model,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "load_model",
     "margin_lower_bound",
     "model_score_boxes",
-    "patch_tokenize",
     "pixel_box",
     "qk_scalar_bounds",
     "random_model",

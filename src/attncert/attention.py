@@ -4,9 +4,9 @@ Everything before the softmax is affine in the pixels of a single patch, so
 query/key/value coordinates get exact interval bounds over a pixel box.
 Score boxes come from interval products of the query and key bounds.  The
 margin of a linear functional of the attention output then decomposes into
-one directional softmax row problem per (head, query token); a target's
-rows are solved together, exactly by the threshold sweep or bounded by the
-interval-softmax baseline.
+one directional softmax row problem per (target, head, query token); every
+row is solved in one kernel call, exactly by the threshold sweep or bounded
+by the interval-softmax baseline.
 """
 
 from __future__ import annotations
@@ -226,30 +226,36 @@ def value_coefficients(
     return ValueCoeffs(c=c, b_prime=b_prime)
 
 
-def _target_block(coeffs: ValueCoeffs, scores: ScoreBoxTensor, target_pos: int) -> np.ndarray:
-    c = coeffs.c[target_pos]
-    if c.shape != scores.lower.shape:
-        raise ValidationError(f"coefficient block {c.shape} does not match score tensor {scores.lower.shape}")
+def _target_block(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, heads, R, R) coefficient stack and the (T,) floors, checked
+    against the score tensor the stack is broadcast over."""
+    c = coeffs.c
+    floor = np.asarray(coeffs.b_prime, dtype=np.float64)
+    if c.shape[1:] != scores.lower.shape or floor.shape != c.shape[:1]:
+        raise ValidationError(
+            f"coefficients {c.shape} and floors {floor.shape} do not match score tensor {scores.lower.shape}"
+        )
     if not np.all(np.isfinite(c)):
         raise ValidationError("value coefficients must be finite")
-    return c
+    return c, floor
 
 
-def _accumulate(floor: float, rows: np.ndarray) -> float:
-    # cumsum adds left to right in (head, token) order, so the total is
-    # bit-identical to a scalar `total += row` loop.
-    return float(np.cumsum(np.concatenate(([floor], rows.ravel())))[-1])
+def _accumulate(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # cumsum adds left to right in (head, token) order, so each target's
+    # total is bit-identical to a scalar `total += row` loop.
+    terms = np.concatenate((floor[:, None], rows.reshape(len(floor), -1)), axis=1)
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
-def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor, target_pos: int) -> float:
-    """Sound margin lower bound for one target: the floor plus the exact
-    directional minimum of every (head, query token) row."""
-    c = _target_block(coeffs, scores, target_pos)
+def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarray:
+    """Sound margin lower bounds, shape (T,): each target's floor plus the
+    exact directional minimum of its every (head, query token) row."""
+    c, floor = _target_block(coeffs, scores)
     values, _, _ = sweep_min(c, scores.lower, scores.upper)
-    return _accumulate(float(coeffs.b_prime[target_pos]), values)
+    return _accumulate(floor, values)
 
 
-def baseline_margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor, target_pos: int) -> float:
+def baseline_margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarray:
     """margin_lower_bound with the interval-softmax baseline bounding each row."""
-    c = _target_block(coeffs, scores, target_pos)
-    return _accumulate(float(coeffs.b_prime[target_pos]), baseline_min(c, scores.lower, scores.upper))
+    c, floor = _target_block(coeffs, scores)
+    return _accumulate(floor, baseline_min(c, scores.lower, scores.upper))

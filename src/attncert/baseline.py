@@ -67,8 +67,10 @@ def _own_shift(own: np.ndarray, rival: np.ndarray, flagged: np.ndarray) -> np.nd
 
 
 def baseline_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """baseline_directional_min over every row of matched (..., K) arrays,
-    shape (...).  The inputs are trusted, as in solver.sweep_min."""
+    """baseline_directional_min over every row of (..., K) arrays that
+    broadcast together, shape (...).  The output bounds are evaluated once
+    per box row, however many coefficient rows share it.  The inputs are
+    trusted, as in solver.sweep_min."""
     a_lo, a_hi = _output_bounds(np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64))
     return np.sum(np.where(c >= 0.0, c * a_lo, c * a_hi), axis=-1)
 

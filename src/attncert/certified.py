@@ -28,6 +28,12 @@ class CertifiedBound:
     saturated: bool
 
 
+# Rows are swept in blocks of about this many elements.  The interval planes
+# of a block peak at about 0.5 KB per element, so a call that stacks every
+# target's rows keeps its temporaries near 1 MB.
+_BLOCK_ELEMENTS = 2048
+
+
 def _zero_first(x: np.ndarray) -> np.ndarray:
     """x with a zero column prepended to its last axis, the running sum of
     an empty side."""
@@ -41,8 +47,8 @@ def _select(x: Intervals, key) -> Intervals:
 
 
 def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward-rounded threshold sweep over every row of matched (..., K)
-    arrays.
+    """Outward-rounded threshold sweep over every row of (..., K) arrays
+    that broadcast together.
 
     Returns (lower_bound, saturated), both of shape (...). Each row's
     lower_bound is at most the true minimum of c . softmax(s) over its box,
@@ -50,13 +56,22 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     where some interval endpoint overflowed, so the bound certifies nothing.
     The inputs are trusted, as in solver.sweep_min.
     """
-    c = np.asarray(c, dtype=np.float64)
+    c, lower, upper = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (c, lower, upper)))
     lead, k = c.shape[:-1], c.shape[-1]
     n = c.size // k
-    c = c.reshape(n, k)
-    lower = np.asarray(lower, dtype=np.float64).reshape(n, k)
-    upper = np.asarray(upper, dtype=np.float64).reshape(n, k)
+    c, lower, upper = (a.reshape(n, k) for a in (c, lower, upper))
+    bound = np.empty(n)
+    saturated = np.empty(n, dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // k)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        bound[block], saturated[block] = _sweep_block(c[block], lower[block], upper[block])
+    return bound.reshape(lead), saturated.reshape(lead)
 
+
+def _sweep_block(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """certified_sweep_min on matched (n, K) rows."""
+    n, k = c.shape
     rows = np.arange(n)[:, None]
     order = np.argsort(c, axis=-1, kind="stable")
     cs = c[rows, order]
@@ -82,8 +97,7 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     # combination of the coefficients, so the smallest coefficient is a
     # sound floor for every candidate.
     tau = intervals.div(_select(den_num, 1), _select(den_num, 0)).lo
-    bound = np.maximum(tau.min(axis=-1), cs[:, 0])
-    return bound.reshape(lead), saturated.reshape(lead)
+    return np.maximum(tau.min(axis=-1), cs[:, 0]), saturated
 
 
 def certified_directional_min(c, box: ScoreBox) -> CertifiedBound:

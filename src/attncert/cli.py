@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -89,13 +88,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         width_scale=args.width_scale,
         coeff_scale=args.coeff_scale,
     )
-    records = run_sweep(
-        config,
-        attack_budget=args.budget,
-        threads=args.threads,
-        trial_csv=args.out,
-        aggregate_csv=args.agg_out,
-    )
+    records = run_sweep(config, attack_budget=args.budget, trial_csv=args.out, aggregate_csv=args.agg_out)
     print(",".join(("K", "method", "cert_rate", "mean_lower", "mean_gap", "total_time_s")))
     for row in aggregate_records(records):
         print(
@@ -137,15 +130,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     box = pixel_box(x0, args.epsilon)
     result = certify_targets(model, box, y, certified=args.certified)
 
-    def attack_for(target: int) -> float:
-        return attack_min_margin(model, box, y, target, args.budget, seed=args.seed)
-
-    targets = [b.target for b in result.bounds]
-    if args.threads > 1 and targets:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            attacks = list(pool.map(attack_for, targets))
-    else:
-        attacks = [attack_for(t) for t in targets]
+    attacks = [attack_min_margin(model, box, y, b.target, args.budget, seed=args.seed) for b in result.bounds]
 
     time_ms = int(round((time.perf_counter() - t_start) * 1e3))
     min_hybrid = min(b.l_hybrid for b in result.bounds)
@@ -216,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--width-scale", type=float, default=1.0)
     p_sweep.add_argument("--coeff-scale", type=float, default=1.0)
     p_sweep.add_argument("--budget", type=int, default=200, help="attack sample budget per trial")
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--out", default=None, help="per-trial CSV path")
     p_sweep.add_argument("--agg-out", default=None, help="aggregate CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -228,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--seed", type=int, default=0, help="seed for the generated input and attacks")
     p_cert.add_argument("--budget", type=int, default=200, help="attack sample budget per target")
     p_cert.add_argument("--certified", action="store_true", help="route the vertex arm through interval arithmetic")
-    p_cert.add_argument("--threads", type=int, default=1)
     p_cert.add_argument("--out", default=None, help="JSON report path (stdout when omitted)")
     p_cert.set_defaults(func=cmd_certify)
 

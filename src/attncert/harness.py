@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,7 +21,15 @@ from .certified import certified_directional_min
 from .errors import ValidationError
 from .model import AttentionModelSpec, forward, forward_batch
 from .attention import PixelBox
-from .solver import ScoreBox, directional_min, exhaustive_vertex_min, softmax_objective
+from .solver import (
+    ScoreBox,
+    _as_direction,
+    _objective,
+    _softmax_value,
+    _threshold_vertices,
+    directional_min,
+    exhaustive_vertex_min,
+)
 
 TRIAL_COLUMNS = ("K", "trial", "method", "lower", "attack", "gap", "time_us")
 AGGREGATE_COLUMNS = ("K", "method", "cert_rate", "mean_lower", "mean_gap", "total_time_s")
@@ -81,24 +88,15 @@ def synth_instance(
     return c, ScoreBox(lower=centers - half, upper=centers + half)
 
 
-def _objective_batch(c: np.ndarray, points: np.ndarray) -> np.ndarray:
-    shifted = points - points.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    vals = (e @ c) / e.sum(axis=1)
-    return np.clip(vals, c.min(), c.max())
-
-
-def _threshold_vertices(c: np.ndarray, box: ScoreBox) -> np.ndarray:
-    """All K+1 threshold vertices of the ascending-c sweep, original order."""
+def _attack_vertices(c: np.ndarray, box: ScoreBox) -> np.ndarray:
+    """All K+1 threshold vertices of the sweeps of c and of -c, in original
+    coordinate order: 2(K+1) rows."""
     k = box.size
-    order = np.argsort(c, kind="stable")
-    ls = box.lower[order]
-    us = box.upper[order]
-    take_upper = np.tril(np.ones((k + 1, k), dtype=bool), -1)
-    vs = np.where(take_upper, us[None, :], ls[None, :])
-    out = np.empty_like(vs)
-    out[:, order] = vs
-    return out
+    out = np.empty((2, k + 1, k))
+    for side, d in zip(out, (c, -c)):
+        order = np.argsort(d, kind="stable")
+        side[:, order] = _threshold_vertices(box.lower[order], box.upper[order], np.arange(k + 1))
+    return out.reshape(-1, k)
 
 
 def _endpoint_polish(score: Callable[[np.ndarray], float], start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -136,14 +134,13 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
         width = box.upper - box.lower
     if not np.all(np.isfinite(width)):
         raise ValidationError("box widths must be finite to sample the box")
-    c = np.asarray(c, dtype=np.float64)
-    cands = [_threshold_vertices(c, box), _threshold_vertices(-c, box)]
-    rng = _rng(seed, box.size)
-    cands.append(rng.uniform(box.lower, box.upper, size=(budget, box.size)))
-    points = np.vstack(cands)
-    vals = _objective_batch(c, points)
+    c = np.ascontiguousarray(_as_direction(c, box.size))
+    samples = _rng(seed, box.size).uniform(box.lower, box.upper, size=(budget, box.size))
+    points = np.vstack((_attack_vertices(c, box), samples))
+    vals = _objective(c, points)
     best_idx = int(np.argmin(vals))
-    best_val = _endpoint_polish(lambda s: softmax_objective(c, s), points[best_idx], box.lower, box.upper)
+    with np.errstate(over="ignore"):
+        best_val = _endpoint_polish(lambda s: _softmax_value(c, s), points[best_idx], box.lower, box.upper)
     return float(min(best_val, float(vals[best_idx])))
 
 
@@ -203,22 +200,17 @@ def _run_trial(config: SweepConfig, k: int, trial: int, attack_budget: int) -> l
 def run_sweep(
     config: SweepConfig,
     attack_budget: int = 200,
-    threads: int = 1,
     trial_csv: str | None = None,
     aggregate_csv: str | None = None,
 ) -> list[TrialRecord]:
     """Vertex, baseline, and certified bounds with a shared attack per trial.
 
-    Records come back in (K, trial, method) order regardless of thread count;
-    only the timing column varies between reruns.
+    Records come back in (K, trial, method) order; only the timing column
+    varies between reruns.
     """
-    cells = [(k, t) for k in config.k_values for t in range(config.trials)]
-    if threads > 1 and cells:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda kt: _run_trial(config, kt[0], kt[1], attack_budget), cells))
-    else:
-        chunks = [_run_trial(config, k, t, attack_budget) for k, t in cells]
-    records = [row for chunk in chunks for row in chunk]
+    records = [
+        row for k in config.k_values for t in range(config.trials) for row in _run_trial(config, k, t, attack_budget)
+    ]
     if trial_csv is not None:
         write_trial_csv(records, trial_csv)
     if aggregate_csv is not None:
@@ -324,7 +316,7 @@ def selfcheck(trials: int = 200, samples: int = 200, seed: int = 0, fault: bool 
         n_sound += 1
         cert = certified_directional_min(c, box).lower
         pts = _rng(s_i, k, 1).uniform(box.lower, box.upper, size=(samples, k))
-        vals = _objective_batch(c, pts)
+        vals = _objective(c, pts)
         if np.any(vals < fast - 1e-9) or np.any(vals < cert - 1e-15):
             soundness_fail.append(s_i)
 

@@ -165,11 +165,6 @@ def _check_image(model: AttentionModelSpec, x) -> np.ndarray:
     return x
 
 
-def patch_tokenize(model: AttentionModelSpec, x) -> np.ndarray:
-    """Embedded tokens, shape (tokens, d_model)."""
-    return forward_trace(model, x).tokens
-
-
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
     tokens: np.ndarray  # (R, d_model)

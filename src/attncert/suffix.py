@@ -108,17 +108,12 @@ def block_output_bounds(model: AttentionModelSpec, box: PixelBox) -> tuple[np.nd
     v_lo, v_hi = value_scalar_bounds(model, box)
     if not (np.all(np.isfinite(v_lo)) and np.all(np.isfinite(v_hi))):
         raise ValidationError("value bounds must be finite")
-    heads, tokens, d_head = v_lo.shape
-    o_lo = np.empty((heads, tokens, d_head))
-    o_hi = np.empty((heads, tokens, d_head))
-    # Row (i, r) of head h: coefficients v[h, :, r] over the score box of
-    # query token i; the maximum is -min(-c).
-    rows = (tokens, d_head, tokens)
-    for h in range(heads):
-        lower = np.broadcast_to(scores.lower[h][:, None, :], rows)
-        upper = np.broadcast_to(scores.upper[h][:, None, :], rows)
-        o_lo[h] = sweep_min(np.broadcast_to(v_lo[h].T, rows), lower, upper)[0]
-        o_hi[h] = -sweep_min(np.broadcast_to(-v_hi[h].T, rows), lower, upper)[0]
+    # Row (p, h, i, r): coefficients v[h, :, r] over the score box of query
+    # token i, with v_lo in plane 0 and -v_hi in plane 1; the maximum is
+    # -min(-c).  Shapes (2, heads, 1, d_head, R) against (heads, R, 1, R).
+    c = np.stack((v_lo, -v_hi)).transpose(0, 1, 3, 2)[:, :, None]
+    o_lo, neg_hi = sweep_min(c, scores.lower[:, :, None, :], scores.upper[:, :, None, :])[0]
+    o_hi = -neg_hi
     # The two optima can cross by a ulp on near-degenerate rows; widen outward.
     o_lo, o_hi = np.minimum(o_lo, o_hi), np.maximum(o_lo, o_hi)
     wo_p = np.maximum(model.wo, 0.0)

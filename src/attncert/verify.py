@@ -61,16 +61,16 @@ def pixel_box(x0, epsilon: float) -> PixelBox:
     return PixelBox(lo=np.clip(x0 - epsilon, 0.0, 1.0), hi=np.clip(x0 + epsilon, 0.0, 1.0))
 
 
-def _certified_margin(coeffs: ValueCoeffs, scores: ScoreBoxTensor, target_pos: int) -> float:
-    """margin_lower_bound with every (head, query token) row bounded by the
-    outward-rounded sweep, in one kernel call over the target's block."""
-    c = _target_block(coeffs, scores, target_pos)
+def _certified_margin(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarray:
+    """margin_lower_bound with every (target, head, query token) row bounded
+    by the outward-rounded sweep, in one kernel call."""
+    c, floor = _target_block(coeffs, scores)
     rows, saturated = certified_sweep_min(c, scores.lower, scores.upper)
     if saturated.any():
         raise CertificationInfeasibleError(
             "interval evaluation saturated; the certified bound is not valid for this instance"
         )
-    return _accumulate(float(coeffs.b_prime[target_pos]), rows)
+    return _accumulate(floor, rows)
 
 
 def certify_targets(
@@ -100,11 +100,10 @@ def certify_targets(
     coeffs = value_coefficients(suffix_bounds, model, box)
     scores: ScoreBoxTensor = model_score_boxes(model, box)
 
-    vertex_margin = _certified_margin if certified else margin_lower_bound
-    bounds = []
-    for pos, t in enumerate(targets):
-        l_vertex = vertex_margin(coeffs, scores, pos)
-        l_baseline = baseline_margin_lower_bound(coeffs, scores, pos)
-        l_hybrid = l_vertex if certified else max(l_vertex, l_baseline)
-        bounds.append(MarginBound(target=t, l_vertex=l_vertex, l_baseline=l_baseline, l_hybrid=l_hybrid))
+    vertex = (_certified_margin if certified else margin_lower_bound)(coeffs, scores).tolist()
+    baseline = baseline_margin_lower_bound(coeffs, scores).tolist()
+    bounds = [
+        MarginBound(target=t, l_vertex=lv, l_baseline=lb, l_hybrid=lv if certified else max(lv, lb))
+        for t, lv, lb in zip(targets, vertex, baseline)
+    ]
     return CertificationResult(y=y, bounds=bounds, certified=all(b.l_hybrid > 0.0 for b in bounds))

@@ -16,6 +16,10 @@ bounds, so a test can check that batching leaves every result unchanged.
 scalar_certified_min is the certified sweep as it was before the batched
 kernel: one row, scalar intervals, a one-ulp nudge on every addition of the
 prefix and suffix sums.  It is the reference the kernel is compared with.
+
+threshold_vertices is the attack's vertex set as the harness built it
+before it took the solver's helper: every threshold vertex from one
+lower-triangular mask.
 """
 
 from __future__ import annotations
@@ -225,3 +229,16 @@ def block_output_row_loop(model, box):
         out_lo = out_lo + t_lo
         out_hi = out_hi + t_hi
     return out_lo, out_hi
+
+
+def threshold_vertices(c, box) -> np.ndarray:
+    """All K+1 threshold vertices of the ascending-c sweep, original order."""
+    k = box.size
+    order = np.argsort(c, kind="stable")
+    ls = box.lower[order]
+    us = box.upper[order]
+    take_upper = np.tril(np.ones((k + 1, k), dtype=bool), -1)
+    vs = np.where(take_upper, us[None, :], ls[None, :])
+    out = np.empty_like(vs)
+    out[:, order] = vs
+    return out

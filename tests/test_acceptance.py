@@ -26,8 +26,8 @@ from attncert import (
     run_sweep,
     synth_instance,
 )
-from attncert.harness import _objective_batch, aggregate_records
-from attncert.solver import ScoreBox
+from attncert.harness import aggregate_records
+from attncert.solver import ScoreBox, _objective
 
 from oracles import decimal_min_enclosure
 
@@ -68,7 +68,7 @@ def test_criterion_2_soundness_by_sampling():
         fast = directional_min(c, box).value
         cert = certified_directional_min(c, box).lower
         pts = np.random.default_rng(i).uniform(box.lower, box.upper, size=(10_000, k))
-        vals = _objective_batch(c, pts)
+        vals = _objective(c, pts)
         below_fast += int(np.sum(vals < fast - 1e-9))
         below_cert += int(np.sum(vals < cert))
     elapsed = time.perf_counter() - t0

@@ -8,7 +8,9 @@ from attncert import (
     ScoreBoxTensor,
     ValidationError,
     ValueCoeffs,
+    baseline_directional_min,
     baseline_margin_lower_bound,
+    directional_min,
     forward_trace,
     linear_suffix_bound,
     margin_lower_bound,
@@ -20,6 +22,8 @@ from attncert import (
     value_scalar_bounds,
 )
 from attncert.attention import _matrix_box_bounds, token_bounds
+
+from oracles import margin_row_loop
 
 # 1 / (1 + e^2): row minimum of direction (0, 1) over the point scores (1, -1).
 ROW_MIN_01 = 0.11920292202211755
@@ -218,26 +222,44 @@ class TestMarginLowerBound:
         z = np.zeros((1, 1, 2))
         # Both scores pinned to 0 -> uniform attention -> margin 0.5.
         scores = ScoreBoxTensor(lower=z, upper=z)
-        assert margin_lower_bound(coeffs, scores, 0) == pytest.approx(0.5, abs=0)
+        assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(0.5, abs=0)
 
     def test_single_skewed_row(self):
         coeffs = ValueCoeffs(c=np.array([[[[0.0, 1.0]]]]), b_prime=np.array([0.0]))
         s = np.array([[[1.0, -1.0]]])
         scores = ScoreBoxTensor(lower=s, upper=s)
-        assert margin_lower_bound(coeffs, scores, 0) == pytest.approx(ROW_MIN_01, abs=1e-15)
+        assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(ROW_MIN_01, abs=1e-15)
 
     def test_two_rows_plus_floor(self):
         c = np.array([[[[0.0, 1.0], [0.0, 1.0]]]])
         coeffs = ValueCoeffs(c=c, b_prime=np.array([1.0]))
         s = np.array([[[1.0, -1.0], [1.0, -1.0]]])
         scores = ScoreBoxTensor(lower=s, upper=s)
-        assert margin_lower_bound(coeffs, scores, 0) == pytest.approx(1.0 + 2.0 * ROW_MIN_01, abs=1e-15)
+        assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(1.0 + 2.0 * ROW_MIN_01, abs=1e-15)
+
+    def test_targets_stack_into_one_call(self):
+        rng = np.random.default_rng(7)
+        heads, r, targets = 2, 3, 4
+        coeffs = ValueCoeffs(c=rng.normal(size=(targets, heads, r, r)), b_prime=rng.normal(size=targets))
+        lo = rng.normal(size=(heads, r, r))
+        scores = ScoreBoxTensor(lower=lo, upper=lo + rng.uniform(0, 2, size=lo.shape))
+        rows = (lambda c, row: directional_min(c, row).value, baseline_directional_min)
+        for arm, row in zip((margin_lower_bound, baseline_margin_lower_bound), rows):
+            stacked = arm(coeffs, scores)
+            assert stacked.shape == (targets,)
+            for t in range(targets):
+                alone = ValueCoeffs(c=coeffs.c[t : t + 1], b_prime=coeffs.b_prime[t : t + 1])
+                assert stacked[t] == arm(alone, scores)[0]
+                assert stacked[t] == margin_row_loop(coeffs, scores, t, row)
 
     def test_shape_mismatch(self):
         coeffs = ValueCoeffs(c=np.zeros((1, 1, 1, 3)), b_prime=np.zeros(1))
         z = np.zeros((1, 1, 2))
         with pytest.raises(ValidationError):
-            margin_lower_bound(coeffs, ScoreBoxTensor(lower=z, upper=z), 0)
+            margin_lower_bound(coeffs, ScoreBoxTensor(lower=z, upper=z))
+        two_floors = ValueCoeffs(c=np.zeros((1, 1, 1, 2)), b_prime=np.zeros(2))
+        with pytest.raises(ValidationError):
+            margin_lower_bound(two_floors, ScoreBoxTensor(lower=z, upper=z))
 
     def test_vertex_arm_dominates_baseline_arm(self):
         rng = np.random.default_rng(6)
@@ -246,12 +268,12 @@ class TestMarginLowerBound:
             coeffs = ValueCoeffs(c=rng.normal(size=(1, heads, r, r)), b_prime=rng.normal(size=1))
             lo = rng.normal(size=(heads, r, r))
             scores = ScoreBoxTensor(lower=lo, upper=lo + rng.uniform(0, 2, size=lo.shape))
-            exact = margin_lower_bound(coeffs, scores, 0)
-            relaxed = baseline_margin_lower_bound(coeffs, scores, 0)
+            exact = margin_lower_bound(coeffs, scores)[0]
+            relaxed = baseline_margin_lower_bound(coeffs, scores)[0]
             assert exact >= relaxed - 1e-12
         floor_only = ValueCoeffs(c=np.zeros_like(coeffs.c), b_prime=coeffs.b_prime)
-        assert margin_lower_bound(floor_only, scores, 0) == float(coeffs.b_prime[0])
-        assert baseline_margin_lower_bound(floor_only, scores, 0) == float(coeffs.b_prime[0])
+        assert margin_lower_bound(floor_only, scores)[0] == float(coeffs.b_prime[0])
+        assert baseline_margin_lower_bound(floor_only, scores)[0] == float(coeffs.b_prime[0])
 
     def test_non_finite_coefficients_rejected(self):
         z = np.zeros((1, 1, 2))
@@ -260,4 +282,4 @@ class TestMarginLowerBound:
             coeffs = ValueCoeffs(c=np.array([[[[0.0, bad]]]]), b_prime=np.zeros(1))
             for arm in (margin_lower_bound, baseline_margin_lower_bound):
                 with pytest.raises(ValidationError, match="finite"):
-                    arm(coeffs, scores, 0)
+                    arm(coeffs, scores)

@@ -49,6 +49,13 @@ class TestSolve:
         assert certified <= value
         assert value - certified < 1e-12
 
+    def test_far_apart_coordinates_print_no_warning(self, tmp_path, capsys):
+        path = write_instance(tmp_path, c=[1.0, -1.0, 0.5], ell=[-1e308, 1e308, 0.0], u=[-1e308, 1e308, 1.0])
+        assert main(["solve", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0].startswith("value=-1.0 ")
+        assert captured.err == ""
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         path = write_instance(tmp_path, c=[0.0], ell=[0.0], u=[0.0], extra=1)
         assert main(["solve", path]) == EXIT_VALIDATION
@@ -163,10 +170,10 @@ class TestCertify:
         assert report["certified"] is False
         assert summary.startswith("certified=false")
 
-    def test_certified_mode_and_threads(self, tmp_path, capsys):
+    def test_certified_mode(self, tmp_path, capsys):
         path, _ = model_file(tmp_path, n_classes=3)
         code, report, _ = self.run_and_parse(
-            ["certify", path, "--epsilon", "0.01", "--budget", "10", "--certified", "--threads", "2"], capsys
+            ["certify", path, "--epsilon", "0.01", "--budget", "10", "--certified"], capsys
         )
         assert code == EXIT_OK
         assert report["certified_mode"] is True
@@ -245,6 +252,12 @@ class TestUsage:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "inst.json", "--bogus"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("subcommand", [["sweep", "--k", "4"], ["certify", "model.json"]])
+    def test_threads_flag_removed(self, subcommand):
+        with pytest.raises(SystemExit) as exc:
+            main(subcommand + ["--threads", "2"])
         assert exc.value.code == 2
 
     def test_exit_codes_are_distinct(self):

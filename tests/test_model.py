@@ -12,7 +12,6 @@ from attncert import (
     forward_batch,
     forward_trace,
     load_model,
-    patch_tokenize,
     random_model,
     save_model,
 )
@@ -54,7 +53,7 @@ class TestPatchLayout:
     def test_4x4_patch2_row_major(self):
         m = identity_embed_model(4, 4, 1, 2)
         x = np.arange(16.0)
-        toks = patch_tokenize(m, x)
+        toks = forward_trace(m, x).tokens
         assert toks.shape == (4, 4)
         assert np.array_equal(toks[0], [0.0, 1.0, 4.0, 5.0])
         assert np.array_equal(toks[1], [2.0, 3.0, 6.0, 7.0])
@@ -64,7 +63,7 @@ class TestPatchLayout:
     def test_channel_major_within_patch(self):
         m = identity_embed_model(2, 2, 2, 2)
         x = np.arange(8.0)
-        toks = patch_tokenize(m, x)
+        toks = forward_trace(m, x).tokens
         assert np.array_equal(toks[0], x)
 
     @pytest.mark.parametrize("height, width, channels, patch", [(4, 6, 3, 2), (6, 3, 2, 3), (2, 8, 1, 1)])
@@ -79,7 +78,7 @@ class TestPatchLayout:
 
     def test_constant_image_identical_tokens(self):
         m = identity_embed_model(4, 6, 1, 2)
-        toks = patch_tokenize(m, np.full(24, 0.7))
+        toks = forward_trace(m, np.full(24, 0.7)).tokens
         assert np.all(toks == toks[0])
 
     def test_28x28_patch7_gives_16_tokens(self):

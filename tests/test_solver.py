@@ -8,6 +8,7 @@ import pytest
 from attncert import (
     ScoreBox,
     ValidationError,
+    attack_min_objective,
     directional_max,
     directional_min,
     exhaustive_vertex_min,
@@ -291,6 +292,38 @@ class TestSweepMin:
     def test_no_rows(self):
         value, m, vertex = sweep_min(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
         assert value.shape == (0,) and m.shape == (0,) and vertex.shape == (0, 3)
+
+    def test_box_broadcasts_against_coefficient_stack(self):
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=(3, 2, 4, 6))
+        lower = rng.normal(size=(2, 4, 6))
+        upper = lower + rng.uniform(0, 2, size=lower.shape)
+        stacked = sweep_min(c, lower, upper)
+        full = sweep_min(c, *np.broadcast_arrays(c, lower, upper)[1:])
+        for got, want in zip(stacked, full):
+            assert np.array_equal(got, want)
+
+
+# c . softmax(s) is -1.0 on this finite box: coordinate 1 takes all the
+# weight, and the others shift to -inf, whose exp is the true limit 0.
+FAR_C = np.array([1.0, -1.0, 0.5])
+FAR_BOX = ScoreBox(lower=np.array([-1e308, 1e308, 0.0]), upper=np.array([-1e308, 1e308, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: directional_min(FAR_C, FAR_BOX).value,
+        lambda: softmax_objective(FAR_C, FAR_BOX.upper),
+        lambda: exhaustive_vertex_min(FAR_C, FAR_BOX).value,
+        lambda: attack_min_objective(FAR_C, FAR_BOX, budget=20),
+    ],
+    ids=["directional_min", "softmax_objective", "exhaustive_vertex_min", "attack_min_objective"],
+)
+def test_far_apart_coordinates_without_warnings(solve):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve() == -1.0
 
 
 class TestHugeCoefficients:

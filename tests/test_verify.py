@@ -5,6 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import attncert.attention
+import attncert.suffix
+import attncert.verify
 from attncert import (
     CertificationInfeasibleError,
     ValidationError,
@@ -238,3 +241,34 @@ class TestBatchedArms:
                     assert b.l_baseline == margin_row_loop(coeffs, scores, pos, baseline_directional_min)
                     assert cb.l_vertex == margin_row_loop(coeffs, scores, pos, certified_row)
                     assert cb.l_baseline == b.l_baseline
+
+    @pytest.mark.parametrize(
+        "kind, certified, calls",
+        [
+            ("mlp1", False, {"sweep_min": 2, "baseline_min": 1, "certified_sweep_min": 0}),
+            ("linear", True, {"sweep_min": 0, "baseline_min": 1, "certified_sweep_min": 1}),
+        ],
+    )
+    def test_one_kernel_call_per_arm(self, monkeypatch, kind, certified, calls):
+        seen = dict.fromkeys(calls, 0)
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                seen[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(attncert.attention, "sweep_min")
+        counted(attncert.suffix, "sweep_min")
+        counted(attncert.attention, "baseline_min")
+        counted(attncert.verify, "certified_sweep_min")
+        m = random_model(
+            seed=0, tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, suffix_kind=kind, hidden=32, residual=True
+        )
+        x0 = np.random.default_rng(0).uniform(0, 1, m.image_size)
+        result = certify_targets(m, pixel_box(x0, 0.01), int(np.argmax(forward(m, x0))), certified=certified)
+        assert len(result.bounds) == 9
+        assert seen == calls
