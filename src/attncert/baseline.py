@@ -36,8 +36,10 @@ def _output_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
     """
     a = upper.max(axis=-1, keepdims=True)
     e = np.empty((2,) + upper.shape)
-    np.subtract(lower, a, out=e[0])
-    np.subtract(upper, a, out=e[1])
+    # Endpoints far below the max shift to -inf (exp gives the true limit 0).
+    with np.errstate(over="ignore"):
+        np.subtract(lower, a, out=e[0])
+        np.subtract(upper, a, out=e[1])
     np.exp(e, out=e)
     rival = e[::-1]
     shared = rival.sum(axis=-1, keepdims=True)
@@ -62,7 +64,8 @@ def _own_shift(own: np.ndarray, rival: np.ndarray, flagged: np.ndarray) -> np.nd
     at = np.arange(j.size)
     v = rival.reshape(-1, k)[rows]
     v[at, j] = own.reshape(-1, k)[rows, j]
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    with np.errstate(over="ignore"):
+        e = np.exp(v - v.max(axis=-1, keepdims=True))
     return e[at, j] / e.sum(axis=-1)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import intervals
 from .intervals import Intervals
-from .solver import ScoreBox, _as_direction, directional_min
+from .solver import ScoreBox, _as_direction, _blockwise, _broadcast_rows, directional_min
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,6 @@ class CertifiedBound:
 _BLOCK_ELEMENTS = 2048
 
 
-def _zero_first(x: np.ndarray) -> np.ndarray:
-    """x with a zero column prepended to its last axis, the running sum of
-    an empty side."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=x.dtype)
-    out[..., 1:] = x
-    return out
-
-
 def _select(x: Intervals, key) -> Intervals:
     return Intervals(x.lo[key], x.hi[key], x.saturated[key])
 
@@ -56,40 +48,48 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     where some interval endpoint overflowed, so the bound certifies nothing.
     The inputs are trusted, as in solver.sweep_min.
     """
-    c, lower, upper = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (c, lower, upper)))
-    lead, k = c.shape[:-1], c.shape[-1]
-    n = c.size // k
-    c, lower, upper = (a.reshape(n, k) for a in (c, lower, upper))
-    bound = np.empty(n)
-    saturated = np.empty(n, dtype=bool)
-    step = max(1, _BLOCK_ELEMENTS // k)
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        bound[block], saturated[block] = _sweep_block(c[block], lower[block], upper[block])
+    lead, c, lower, upper, box_row = _broadcast_rows(c, lower, upper)
+    # The shift and the exponentials depend on the box alone, so they are
+    # evaluated once per box row and gathered for every coefficient row.
+    # The shift is the exact float max of the uppers. The rounded difference
+    # is not the real one, so it is an interval; its upper end is at most
+    # nextafter(0, inf), so exp never sees a larger argument.
+    shift = intervals.point(-upper.max(axis=-1, keepdims=True))
+    e = intervals.exp(intervals.add(intervals.point(np.stack((upper, lower))), shift))
+    # (endpoint, side * box rows * K): side 0 the uppers, side 1 the lowers.
+    box_exp = np.stack((e.lo, e.hi)).reshape(2, -1)
+    # exp keeps the flags of the shifted add, which can saturate on its own
+    # (lower = -1e308, upper = 1e308); a flag saturates every coefficient
+    # row on its box row.
+    box_saturated = e.saturated.any(axis=(0, -1))
+    bound, saturated = _blockwise(_sweep_block, _BLOCK_ELEMENTS, c, box_row, box_exp, box_saturated)
     return bound.reshape(lead), saturated.reshape(lead)
 
 
-def _sweep_block(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """certified_sweep_min on matched (n, K) rows."""
+def _sweep_block(
+    c: np.ndarray, box_row: np.ndarray, box_exp: np.ndarray, box_saturated: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """certified_sweep_min on (n, K) coefficient rows; row r gathers its
+    exponentials from box row box_row[r] of box_exp."""
     n, k = c.shape
-    rows = np.arange(n)[:, None]
     order = np.argsort(c, axis=-1, kind="stable")
-    cs = c[rows, order]
-    # Side 0 holds the upper endpoints in coefficient order and side 1 the
-    # lower endpoints reversed, so running sums give the prefix sums of the
-    # upper terms and the suffix sums of the lower terms.
-    s = np.stack((upper[rows, order], lower[rows, order][:, ::-1]))
-    # Shift by the exact float max of the uppers. The rounded difference is
-    # not the real one, so it is an interval; its upper end is at most
-    # nextafter(0, inf), so exp never sees a larger argument.
-    shifted = intervals.add(intervals.point(s), intervals.point(-s[0].max(axis=-1, keepdims=True)))
-    e = intervals.exp(shifted)
-    ce = intervals.mul(intervals.point(np.stack((cs, cs[:, ::-1]))), e)
-
-    # (kind, side, row, column): kind 0 sums the exponentials, kind 1 the
-    # coefficient-weighted ones.  Candidate m takes column m of side 0 and
-    # column K - m of side 1.
-    sums = intervals.cumsum(Intervals(*(_zero_first(np.stack(pair)) for pair in zip(e, ce))))
+    cs = np.take_along_axis(c, order, axis=-1)
+    # Planes (lo, hi, magnitude) x (kind, side, row, column).  Kind 0 sums
+    # the exponentials, kind 1 the coefficient-weighted ones.  Side 0 holds
+    # the upper terms in coefficient order and side 1 the lower terms
+    # reversed, so running sums give the prefix sums of the upper terms and
+    # the suffix sums of the lower terms; column 0 is the zero of an empty
+    # side.  Candidate m takes column m of side 0 and column K - m of side 1.
+    # Flat box_exp indices of each row's entries in coefficient order; the
+    # lowers start after the nb * K uppers.
+    flat = box_row[:, None] * k + order
+    t = np.zeros((3, 2, 2, n, k + 1))
+    t[:2, 0, :, :, 1:] = box_exp[:, np.stack((flat, flat[:, ::-1] + box_exp.shape[1] // 2))]
+    row_saturated = box_saturated[box_row, None]
+    ce = intervals.mul(np.stack((cs, cs[:, ::-1])), Intervals(t[0, 0, :, :, 1:], t[1, 0, :, :, 1:], row_saturated))
+    t[0, 1, :, :, 1:] = ce.lo
+    t[1, 1, :, :, 1:] = ce.hi
+    sums = intervals.cumsum(t, row_saturated)
     den_num = intervals.add(_select(sums, np.s_[:, 0]), _select(sums, np.s_[:, 1, :, ::-1]))
     saturated = den_num.saturated.any(axis=(0, -1))
     # Where every retained exponential underflowed, den.lo is 0 and the

@@ -63,8 +63,13 @@ def add(a: Intervals, b: Intervals) -> Intervals:
         return _outward(a.lo + b.lo, a.hi + b.hi, a.saturated | b.saturated)
 
 
-def mul(a: Intervals, b: Intervals) -> Intervals:
+def mul(a: Intervals | np.ndarray, b: Intervals) -> Intervals:
+    """Product intervals.  A plain array `a` holds point operands, whose
+    product with b takes two products instead of four."""
     with np.errstate(over="ignore"):
+        if not isinstance(a, Intervals):
+            p, q = a * b.lo, a * b.hi
+            return _outward(np.minimum(p, q), np.maximum(p, q), b.saturated)
         p = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
     lo = np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3]))
     hi = np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
@@ -104,8 +109,14 @@ def exp(x: Intervals) -> Intervals:
     return Intervals(lo, np.where(over, _MAX_FLOAT, hi), x.saturated | over)
 
 
-def cumsum(x: Intervals) -> Intervals:
+def cumsum(planes: np.ndarray, saturated: np.ndarray) -> Intervals:
     """Enclosures of the running sums along the last axis.
+
+    The terms come preassembled as planes: planes[0] holds their lower
+    endpoints and planes[1] their upper ones, and planes[2] is scratch for
+    their magnitudes.  The sums are formed in place, so a caller can write
+    its terms straight into one buffer.  `saturated` holds the terms' flags;
+    a running sum is saturated from its first saturated term on.
 
     np.cumsum adds left to right, and recursive summation of n terms obeys
     |fl(S) - S| <= gamma_{n-1} * sum|x_i| with gamma_k = k*u / (1 - k*u) and
@@ -113,11 +124,11 @@ def cumsum(x: Intervals) -> Intervals:
     sec. 4.2). The computed sum of magnitudes reads low by at most the same
     factor, so padding each sum by n * 2**-52 times that computed sum,
     rounded up, covers the whole error while (n - 1) * u <= 1/4. One cumsum
-    over three stacked planes gives both endpoint sums and the magnitudes.
+    over the three planes gives both endpoint sums and the magnitudes.
     """
-    n = x.lo.shape[-1]
-    t = np.stack((x.lo, x.hi, np.maximum(-x.lo, x.hi)))
+    n = planes.shape[-1]
+    np.maximum(-planes[0], planes[1], out=planes[2])
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(t, axis=-1, out=t)
-        pad = np.nextafter(t[2] * (n * 2.0**-52), np.inf)
-        return _outward(t[0] - pad, t[1] + pad, np.logical_or.accumulate(x.saturated, axis=-1))
+        np.cumsum(planes, axis=-1, out=planes)
+        pad = np.nextafter(planes[2] * (n * 2.0**-52), np.inf)
+        return _outward(planes[0] - pad, planes[1] + pad, np.logical_or.accumulate(saturated, axis=-1))

@@ -121,6 +121,48 @@ def _threshold_vertices(ls: np.ndarray, us: np.ndarray, m: np.ndarray) -> np.nda
     return np.where(np.arange(ls.shape[-1]) < m[:, None], us, ls)
 
 
+# sweep_min sweeps its rows in blocks of about this many elements.  A block's
+# temporaries peak at about 110 bytes per element, so a call stays near 4 MB
+# however many rows it stacks, and both shape-M stacks (the 9,216-element
+# margin stack and the 8,192-element block_output_bounds stack) are one block.
+_BLOCK_ELEMENTS = 2**15
+
+
+def _broadcast_rows(c, lower, upper):
+    """(..., K) arrays that broadcast together, as rows.
+
+    Returns (lead, c, lower, upper, box_row): the leading shape of the
+    broadcast, the coefficients as (n, K) rows, the box as the (nb, K) rows
+    of its own broadcast shape (so a box shared by many coefficient rows is
+    not copied per row), and for each coefficient row the index of its box
+    row.
+    """
+    c, lower, upper = (np.asarray(a, dtype=np.float64) for a in (c, lower, upper))
+    k = max(c.shape[-1], lower.shape[-1], upper.shape[-1])
+    # The box broadcasts over its own leading axes and over K, not over c's.
+    # The broadcasts are skipped where shapes already match: they cost more
+    # than a one-row sweep's arithmetic.
+    if not lower.shape == upper.shape == lower.shape[:-1] + (k,):
+        lower, upper, _ = np.broadcast_arrays(lower, upper, np.empty(k))
+    box_row = np.arange(lower.size // k).reshape(lower.shape[:-1])
+    if c.shape != lower.shape:
+        c, box_row = np.broadcast_arrays(c, box_row[..., None])
+        box_row = box_row[..., 0]
+    return c.shape[:-1], c.reshape(-1, k), lower.reshape(-1, k), upper.reshape(-1, k), box_row.reshape(-1)
+
+
+def _blockwise(sweep_block, budget: int, c: np.ndarray, box_row: np.ndarray, *box) -> tuple[np.ndarray, ...]:
+    """sweep_block(c, box_row, *box) over consecutive blocks of about
+    `budget` elements of the (n, K) rows c, with its outputs joined along
+    the rows, so a call's temporaries are bounded by the budget, not by n."""
+    n, k = c.shape
+    step = max(1, budget // k)
+    if n <= step:
+        return sweep_block(c, box_row, *box)
+    parts = [sweep_block(c[i : i + step], box_row[i : i + step], *box) for i in range(0, n, step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Threshold sweep over every row of (..., K) arrays that broadcast
     together.
@@ -129,11 +171,15 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     row this is exactly directional_min.  The inputs are trusted: finite,
     K >= 1 and lower <= upper (callers validate at their API boundary).
     """
-    c, lower, upper = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (c, lower, upper)))
-    lead, k = c.shape[:-1], c.shape[-1]
-    n = c.size // k
-    c, lower, upper = (a.reshape(n, k) for a in (c, lower, upper))
+    lead, c, lower, upper, box_row = _broadcast_rows(c, lower, upper)
+    value, m_star, vertex = _blockwise(_sweep_block, _BLOCK_ELEMENTS, c, box_row, lower, upper)
+    return value.reshape(lead), m_star.reshape(lead), vertex.reshape(lead + c.shape[-1:])
 
+
+def _sweep_block(c: np.ndarray, box_row: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """sweep_min on (n, K) coefficient rows; row r's box is row box_row[r]
+    of the (nb, K) lower and upper."""
+    n, k = c.shape
     # Coefficients this large overflow the weighted prefix sums; such rows
     # are scaled by an exact power of two and the value scaled back.
     limit = _DBL_MAX / (2 * (k + 1))
@@ -146,8 +192,8 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     rows = np.arange(n)[:, None]
     order = np.argsort(c, axis=-1, kind="stable")
     cs = c[rows, order]
-    ls = lower[rows, order]
-    us = upper[rows, order]
+    ls = lower[box_row[:, None], order]
+    us = upper[box_row[:, None], order]
 
     a = us.max(axis=-1, keepdims=True)
     # Endpoints far below the max shift to -inf (exp gives the true limit 0).
@@ -181,7 +227,7 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     value = _objective(c, vertex)
     if shift is not None:
         value = np.ldexp(value, shift)
-    return value.reshape(lead), m_star.reshape(lead), vertex.reshape(lead + (k,))
+    return value, m_star, vertex
 
 
 def directional_min(c, box: ScoreBox) -> ThresholdResult:

@@ -17,6 +17,11 @@ scalar_certified_min is the certified sweep as it was before the batched
 kernel: one row, scalar intervals, a one-ulp nudge on every addition of the
 prefix and suffix sums.  It is the reference the kernel is compared with.
 
+certified_sweep_rowwise is certified_sweep_min as it was before the kernel
+shared the box exponentials: every coefficient row gathers its own box
+endpoints in its sort order and evaluates their shift and exponentials
+itself.  The kernel must match it bit for bit.
+
 threshold_vertices is the attack's vertex set as the harness built it
 before it took the solver's helper: every threshold vertex from one
 lower-triangular mask.
@@ -31,8 +36,9 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 
-from attncert import directional_max, directional_min, model_score_boxes, value_scalar_bounds
+from attncert import directional_max, directional_min, intervals, model_score_boxes, value_scalar_bounds
 from attncert.attention import token_bounds
+from attncert.intervals import Intervals
 
 PREC = 60
 CTX_DN = Context(prec=PREC, rounding=ROUND_FLOOR)
@@ -242,3 +248,38 @@ def threshold_vertices(c, box) -> np.ndarray:
     out = np.empty_like(vs)
     out[:, order] = vs
     return out
+
+
+def _zero_first(x: np.ndarray) -> np.ndarray:
+    """x with a zero column prepended to its last axis, the running sum of
+    an empty side."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=x.dtype)
+    out[..., 1:] = x
+    return out
+
+
+def _select(x: Intervals, key) -> Intervals:
+    return Intervals(x.lo[key], x.hi[key], x.saturated[key])
+
+
+def certified_sweep_rowwise(c, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """(lower_bound, saturated) over every row of (..., K) arrays that
+    broadcast together, each row evaluated on its own gathered box."""
+    c, lower, upper = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (c, lower, upper)))
+    lead, k = c.shape[:-1], c.shape[-1]
+    n = c.size // k
+    c, lower, upper = (a.reshape(n, k) for a in (c, lower, upper))
+    rows = np.arange(n)[:, None]
+    order = np.argsort(c, axis=-1, kind="stable")
+    cs = c[rows, order]
+    s = np.stack((upper[rows, order], lower[rows, order][:, ::-1]))
+    shifted = intervals.add(intervals.point(s), intervals.point(-s[0].max(axis=-1, keepdims=True)))
+    e = intervals.exp(shifted)
+    ce = intervals.mul(intervals.point(np.stack((cs, cs[:, ::-1]))), e)
+    terms = Intervals(*(_zero_first(np.stack(pair)) for pair in zip(e, ce)))
+    sums = intervals.cumsum(np.stack((terms.lo, terms.hi, terms.hi)), terms.saturated)
+    den_num = intervals.add(_select(sums, np.s_[:, 0]), _select(sums, np.s_[:, 1, :, ::-1]))
+    saturated = den_num.saturated.any(axis=(0, -1))
+    tau = intervals.div(_select(den_num, 1), _select(den_num, 0)).lo
+    bound = np.maximum(tau.min(axis=-1), cs[:, 0])
+    return bound.reshape(lead), saturated.reshape(lead)

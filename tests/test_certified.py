@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from attncert import ScoreBox, certified_directional_min, directional_min
+from attncert import certified, intervals
 from attncert.certified import certified_sweep_min
-from oracles import decimal_min_enclosure, scalar_certified_min
+from oracles import certified_sweep_rowwise, decimal_min_enclosure, scalar_certified_min
 
 MAX_FLOAT = sys.float_info.max
 
@@ -183,3 +184,113 @@ class TestCertifiedSweepMin:
     def test_no_rows(self):
         bound, saturated = certified_sweep_min(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
         assert bound.shape == (0,) and saturated.shape == (0,)
+
+
+def box_pair(rng, shape):
+    lower = rng.uniform(-3, 3, shape)
+    return lower, lower + rng.uniform(0, 2, shape)
+
+
+def broadcast_vector(rng):
+    return (rng.normal(size=16),) + box_pair(rng, (40, 16))
+
+
+def broadcast_target_stack(rng):
+    # The certify_targets layout: (T, H, R, K) coefficients, (H, R, K) box.
+    return (rng.normal(size=(9, 4, 16, 16)),) + box_pair(rng, (4, 16, 16))
+
+
+def broadcast_mixed_box(rng):
+    return rng.normal(size=(3, 5, 6)), rng.uniform(-3, -1, (3, 1, 6)), rng.uniform(0, 2, (5, 6))
+
+
+def tied_coefficients(rng):
+    c = np.round(rng.normal(size=(4, 30, 8)))
+    c[0] = 1.0
+    return (c,) + box_pair(rng, (30, 8))
+
+
+def single_coordinate(rng):
+    return (rng.normal(size=(5, 7, 1)),) + box_pair(rng, (7, 1))
+
+
+def several_blocks_wide_rows(rng):
+    return (rng.normal(size=(3, 40, 256)),) + box_pair(rng, (40, 256))
+
+
+def near_dbl_max(rng):
+    # Target 0's weighted sums overflow; the others' stay just finite.
+    c = rng.choice([-1.0, 0.5, 1.0], (3, 4, 6)) * MAX_FLOAT * rng.uniform(0.1, 1.0, (3, 4, 6))
+    c[1:] /= 8.0
+    lower = np.array([[-1e308] * 6, [0.0] * 6, [-1.0] * 6, [1e300] * 6])
+    upper = np.array([[1e308] * 6, [0.0] * 6, [1.0] * 6, [1e308] * 6])
+    return c, lower, upper
+
+
+def fully_underflowing(rng):
+    # The largest upper sits on one coordinate, and every other endpoint
+    # and that coordinate's lower are far below it: every candidate that
+    # keeps the coordinate at its lower has a denominator whose lower
+    # endpoint underflows to 0 or below.
+    lower, upper = box_pair(rng, (20, 5))
+    upper[:, 0] += 1000.0
+    lower[:, 0] = upper[:, 0] - 800.0
+    return rng.normal(size=(6, 20, 5)), lower, upper
+
+
+class TestSharedBoxExponentials:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            broadcast_vector,
+            broadcast_target_stack,
+            broadcast_mixed_box,
+            tied_coefficients,
+            single_coordinate,
+            several_blocks_wide_rows,
+            near_dbl_max,
+            fully_underflowing,
+        ],
+    )
+    def test_bit_identical_to_rowwise_reference(self, case):
+        c, lower, upper = case(np.random.default_rng(4000))
+        bound, saturated = certified_sweep_min(c, lower, upper)
+        ref_bound, ref_saturated = certified_sweep_rowwise(c, lower, upper)
+        assert bound.shape == ref_bound.shape == np.broadcast_shapes(c.shape, lower.shape, upper.shape)[:-1]
+        assert np.array_equal(bound.view(np.uint64), ref_bound.view(np.uint64))
+        assert np.array_equal(saturated, ref_saturated)
+
+    def test_cases_reach_their_edge(self, monkeypatch):
+        # The cases above are not vacuous: some rows saturate, some
+        # denominators' lower endpoints underflow, and the stacked cases span several
+        # kernel blocks.
+        saturated = certified_sweep_min(*near_dbl_max(np.random.default_rng(4000)))[1]
+        assert saturated.any() and not saturated.all()
+        divisors = []
+        div = intervals.div
+        monkeypatch.setattr(intervals, "div", lambda a, b: divisors.append(b.lo) or div(a, b))
+        certified_sweep_min(*fully_underflowing(np.random.default_rng(4000)))
+        assert divisors and all((d <= 0.0).any() for d in divisors)
+        for case in (broadcast_target_stack, several_blocks_wide_rows):
+            c = case(np.random.default_rng(4000))[0]
+            assert c.size > 2 * certified._BLOCK_ELEMENTS
+
+    def test_no_rows_against_a_box(self):
+        lower, upper = box_pair(np.random.default_rng(1), (4, 3))
+        bound, saturated = certified_sweep_min(np.zeros((0, 4, 3)), lower, upper)
+        assert bound.shape == (0, 4) and saturated.shape == (0, 4)
+
+    def test_shift_saturation_reaches_every_target(self):
+        # Box row (1, 2) overflows only in the shift: lower - max(upper) is
+        # -2e308.  Every target's coefficient row on it must be saturated,
+        # and no other row.
+        rng = np.random.default_rng(5)
+        lower, upper = box_pair(rng, (2, 4, 6))
+        lower[1, 2, 0] = -1e308
+        upper[1, 2, 3] = 1e308
+        c = rng.normal(size=(5, 2, 4, 6))
+        bound, saturated = certified_sweep_min(c, lower, upper)
+        expected = np.zeros((5, 2, 4), dtype=bool)
+        expected[:, 1, 2] = True
+        assert np.array_equal(saturated, expected)
+        assert np.all(bound >= c.min(axis=-1))

@@ -20,6 +20,11 @@ def iv(lo, hi):
     return Intervals(lo, hi, np.zeros(lo.shape, dtype=bool))
 
 
+def running_sums(x):
+    """cumsum over the terms x, laid out as the planes it takes."""
+    return cumsum(np.stack((x.lo, x.hi, x.hi)), x.saturated)
+
+
 def test_interval_invariants():
     # The operations trust their operands; malformed endpoints are rejected
     # where they enter, at the box boundary.
@@ -71,7 +76,7 @@ def test_saturation_is_sticky():
     assert mul(sat, point(0.5)).saturated
     assert div(point(1.0), sat).saturated
     terms = Intervals(*(np.array([a, b]) for a, b in zip(point(1.0), sat)))
-    assert cumsum(terms).saturated.tolist() == [False, True]
+    assert running_sums(terms).saturated.tolist() == [False, True]
 
 
 def test_add_mul_div_examples():
@@ -84,6 +89,20 @@ def test_add_mul_div_examples():
     r = div(point(1.0), point(2.0))
     assert r.lo <= 0.5 <= r.hi
     assert r.hi - r.lo <= 1e-15
+
+
+def test_point_operand_matches_point_interval():
+    # A plain array operand takes two products instead of four; the result,
+    # flags included, is the same as for the degenerate intervals.
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+    a[:3] = (0.0, -0.0, MAX_FLOAT)
+    lo = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+    b = Intervals(lo, lo + np.abs(rng.standard_normal(200)) * np.abs(lo), rng.random(200) < 0.1)
+    got, want = mul(a, b), mul(point(a), b)
+    assert got.saturated.any() and not got.saturated.all()
+    for x, y in zip(got, want):
+        assert np.array_equal(np.asarray(x).view(np.uint8), np.asarray(y).view(np.uint8))
 
 
 def test_div_rejects_nonpositive_divisor():
@@ -111,7 +130,7 @@ def test_cumsum_encloses_the_exact_running_sums():
     rng = np.random.default_rng(7)
     lo = rng.standard_normal((50, 64)) * 10.0 ** rng.integers(-8, 8, (50, 64))
     hi = lo + np.abs(rng.standard_normal((50, 64)))
-    r = cumsum(iv(lo, hi))
+    r = running_sums(iv(lo, hi))
     assert not r.saturated.any()
     for row in range(50):
         s_lo = s_hi = Decimal(0)

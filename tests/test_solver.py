@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 
@@ -9,11 +10,13 @@ from attncert import (
     ScoreBox,
     ValidationError,
     attack_min_objective,
+    baseline_directional_min,
     directional_max,
     directional_min,
     exhaustive_vertex_min,
     softmax_objective,
 )
+from attncert import solver
 from attncert.solver import sweep_min
 from oracles import decimal_min_enclosure, naive_vertex_min
 
@@ -303,6 +306,40 @@ class TestSweepMin:
         for got, want in zip(stacked, full):
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def shape_l_stack(rng):
+        """The certify_targets layout at R = 64: (9, 4, 64, 64) coefficients
+        against a (4, 64, 64) box, with tied, huge and underflowing rows."""
+        c = rng.normal(size=(9, 4, 64, 64))
+        c[0] = np.round(c[0])
+        c[1, 0] = rng.choice([-1.0, 1.0], (64, 64)) * rng.uniform(2e307, 1.79e308, (64, 64))
+        lower = rng.uniform(-3, 3, (4, 64, 64))
+        upper = lower + rng.uniform(0, 2, lower.shape)
+        lower[3] = upper[3].max(axis=-1, keepdims=True) - 800.0 - rng.uniform(0, 10, (64, 64))
+        return c, lower, upper
+
+    def test_blocks_match_one_unblocked_call(self, monkeypatch):
+        c, lower, upper = self.shape_l_stack(np.random.default_rng(6))
+        assert c.size > 4 * solver._BLOCK_ELEMENTS
+        blocked = sweep_min(c, lower, upper)
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", c.size)
+        whole = sweep_min(c, lower, upper)
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
+
+    def test_temporaries_stay_bounded(self):
+        # The outputs alone take 1.2 MB; one unblocked call peaked at 20.6 MB
+        # on this stack, and the blocked one at 5.3 MB.
+        c, lower, upper = self.shape_l_stack(np.random.default_rng(6))
+        sweep_min(c, lower, upper)
+        tracemalloc.start()
+        try:
+            sweep_min(c, lower, upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 # c . softmax(s) is -1.0 on this finite box: coordinate 1 takes all the
 # weight, and the others shift to -inf, whose exp is the true limit 0.
@@ -317,8 +354,9 @@ FAR_BOX = ScoreBox(lower=np.array([-1e308, 1e308, 0.0]), upper=np.array([-1e308,
         lambda: softmax_objective(FAR_C, FAR_BOX.upper),
         lambda: exhaustive_vertex_min(FAR_C, FAR_BOX).value,
         lambda: attack_min_objective(FAR_C, FAR_BOX, budget=20),
+        lambda: baseline_directional_min(FAR_C, FAR_BOX),
     ],
-    ids=["directional_min", "softmax_objective", "exhaustive_vertex_min", "attack_min_objective"],
+    ids=["directional_min", "softmax_objective", "exhaustive_vertex_min", "attack_min_objective", "baseline"],
 )
 def test_far_apart_coordinates_without_warnings(solve):
     with warnings.catch_warnings():

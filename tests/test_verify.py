@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import attncert.attention
+import attncert.intervals
 import attncert.suffix
 import attncert.verify
 from attncert import (
     CertificationInfeasibleError,
+    ScoreBoxTensor,
     ValidationError,
     baseline_directional_min,
     certified_directional_min,
@@ -185,6 +187,23 @@ class TestCertifiedMode:
                     assert b.l_hybrid == b.l_vertex
         assert lifted > 0
 
+    def test_shift_saturation_is_infeasible_for_every_target(self, monkeypatch):
+        # One (head, token) score row whose shifted lower endpoint overflows
+        # (lower = -1e308, upper = 1e308 on another coordinate): the row is
+        # shared by every target, so certified mode cannot certify any.
+        m = random_model(seed=2, tokens=4, heads=2, d_model=8, n_classes=4, suffix_kind="linear")
+        box = pixel_box(np.full(m.image_size, 0.5), 0.01)
+        scores = model_score_boxes(m, box)
+        lower, upper = scores.lower.copy(), scores.upper.copy()
+        lower[1, 2, 0] = -1e308
+        upper[1, 2, 3] = 1e308
+        monkeypatch.setattr(attncert.verify, "model_score_boxes", lambda *_: ScoreBoxTensor(lower, upper))
+        # The fast path takes the row without a warning (the baseline arm's
+        # shift used to overflow on it).
+        assert certify_targets(m, box, 0).bounds
+        with pytest.raises(CertificationInfeasibleError):
+            certify_targets(m, box, 0, certified=True)
+
 
 class TestValidation:
     def test_class_index_range(self):
@@ -272,3 +291,21 @@ class TestBatchedArms:
         result = certify_targets(m, pixel_box(x0, 0.01), int(np.argmax(forward(m, x0))), certified=certified)
         assert len(result.bounds) == 9
         assert seen == calls
+
+    @pytest.mark.parametrize("n_classes", [3, 10])
+    def test_exponentials_evaluated_once_per_box_row(self, monkeypatch, n_classes):
+        # exp encloses 2 * H * R * R intervals per call (each score's upper
+        # and lower endpoint, shifted), however many targets share the box.
+        seen = []
+        exp = attncert.intervals.exp
+
+        def counted(x):
+            seen.append(x.lo.size)
+            return exp(x)
+
+        monkeypatch.setattr(attncert.intervals, "exp", counted)
+        m = random_model(seed=0, tokens=16, heads=4, d_model=16, d_head=4, n_classes=n_classes, residual=True)
+        x0 = np.random.default_rng(0).uniform(0, 1, m.image_size)
+        result = certify_targets(m, pixel_box(x0, 0.01), int(np.argmax(forward(m, x0))), certified=True)
+        assert len(result.bounds) == n_classes - 1
+        assert sum(seen) == 2 * 4 * 16 * 16
