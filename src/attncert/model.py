@@ -178,20 +178,33 @@ class ForwardTrace:
 
 def _forward(model: AttentionModelSpec, xs: np.ndarray) -> ForwardTrace:
     """The forward pass over (..., image_size) inputs; every trace field
-    carries the same leading axes.  Heads are a broadcast matmul axis."""
-    toks = xs[..., patch_pixel_indices(model)] @ model.w_embed.T + model.b_embed
-    t = toks[..., None, :, :]  # (..., 1, R, d_model)
-    q = t @ model.wq.swapaxes(1, 2) + model.bq[:, None, :]
-    k = t @ model.wk.swapaxes(1, 2) + model.bk[:, None, :]
-    v = t @ model.wv.swapaxes(1, 2) + model.bv[:, None, :]
-    scores = model.scale * (q @ k.swapaxes(-1, -2)) + model.mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
-    head_out = attn @ v
-    hplus = (head_out @ model.wo.swapaxes(1, 2)).sum(axis=-3) + model.bo
+    carries the same leading axes.
+
+    The N inputs are flattened to N*R token rows, so the embedding, the Q/K/V
+    projections of every head and W_o are one 2-D matmul each.  Scores and
+    attention weights are held key-axis first, (R_key, N, heads, R_query),
+    so the softmax reductions run over long contiguous rows rather than
+    over N*heads*R rows of length R; the trace gets transposed views."""
+    lead = xs.shape[:-1]
+    n = math.prod(lead)
+    r, h, dh, dm = model.tokens, model.heads, model.d_head, model.d_model
+    patches = xs.reshape(n, xs.shape[-1])[:, patch_pixel_indices(model)].reshape(n * r, model.patch_dim)
+    toks = patches @ model.w_embed.T + model.b_embed  # (N*R, d_model)
+    w_qkv = np.concatenate((model.wq, model.wk, model.wv)).reshape(3 * h * dh, dm)
+    b_qkv = np.concatenate((model.bq, model.bk, model.bv)).reshape(-1)
+    q, k, v = (toks @ w_qkv.T + b_qkv).reshape(n, r, 3, h, dh).transpose(2, 0, 3, 1, 4)  # (N, H, R, d_head)
+    scores_t = np.empty((r, n, h, r))
+    np.multiply(np.moveaxis(k @ q.swapaxes(-1, -2), -2, 0), model.scale, out=scores_t)
+    scores_t += model.mask.transpose(2, 0, 1)[:, None]
+    attn_t = scores_t - scores_t.max(axis=0)
+    np.exp(attn_t, out=attn_t)
+    attn_t /= attn_t.sum(axis=0)
+    head_out = np.moveaxis(attn_t, 0, -1) @ v  # (N, H, R, d_head)
+    w_o = model.wo.transpose(0, 2, 1).reshape(h * dh, dm)
+    hplus = head_out.transpose(0, 2, 1, 3).reshape(n * r, h * dh) @ w_o + model.bo
     if model.residual:
-        hplus = hplus + toks
-    pooled = hplus.reshape(*hplus.shape[:-2], -1)
+        hplus += toks
+    pooled = hplus.reshape(n, r * dm)
     sfx = model.suffix
     if isinstance(sfx, LinearSuffix):
         hidden_pre = None
@@ -199,14 +212,15 @@ def _forward(model: AttentionModelSpec, xs: np.ndarray) -> ForwardTrace:
     else:
         hidden_pre = pooled @ sfx.w1.T + sfx.b1
         logits = np.maximum(hidden_pre, 0.0) @ sfx.w2.T + sfx.b2
+        hidden_pre = hidden_pre.reshape(*lead, model.hidden)
     return ForwardTrace(
-        tokens=toks,
-        scores=scores,
-        attn=attn,
-        head_out=head_out,
-        hplus=hplus,
+        tokens=toks.reshape(*lead, r, dm),
+        scores=np.moveaxis(scores_t, 0, -1).reshape(*lead, h, r, r),
+        attn=np.moveaxis(attn_t, 0, -1).reshape(*lead, h, r, r),
+        head_out=head_out.reshape(*lead, h, r, dh),
+        hplus=hplus.reshape(*lead, r, dm),
         hidden_pre=hidden_pre,
-        logits=logits,
+        logits=logits.reshape(*lead, model.n_classes),
     )
 
 

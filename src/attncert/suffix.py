@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import PixelBox, model_score_boxes, token_bounds, value_scalar_bounds
+from .attention import PixelBox, ScoreBoxTensor, model_score_boxes, token_bounds, value_scalar_bounds
 from .errors import ValidationError
 from .model import AttentionModelSpec, LinearSuffix, MlpSuffix
 from .solver import sweep_min
@@ -97,14 +97,18 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, t: i
     return SuffixAffineBound(beta=beta, gamma=gamma_flat.reshape(model.tokens, model.d_model))
 
 
-def block_output_bounds(model: AttentionModelSpec, box: PixelBox) -> tuple[np.ndarray, np.ndarray]:
+def block_output_bounds(
+    model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxTensor | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Boxes on the block output tokens, (R, d_model) pair.
 
     Head outputs are convex combinations of value vectors, so each coordinate
     is bounded by a directional softmax problem over the head's score box
-    with the value bounds as coefficients.
+    with the value bounds as coefficients.  `scores` is the box's
+    model_score_boxes, built here when not given.
     """
-    scores = model_score_boxes(model, box)
+    if scores is None:
+        scores = model_score_boxes(model, box)
     v_lo, v_hi = value_scalar_bounds(model, box)
     if not (np.all(np.isfinite(v_lo)) and np.all(np.isfinite(v_hi))):
         raise ValidationError("value bounds must be finite")
@@ -127,12 +131,13 @@ def block_output_bounds(model: AttentionModelSpec, box: PixelBox) -> tuple[np.nd
     return out_lo, out_hi
 
 
-def interval_forward(model: AttentionModelSpec, box: PixelBox) -> PreActBox:
-    """Hidden pre-activation boxes over the pixel box (empty for a linear head)."""
+def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxTensor | None = None) -> PreActBox:
+    """Hidden pre-activation boxes over the pixel box (empty for a linear
+    head).  `scores` is passed on to block_output_bounds."""
     sfx = model.suffix
     if isinstance(sfx, LinearSuffix):
         return PreActBox(lo=np.zeros(0), hi=np.zeros(0))
-    h_lo, h_hi = block_output_bounds(model, box)
+    h_lo, h_hi = block_output_bounds(model, box, scores)
     p_lo = h_lo.reshape(-1)
     p_hi = h_hi.reshape(-1)
     w1_p = np.maximum(sfx.w1, 0.0)

@@ -91,14 +91,14 @@ def certify_targets(
         raise ValidationError(f"pixel box length {box.size} does not match image size {model.image_size}")
 
     targets = [t for t in range(model.n_classes) if t != y]
+    scores: ScoreBoxTensor = model_score_boxes(model, box)
     if isinstance(model.suffix, MlpSuffix):
-        preact = interval_forward(model, box)
+        preact = interval_forward(model, box, scores)
         suffix_bounds = [relu_suffix_bound(model, preact, y, t) for t in targets]
     else:
         suffix_bounds = [linear_suffix_bound(model, y, t) for t in targets]
 
     coeffs = value_coefficients(suffix_bounds, model, box)
-    scores: ScoreBoxTensor = model_score_boxes(model, box)
 
     vertex = (_certified_margin if certified else margin_lower_bound)(coeffs, scores).tolist()
     baseline = baseline_margin_lower_bound(coeffs, scores).tolist()

@@ -25,6 +25,15 @@ itself.  The kernel must match it bit for bit.
 threshold_vertices is the attack's vertex set as the harness built it
 before it took the solver's helper: every threshold vertex from one
 lower-triangular mask.
+
+forward_broadcast is the forward pass as it was before the projections were
+flattened: heads as a broadcast matmul axis and the softmax over the last
+axis.  The flat pass must match it to roundoff, field by field.
+
+attack_margin_per_target and scalar_margin_polish are the margin attack as
+it was before all targets shared one search: one target at a time, with its
+own sample stream keyed by (seed, image_size, target), and an endpoint
+coordinate descent that scores one point per forward call.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import numpy as np
 from attncert import directional_max, directional_min, intervals, model_score_boxes, value_scalar_bounds
 from attncert.attention import token_bounds
 from attncert.intervals import Intervals
+from attncert.model import ForwardTrace, LinearSuffix, forward, forward_batch, patch_pixel_indices
 
 PREC = 60
 CTX_DN = Context(prec=PREC, rounding=ROUND_FLOOR)
@@ -283,3 +293,77 @@ def certified_sweep_rowwise(c, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     tau = intervals.div(_select(den_num, 1), _select(den_num, 0)).lo
     bound = np.maximum(tau.min(axis=-1), cs[:, 0])
     return bound.reshape(lead), saturated.reshape(lead)
+
+
+def forward_broadcast(model, xs) -> ForwardTrace:
+    """Every forward intermediate over (..., image_size) inputs, with the
+    heads as a broadcast matmul axis."""
+    xs = np.asarray(xs, dtype=np.float64)
+    toks = xs[..., patch_pixel_indices(model)] @ model.w_embed.T + model.b_embed
+    t = toks[..., None, :, :]  # (..., 1, R, d_model)
+    q = t @ model.wq.swapaxes(1, 2) + model.bq[:, None, :]
+    k = t @ model.wk.swapaxes(1, 2) + model.bk[:, None, :]
+    v = t @ model.wv.swapaxes(1, 2) + model.bv[:, None, :]
+    scores = model.scale * (q @ k.swapaxes(-1, -2)) + model.mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    head_out = attn @ v
+    hplus = (head_out @ model.wo.swapaxes(1, 2)).sum(axis=-3) + model.bo
+    if model.residual:
+        hplus = hplus + toks
+    pooled = hplus.reshape(*hplus.shape[:-2], -1)
+    sfx = model.suffix
+    if isinstance(sfx, LinearSuffix):
+        hidden_pre = None
+        logits = pooled @ sfx.w.T + sfx.b
+    else:
+        hidden_pre = pooled @ sfx.w1.T + sfx.b1
+        logits = np.maximum(hidden_pre, 0.0) @ sfx.w2.T + sfx.b2
+    return ForwardTrace(
+        tokens=toks, scores=scores, attn=attn, head_out=head_out, hplus=hplus, hidden_pre=hidden_pre, logits=logits
+    )
+
+
+def scalar_margin_polish(model, y, target, start, lo, hi) -> float:
+    """Endpoint coordinate descent on logit_y - logit_target from `start`:
+    up to two rounds that try each coordinate at lo, then hi, keeping every
+    strict improvement.  One forward call per candidate point."""
+
+    def margin(x):
+        lg = forward(model, x)
+        return float(lg[y] - lg[target])
+
+    best = np.array(start, dtype=np.float64)
+    best_val = margin(best)
+    for _ in range(2):
+        improved = False
+        for j in range(best.size):
+            for cand in (lo[j], hi[j]):
+                if cand == best[j]:
+                    continue
+                old = best[j]
+                best[j] = cand
+                v = margin(best)
+                if v < best_val:
+                    best_val = v
+                    improved = True
+                else:
+                    best[j] = old
+        if not improved:
+            break
+    return best_val
+
+
+def attack_margin_per_target(model, box, y, target, budget, seed=0) -> float:
+    """The single-target attack: corners, center and `budget` samples from
+    the target's own stream, then scalar_margin_polish from the best."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(model.image_size, target))))
+    center = 0.5 * (box.lo + box.hi)
+    points = np.vstack(
+        [box.lo[None, :], box.hi[None, :], center[None, :], rng.uniform(box.lo, box.hi, size=(budget, box.size))]
+    )
+    logits = forward_batch(model, points)
+    margins = logits[:, y] - logits[:, target]
+    best_idx = int(np.argmin(margins))
+    polished = scalar_margin_polish(model, y, target, points[best_idx], box.lo, box.hi)
+    return float(min(polished, float(margins[best_idx])))

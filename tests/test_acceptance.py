@@ -190,7 +190,7 @@ def test_criterion_7_end_to_end_soundness():
                 assert b.l_hybrid == max(b.l_vertex, b.l_baseline)
                 margins = logits[:, y] - logits[:, b.target]
                 sample_violations += int(np.sum(margins < b.l_hybrid - 1e-9))
-                attack = attack_min_margin(m, box, y, b.target, budget=200, seed=n)
+                attack = attack_min_margin(m, box, y, [b.target], budget=200, seed=n)[0]
                 if attack < b.l_hybrid - 1e-9:
                     attack_violations += 1
                 if eps == 0.0:

@@ -16,6 +16,7 @@ from attncert import (
     certified_directional_min,
     directional_min,
     forward,
+    forward_batch,
     pixel_box,
     random_model,
     run_sweep,
@@ -23,18 +24,22 @@ from attncert import (
     softmax_objective,
     synth_instance,
 )
+from attncert import harness
 from attncert.harness import (
     AGGREGATE_COLUMNS,
     METHODS,
     TRIAL_COLUMNS,
+    _attack_margin_points,
     _attack_vertices,
+    _margin_polish,
+    _rng,
     aggregate_records,
     trial_seed,
     write_aggregate_csv,
     write_trial_csv,
 )
 
-from oracles import threshold_vertices
+from oracles import scalar_margin_polish, threshold_vertices
 
 
 def two_pixel_identity_model():
@@ -133,25 +138,124 @@ class TestAttackObjective:
                 attack_min_objective(np.array([1.0, -1.0]), box, budget=10)
 
 
+def _attack_case(seed: int, suffix_kind: str, n_classes: int = 4, eps: float = 0.05):
+    m = random_model(
+        seed=seed, tokens=4, heads=2, d_model=6, n_classes=n_classes, suffix_kind=suffix_kind, hidden=6
+    )
+    x0 = np.random.default_rng(seed).uniform(0.2, 0.8, m.image_size)
+    y = int(np.argmax(forward(m, x0)))
+    return m, pixel_box(x0, eps), y, [t for t in range(n_classes) if t != y]
+
+
 class TestAttackMargin:
     def test_zero_radius_recovers_clean_margin(self):
         for seed in range(3):
             m = random_model(seed=seed, tokens=2, heads=1, d_model=4, n_classes=3)
             x0 = np.random.default_rng(seed).uniform(0.2, 0.8, m.image_size)
             logits = forward(m, x0)
-            got = attack_min_margin(m, pixel_box(x0, 0.0), 0, 1, budget=8, seed=seed)
-            assert got == pytest.approx(float(logits[0] - logits[1]), abs=1e-12)
+            got = attack_min_margin(m, pixel_box(x0, 0.0), 0, [1], budget=8, seed=seed)
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(float(logits[0] - logits[1]), abs=1e-12)
 
     def test_finds_adversarial_corner(self):
         m = two_pixel_identity_model()
         box = pixel_box(np.array([0.5, 0.5]), 1.0)  # clips to the full unit box
-        got = attack_min_margin(m, box, 0, 1, budget=4, seed=0)
-        assert got == pytest.approx(-1.0, abs=1e-12)
+        got = attack_min_margin(m, box, 0, [1], budget=4, seed=0)
+        assert got[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_budget_validated(self):
         m = two_pixel_identity_model()
         with pytest.raises(ValidationError):
-            attack_min_margin(m, pixel_box(np.array([0.5, 0.5]), 0.1), 0, 1, budget=0)
+            attack_min_margin(m, pixel_box(np.array([0.5, 0.5]), 0.1), 0, [1], budget=0)
+
+    @pytest.mark.parametrize(
+        "y, targets, match",
+        [
+            (5, [1], "y=5"),
+            (-1, [1], "y=-1"),
+            (0, [7], "target 7"),
+            (0, [-1], "target -1"),
+            (0, [0], "equals the label"),
+            (0, [1, 2, 1], "repeat"),
+            (0, [1.0], "integer"),
+            (0, [[1, 2]], "flat"),
+        ],
+    )
+    def test_class_indices_validated(self, y, targets, match):
+        m = random_model(seed=0, tokens=2, heads=1, d_model=4, n_classes=3)
+        box = pixel_box(np.full(m.image_size, 0.5), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                attack_min_margin(m, box, y, targets, budget=4)
+
+    def test_box_size_validated(self):
+        m = random_model(seed=0, tokens=2, heads=1, d_model=4, n_classes=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="image size"):
+                attack_min_margin(m, pixel_box(np.full(m.image_size + 1, 0.5), 0.1), 0, [1], budget=4)
+
+    def test_no_targets(self):
+        m, box, y, _ = _attack_case(0, "linear")
+        assert attack_min_margin(m, box, y, [], budget=4).shape == (0,)
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    def test_lockstep_polish_matches_scalar_oracle(self, suffix_kind):
+        for seed in range(4):
+            m, box, y, targets = _attack_case(seed, suffix_kind)
+            t = np.array(targets)
+            starts = np.random.default_rng(100 + seed).uniform(box.lo, box.hi, (t.size, m.image_size))
+            logits = forward_batch(m, starts)
+            start_val = logits[:, y] - logits[np.arange(t.size), t]
+            _, got = _margin_polish(m, y, t, starts, start_val, box.lo, box.hi)
+            for r, target in enumerate(targets):
+                want = scalar_margin_polish(m, y, target, starts[r], box.lo, box.hi)
+                assert abs(got[r] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    def test_values_are_margins_at_points_of_the_box(self, suffix_kind):
+        for seed in range(3):
+            m, box, y, targets = _attack_case(seed, suffix_kind)
+            values = attack_min_margin(m, box, y, targets, budget=30, seed=seed)
+            points, point_values = _attack_margin_points(m, box, y, np.array(targets), 30, seed)
+            assert np.array_equal(values, point_values)
+            assert np.all(points >= box.lo) and np.all(points <= box.hi)
+            for x, target, v in zip(points, targets, values):
+                lg = forward(m, x)
+                assert v == pytest.approx(float(lg[y] - lg[target]), abs=1e-12 * max(1.0, abs(v)))
+
+    def test_never_above_the_sampled_starts(self):
+        m, box, y, targets = _attack_case(5, "mlp1")
+        got = attack_min_margin(m, box, y, targets, budget=30, seed=1)
+        for target, v in zip(targets, got):
+            lg = forward_batch(m, np.vstack((box.lo, box.hi, 0.5 * (box.lo + box.hi))))
+            assert v <= float(np.min(lg[:, y] - lg[:, target]))
+
+    def test_deterministic_in_seed(self):
+        m, box, y, targets = _attack_case(2, "linear")
+        a = attack_min_margin(m, box, y, targets, budget=20, seed=7)
+        b = attack_min_margin(m, box, y, targets, budget=20, seed=7)
+        assert np.array_equal(a, b)
+
+    def test_stream_is_not_the_default_input_stream(self, monkeypatch):
+        # The CLI draws its default input from _rng(seed, image_size); over
+        # the full unit box, an attack on that stream would sample the
+        # input itself.
+        m = random_model(seed=1, tokens=2, heads=1, d_model=4, n_classes=3)
+        seed, budget = 4, 16
+        default = _rng(seed, m.image_size).uniform(0.0, 1.0, (budget, m.image_size))
+        batches = []
+
+        def recording(model, xs):
+            batches.append(np.array(xs))
+            return forward_batch(model, xs)
+
+        monkeypatch.setattr(harness, "forward_batch", recording)
+        attack_min_margin(m, pixel_box(default[0], 1.0), 0, [1, 2], budget=budget, seed=seed)
+        samples = batches[0][3:]
+        assert samples.shape == default.shape
+        assert not np.any(np.all(samples[:, None, :] == default[None, :, :], axis=-1))
 
 
 class TestRunSweep:

@@ -15,7 +15,9 @@ from attncert import (
     random_model,
     save_model,
 )
-from attncert.model import patch_pixel_indices
+from attncert.model import _forward, patch_pixel_indices
+
+from oracles import forward_broadcast
 
 
 def identity_embed_model(height, width, channels, patch, **kw):
@@ -182,6 +184,68 @@ class TestForward:
         m = random_model(seed=15)
         with pytest.raises(ValidationError):
             forward_batch(m, np.zeros((4, m.image_size + 2)))
+
+
+TRACE_FIELDS = ("tokens", "scores", "attn", "head_out", "hplus", "hidden_pre", "logits")
+
+
+def _with_mask(m, mask):
+    fields = {f: getattr(m, f) for f in m.__dataclass_fields__}
+    return AttentionModelSpec(**{**fields, "mask": mask})
+
+
+def _assert_close(got, want, what):
+    assert got.shape == want.shape, what
+    scale = max(1.0, float(np.max(np.abs(want)))) if want.size else 1.0
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale, what
+
+
+class TestFlatForward:
+    """The flat-projection forward pass against the broadcast reference."""
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_broadcast_reference(self, suffix_kind, residual, masked):
+        for seed in range(3):
+            m = random_model(
+                seed=seed, tokens=3 + 2 * seed, heads=1 + seed, d_model=6, d_head=3,
+                n_classes=4, suffix_kind=suffix_kind, hidden=5, residual=residual,
+            )
+            rng = np.random.default_rng(seed)
+            if masked:
+                # Large negative entries, including a key masked from every
+                # query and one query row masked almost everywhere.
+                mask = np.where(rng.uniform(size=m.mask.shape) < 0.3, -1e9, rng.normal(size=m.mask.shape))
+                mask[:, :, 0] = -1e30
+                mask[0, -1, 1:] = -1e12
+                m = _with_mask(m, mask)
+            xs = rng.uniform(0, 1, (7, m.image_size))
+            want = forward_broadcast(m, xs)
+            got = _forward(m, xs)
+            for f in TRACE_FIELDS:
+                w, g = getattr(want, f), getattr(got, f)
+                if w is None:
+                    assert g is None
+                    continue
+                _assert_close(g, w, f)
+                for r in (0, 6):
+                    _assert_close(getattr(forward_trace(m, xs[r]), f), w[r], f)
+            _assert_close(forward_batch(m, xs), want.logits, "forward_batch")
+            for r in range(xs.shape[0]):
+                _assert_close(forward(m, xs[r]), want.logits[r], "forward")
+
+    def test_nested_leading_axes(self):
+        m = random_model(seed=4, tokens=4, heads=2, d_model=6, suffix_kind="mlp1", n_classes=3)
+        xs = np.random.default_rng(4).uniform(0, 1, (2, 3, m.image_size))
+        want = forward_broadcast(m, xs)
+        got = _forward(m, xs)
+        for f in TRACE_FIELDS:
+            _assert_close(getattr(got, f), getattr(want, f), f)
+
+    def test_empty_batch(self):
+        m = random_model(seed=5, tokens=2, heads=1, d_model=4, suffix_kind="mlp1", n_classes=3)
+        assert forward_batch(m, np.zeros((0, m.image_size))).shape == (0, 3)
 
 
 class TestModelValidation:

@@ -309,3 +309,25 @@ class TestBatchedArms:
         result = certify_targets(m, pixel_box(x0, 0.01), int(np.argmax(forward(m, x0))), certified=True)
         assert len(result.bounds) == n_classes - 1
         assert sum(seen) == 2 * 4 * 16 * 16
+
+    @pytest.mark.parametrize("kind", ["mlp1", "linear"])
+    def test_score_boxes_built_once(self, monkeypatch, kind):
+        built = []
+        product = attncert.attention.score_boxes_interval_product
+
+        def counted(*args):
+            built.append(1)
+            return product(*args)
+
+        monkeypatch.setattr(attncert.attention, "score_boxes_interval_product", counted)
+        m = random_model(seed=1, tokens=4, heads=2, d_model=6, n_classes=4, suffix_kind=kind, hidden=6)
+        x0 = np.random.default_rng(1).uniform(0, 1, m.image_size)
+        certify_targets(m, pixel_box(x0, 0.02), int(np.argmax(forward(m, x0))))
+        assert len(built) == 1
+
+    def test_given_score_boxes_change_nothing(self):
+        m = random_model(seed=2, tokens=4, heads=2, d_model=6, n_classes=4, suffix_kind="mlp1", hidden=6)
+        box = pixel_box(np.random.default_rng(2).uniform(0, 1, m.image_size), 0.02)
+        own = interval_forward(m, box)
+        given = interval_forward(m, box, model_score_boxes(m, box))
+        assert np.array_equal(own.lo, given.lo) and np.array_equal(own.hi, given.hi)
