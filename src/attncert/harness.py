@@ -12,8 +12,8 @@ minimum obtained from feasible points only:
   that scores all targets' candidate moves in one forward_batch per pixel.
 
 The objective polish stays scalar: batching its candidate pairs made it
-slower (0.66 ms instead of 0.10 ms per trial at K=4, 9.96 instead of
-5.06 ms at K=256), because a softmax row is cheap to evaluate once.
+slower on a 2-core host (0.66 ms instead of 0.10 ms per trial at K=4,
+9.96 instead of 5.06 ms at K=256): one softmax row is cheap to score.
 """
 
 from __future__ import annotations

@@ -194,12 +194,13 @@ def _forward(model: AttentionModelSpec, xs: np.ndarray) -> ForwardTrace:
     b_qkv = np.concatenate((model.bq, model.bk, model.bv)).reshape(-1)
     q, k, v = (toks @ w_qkv.T + b_qkv).reshape(n, r, 3, h, dh).transpose(2, 0, 3, 1, 4)  # (N, H, R, d_head)
     scores_t = np.empty((r, n, h, r))
-    np.multiply(np.moveaxis(k @ q.swapaxes(-1, -2), -2, 0), model.scale, out=scores_t)
+    np.multiply((k @ q.swapaxes(-1, -2)).transpose(2, 0, 1, 3), model.scale, out=scores_t)
     scores_t += model.mask.transpose(2, 0, 1)[:, None]
     attn_t = scores_t - scores_t.max(axis=0)
     np.exp(attn_t, out=attn_t)
     attn_t /= attn_t.sum(axis=0)
-    head_out = np.moveaxis(attn_t, 0, -1) @ v  # (N, H, R, d_head)
+    attn = attn_t.transpose(1, 2, 3, 0)  # (N, H, R_query, R_key) view
+    head_out = attn @ v  # (N, H, R, d_head)
     w_o = model.wo.transpose(0, 2, 1).reshape(h * dh, dm)
     hplus = head_out.transpose(0, 2, 1, 3).reshape(n * r, h * dh) @ w_o + model.bo
     if model.residual:
@@ -215,8 +216,8 @@ def _forward(model: AttentionModelSpec, xs: np.ndarray) -> ForwardTrace:
         hidden_pre = hidden_pre.reshape(*lead, model.hidden)
     return ForwardTrace(
         tokens=toks.reshape(*lead, r, dm),
-        scores=np.moveaxis(scores_t, 0, -1).reshape(*lead, h, r, r),
-        attn=np.moveaxis(attn_t, 0, -1).reshape(*lead, h, r, r),
+        scores=scores_t.transpose(1, 2, 3, 0).reshape(*lead, h, r, r),
+        attn=attn.reshape(*lead, h, r, r),
         head_out=head_out.reshape(*lead, h, r, dh),
         hplus=hplus.reshape(*lead, r, dm),
         hidden_pre=hidden_pre,

@@ -201,9 +201,12 @@ class TestAttackMargin:
         assert attack_min_margin(m, box, y, [], budget=4).shape == (0,)
 
     @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
-    def test_lockstep_polish_matches_scalar_oracle(self, suffix_kind):
-        for seed in range(4):
-            m, box, y, targets = _attack_case(seed, suffix_kind)
+    @pytest.mark.parametrize("eps", [0.05, 0.5])
+    def test_lockstep_polish_matches_scalar_oracle(self, suffix_kind, eps):
+        # Wide boxes make some coordinates improve at both endpoints, where
+        # the hi move must beat the lo move, not the starting value.
+        for seed in range(6):
+            m, box, y, targets = _attack_case(seed, suffix_kind, eps=eps)
             t = np.array(targets)
             starts = np.random.default_rng(100 + seed).uniform(box.lo, box.hi, (t.size, m.image_size))
             logits = forward_batch(m, starts)
