@@ -228,11 +228,11 @@ class TestAttackMargin:
                 lg = forward(m, x)
                 assert v == pytest.approx(float(lg[y] - lg[target]), abs=1e-12 * max(1.0, abs(v)))
 
-    def test_never_above_the_sampled_starts(self):
+    def test_never_above_the_corners_and_center(self):
         m, box, y, targets = _attack_case(5, "mlp1")
         got = attack_min_margin(m, box, y, targets, budget=30, seed=1)
+        lg = forward_batch(m, np.vstack((box.lo, box.hi, 0.5 * (box.lo + box.hi))))
         for target, v in zip(targets, got):
-            lg = forward_batch(m, np.vstack((box.lo, box.hi, 0.5 * (box.lo + box.hi))))
             assert v <= float(np.min(lg[:, y] - lg[:, target]))
 
     def test_deterministic_in_seed(self):
