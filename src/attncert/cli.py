@@ -22,6 +22,7 @@ from .harness import (
     attack_min_margin,
     run_sweep,
     selfcheck,
+    _check_int,
     _rng,
 )
 from .model import forward, load_model
@@ -110,6 +111,7 @@ def _predicted_class(model, x0: np.ndarray) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
+    seed = _check_int("seed", args.seed, 0)
     model = load_model(args.model)
     if args.input is not None:
         doc = _load_json(args.input)
@@ -124,13 +126,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
         else:
             y = _predicted_class(model, x0)
     else:
-        x0 = _rng(args.seed, model.image_size).uniform(0.0, 1.0, model.image_size)
+        x0 = _rng(seed, model.image_size).uniform(0.0, 1.0, model.image_size)
         y = _predicted_class(model, x0)
 
     box = pixel_box(x0, args.epsilon)
     result = certify_targets(model, box, y, certified=args.certified)
 
-    attacks = attack_min_margin(model, box, y, [b.target for b in result.bounds], args.budget, seed=args.seed).tolist()
+    attacks = attack_min_margin(model, box, y, [b.target for b in result.bounds], args.budget, seed=seed).tolist()
 
     time_ms = int(round((time.perf_counter() - t_start) * 1e3))
     min_hybrid = min(b.l_hybrid for b in result.bounds)

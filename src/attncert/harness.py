@@ -6,22 +6,29 @@ independent, platform-stable stream.  Attacks are upper bounds on the true
 minimum obtained from feasible points only:
 
 * attack_min_objective (one score row): threshold vertices of both c and -c,
-  uniform samples, and a scalar coordinate-descent endpoint polish;
+  uniform samples, and a windowed endpoint polish;
 * attack_min_margin (a model's margins): every target of one pixel box in
   one search, with one shared sample batch and a lockstep endpoint polish
   that scores all targets' candidate moves in one forward_batch per pixel.
 
-The objective polish stays scalar: batching its candidate pairs made it
-slower on a 2-core host (0.66 ms instead of 0.10 ms per trial at K=4,
-9.96 instead of 5.06 ms at K=256): one softmax row is cheap to score.
+The objective polish starts from the best threshold vertex or sample, and
+one threshold vertex is the exact optimum, so its moves are rare: over 1,280
+polishes of the benchmark's rows pool none was accepted.  It therefore
+scores the candidate moves of a window of coordinates in one _objective
+call, and widens the window while no move is accepted.  On the rows
+workload that took the polish from 34% of the run (172,000 one-row calls)
+to a few calls per trial.  When most coordinates move (interior starts), it
+costs about twice the one-row-per-call descent, which is why a fixed
+per-coordinate batch measured slower.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +42,6 @@ from .solver import (
     ScoreBox,
     _as_direction,
     _objective,
-    _softmax_value,
-    _threshold_vertices,
     directional_min,
     exhaustive_vertex_min,
 )
@@ -44,6 +49,25 @@ from .solver import (
 TRIAL_COLUMNS = ("K", "trial", "method", "lower", "attack", "gap", "time_us")
 AGGREGATE_COLUMNS = ("K", "method", "cert_rate", "mean_lower", "mean_gap", "total_time_s")
 METHODS = ("vertex", "baseline", "certified")
+# The objective polish's first window of coordinates; the window grows by
+# this factor after a window without an accepted move.
+_POLISH_WINDOW = 4
+
+
+def _check_int(name: str, value, minimum: int) -> int:
+    """value as an int, if it is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_finite(name: str, value) -> float:
+    """value as a float, if it is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -55,12 +79,19 @@ class SweepConfig:
     coeff_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        if any(k < 1 for k in self.k_values):
-            raise ValidationError("every K must be >= 1")
-        if self.width_scale < 0.0 or self.coeff_scale <= 0.0:
+        try:
+            k_values = tuple(self.k_values)
+        except TypeError:
+            raise ValidationError(f"k_values must be a sequence of integers, got {self.k_values!r}") from None
+        object.__setattr__(self, "k_values", tuple(_check_int("K", k, 1) for k in k_values))
+        object.__setattr__(self, "trials", _check_int("trials", self.trials, 1))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
+        width_scale = _check_finite("width_scale", self.width_scale)
+        coeff_scale = _check_finite("coeff_scale", self.coeff_scale)
+        if width_scale < 0.0 or coeff_scale <= 0.0:
             raise ValidationError("width_scale must be >= 0 and coeff_scale > 0")
+        object.__setattr__(self, "width_scale", width_scale)
+        object.__setattr__(self, "coeff_scale", coeff_scale)
 
 
 @dataclass(frozen=True)
@@ -89,9 +120,7 @@ def synth_instance(
 ) -> tuple[np.ndarray, ScoreBox]:
     """Random instance: centers and coefficients standard normal, half-width
     0.5 * width_scale on every coordinate.  Deterministic in (k, seed)."""
-    if k < 1:
-        raise ValidationError("K must be >= 1")
-    rng = _rng(seed, k)
+    rng = _rng(_check_int("seed", seed, 0), _check_int("K", k, 1))
     centers = rng.standard_normal(k)
     c = rng.standard_normal(k) * coeff_scale
     half = 0.5 * width_scale
@@ -100,35 +129,55 @@ def synth_instance(
 
 def _attack_vertices(c: np.ndarray, box: ScoreBox) -> np.ndarray:
     """All K+1 threshold vertices of the sweeps of c and of -c, in original
-    coordinate order: 2(K+1) rows."""
+    coordinate order: 2(K+1) rows.  Vertex m of a sweep has the coordinates
+    of rank < m in the stable ascending sort at their upper endpoint."""
     k = box.size
-    out = np.empty((2, k + 1, k))
-    for side, d in zip(out, (c, -c)):
-        order = np.argsort(d, kind="stable")
-        side[:, order] = _threshold_vertices(box.lower[order], box.upper[order], np.arange(k + 1))
-    return out.reshape(-1, k)
+    ranks = np.argsort(np.argsort(np.stack((c, -c)), axis=-1, kind="stable"), axis=-1)
+    take_upper = ranks[:, None, :] < np.arange(k + 1)[:, None]
+    return np.where(take_upper, box.upper, box.lower).reshape(-1, k)
 
 
-def _endpoint_polish(score: Callable[[np.ndarray], float], start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Endpoint coordinate descent from `start`: up to two rounds that try
-    each coordinate at its lower and upper endpoint in turn, keeping every
-    move that lowers `score`.  Returns the best score seen."""
+def _objective_polish(c: np.ndarray, start: np.ndarray, start_val: float, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Endpoint coordinate descent on c . softmax(s) from `start`, whose
+    value is start_val: up to two rounds that try each coordinate at lo,
+    then at hi, keeping every strict improvement (the hi move is compared
+    with the value after any lo move).  Returns the best value seen.
+
+    One _objective call scores the candidates of a window of coordinates
+    against the current point: each endpoint that differs from the current
+    coordinate.  The first accepted move ends the window, since later
+    candidates no longer differ from the point in one coordinate only; the
+    hi candidate of the same coordinate is still valid, because it is the
+    same point whether x_j has just moved to lo or not.  The next window
+    starts after that coordinate at _POLISH_WINDOW coordinates, and a window
+    without a move is followed by one _POLISH_WINDOW times wider.  _objective
+    rows equal softmax_objective bit for bit, so the result is exactly the
+    one-point-per-call descent's."""
     best = start.copy()
-    best_val = score(best)
+    best_val = start_val
+    ends = np.stack((lo, hi), axis=-1)  # (K, 2): lo, then hi
+    k = best.size
     for _ in range(2):
         improved = False
-        for j in range(best.size):
-            for cand in (lo[j], hi[j]):
-                if cand == best[j]:
-                    continue
-                old = best[j]
-                best[j] = cand
-                v = score(best)
-                if v < best_val:
-                    best_val = v
-                    improved = True
-                else:
-                    best[j] = old
+        j, width = 0, _POLISH_WINDOW
+        while j < k:
+            stop = min(j + width, k)
+            col, side = np.nonzero(ends[j:stop] != best[j:stop, None])
+            col += j
+            cand = np.repeat(best[None, :], col.size, axis=0)
+            cand[np.arange(col.size), col] = ends[col, side]
+            vals = _objective(c, cand)
+            hit = np.flatnonzero(vals < best_val)
+            if not hit.size:
+                j, width = stop, width * _POLISH_WINDOW
+                continue
+            i = hit[0]
+            at = col[i]
+            best[at], best_val = ends[at, side[i]], float(vals[i])
+            if side[i] == 0 and i + 1 < col.size and col[i + 1] == at and vals[i + 1] < best_val:
+                best[at], best_val = hi[at], float(vals[i + 1])
+            improved = True
+            j, width = at + 1, _POLISH_WINDOW
         if not improved:
             break
     return best_val
@@ -138,20 +187,21 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
     """Best (smallest) objective value over a feasible candidate set; an upper
     bound on the exact minimum, and equal to it whenever a threshold vertex
     attains the optimum."""
-    if budget < 1:
-        raise ValidationError("budget must be >= 1")
+    budget = _check_int("budget", budget, 1)
+    seed = _check_int("seed", seed, 0)
     with np.errstate(over="ignore"):
         width = box.upper - box.lower
     if not np.all(np.isfinite(width)):
         raise ValidationError("box widths must be finite to sample the box")
-    c = np.ascontiguousarray(_as_direction(c, box.size))
-    samples = _rng(seed, box.size).uniform(box.lower, box.upper, size=(budget, box.size))
-    points = np.vstack((_attack_vertices(c, box), samples))
+    k = box.size
+    c = np.ascontiguousarray(_as_direction(c, k))
+    n_vertices = 2 * (k + 1)
+    points = np.empty((n_vertices + budget, k))
+    points[:n_vertices] = _attack_vertices(c, box)
+    points[n_vertices:] = _rng(seed, k).uniform(box.lower, box.upper, size=(budget, k))
     vals = _objective(c, points)
-    best_idx = int(np.argmin(vals))
-    with np.errstate(over="ignore"):
-        best_val = _endpoint_polish(lambda s: _softmax_value(c, s), points[best_idx], box.lower, box.upper)
-    return float(min(best_val, float(vals[best_idx])))
+    best = int(np.argmin(vals))
+    return _objective_polish(c, points[best], float(vals[best]), box.lower, box.upper)
 
 
 def _check_targets(model: AttentionModelSpec, box: PixelBox, y: int, targets) -> np.ndarray:
@@ -178,7 +228,7 @@ def _margin_polish(
     model: AttentionModelSpec, y: int, targets: np.ndarray, start: np.ndarray, start_val: np.ndarray,
     lo: np.ndarray, hi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_endpoint_polish of the margin for every target at once.
+    """Endpoint coordinate descent of the margin for every target at once.
 
     Target r descends from start[r], whose margin is start_val[r].  At
     coordinate j one forward_batch scores the lo and hi candidates of every
@@ -255,8 +305,8 @@ def attack_min_margin(
     bound on the true minimum.  The sample stream is keyed by (seed,
     image_size, n_classes), apart from the stream of the CLI's default
     input."""
-    if budget < 1:
-        raise ValidationError("budget must be >= 1")
+    budget = _check_int("budget", budget, 1)
+    seed = _check_int("seed", seed, 0)
     t = _check_targets(model, box, y, targets)
     return _attack_margin_points(model, box, y, t, budget, seed)[1]
 
@@ -379,8 +429,9 @@ def selfcheck(trials: int = 200, samples: int = 200, seed: int = 0, fault: bool 
     """Release gate: oracle equivalence, soundness sampling, and dominance at
     reduced trial counts.  `fault` flips the direction sign inside the solver
     call, which a healthy suite must catch (used to test the selfcheck)."""
-    if trials < 1 or samples < 1:
-        raise ValidationError("trials and samples must be >= 1")
+    trials = _check_int("trials", trials, 1)
+    samples = _check_int("samples", samples, 1)
+    seed = _check_int("seed", seed, 0)
 
     def solve_value(c: np.ndarray, box: ScoreBox) -> float:
         return directional_min(-c if fault else c, box).value

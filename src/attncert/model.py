@@ -43,6 +43,13 @@ Suffix = Union[LinearSuffix, MlpSuffix]
 
 @dataclass(frozen=True, eq=False)
 class AttentionModelSpec:
+    """A validated model.  Its arrays are checked once, at construction, and
+    treated as immutable from then on: the forward pass's stacked Q/K/V and
+    output projections (_w_qkv, _b_qkv, _w_o) and the patch gather indices
+    (_patch_index) are built from them then, as read-only attributes that
+    are not dataclass fields.  To change a weight, build a new spec
+    (dataclasses.replace does)."""
+
     height: int
     width: int
     channels: int
@@ -115,6 +122,18 @@ class AttentionModelSpec:
             )
         else:
             raise ValidationError(f"unsupported suffix type {type(sfx).__name__}")
+        h, dh, dm = self.heads, self.d_head, self.d_model
+        p = self.patch
+        grid = np.arange(self.image_size).reshape(self.channels, self.height // p, p, self.width // p, p)
+        derived = {
+            "_patch_index": grid.transpose(1, 3, 0, 2, 4).reshape(self.tokens, self.patch_dim),
+            "_w_qkv": np.concatenate((self.wq, self.wk, self.wv)).reshape(3 * h * dh, dm),  # q, k, v rows
+            "_b_qkv": np.concatenate((self.bq, self.bk, self.bv)).reshape(-1),
+            "_w_o": self.wo.transpose(0, 2, 1).reshape(h * dh, dm),  # (heads * d_head, d_model)
+        }
+        for name, a in derived.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def tokens(self) -> int:
@@ -152,10 +171,9 @@ def _check_suffix_arrays(sfx: Suffix, shapes: dict[str, tuple[int, ...]]) -> Non
 
 
 def patch_pixel_indices(model: AttentionModelSpec) -> np.ndarray:
-    """(tokens, patch_dim) int matrix: flat image index of every patch entry."""
-    p = model.patch
-    grid = np.arange(model.image_size).reshape(model.channels, model.height // p, p, model.width // p, p)
-    return grid.transpose(1, 3, 0, 2, 4).reshape(model.tokens, model.patch_dim)
+    """(tokens, patch_dim) int matrix: flat image index of every patch entry
+    (read-only; built once per model)."""
+    return model._patch_index
 
 
 def _check_image(model: AttentionModelSpec, x) -> np.ndarray:
@@ -188,11 +206,10 @@ def _forward(model: AttentionModelSpec, xs: np.ndarray) -> ForwardTrace:
     lead = xs.shape[:-1]
     n = math.prod(lead)
     r, h, dh, dm = model.tokens, model.heads, model.d_head, model.d_model
-    patches = xs.reshape(n, xs.shape[-1])[:, patch_pixel_indices(model)].reshape(n * r, model.patch_dim)
+    patches = xs.reshape(n, xs.shape[-1])[:, model._patch_index].reshape(n * r, model.patch_dim)
     toks = patches @ model.w_embed.T + model.b_embed  # (N*R, d_model)
-    w_qkv = np.concatenate((model.wq, model.wk, model.wv)).reshape(3 * h * dh, dm)
-    b_qkv = np.concatenate((model.bq, model.bk, model.bv)).reshape(-1)
-    q, k, v = (toks @ w_qkv.T + b_qkv).reshape(n, r, 3, h, dh).transpose(2, 0, 3, 1, 4)  # (N, H, R, d_head)
+    qkv = toks @ model._w_qkv.T + model._b_qkv
+    q, k, v = qkv.reshape(n, r, 3, h, dh).transpose(2, 0, 3, 1, 4)  # (N, H, R, d_head)
     scores_t = np.empty((r, n, h, r))
     np.multiply((k @ q.swapaxes(-1, -2)).transpose(2, 0, 1, 3), model.scale, out=scores_t)
     scores_t += model.mask.transpose(2, 0, 1)[:, None]
@@ -201,8 +218,7 @@ def _forward(model: AttentionModelSpec, xs: np.ndarray) -> ForwardTrace:
     attn_t /= attn_t.sum(axis=0)
     attn = attn_t.transpose(1, 2, 3, 0)  # (N, H, R_query, R_key) view
     head_out = attn @ v  # (N, H, R, d_head)
-    w_o = model.wo.transpose(0, 2, 1).reshape(h * dh, dm)
-    hplus = head_out.transpose(0, 2, 1, 3).reshape(n * r, h * dh) @ w_o + model.bo
+    hplus = head_out.transpose(0, 2, 1, 3).reshape(n * r, h * dh) @ model._w_o + model.bo
     if model.residual:
         hplus += toks
     pooled = hplus.reshape(n, r * dm)

@@ -86,16 +86,9 @@ def softmax_objective(c, s) -> float:
     c = np.ascontiguousarray(_as_direction(c, s.shape[0]))
     if not np.all(np.isfinite(s)):
         raise ValidationError("score entries must be finite")
+    # Scores far below the max shift to -inf, whose exp is the true limit 0.
     with np.errstate(over="ignore"):
-        return _softmax_value(c, s)
-
-
-def _softmax_value(c: np.ndarray, s: np.ndarray) -> float:
-    """softmax_objective on trusted contiguous vectors.  Scores far below the
-    max shift to -inf, whose exp is the true limit 0; callers silence that
-    overflow once (the attack polish calls this per point, where a per-call
-    np.errstate cost about 7% of the rows workload)."""
-    e = np.exp(s - s.max())
+        e = np.exp(s - s.max())
     val = float(np.dot(c, e) / e.sum())
     return float(min(max(val, c.min()), c.max()))
 
@@ -103,9 +96,7 @@ def _softmax_value(c: np.ndarray, s: np.ndarray) -> float:
 def _objective(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """softmax_objective over the rows of (..., K) arrays that broadcast
     together, bit for bit: on contiguous rows a (1, K) @ (K, 1) matmul
-    equals np.dot.  The one-row _softmax_value stays separate because the
-    attack polish calls it per point, where the batched form's overhead
-    showed on the rows workload."""
+    equals np.dot, whatever the number of rows."""
     c = np.ascontiguousarray(c)
     s = np.ascontiguousarray(s)
     with np.errstate(over="ignore"):

@@ -34,6 +34,12 @@ attack_margin_per_target and scalar_margin_polish are the margin attack as
 it was before all targets shared one search: one target at a time, with its
 own sample stream keyed by (seed, image_size, target), and an endpoint
 coordinate descent that scores one point per forward call.
+
+attack_vertices_loop, scalar_objective_polish and attack_objective_loop are
+attack_min_objective as it was before its polish was windowed: the vertices
+of each sweep scattered into place one side at a time, the samples stacked
+below them, and an endpoint coordinate descent that scores one point per
+softmax call.
 """
 
 from __future__ import annotations
@@ -45,10 +51,18 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 
-from attncert import directional_max, directional_min, intervals, model_score_boxes, value_scalar_bounds
+from attncert import (
+    directional_max,
+    directional_min,
+    intervals,
+    model_score_boxes,
+    softmax_objective,
+    value_scalar_bounds,
+)
 from attncert.attention import token_bounds
 from attncert.intervals import Intervals
 from attncert.model import ForwardTrace, LinearSuffix, forward, forward_batch, patch_pixel_indices
+from attncert.solver import _objective, _threshold_vertices
 
 PREC = 60
 CTX_DN = Context(prec=PREC, rounding=ROUND_FLOOR)
@@ -367,3 +381,53 @@ def attack_margin_per_target(model, box, y, target, budget, seed=0) -> float:
     best_idx = int(np.argmin(margins))
     polished = scalar_margin_polish(model, y, target, points[best_idx], box.lo, box.hi)
     return float(min(polished, float(margins[best_idx])))
+
+
+def attack_vertices_loop(c, box) -> np.ndarray:
+    """The 2(K+1) threshold vertices of c and -c, one sweep at a time."""
+    k = box.size
+    out = np.empty((2, k + 1, k))
+    for side, d in zip(out, (c, -c)):
+        order = np.argsort(d, kind="stable")
+        side[:, order] = _threshold_vertices(box.lower[order], box.upper[order], np.arange(k + 1))
+    return out.reshape(-1, k)
+
+
+def scalar_objective_polish(c, start, lo, hi, hi_against_start=False) -> float:
+    """Endpoint coordinate descent on c . softmax(s) from `start`: up to two
+    rounds that try each coordinate at lo, then hi, keeping every strict
+    improvement.  One softmax_objective call per candidate point.
+
+    hi_against_start=True is a deliberate fault for mutant checks: the hi
+    move is compared with the value before the coordinate's lo move."""
+    best = np.array(start, dtype=np.float64)
+    best_val = softmax_objective(c, best)
+    for _ in range(2):
+        improved = False
+        for j in range(best.size):
+            before = best_val
+            for cand in (lo[j], hi[j]):
+                if cand == best[j]:
+                    continue
+                old = best[j]
+                best[j] = cand
+                v = softmax_objective(c, best)
+                if v < (before if hi_against_start and cand == hi[j] else best_val):
+                    best_val = v
+                    improved = True
+                else:
+                    best[j] = old
+        if not improved:
+            break
+    return best_val
+
+
+def attack_objective_loop(c, box, budget, seed=0) -> float:
+    """attack_min_objective from attack_vertices_loop, stacked samples of
+    the (seed, K) stream and scalar_objective_polish from the best point."""
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(box.size,))))
+    points = np.vstack((attack_vertices_loop(c, box), rng.uniform(box.lower, box.upper, size=(budget, box.size))))
+    vals = _objective(c, points)
+    best = int(np.argmin(vals))
+    return float(min(scalar_objective_polish(c, points[best], box.lower, box.upper), float(vals[best])))

@@ -109,6 +109,22 @@ class TestSweep:
     def test_bad_config(self):
         assert main(["sweep", "--k", "0", "--trials", "2"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (["--seed", "-1"], "seed"),
+            (["--width-scale", "nan"], "width_scale"),
+            (["--width-scale", "inf"], "width_scale"),
+            (["--coeff-scale", "nan"], "coeff_scale"),
+            (["--coeff-scale=-inf"], "coeff_scale"),
+        ],
+    )
+    def test_bad_seed_or_scale_exit_3(self, capsys, args, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--k", "4", "--trials", "1"] + args) == EXIT_VALIDATION
+        assert match in capsys.readouterr().err
+
 
 class TestCertify:
     def run_and_parse(self, argv, capsys):
@@ -216,6 +232,16 @@ class TestCertify:
     def test_missing_model(self, tmp_path):
         assert main(["certify", str(tmp_path / "none.json")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("with_input", [False, True])
+    def test_negative_seed_exit_3(self, tmp_path, capsys, with_input):
+        path, m = model_file(tmp_path)
+        extra = ["--input", write_instance(tmp_path, x=[0.5] * m.image_size)] if with_input else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", path, "--seed", "-1"] + extra) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "seed" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("group, name", [("embed", "w"), ("suffix", "w1")])
     def test_non_list_weight_shape(self, tmp_path, capsys, group, name):
         path, _ = model_file(tmp_path, suffix_kind="mlp1")
@@ -235,6 +261,12 @@ class TestSelfcheck:
         assert "selfcheck passed" in out
         for name in ("oracle-equivalence", "soundness-sampling", "dominance"):
             assert f"{name}: checked=25 failures=0" in out
+
+    def test_negative_seed_exit_3(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["selfcheck", "--trials", "5", "--seed", "-1"]) == EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
 
     def test_injected_fault_detected(self, capsys):
         assert main(["selfcheck", "--trials", "25", "--samples", "25", "--inject-fault"]) == EXIT_INTERNAL

@@ -32,6 +32,7 @@ from attncert.harness import (
     _attack_margin_points,
     _attack_vertices,
     _margin_polish,
+    _objective_polish,
     _rng,
     aggregate_records,
     trial_seed,
@@ -39,7 +40,14 @@ from attncert.harness import (
     write_trial_csv,
 )
 
-from oracles import scalar_margin_polish, threshold_vertices
+from attncert.solver import _objective
+from oracles import (
+    attack_objective_loop,
+    attack_vertices_loop,
+    scalar_margin_polish,
+    scalar_objective_polish,
+    threshold_vertices,
+)
 
 
 def two_pixel_identity_model():
@@ -114,6 +122,99 @@ class TestAttackObjective:
         with pytest.raises(ValidationError):
             attack_min_objective(c, box, budget=0)
 
+    @pytest.mark.parametrize("budget, seed, match", [(2.5, 0, "budget"), (True, 0, "budget"), (5, -1, "seed"),
+                                                     (5, 1.5, "seed"), (5, False, "seed")])
+    def test_budget_and_seed_types_validated(self, budget, seed, match):
+        c, box = synth_instance(3, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                attack_min_objective(c, box, budget=budget, seed=seed)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64, 256])
+    def test_matches_loop_oracle_bit_for_bit(self, k):
+        # The attack before the polish was windowed: loop-built vertices,
+        # stacked samples, one-point-per-call polish.
+        for i in range(40 if k <= 16 else 12):
+            width_scale = (1.0, 50.0, 1e-14)[i % 3]
+            c, box = synth_instance(k, 40 * k + i, width_scale=width_scale)
+            if i % 2:
+                c = np.round(c)  # tied coefficients
+            for budget in (1, 40):
+                got = attack_min_objective(c, box, budget=budget, seed=i)
+                assert got == attack_objective_loop(c, box, budget, seed=i)
+
+
+POLISH_KINDS = ("vertex", "interior", "pinned", "tied", "roundoff")
+
+
+def _polish_cases(k: int, kind: str):
+    """(c, box, start) cases for the objective polish.  vertex: the attack's
+    own starts, every threshold vertex (most coordinates never move);
+    interior: uniform starts, where most coordinates move; pinned: every
+    third coordinate has lo == hi; tied: coefficients rounded to integers;
+    roundoff: widths of a few ulps, where lo and hi can both improve by
+    roundoff and the hi move must be compared with the value after the lo
+    move.  Widths up to 50 make most exponentials underflow."""
+    for i in range(6 if k <= 16 else 2):
+        for width_scale in (1e-14,) if kind == "roundoff" else (1.0, 50.0):
+            c, box = synth_instance(k, 1000 * k + i, width_scale=width_scale)
+            rng = np.random.default_rng(i)
+            if kind == "pinned":
+                lower = box.lower.copy()
+                lower[::3] = box.upper[::3]
+                box = ScoreBox(lower=lower, upper=box.upper)
+            if kind == "tied":
+                c = np.round(c)
+            if kind == "vertex":
+                vertices = _attack_vertices(c, box)
+                picks = rng.choice(len(vertices), size=min(len(vertices), 6), replace=False)
+                for start in vertices[picks]:
+                    yield c, box, start
+            else:
+                yield c, box, rng.uniform(box.lower, box.upper)
+
+
+class TestObjectivePolish:
+    @pytest.mark.parametrize("kind", POLISH_KINDS)
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64, 256])
+    def test_matches_scalar_oracle_bit_for_bit(self, k, kind):
+        for c, box, start in _polish_cases(k, kind):
+            start_val = float(_objective(c, start[None, :])[0])
+            got = _objective_polish(c, start, start_val, box.lower, box.upper)
+            assert got == scalar_objective_polish(c, start, box.lower, box.upper)
+
+    def test_cases_reach_the_hi_after_lo_edge(self):
+        # A polish that compares the hi move with the value before the lo
+        # move ends elsewhere on some roundoff case, so the test above
+        # catches it.
+        caught = [
+            scalar_objective_polish(c, start, box.lower, box.upper, hi_against_start=True)
+            != scalar_objective_polish(c, start, box.lower, box.upper)
+            for k in (4, 16, 64, 256)
+            for c, box, start in _polish_cases(k, "roundoff")
+        ]
+        assert any(caught)
+
+    def test_start_is_not_modified(self):
+        c, box = synth_instance(16, 3)
+        start = np.random.default_rng(0).uniform(box.lower, box.upper)
+        kept = start.copy()
+        _objective_polish(c, start, float(_objective(c, start[None, :])[0]), box.lower, box.upper)
+        assert np.array_equal(start, kept)
+
+    @pytest.mark.parametrize("k", [1, 4, 64, 256])
+    def test_objective_rows_equal_softmax_objective(self, k):
+        # The polish scores candidates with _objective and the descent it
+        # reproduces scored one point per call: they must agree bit for bit
+        # on any number of rows.
+        for width_scale in (1.0, 50.0):
+            c, box = synth_instance(k, k, width_scale=width_scale)
+            points = np.random.default_rng(k).uniform(box.lower, box.upper, size=(9, k))
+            want = [softmax_objective(c, p) for p in points]
+            for n in (1, 2, 9):
+                assert _objective(c, points[:n]).tolist() == want[:n]
+
     @pytest.mark.parametrize("k", [1, 2, 4, 16, 64])
     def test_vertices_match_reference(self, k):
         rng = np.random.default_rng(k)
@@ -122,6 +223,7 @@ class TestAttackObjective:
         box = ScoreBox(lower=lower, upper=lower + rng.uniform(0, 2, size=k))
         want = np.vstack((threshold_vertices(c, box), threshold_vertices(-c, box)))
         assert np.array_equal(_attack_vertices(c, box), want)
+        assert np.array_equal(attack_vertices_loop(c, box), want)
 
     def test_direction_validated(self):
         box = ScoreBox(lower=np.zeros(3), upper=np.ones(3))
@@ -167,6 +269,14 @@ class TestAttackMargin:
         m = two_pixel_identity_model()
         with pytest.raises(ValidationError):
             attack_min_margin(m, pixel_box(np.array([0.5, 0.5]), 0.1), 0, [1], budget=0)
+
+    @pytest.mark.parametrize("budget, seed, match", [(4.0, 0, "budget"), (4, -1, "seed"), (4, 1.5, "seed")])
+    def test_budget_and_seed_types_validated(self, budget, seed, match):
+        m = two_pixel_identity_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                attack_min_margin(m, pixel_box(np.array([0.5, 0.5]), 0.1), 0, [1], budget=budget, seed=seed)
 
     @pytest.mark.parametrize(
         "y, targets, match",
@@ -312,6 +422,45 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             SweepConfig(k_values=(4,), trials=1, seed=0, coeff_scale=0.0)
 
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"k_values": (4.0,)}, "K must be an integer"),
+            ({"k_values": (True,)}, "K must be an integer"),
+            ({"k_values": 4}, "k_values"),
+            ({"trials": 1.5}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2.0}, "seed"),
+            ({"width_scale": float("nan")}, "width_scale must be finite"),
+            ({"width_scale": float("inf")}, "width_scale must be finite"),
+            ({"coeff_scale": float("nan")}, "coeff_scale must be finite"),
+            ({"coeff_scale": float("-inf")}, "coeff_scale must be finite"),
+            ({"coeff_scale": "1"}, "coeff_scale must be a number"),
+        ],
+    )
+    def test_config_types_validated(self, changes, match):
+        kw = {"k_values": (4,), "trials": 1, "seed": 0, **changes}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                SweepConfig(**kw)
+
+    def test_numpy_integers_accepted(self):
+        config = SweepConfig(k_values=np.array([4, 8]), trials=np.int32(2), seed=np.uint64(7))
+        assert config.k_values == (4, 8) and config.trials == 2 and config.seed == 7
+        plain = SweepConfig(k_values=(4, 8), trials=2, seed=7)
+        assert [(r.K, r.lower, r.attack) for r in run_sweep(config, attack_budget=5)] == [
+            (r.K, r.lower, r.attack) for r in run_sweep(plain, attack_budget=5)
+        ]
+
+    @pytest.mark.parametrize("k, seed", [(4.0, 1), (True, 1), (4, -1), (4, 1.0)])
+    def test_synth_instance_arguments_validated(self, k, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                synth_instance(k, seed)
+
 
 class TestAggregation:
     def test_vertex_dominates_baseline_in_aggregate(self):
@@ -381,3 +530,13 @@ class TestSelfcheck:
             selfcheck(trials=0)
         with pytest.raises(ValidationError):
             selfcheck(samples=0)
+
+    @pytest.mark.parametrize(
+        "kw, match", [({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"), ({"trials": 1.5}, "trials"),
+                      ({"samples": True}, "samples")]
+    )
+    def test_argument_types_validated(self, kw, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                selfcheck(**kw)
