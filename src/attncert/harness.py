@@ -12,14 +12,17 @@ minimum obtained from feasible points only:
   that scores all targets' candidate moves in one forward_batch per pixel.
 
 The objective polish starts from the best threshold vertex or sample, and
-one threshold vertex is the exact optimum, so its moves are rare: over 1,280
-polishes of the benchmark's rows pool none was accepted.  It therefore
-scores the candidate moves of a window of coordinates in one _objective
-call, and widens the window while no move is accepted.  On the rows
-workload that took the polish from 34% of the run (172,000 one-row calls)
-to a few calls per trial.  When most coordinates move (interior starts), it
-costs about twice the one-row-per-call descent, which is why a fixed
-per-coordinate batch measured slower.
+one threshold vertex is the exact optimum, so it rarely moves: over the
+2,000 polishes of the benchmark's rows pool at seed 21, none improved on its
+start.  It therefore scores the candidate moves of a window of coordinates
+in one _objective call, and widens the window while no move is accepted, so
+a polish without a move makes about log4(K) calls instead of 2K one-point
+calls.  That raised rows throughput from 15.6 to 24.6 items/s over 10 paired
+runs on a 2-core host.  Where most coordinates move (interior starts) each
+move costs a call over a short window, up to 1.35x the one-point descent at
+K=64 and K=256.  An earlier batch of one coordinate's two candidates per
+call measured slower than the one-point descent (0.66 instead of 0.10 ms per
+trial at K=4): it still made a call per coordinate.
 """
 
 from __future__ import annotations

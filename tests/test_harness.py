@@ -122,8 +122,10 @@ class TestAttackObjective:
         with pytest.raises(ValidationError):
             attack_min_objective(c, box, budget=0)
 
-    @pytest.mark.parametrize("budget, seed, match", [(2.5, 0, "budget"), (True, 0, "budget"), (5, -1, "seed"),
-                                                     (5, 1.5, "seed"), (5, False, "seed")])
+    @pytest.mark.parametrize(
+        "budget, seed, match",
+        [(2.5, 0, "budget"), (True, 0, "budget"), (5, -1, "seed"), (5, 1.5, "seed"), (5, False, "seed")],
+    )
     def test_budget_and_seed_types_validated(self, budget, seed, match):
         c, box = synth_instance(3, 0)
         with warnings.catch_warnings():
@@ -144,13 +146,37 @@ class TestAttackObjective:
                 got = attack_min_objective(c, box, budget=budget, seed=i)
                 assert got == attack_objective_loop(c, box, budget, seed=i)
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64])
+    def test_vertices_match_reference(self, k):
+        rng = np.random.default_rng(k)
+        c = np.round(rng.normal(size=k))  # tied coefficients
+        lower = rng.normal(size=k)
+        box = ScoreBox(lower=lower, upper=lower + rng.uniform(0, 2, size=k))
+        want = np.vstack((threshold_vertices(c, box), threshold_vertices(-c, box)))
+        assert np.array_equal(_attack_vertices(c, box), want)
+        assert np.array_equal(attack_vertices_loop(c, box), want)
+
+    def test_direction_validated(self):
+        box = ScoreBox(lower=np.zeros(3), upper=np.ones(3))
+        for c in ([1.0, 2.0], [1.0, np.nan, 0.0]):
+            with pytest.raises(ValidationError, match="direction"):
+                attack_min_objective(c, box, budget=10)
+
+    def test_unsampleable_box_rejected(self):
+        # The width 2e308 overflows, so the box cannot be sampled.
+        box = ScoreBox(lower=np.array([-1e308, 0.0]), upper=np.array([1e308, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="width"):
+                attack_min_objective(np.array([1.0, -1.0]), box, budget=10)
+
 
 POLISH_KINDS = ("vertex", "interior", "pinned", "tied", "roundoff")
 
 
 def _polish_cases(k: int, kind: str):
-    """(c, box, start) cases for the objective polish.  vertex: the attack's
-    own starts, every threshold vertex (most coordinates never move);
+    """(c, box, start) cases for the objective polish.  vertex: threshold
+    vertices, the attack's own starts (most coordinates never move);
     interior: uniform starts, where most coordinates move; pinned: every
     third coordinate has lo == hi; tied: coefficients rounded to integers;
     roundoff: widths of a few ulps, where lo and hi can both improve by
@@ -214,30 +240,6 @@ class TestObjectivePolish:
             want = [softmax_objective(c, p) for p in points]
             for n in (1, 2, 9):
                 assert _objective(c, points[:n]).tolist() == want[:n]
-
-    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64])
-    def test_vertices_match_reference(self, k):
-        rng = np.random.default_rng(k)
-        c = np.round(rng.normal(size=k))  # tied coefficients
-        lower = rng.normal(size=k)
-        box = ScoreBox(lower=lower, upper=lower + rng.uniform(0, 2, size=k))
-        want = np.vstack((threshold_vertices(c, box), threshold_vertices(-c, box)))
-        assert np.array_equal(_attack_vertices(c, box), want)
-        assert np.array_equal(attack_vertices_loop(c, box), want)
-
-    def test_direction_validated(self):
-        box = ScoreBox(lower=np.zeros(3), upper=np.ones(3))
-        for c in ([1.0, 2.0], [1.0, np.nan, 0.0]):
-            with pytest.raises(ValidationError, match="direction"):
-                attack_min_objective(c, box, budget=10)
-
-    def test_unsampleable_box_rejected(self):
-        # The width 2e308 overflows, so the box cannot be sampled.
-        box = ScoreBox(lower=np.array([-1e308, 0.0]), upper=np.array([1e308, 1.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="width"):
-                attack_min_objective(np.array([1.0, -1.0]), box, budget=10)
 
 
 def _attack_case(seed: int, suffix_kind: str, n_classes: int = 4, eps: float = 0.05):
@@ -532,8 +534,8 @@ class TestSelfcheck:
             selfcheck(samples=0)
 
     @pytest.mark.parametrize(
-        "kw, match", [({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"), ({"trials": 1.5}, "trials"),
-                      ({"samples": True}, "samples")]
+        "kw, match",
+        [({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"), ({"trials": 1.5}, "trials"), ({"samples": True}, "samples")],
     )
     def test_argument_types_validated(self, kw, match):
         with warnings.catch_warnings():

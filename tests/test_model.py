@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -246,6 +247,27 @@ class TestFlatForward:
     def test_empty_batch(self):
         m = random_model(seed=5, tokens=2, heads=1, d_model=4, suffix_kind="mlp1", n_classes=3)
         assert forward_batch(m, np.zeros((0, m.image_size))).shape == (0, 3)
+
+    def test_stacked_weights_built_once_per_spec(self, monkeypatch):
+        m = random_model(seed=6, tokens=4, heads=2, d_model=6, suffix_kind="mlp1", n_classes=3)
+        idx = patch_pixel_indices(m)
+        assert idx is patch_pixel_indices(m) and not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
+        calls = []
+        real = np.concatenate
+        monkeypatch.setattr(np, "concatenate", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        forward_batch(m, np.full((3, m.image_size), 0.5))
+        assert calls == []
+
+    def test_replaced_weights_rebuild_the_stacks(self):
+        m = random_model(seed=7, tokens=4, heads=2, d_model=6, suffix_kind="mlp1", n_classes=3)
+        m2 = dataclasses.replace(m, wq=2.0 * m.wq, wo=-m.wo)
+        x = np.random.default_rng(7).uniform(0, 1, (2, m.image_size))
+        want = forward_broadcast(m2, x)
+        got = _forward(m2, x)
+        for f in TRACE_FIELDS:
+            _assert_close(getattr(got, f), getattr(want, f), f)
 
 
 class TestModelValidation:
