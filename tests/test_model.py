@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -301,6 +303,156 @@ class TestRandomModel:
         with pytest.raises(ValidationError):
             random_model(seed=0, suffix_kind="mlp9")
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    def test_draws_follow_the_documented_stream(self, kind):
+        seed, tokens, heads, d_model, d_head, patch, channels, classes, hidden, scale = 5, 3, 2, 4, 3, 2, 2, 3, 5, 1.5
+        m = random_model(
+            seed=seed, tokens=tokens, heads=heads, d_model=d_model, d_head=d_head, patch=patch, channels=channels,
+            n_classes=classes, suffix_kind=kind, hidden=hidden, weight_scale=scale,
+        )
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        pd, pooled = channels * patch * patch, tokens * d_model
+
+        def draw(shape, fan_in):
+            return rng.standard_normal(shape) * (scale / math.sqrt(fan_in))
+
+        want = [
+            ("w_embed", draw((d_model, pd), pd)),
+            ("b_embed", draw((d_model,), pd)),
+            ("wq", draw((heads, d_head, d_model), d_model)),
+            ("bq", draw((heads, d_head), d_model)),
+            ("wk", draw((heads, d_head, d_model), d_model)),
+            ("bk", draw((heads, d_head), d_model)),
+            ("wv", draw((heads, d_head, d_model), d_model)),
+            ("bv", draw((heads, d_head), d_model)),
+            ("wo", draw((heads, d_model, d_head), heads * d_head)),
+            ("bo", draw((d_model,), heads * d_head)),
+        ]
+        if kind == "linear":
+            want += [("suffix.w", draw((classes, pooled), pooled)), ("suffix.b", draw((classes,), pooled))]
+        else:
+            want += [
+                ("suffix.w1", draw((hidden, pooled), pooled)),
+                ("suffix.b1", draw((hidden,), pooled)),
+                ("suffix.w2", draw((classes, hidden), hidden)),
+                ("suffix.b2", draw((classes,), hidden)),
+            ]
+        for name, a in want:
+            got = getattr(m.suffix, name[7:]) if name.startswith("suffix.") else getattr(m, name)
+            assert np.array_equal(got, a), name
+        assert np.array_equal(m.mask, np.zeros((heads, tokens, tokens)))
+        assert (m.height, m.width, m.channels, m.patch) == (patch, patch * tokens, channels, patch)
+
+
+def _half_steps(start, *shape):
+    """Entries start/2, (start+1)/2, ... in row-major order."""
+    return np.arange(start, start + math.prod(shape)).reshape(shape) / 2
+
+
+def _arr(shape, *data):
+    return {"shape": list(shape), "data": list(data)}
+
+
+# Two small specs with np.arange weights and their weight files, written out
+# by hand: the format must not move with numpy's random streams.
+FORMAT_CASES = {
+    "linear": (
+        dict(
+            height=1, width=2, channels=1, patch=1, d_model=2, d_head=1, heads=2, n_classes=2, residual=False,
+            w_embed=_half_steps(0, 2, 1), b_embed=_half_steps(2, 2),
+            wq=_half_steps(4, 2, 1, 2), bq=_half_steps(8, 2, 1),
+            wk=_half_steps(10, 2, 1, 2), bk=_half_steps(14, 2, 1),
+            wv=_half_steps(16, 2, 1, 2), bv=_half_steps(20, 2, 1),
+            wo=_half_steps(22, 2, 2, 1), bo=_half_steps(26, 2),
+            mask=-_half_steps(28, 2, 2, 2),
+            suffix=LinearSuffix(w=_half_steps(36, 2, 4), b=_half_steps(44, 2)),
+        ),
+        {
+            "arch": "patch-attn",
+            "dims": {"height": 1, "width": 2, "channels": 1, "d_model": 2, "d_head": 1, "classes": 2},
+            "patch": 1,
+            "heads": 2,
+            "suffix_kind": "linear",
+            "weights": {
+                "embed": {"w": _arr([2, 1], 0.0, 0.5), "b": _arr([2], 1.0, 1.5)},
+                "wq": [
+                    {"w": _arr([1, 2], 2.0, 2.5), "b": _arr([1], 4.0)},
+                    {"w": _arr([1, 2], 3.0, 3.5), "b": _arr([1], 4.5)},
+                ],
+                "wk": [
+                    {"w": _arr([1, 2], 5.0, 5.5), "b": _arr([1], 7.0)},
+                    {"w": _arr([1, 2], 6.0, 6.5), "b": _arr([1], 7.5)},
+                ],
+                "wv": [
+                    {"w": _arr([1, 2], 8.0, 8.5), "b": _arr([1], 10.0)},
+                    {"w": _arr([1, 2], 9.0, 9.5), "b": _arr([1], 10.5)},
+                ],
+                "wo": {"w": [_arr([2, 1], 11.0, 11.5), _arr([2, 1], 12.0, 12.5)], "b": _arr([2], 13.0, 13.5)},
+                "mask": _arr([2, 2, 2], -14.0, -14.5, -15.0, -15.5, -16.0, -16.5, -17.0, -17.5),
+                "suffix": {
+                    "w": _arr([2, 4], 18.0, 18.5, 19.0, 19.5, 20.0, 20.5, 21.0, 21.5),
+                    "b": _arr([2], 22.0, 22.5),
+                },
+            },
+        },
+    ),
+    "mlp1": (
+        dict(
+            height=1, width=2, channels=1, patch=1, d_model=1, d_head=1, heads=1, n_classes=2, residual=True,
+            w_embed=_half_steps(0, 1, 1), b_embed=_half_steps(1, 1),
+            wq=_half_steps(2, 1, 1, 1), bq=_half_steps(3, 1, 1),
+            wk=_half_steps(4, 1, 1, 1), bk=_half_steps(5, 1, 1),
+            wv=_half_steps(6, 1, 1, 1), bv=_half_steps(7, 1, 1),
+            wo=_half_steps(8, 1, 1, 1), bo=_half_steps(9, 1),
+            mask=-_half_steps(10, 1, 2, 2),
+            suffix=MlpSuffix(
+                w1=_half_steps(14, 2, 2), b1=_half_steps(18, 2), w2=_half_steps(20, 2, 2), b2=_half_steps(24, 2)
+            ),
+        ),
+        {
+            "arch": "patch-attn-residual",
+            "dims": {"height": 1, "width": 2, "channels": 1, "d_model": 1, "d_head": 1, "classes": 2},
+            "patch": 1,
+            "heads": 1,
+            "suffix_kind": "mlp1",
+            "weights": {
+                "embed": {"w": _arr([1, 1], 0.0), "b": _arr([1], 0.5)},
+                "wq": [{"w": _arr([1, 1], 1.0), "b": _arr([1], 1.5)}],
+                "wk": [{"w": _arr([1, 1], 2.0), "b": _arr([1], 2.5)}],
+                "wv": [{"w": _arr([1, 1], 3.0), "b": _arr([1], 3.5)}],
+                "wo": {"w": [_arr([1, 1], 4.0)], "b": _arr([1], 4.5)},
+                "mask": _arr([1, 2, 2], -5.0, -5.5, -6.0, -6.5),
+                "suffix": {
+                    "w1": _arr([2, 2], 7.0, 7.5, 8.0, 8.5),
+                    "b1": _arr([2], 9.0, 9.5),
+                    "w2": _arr([2, 2], 10.0, 10.5, 11.0, 11.5),
+                    "b2": _arr([2], 12.0, 12.5),
+                },
+            },
+        },
+    ),
+}
+
+# Every array leaf of a weight file with two heads, by suffix kind.
+_BLOCK_LEAVES = [
+    "weights.embed.w", "weights.embed.b",
+    *(f"weights.{g}[{h}].{p}" for g in ("wq", "wk", "wv") for h in (0, 1) for p in ("w", "b")),
+    "weights.wo.w[0]", "weights.wo.w[1]", "weights.wo.b", "weights.mask",
+]
+LEAF_PATHS = [("linear", p) for p in _BLOCK_LEAVES + ["weights.suffix.w", "weights.suffix.b"]] + [
+    ("mlp1", p) for p in _BLOCK_LEAVES + [f"weights.suffix.{n}" for n in ("w1", "b1", "w2", "b2")]
+]
+
+
+def _node(doc, path):
+    """The node of a weight file at a field path such as weights.wq[1].b."""
+    node = doc
+    for key, index in re.findall(r"\.?(\w+)(?:\[(\d+)\])?", path):
+        node = node[key]
+        if index:
+            node = node[int(index)]
+    return node
+
 
 class TestModelIO:
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
@@ -348,6 +500,75 @@ class TestModelIO:
         doc, path = self._doc(tmp_path)
         doc["weights"]["wq"][0]["w"]["shape"] = [2, 3]
         with pytest.raises(ValidationError, match=r"weights\.wq\[0\]\.w"):
+            load_model(self._write(doc, path))
+
+    @pytest.mark.parametrize("kind, leaf", LEAF_PATHS)
+    def test_every_leaf_shape_error_names_its_path(self, tmp_path, kind, leaf):
+        path = tmp_path / "m.json"
+        save_model(random_model(seed=24, tokens=2, heads=2, d_model=2, suffix_kind=kind, hidden=3), str(path))
+        doc = json.loads(path.read_text())
+        node = _node(doc, leaf)
+        node["shape"] = node["shape"] + [1]
+        with pytest.raises(ValidationError, match=re.escape(leaf) + ": expected shape"):
+            load_model(self._write(doc, path))
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    def test_saved_format_is_pinned(self, tmp_path, kind):
+        fields, want = FORMAT_CASES[kind]
+        path = tmp_path / "m.json"
+        save_model(AttentionModelSpec(**fields), str(path))
+        text = path.read_text()
+        assert json.loads(text) == want
+        assert text == json.dumps(want, indent=1) + "\n"
+
+    @pytest.mark.parametrize("group", ["wv", "wo.w"])
+    def test_wrong_head_count_rejected(self, tmp_path, group):
+        doc, path = self._doc(tmp_path)
+        heads = _node(doc, f"weights.{group}")
+        heads.append(heads[0])
+        with pytest.raises(ValidationError, match=re.escape(f"weights.{group}: expected a list of 1 head")):
+            load_model(self._write(doc, path))
+
+    def test_missing_field_rejected(self, tmp_path):
+        doc, path = self._doc(tmp_path)
+        del doc["weights"]["embed"]["b"]
+        with pytest.raises(ValidationError, match=re.escape("weights.embed: missing fields ['b']")):
+            load_model(self._write(doc, path))
+
+    @pytest.mark.parametrize("where", ["weights", "weights.embed", "weights.wq[0]", "weights.suffix", "weights.mask"])
+    def test_non_object_node_rejected(self, tmp_path, where):
+        doc, path = self._doc(tmp_path)
+        parent, _, key = where.rpartition(".")
+        if key.endswith("[0]"):
+            _node(doc, parent)[key[:-3]][0] = [1.0]
+        else:
+            _node(doc, parent)[key] = [1.0]
+        with pytest.raises(ValidationError, match=re.escape(f"{where}: expected an object")):
+            load_model(self._write(doc, path))
+
+    @pytest.mark.parametrize("value", [0, True])
+    def test_bad_dim_rejected(self, tmp_path, value):
+        doc, path = self._doc(tmp_path)
+        doc["dims"]["height"] = value
+        with pytest.raises(ValidationError, match=r"dims\.height"):
+            load_model(self._write(doc, path))
+
+    def test_zero_heads_rejected(self, tmp_path):
+        doc, path = self._doc(tmp_path)
+        doc["heads"] = 0
+        with pytest.raises(ValidationError, match=r"^heads\b"):
+            load_model(self._write(doc, path))
+
+    def test_patch_not_dividing_width_rejected(self, tmp_path):
+        doc, path = self._doc(tmp_path)
+        doc["dims"]["width"] = 5
+        with pytest.raises(ValidationError, match=r"^patch: 2 must divide height 2 and width 5"):
+            load_model(self._write(doc, path))
+
+    def test_unknown_suffix_kind_rejected(self, tmp_path):
+        doc, path = self._doc(tmp_path)
+        doc["suffix_kind"] = "mlp2"
+        with pytest.raises(ValidationError, match=r"^suffix_kind"):
             load_model(self._write(doc, path))
 
     def test_data_length_mismatch(self, tmp_path):
