@@ -15,17 +15,16 @@ import time
 import numpy as np
 
 from .certified import certified_directional_min
-from .errors import CertificationInfeasibleError, InternalInvariantError, ValidationError
+from .errors import CertificationInfeasibleError, InternalInvariantError, ValidationError, check_int
 from .harness import (
     SweepConfig,
     aggregate_records,
     attack_min_margin,
     run_sweep,
     selfcheck,
-    _check_int,
     _rng,
 )
-from .model import forward, load_model
+from .model import forward, load_model, read_json
 from .solver import ScoreBox, directional_min
 from .verify import certify_targets, pixel_box
 
@@ -39,13 +38,7 @@ REPORT_SCHEMA = "certify-report/1"
 
 
 def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     return doc
@@ -111,7 +104,7 @@ def _predicted_class(model, x0: np.ndarray) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
-    seed = _check_int("seed", args.seed, 0)
+    seed = check_int("seed", args.seed, 0)
     model = load_model(args.model)
     if args.input is not None:
         doc = _load_json(args.input)

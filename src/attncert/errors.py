@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -11,3 +13,10 @@ class CertificationInfeasibleError(RuntimeError):
 
 class InternalInvariantError(AssertionError):
     """Raised when a cross-check between two independent code paths disagrees."""
+
+
+def check_int(name: str, value, minimum: int) -> int:
+    """value as an int, if it is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

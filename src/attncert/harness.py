@@ -37,7 +37,7 @@ import numpy as np
 
 from .baseline import baseline_directional_min
 from .certified import certified_directional_min
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .model import AttentionModelSpec, forward_batch
 from .model import forward  # noqa: F401  unused since the margin polish is batched; benchmark/tracing.py wraps this name
 from .attention import PixelBox
@@ -55,13 +55,6 @@ METHODS = ("vertex", "baseline", "certified")
 # The objective polish's first window of coordinates; the window grows by
 # this factor after a window without an accepted move.
 _POLISH_WINDOW = 4
-
-
-def _check_int(name: str, value, minimum: int) -> int:
-    """value as an int, if it is an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 def _check_finite(name: str, value) -> float:
@@ -86,9 +79,9 @@ class SweepConfig:
             k_values = tuple(self.k_values)
         except TypeError:
             raise ValidationError(f"k_values must be a sequence of integers, got {self.k_values!r}") from None
-        object.__setattr__(self, "k_values", tuple(_check_int("K", k, 1) for k in k_values))
-        object.__setattr__(self, "trials", _check_int("trials", self.trials, 1))
-        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
+        object.__setattr__(self, "k_values", tuple(check_int("K", k, 1) for k in k_values))
+        object.__setattr__(self, "trials", check_int("trials", self.trials, 1))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         width_scale = _check_finite("width_scale", self.width_scale)
         coeff_scale = _check_finite("coeff_scale", self.coeff_scale)
         if width_scale < 0.0 or coeff_scale <= 0.0:
@@ -123,7 +116,7 @@ def synth_instance(
 ) -> tuple[np.ndarray, ScoreBox]:
     """Random instance: centers and coefficients standard normal, half-width
     0.5 * width_scale on every coordinate.  Deterministic in (k, seed)."""
-    rng = _rng(_check_int("seed", seed, 0), _check_int("K", k, 1))
+    rng = _rng(check_int("seed", seed, 0), check_int("K", k, 1))
     centers = rng.standard_normal(k)
     c = rng.standard_normal(k) * coeff_scale
     half = 0.5 * width_scale
@@ -190,8 +183,8 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
     """Best (smallest) objective value over a feasible candidate set; an upper
     bound on the exact minimum, and equal to it whenever a threshold vertex
     attains the optimum."""
-    budget = _check_int("budget", budget, 1)
-    seed = _check_int("seed", seed, 0)
+    budget = check_int("budget", budget, 1)
+    seed = check_int("seed", seed, 0)
     with np.errstate(over="ignore"):
         width = box.upper - box.lower
     if not np.all(np.isfinite(width)):
@@ -308,8 +301,8 @@ def attack_min_margin(
     bound on the true minimum.  The sample stream is keyed by (seed,
     image_size, n_classes), apart from the stream of the CLI's default
     input."""
-    budget = _check_int("budget", budget, 1)
-    seed = _check_int("seed", seed, 0)
+    budget = check_int("budget", budget, 1)
+    seed = check_int("seed", seed, 0)
     t = _check_targets(model, box, y, targets)
     return _attack_margin_points(model, box, y, t, budget, seed)[1]
 
@@ -432,9 +425,9 @@ def selfcheck(trials: int = 200, samples: int = 200, seed: int = 0, fault: bool 
     """Release gate: oracle equivalence, soundness sampling, and dominance at
     reduced trial counts.  `fault` flips the direction sign inside the solver
     call, which a healthy suite must catch (used to test the selfcheck)."""
-    trials = _check_int("trials", trials, 1)
-    samples = _check_int("samples", samples, 1)
-    seed = _check_int("seed", seed, 0)
+    trials = check_int("trials", trials, 1)
+    samples = check_int("samples", samples, 1)
+    seed = check_int("seed", seed, 0)
 
     def solve_value(c: np.ndarray, box: ScoreBox) -> float:
         return directional_min(-c if fault else c, box).value

@@ -17,25 +17,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from operator import attrgetter
+from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 
 @dataclass(frozen=True, eq=False)
 class LinearSuffix:
-    w: np.ndarray  # (classes, tokens * d_model)
-    b: np.ndarray  # (classes,)
+    w: np.ndarray
+    b: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class MlpSuffix:
-    w1: np.ndarray  # (hidden, tokens * d_model)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (classes, hidden)
-    b2: np.ndarray  # (classes,)
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
 
 
 Suffix = Union[LinearSuffix, MlpSuffix]
@@ -48,7 +49,8 @@ class AttentionModelSpec:
     output projections (_w_qkv, _b_qkv, _w_o) and the patch gather indices
     (_patch_index) are built from them then, as read-only attributes that
     are not dataclass fields.  To change a weight, build a new spec
-    (dataclasses.replace does)."""
+    (dataclasses.replace does).  _shapes gives every array's shape; the
+    mask is added to the scaled scores."""
 
     height: int
     width: int
@@ -59,69 +61,46 @@ class AttentionModelSpec:
     heads: int
     n_classes: int
     residual: bool
-    w_embed: np.ndarray  # (d_model, channels * patch * patch)
-    b_embed: np.ndarray  # (d_model,)
-    wq: np.ndarray  # (heads, d_head, d_model)
-    bq: np.ndarray  # (heads, d_head)
+    w_embed: np.ndarray
+    b_embed: np.ndarray
+    wq: np.ndarray
+    bq: np.ndarray
     wk: np.ndarray
     bk: np.ndarray
     wv: np.ndarray
     bv: np.ndarray
-    wo: np.ndarray  # (heads, d_model, d_head)
-    bo: np.ndarray  # (d_model,)
-    mask: np.ndarray  # (heads, tokens, tokens), added to scaled scores
+    wo: np.ndarray
+    bo: np.ndarray
+    mask: np.ndarray
     suffix: Suffix
 
     def __post_init__(self) -> None:
         for name in ("height", "width", "channels", "patch", "d_model", "d_head", "heads", "n_classes"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.height % self.patch or self.width % self.patch:
             raise ValidationError(
                 f"patch {self.patch} must divide height {self.height} and width {self.width}"
             )
         if self.n_classes < 2:
             raise ValidationError("model needs at least two classes")
-        arrays = {
-            "w_embed": (self.d_model, self.patch_dim),
-            "b_embed": (self.d_model,),
-            "wq": (self.heads, self.d_head, self.d_model),
-            "bq": (self.heads, self.d_head),
-            "wk": (self.heads, self.d_head, self.d_model),
-            "bk": (self.heads, self.d_head),
-            "wv": (self.heads, self.d_head, self.d_model),
-            "bv": (self.heads, self.d_head),
-            "wo": (self.heads, self.d_model, self.d_head),
-            "bo": (self.d_model,),
-            "mask": (self.heads, self.tokens, self.tokens),
-        }
-        for name, shape in arrays.items():
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            if a.shape != shape:
-                raise ValidationError(f"{name}: expected shape {shape}, got {a.shape}")
+        sfx = self.suffix
+        hidden = 0
+        if isinstance(sfx, MlpSuffix):
+            w1 = np.asarray(sfx.w1)
+            if w1.ndim != 2 or w1.shape[0] < 1:
+                raise ValidationError("suffix.w1 must be a (hidden, pooled) matrix")
+            hidden = w1.shape[0]
+        elif not isinstance(sfx, LinearSuffix):
+            raise ValidationError(f"unsupported suffix type {type(sfx).__name__}")
+        shapes = _shapes(self.heads, self.tokens, self.patch_dim, self.d_model, self.d_head, self.n_classes, hidden)
+        for name in _leaves(_LAYOUTS[self.suffix_kind]):
+            a = np.asarray(attrgetter(name)(self), dtype=np.float64)
+            if a.shape != shapes[name]:
+                raise ValidationError(f"{name}: expected shape {shapes[name]}, got {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValidationError(f"{name}: entries must be finite")
-            object.__setattr__(self, name, a)
-        pooled = self.tokens * self.d_model
-        sfx = self.suffix
-        if isinstance(sfx, LinearSuffix):
-            _check_suffix_arrays(sfx, {"w": (self.n_classes, pooled), "b": (self.n_classes,)})
-        elif isinstance(sfx, MlpSuffix):
-            hidden = np.asarray(sfx.w1).shape[0] if np.asarray(sfx.w1).ndim == 2 else 0
-            if hidden < 1:
-                raise ValidationError("suffix.w1 must be a (hidden, pooled) matrix")
-            _check_suffix_arrays(
-                sfx,
-                {
-                    "w1": (hidden, pooled),
-                    "b1": (hidden,),
-                    "w2": (self.n_classes, hidden),
-                    "b2": (self.n_classes,),
-                },
-            )
-        else:
-            raise ValidationError(f"unsupported suffix type {type(sfx).__name__}")
+            owner, _, field = name.rpartition(".")
+            object.__setattr__(sfx if owner else self, field, a)
         h, dh, dm = self.heads, self.d_head, self.d_model
         p = self.patch
         grid = np.arange(self.image_size).reshape(self.channels, self.height // p, p, self.width // p, p)
@@ -160,14 +139,66 @@ class AttentionModelSpec:
         return 0 if isinstance(self.suffix, LinearSuffix) else int(self.suffix.w1.shape[0])
 
 
-def _check_suffix_arrays(sfx: Suffix, shapes: dict[str, tuple[int, ...]]) -> None:
-    for name, shape in shapes.items():
-        a = np.asarray(getattr(sfx, name), dtype=np.float64)
-        if a.shape != shape:
-            raise ValidationError(f"suffix.{name}: expected shape {shape}, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError(f"suffix.{name}: entries must be finite")
-        object.__setattr__(sfx, name, a)
+# The weight layout: the "weights" object of a weight file, by suffix kind.
+# Each leaf names the spec field that holds the array ("suffix.w" is the
+# suffix's w).  A one-entry list means one entry per head, stacked on axis 0
+# of the spec's array.  The leaves other than the mask come in (weight, bias)
+# pairs.  The mask is the one field a file may leave out; it defaults to zeros.
+_BLOCK = {
+    "embed": {"w": "w_embed", "b": "b_embed"},
+    "wq": [{"w": "wq", "b": "bq"}],
+    "wk": [{"w": "wk", "b": "bk"}],
+    "wv": [{"w": "wv", "b": "bv"}],
+    "wo": {"w": ["wo"], "b": "bo"},
+    "mask": "mask",
+}
+_LAYOUTS = {
+    "linear": {**_BLOCK, "suffix": {"w": "suffix.w", "b": "suffix.b"}},
+    "mlp1": {**_BLOCK, "suffix": {"w1": "suffix.w1", "b1": "suffix.b1", "w2": "suffix.w2", "b2": "suffix.b2"}},
+}
+_SUFFIXES = {"linear": LinearSuffix, "mlp1": MlpSuffix}
+_OPTIONAL = {"mask"}
+
+
+def _shapes(
+    heads: int, tokens: int, patch_dim: int, d_model: int, d_head: int, classes: int, hidden: int
+) -> dict[str, tuple[int, ...]]:
+    """The shape of every leaf's array in the spec, for both suffix kinds."""
+    pooled = tokens * d_model
+    return {
+        "w_embed": (d_model, patch_dim),
+        "b_embed": (d_model,),
+        "wq": (heads, d_head, d_model),
+        "bq": (heads, d_head),
+        "wk": (heads, d_head, d_model),
+        "bk": (heads, d_head),
+        "wv": (heads, d_head, d_model),
+        "bv": (heads, d_head),
+        "wo": (heads, d_model, d_head),
+        "bo": (d_model,),
+        "mask": (heads, tokens, tokens),
+        "suffix.w": (classes, pooled),
+        "suffix.b": (classes,),
+        "suffix.w1": (hidden, pooled),
+        "suffix.b1": (hidden,),
+        "suffix.w2": (classes, hidden),
+        "suffix.b2": (classes,),
+    }
+
+
+def _leaves(layout) -> Iterator[str]:
+    """The leaves under a layout node, in file order."""
+    if isinstance(layout, str):
+        yield layout
+    else:
+        for sub in layout if isinstance(layout, list) else layout.values():
+            yield from _leaves(sub)
+
+
+def _build(arrays: dict[str, np.ndarray], suffix_kind: str, **dims) -> AttentionModelSpec:
+    """A spec from its scalar fields and its arrays, by leaf."""
+    sfx = {name[len("suffix."):]: arrays.pop(name) for name in list(arrays) if name.startswith("suffix.")}
+    return AttentionModelSpec(**dims, **arrays, suffix=_SUFFIXES[suffix_kind](**sfx))
 
 
 def patch_pixel_indices(model: AttentionModelSpec) -> np.ndarray:
@@ -264,8 +295,27 @@ def forward_batch(model: AttentionModelSpec, xs) -> np.ndarray:
 # JSON weight files
 
 _ARCHES = {"patch-attn": False, "patch-attn-residual": True}
-_DIM_KEYS = ("height", "width", "channels", "d_model", "d_head", "classes")
-_WEIGHT_KEYS = {"embed", "wq", "wk", "wv", "wo", "mask", "suffix"}
+# The file's dims keys and the spec fields they fill.
+_DIMS = {
+    "height": "height",
+    "width": "width",
+    "channels": "channels",
+    "d_model": "d_model",
+    "d_head": "d_head",
+    "classes": "n_classes",
+}
+
+
+def read_json(path: str):
+    """The JSON document in a file.  A file that cannot be read or is not
+    JSON is a ValidationError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep to parse
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -286,11 +336,11 @@ def _decode_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
     if got != shape:
         raise ValidationError(f"{path}: expected shape {list(shape)}, got {list(got)}")
     data = node["data"]
-    if not isinstance(data, list) or len(data) != int(np.prod(shape, dtype=np.int64)):
+    if not isinstance(data, list) or len(data) != math.prod(shape):
         raise ValidationError(f"{path}: data length does not match shape {list(shape)}")
     try:
         a = np.asarray(data, dtype=np.float64).reshape(shape)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: non-numeric data ({exc})") from exc
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{path}: entries must be finite")
@@ -308,167 +358,83 @@ def _require_keys(node, required: set[str], optional: set[str], path: str) -> No
         raise ValidationError(f"{path}: missing fields {sorted(missing)}")
 
 
+def _encode(layout, model: AttentionModelSpec, head: int | None = None):
+    """The file node of a layout node; head picks one entry of a per-head leaf."""
+    if isinstance(layout, str):
+        a = attrgetter(layout)(model)
+        return _encode_array(a if head is None else a[head])
+    if isinstance(layout, list):
+        return [_encode(layout[0], model, h) for h in range(model.heads)]
+    return {key: _encode(sub, model, head) for key, sub in layout.items()}
+
+
+def _decode(layout, node, shapes: dict, heads: int, path: str, per_head: bool = False) -> dict[str, np.ndarray]:
+    """The arrays under a layout node, by leaf, each checked against its
+    shape; the entries of a per-head list are stacked on axis 0."""
+    if isinstance(layout, str):
+        return {layout: _decode_array(node, shapes[layout][1:] if per_head else shapes[layout], path)}
+    if isinstance(layout, list):
+        if not isinstance(node, list) or len(node) != heads:
+            raise ValidationError(f"{path}: expected a list of {heads} head entries")
+        entries = [_decode(layout[0], entry, shapes, heads, f"{path}[{h}]", True) for h, entry in enumerate(node)]
+        return {name: np.stack([e[name] for e in entries]) for name in entries[0]}
+    _require_keys(node, set(layout) - _OPTIONAL, set(layout) & _OPTIONAL, path)
+    arrays = {}
+    for key, sub in layout.items():
+        if key in node:
+            arrays.update(_decode(sub, node[key], shapes, heads, f"{path}.{key}", per_head))
+    return arrays
+
+
 def save_model(model: AttentionModelSpec, path: str) -> None:
-    heads = model.heads
     doc = {
         "arch": "patch-attn-residual" if model.residual else "patch-attn",
-        "dims": {
-            "height": model.height,
-            "width": model.width,
-            "channels": model.channels,
-            "d_model": model.d_model,
-            "d_head": model.d_head,
-            "classes": model.n_classes,
-        },
+        "dims": {key: getattr(model, field) for key, field in _DIMS.items()},
         "patch": model.patch,
-        "heads": heads,
+        "heads": model.heads,
         "suffix_kind": model.suffix_kind,
-        "weights": {
-            "embed": {"w": _encode_array(model.w_embed), "b": _encode_array(model.b_embed)},
-            "wq": [{"w": _encode_array(model.wq[h]), "b": _encode_array(model.bq[h])} for h in range(heads)],
-            "wk": [{"w": _encode_array(model.wk[h]), "b": _encode_array(model.bk[h])} for h in range(heads)],
-            "wv": [{"w": _encode_array(model.wv[h]), "b": _encode_array(model.bv[h])} for h in range(heads)],
-            "wo": {
-                "w": [_encode_array(model.wo[h]) for h in range(heads)],
-                "b": _encode_array(model.bo),
-            },
-            "mask": _encode_array(model.mask),
-            "suffix": _encode_suffix(model.suffix),
-        },
+        "weights": _encode(_LAYOUTS[model.suffix_kind], model),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
-def _encode_suffix(sfx: Suffix) -> dict:
-    if isinstance(sfx, LinearSuffix):
-        return {"w": _encode_array(sfx.w), "b": _encode_array(sfx.b)}
-    return {
-        "w1": _encode_array(sfx.w1),
-        "b1": _encode_array(sfx.b1),
-        "w2": _encode_array(sfx.w2),
-        "b2": _encode_array(sfx.b2),
-    }
-
-
 def load_model(path: str) -> AttentionModelSpec:
     """Parse and validate a weight file.  Unknown fields anywhere are
     rejected; shape errors name the offending field path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON: {exc}") from exc
+    doc = read_json(path)
     _require_keys(doc, {"arch", "dims", "patch", "heads", "suffix_kind", "weights"}, set(), "top level")
     arch = doc["arch"]
-    if arch not in _ARCHES:
+    if not isinstance(arch, str) or arch not in _ARCHES:
         raise ValidationError(f"arch: expected one of {sorted(_ARCHES)}, got {arch!r}")
-    dims = doc["dims"]
-    _require_keys(dims, set(_DIM_KEYS), set(), "dims")
-    vals = {}
-    for key in _DIM_KEYS:
-        v = dims[key]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValidationError(f"dims.{key}: expected a positive integer, got {v!r}")
-        vals[key] = v
-    patch = doc["patch"]
-    heads = doc["heads"]
-    for key, v in (("patch", patch), ("heads", heads)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValidationError(f"{key}: expected a positive integer, got {v!r}")
-    if vals["height"] % patch or vals["width"] % patch:
-        raise ValidationError(f"patch: {patch} must divide height {vals['height']} and width {vals['width']}")
+    _require_keys(doc["dims"], set(_DIMS), set(), "dims")
+    dims = {field: check_int(f"dims.{key}", doc["dims"][key], 1) for key, field in _DIMS.items()}
+    patch = check_int("patch", doc["patch"], 1)
+    heads = check_int("heads", doc["heads"], 1)
+    if dims["height"] % patch or dims["width"] % patch:
+        raise ValidationError(f"patch: {patch} must divide height {dims['height']} and width {dims['width']}")
     suffix_kind = doc["suffix_kind"]
-    if suffix_kind not in ("linear", "mlp1"):
+    if not isinstance(suffix_kind, str) or suffix_kind not in _LAYOUTS:
         raise ValidationError(f"suffix_kind: expected 'linear' or 'mlp1', got {suffix_kind!r}")
 
-    tokens = (vals["height"] // patch) * (vals["width"] // patch)
-    patch_dim = vals["channels"] * patch * patch
-    d_model, d_head = vals["d_model"], vals["d_head"]
-    pooled = tokens * d_model
-
     weights = doc["weights"]
-    _require_keys(weights, _WEIGHT_KEYS - {"mask"}, {"mask"}, "weights")
-
-    embed = weights["embed"]
-    _require_keys(embed, {"w", "b"}, set(), "weights.embed")
-    w_embed = _decode_array(embed["w"], (d_model, patch_dim), "weights.embed.w")
-    b_embed = _decode_array(embed["b"], (d_model,), "weights.embed.b")
-
-    def head_stack(key: str) -> tuple[np.ndarray, np.ndarray]:
-        node = weights[key]
-        if not isinstance(node, list) or len(node) != heads:
-            raise ValidationError(f"weights.{key}: expected a list of {heads} head entries")
-        ws, bs = [], []
-        for h, entry in enumerate(node):
-            p = f"weights.{key}[{h}]"
-            _require_keys(entry, {"w", "b"}, set(), p)
-            ws.append(_decode_array(entry["w"], (d_head, d_model), f"{p}.w"))
-            bs.append(_decode_array(entry["b"], (d_head,), f"{p}.b"))
-        return np.stack(ws), np.stack(bs)
-
-    wq, bq = head_stack("wq")
-    wk, bk = head_stack("wk")
-    wv, bv = head_stack("wv")
-
-    out = weights["wo"]
-    _require_keys(out, {"w", "b"}, set(), "weights.wo")
-    if not isinstance(out["w"], list) or len(out["w"]) != heads:
-        raise ValidationError(f"weights.wo.w: expected a list of {heads} head matrices")
-    wo = np.stack(
-        [_decode_array(out["w"][h], (d_model, d_head), f"weights.wo.w[{h}]") for h in range(heads)]
-    )
-    bo = _decode_array(out["b"], (d_model,), "weights.wo.b")
-
-    if "mask" in weights:
-        mask = _decode_array(weights["mask"], (heads, tokens, tokens), "weights.mask")
-    else:
-        mask = np.zeros((heads, tokens, tokens))
-
-    sfx_node = weights["suffix"]
-    if suffix_kind == "linear":
-        _require_keys(sfx_node, {"w", "b"}, set(), "weights.suffix")
-        suffix: Suffix = LinearSuffix(
-            w=_decode_array(sfx_node["w"], (vals["classes"], pooled), "weights.suffix.w"),
-            b=_decode_array(sfx_node["b"], (vals["classes"],), "weights.suffix.b"),
-        )
-    else:
-        _require_keys(sfx_node, {"w1", "b1", "w2", "b2"}, set(), "weights.suffix")
-        _require_keys(sfx_node["w1"], {"shape", "data"}, set(), "weights.suffix.w1")
-        hidden = _decode_shape(sfx_node["w1"]["shape"], "weights.suffix.w1")[0]
-        suffix = MlpSuffix(
-            w1=_decode_array(sfx_node["w1"], (hidden, pooled), "weights.suffix.w1"),
-            b1=_decode_array(sfx_node["b1"], (hidden,), "weights.suffix.b1"),
-            w2=_decode_array(sfx_node["w2"], (vals["classes"], hidden), "weights.suffix.w2"),
-            b2=_decode_array(sfx_node["b2"], (vals["classes"],), "weights.suffix.b2"),
-        )
-
-    return AttentionModelSpec(
-        height=vals["height"],
-        width=vals["width"],
-        channels=vals["channels"],
-        patch=patch,
-        d_model=d_model,
-        d_head=d_head,
-        heads=heads,
-        n_classes=vals["classes"],
-        residual=_ARCHES[arch],
-        w_embed=w_embed,
-        b_embed=b_embed,
-        wq=wq,
-        bq=bq,
-        wk=wk,
-        bk=bk,
-        wv=wv,
-        bv=bv,
-        wo=wo,
-        bo=bo,
-        mask=mask,
-        suffix=suffix,
-    )
+    hidden = 0
+    if suffix_kind == "mlp1":
+        # The decode reaches weights.suffix.w1 before any other leaf whose
+        # shape uses hidden, and reports a malformed w1 there.
+        try:
+            hidden = weights["suffix"]["w1"]["shape"][0]
+        except (KeyError, IndexError, TypeError):
+            pass
+    tokens = (dims["height"] // patch) * (dims["width"] // patch)
+    patch_dim = dims["channels"] * patch * patch
+    shapes = _shapes(heads, tokens, patch_dim, dims["d_model"], dims["d_head"], dims["n_classes"], hidden)
+    arrays = _decode(_LAYOUTS[suffix_kind], weights, shapes, heads, "weights")
+    # Built only now: the mask grows with the square of the token count,
+    # which the decoded arrays bound, but the dims alone do not.
+    arrays.setdefault("mask", np.zeros(shapes["mask"]))
+    return _build(arrays, suffix_kind, patch=patch, heads=heads, residual=_ARCHES[arch], **dims)
 
 
 def random_model(
@@ -491,60 +457,31 @@ def random_model(
     order (embed w/b, then q, k, v w/b per the stacked head axes, then the
     output projection, then the suffix), each scaled by
     weight_scale / sqrt(fan_in).  The grid is one patch-row of `tokens`
-    patches.  The mask is zero.
+    patches.  The mask is zero.  The seed and the sizes must be integers
+    (>= 0 and >= 1), not bools.
     """
-    if d_head is None:
-        d_head = max(1, d_model // heads)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    height = patch
-    width = patch * tokens
-    patch_dim = channels * patch * patch
-    pooled = tokens * d_model
-
-    def draw(*shape: int, fan_in: int) -> np.ndarray:
-        return rng.standard_normal(shape) * (weight_scale / math.sqrt(fan_in))
-
-    w_embed = draw(d_model, patch_dim, fan_in=patch_dim)
-    b_embed = draw(d_model, fan_in=patch_dim)
-    wq = draw(heads, d_head, d_model, fan_in=d_model)
-    bq = draw(heads, d_head, fan_in=d_model)
-    wk = draw(heads, d_head, d_model, fan_in=d_model)
-    bk = draw(heads, d_head, fan_in=d_model)
-    wv = draw(heads, d_head, d_model, fan_in=d_model)
-    bv = draw(heads, d_head, fan_in=d_model)
-    wo = draw(heads, d_model, d_head, fan_in=heads * d_head)
-    bo = draw(d_model, fan_in=heads * d_head)
-    if suffix_kind == "linear":
-        suffix: Suffix = LinearSuffix(w=draw(n_classes, pooled, fan_in=pooled), b=draw(n_classes, fan_in=pooled))
-    elif suffix_kind == "mlp1":
-        suffix = MlpSuffix(
-            w1=draw(hidden, pooled, fan_in=pooled),
-            b1=draw(hidden, fan_in=pooled),
-            w2=draw(n_classes, hidden, fan_in=hidden),
-            b2=draw(n_classes, fan_in=hidden),
-        )
-    else:
+    check_int("seed", seed, 0)
+    if not isinstance(suffix_kind, str) or suffix_kind not in _LAYOUTS:
         raise ValidationError(f"suffix_kind must be 'linear' or 'mlp1', got {suffix_kind!r}")
-    return AttentionModelSpec(
-        height=height,
-        width=width,
-        channels=channels,
-        patch=patch,
-        d_model=d_model,
-        d_head=d_head,
-        heads=heads,
-        n_classes=n_classes,
-        residual=residual,
-        w_embed=w_embed,
-        b_embed=b_embed,
-        wq=wq,
-        bq=bq,
-        wk=wk,
-        bk=bk,
-        wv=wv,
-        bv=bv,
-        wo=wo,
-        bo=bo,
-        mask=np.zeros((heads, tokens, tokens)),
-        suffix=suffix,
+    sizes = {"tokens": tokens, "heads": heads, "d_model": d_model, "patch": patch, "channels": channels}
+    sizes["n_classes"] = n_classes
+    if suffix_kind == "mlp1":
+        sizes["hidden"] = hidden
+    for name, value in sizes.items():
+        check_int(name, value, 1)
+    d_head = max(1, d_model // heads) if d_head is None else check_int("d_head", d_head, 1)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    shapes = _shapes(heads, tokens, channels * patch * patch, d_model, d_head, n_classes, hidden)
+    names = [name for name in _leaves(_LAYOUTS[suffix_kind]) if name not in _OPTIONAL]
+    arrays = {}
+    for w, b in zip(names[::2], names[1::2]):
+        # A weight's fan-in is its size over its bias's: the inputs summed
+        # into each output.
+        fan_in = math.prod(shapes[w]) // math.prod(shapes[b])
+        for name in (w, b):
+            arrays[name] = rng.standard_normal(shapes[name]) * (weight_scale / math.sqrt(fan_in))
+    arrays["mask"] = np.zeros(shapes["mask"])
+    return _build(
+        arrays, suffix_kind, height=patch, width=patch * tokens, channels=channels, patch=patch,
+        d_model=d_model, d_head=d_head, heads=heads, n_classes=n_classes, residual=residual,
     )

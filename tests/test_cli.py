@@ -253,6 +253,25 @@ class TestCertify:
         assert main(["certify", path]) == EXIT_VALIDATION
         assert f"weights.{group}.{name}" in capsys.readouterr().err
 
+    def test_huge_width_without_mask_exit_3(self, tmp_path, capsys):
+        path, _ = model_file(tmp_path, seed=0, d_model=2, d_head=2)
+        with open(path) as fh:
+            doc = json.load(fh)
+        del doc["weights"]["mask"]
+        doc["dims"]["width"] = 2_000_000
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["certify", path]) == EXIT_VALIDATION
+        assert "weights.suffix.w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "too-deep"])
+    @pytest.mark.parametrize("subcommand", ["certify", "solve"])
+    def test_unparseable_file_exit_3(self, tmp_path, capsys, content, subcommand):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main([subcommand, str(path)]) == EXIT_VALIDATION
+        assert "not valid JSON" in capsys.readouterr().err
+
 
 class TestSelfcheck:
     def test_passes(self, capsys):

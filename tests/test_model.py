@@ -289,6 +289,11 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             identity_embed_model(2, 4, 1, 2, n_classes=1, suffix=LinearSuffix(w=np.zeros((1, 8)), b=np.zeros(1)))
 
+    def test_bool_size_rejected(self):
+        m = random_model(seed=0, heads=1, d_model=4, d_head=4)
+        with pytest.raises(ValidationError, match="^heads must be an integer"):
+            dataclasses.replace(m, heads=True)
+
 
 class TestRandomModel:
     def test_seed_determinism(self):
@@ -302,6 +307,15 @@ class TestRandomModel:
     def test_bad_suffix_kind(self):
         with pytest.raises(ValidationError):
             random_model(seed=0, suffix_kind="mlp9")
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"tokens": 0}, {"heads": 0}, {"d_model": 0}, {"patch": 0}, {"hidden": 0, "suffix_kind": "mlp1"}, {"seed": -1}],
+    )
+    def test_bad_size_or_seed_rejected(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            random_model(**{"seed": 0, **kw})
 
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     def test_draws_follow_the_documented_stream(self, kind):
@@ -603,6 +617,47 @@ class TestModelIO:
         doc["weights"]["embed"]["w"]["data"][0] = "zero"
         with pytest.raises(ValidationError, match=r"weights\.embed\.w"):
             load_model(self._write(doc, path))
+
+    def test_huge_width_without_mask_rejected_before_allocating(self, tmp_path):
+        # The default mask would take 7.28 TiB; the suffix's data bounds the
+        # token count, so it is checked first.
+        path = tmp_path / "m.json"
+        save_model(random_model(seed=0, tokens=2, heads=1, d_model=2, d_head=2), str(path))
+        doc = json.loads(path.read_text())
+        del doc["weights"]["mask"]
+        doc["dims"]["width"] = 2_000_000
+        with pytest.raises(ValidationError, match=r"weights\.suffix\.w: expected shape"):
+            load_model(self._write(doc, path))
+
+    def test_shape_past_int64_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(random_model(seed=0, tokens=2, heads=1, d_model=2, d_head=2), str(path))
+        doc = json.loads(path.read_text())
+        del doc["weights"]["mask"]
+        doc["dims"]["width"] = 2 * 10**20
+        doc["weights"]["suffix"]["w"]["shape"] = [2, 2 * 10**20]
+        with pytest.raises(ValidationError, match=r"weights\.suffix\.w: data length"):
+            load_model(self._write(doc, path))
+
+    def test_integer_data_past_float_range_rejected(self, tmp_path):
+        doc, path = self._doc(tmp_path)
+        doc["weights"]["embed"]["b"]["data"][0] = 10**400
+        with pytest.raises(ValidationError, match=r"weights\.embed\.b: non-numeric"):
+            load_model(self._write(doc, path))
+
+    @pytest.mark.parametrize("field", ["arch", "suffix_kind"])
+    def test_unhashable_tag_rejected(self, tmp_path, field):
+        doc, path = self._doc(tmp_path)
+        doc[field] = []
+        with pytest.raises(ValidationError, match=f"^{field}: expected"):
+            load_model(self._write(doc, path))
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "too-deep"])
+    def test_unparseable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            load_model(str(path))
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
