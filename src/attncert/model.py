@@ -93,7 +93,7 @@ class AttentionModelSpec:
         elif not isinstance(sfx, LinearSuffix):
             raise ValidationError(f"unsupported suffix type {type(sfx).__name__}")
         shapes = _shapes(self.heads, self.tokens, self.patch_dim, self.d_model, self.d_head, self.n_classes, hidden)
-        for name in _leaves(_LAYOUTS[self.suffix_kind]):
+        for name in _LEAVES[self.suffix_kind]:
             a = np.asarray(attrgetter(name)(self), dtype=np.float64)
             if a.shape != shapes[name]:
                 raise ValidationError(f"{name}: expected shape {shapes[name]}, got {a.shape}")
@@ -193,6 +193,9 @@ def _leaves(layout) -> Iterator[str]:
     else:
         for sub in layout if isinstance(layout, list) else layout.values():
             yield from _leaves(sub)
+
+
+_LEAVES = {kind: tuple(_leaves(layout)) for kind, layout in _LAYOUTS.items()}
 
 
 def _build(arrays: dict[str, np.ndarray], suffix_kind: str, **dims) -> AttentionModelSpec:
@@ -431,9 +434,10 @@ def load_model(path: str) -> AttentionModelSpec:
     patch_dim = dims["channels"] * patch * patch
     shapes = _shapes(heads, tokens, patch_dim, dims["d_model"], dims["d_head"], dims["n_classes"], hidden)
     arrays = _decode(_LAYOUTS[suffix_kind], weights, shapes, heads, "weights")
-    # Built only now: the mask grows with the square of the token count,
-    # which the decoded arrays bound, but the dims alone do not.
-    arrays.setdefault("mask", np.zeros(shapes["mask"]))
+    if "mask" not in arrays:
+        # Built only now: the mask grows with the square of the token count,
+        # which the decoded arrays bound, but the dims alone do not.
+        arrays["mask"] = np.zeros(shapes["mask"])
     return _build(arrays, suffix_kind, patch=patch, heads=heads, residual=_ARCHES[arch], **dims)
 
 
@@ -463,8 +467,9 @@ def random_model(
     check_int("seed", seed, 0)
     if not isinstance(suffix_kind, str) or suffix_kind not in _LAYOUTS:
         raise ValidationError(f"suffix_kind must be 'linear' or 'mlp1', got {suffix_kind!r}")
-    sizes = {"tokens": tokens, "heads": heads, "d_model": d_model, "patch": patch, "channels": channels}
-    sizes["n_classes"] = n_classes
+    sizes = {
+        "tokens": tokens, "heads": heads, "d_model": d_model, "patch": patch, "channels": channels, "n_classes": n_classes
+    }
     if suffix_kind == "mlp1":
         sizes["hidden"] = hidden
     for name, value in sizes.items():
@@ -472,7 +477,7 @@ def random_model(
     d_head = max(1, d_model // heads) if d_head is None else check_int("d_head", d_head, 1)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     shapes = _shapes(heads, tokens, channels * patch * patch, d_model, d_head, n_classes, hidden)
-    names = [name for name in _leaves(_LAYOUTS[suffix_kind]) if name not in _OPTIONAL]
+    names = [name for name in _LEAVES[suffix_kind] if name != "mask"]
     arrays = {}
     for w, b in zip(names[::2], names[1::2]):
         # A weight's fan-in is its size over its bias's: the inputs summed
