@@ -20,9 +20,9 @@ from .harness import (
     SweepConfig,
     aggregate_records,
     attack_min_margin,
+    keyed_rng,
     run_sweep,
     selfcheck,
-    _rng,
 )
 from .model import forward, load_model, read_json
 from .solver import ScoreBox, directional_min
@@ -119,7 +119,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         else:
             y = _predicted_class(model, x0)
     else:
-        x0 = _rng(seed, model.image_size).uniform(0.0, 1.0, model.image_size)
+        x0 = keyed_rng(seed, model.image_size).uniform(0.0, 1.0, model.image_size)
         y = _predicted_class(model, x0)
 
     box = pixel_box(x0, args.epsilon)

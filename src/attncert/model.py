@@ -83,6 +83,9 @@ class AttentionModelSpec:
             )
         if self.n_classes < 2:
             raise ValidationError("model needs at least two classes")
+        if not isinstance(self.residual, (bool, np.bool_)):
+            raise ValidationError(f"residual must be a bool, got {self.residual!r}")
+        object.__setattr__(self, "residual", bool(self.residual))
         sfx = self.suffix
         hidden = 0
         if isinstance(sfx, MlpSuffix):

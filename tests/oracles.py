@@ -35,6 +35,11 @@ it was before all targets shared one search: one target at a time, with its
 own sample stream keyed by (seed, image_size, target), and an endpoint
 coordinate descent that scores one point per forward call.
 
+attack_margin_sample_start is attack_min_margin as it was before each
+target could start from its secant corner: the lockstep polish from the
+best point of the shared sample batch.  secant_corner builds a target's
+corner one probe at a time with forward.
+
 attack_vertices_loop, scalar_objective_polish and attack_objective_loop are
 attack_min_objective as it was before its polish was windowed: the vertices
 of each sweep scattered into place one side at a time, the samples stacked
@@ -60,6 +65,7 @@ from attncert import (
     value_scalar_bounds,
 )
 from attncert.attention import token_bounds
+from attncert.harness import _margin_polish
 from attncert.intervals import Intervals
 from attncert.model import ForwardTrace, LinearSuffix, forward, forward_batch, patch_pixel_indices
 from attncert.solver import _objective, _threshold_vertices
@@ -381,6 +387,43 @@ def attack_margin_per_target(model, box, y, target, budget, seed=0) -> float:
     best_idx = int(np.argmin(margins))
     polished = scalar_margin_polish(model, y, target, points[best_idx], box.lo, box.hi)
     return float(min(polished, float(margins[best_idx])))
+
+
+def attack_margin_sample_start(model, box, y, targets, budget, seed=0) -> np.ndarray:
+    """The shared-batch attack from its best samples only: corners, center
+    and `budget` samples of the (seed, image_size, n_classes) stream, then
+    _margin_polish from each target's best point."""
+    t = np.asarray(targets, dtype=np.intp)
+    key = (model.image_size, model.n_classes)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    center = 0.5 * (box.lo + box.hi)
+    points = np.vstack(
+        [box.lo[None, :], box.hi[None, :], center[None, :], rng.uniform(box.lo, box.hi, size=(budget, box.size))]
+    )
+    logits = forward_batch(model, points)
+    margins = logits[:, [y]] - logits[:, t]
+    best_idx = np.argmin(margins, axis=0)
+    start_val = margins[best_idx, np.arange(t.size)]
+    return _margin_polish(model, y, t, points[best_idx], start_val, box.lo, box.hi)[1]
+
+
+def secant_corner(model, y, target, box) -> np.ndarray:
+    """The box vertex at hi wherever moving that one pixel of the center to
+    hi lowers logit_y - logit_target, and at lo elsewhere."""
+
+    def margin(x):
+        lg = forward(model, x)
+        return float(lg[y] - lg[target])
+
+    center = 0.5 * (box.lo + box.hi)
+    at_center = margin(center)
+    corner = box.lo.copy()
+    for j in range(center.size):
+        probe = center.copy()
+        probe[j] = box.hi[j]
+        if margin(probe) < at_center:
+            corner[j] = box.hi[j]
+    return corner
 
 
 def attack_vertices_loop(c, box) -> np.ndarray:

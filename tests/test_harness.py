@@ -33,8 +33,8 @@ from attncert.harness import (
     _attack_vertices,
     _margin_polish,
     _objective_polish,
-    _rng,
     aggregate_records,
+    keyed_rng,
     trial_seed,
     write_aggregate_csv,
     write_trial_csv,
@@ -42,10 +42,12 @@ from attncert.harness import (
 
 from attncert.solver import _objective
 from oracles import (
+    attack_margin_sample_start,
     attack_objective_loop,
     attack_vertices_loop,
     scalar_margin_polish,
     scalar_objective_polish,
+    secant_corner,
     threshold_vertices,
 )
 
@@ -251,6 +253,15 @@ def _attack_case(seed: int, suffix_kind: str, n_classes: int = 4, eps: float = 0
     return m, pixel_box(x0, eps), y, [t for t in range(n_classes) if t != y]
 
 
+def _shape_m_case(seed: int, eps: float):
+    """A linear model of the benchmark's shape M (16 tokens, 4 heads, 10
+    classes) and a box around a uniform input."""
+    m = random_model(seed=seed, tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, residual=True)
+    x0 = np.random.default_rng(seed).uniform(0.0, 1.0, m.image_size)
+    y = int(np.argmax(forward(m, x0)))
+    return m, pixel_box(x0, eps), y, [t for t in range(m.n_classes) if t != y]
+
+
 class TestAttackMargin:
     def test_zero_radius_recovers_clean_margin(self):
         for seed in range(3):
@@ -354,12 +365,12 @@ class TestAttackMargin:
         assert np.array_equal(a, b)
 
     def test_stream_is_not_the_default_input_stream(self, monkeypatch):
-        # The CLI draws its default input from _rng(seed, image_size); over
+        # The CLI draws its default input from keyed_rng(seed, image_size); over
         # the full unit box, an attack on that stream would sample the
         # input itself.
         m = random_model(seed=1, tokens=2, heads=1, d_model=4, n_classes=3)
         seed, budget = 4, 16
-        default = _rng(seed, m.image_size).uniform(0.0, 1.0, (budget, m.image_size))
+        default = keyed_rng(seed, m.image_size).uniform(0.0, 1.0, (budget, m.image_size))
         batches = []
 
         def recording(model, xs):
@@ -371,6 +382,52 @@ class TestAttackMargin:
         samples = batches[0][3:]
         assert samples.shape == default.shape
         assert not np.any(np.all(samples[:, None, :] == default[None, :, :], axis=-1))
+
+    @pytest.mark.parametrize("shape", ["4-token", "M"])
+    @pytest.mark.parametrize("eps", [0.001, 0.01])
+    def test_small_boxes_match_the_sample_start_search(self, shape, eps):
+        # On near-linear margins the sample start's polish walks to the
+        # secant corner, so both searches end at the same point.
+        for seed in range(6 if shape == "4-token" else 3):
+            m, box, y, targets = _attack_case(seed, "linear", eps=eps) if shape == "4-token" else _shape_m_case(
+                seed, eps
+            )
+            got = attack_min_margin(m, box, y, targets, budget=50, seed=seed)
+            want = attack_margin_sample_start(m, box, y, targets, 50, seed)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("eps", [0.001, 0.05, 0.2])
+    def test_never_above_the_secant_corner(self, suffix_kind, eps):
+        for seed in range(4):
+            m, box, y, targets = _attack_case(seed, suffix_kind, eps=eps)
+            got = attack_min_margin(m, box, y, targets, budget=20, seed=seed)
+            for target, v in zip(targets, got):
+                lg = forward(m, secant_corner(m, y, target, box))
+                corner = float(lg[y] - lg[target])
+                assert v <= corner + 1e-12 * max(1.0, abs(corner))
+
+    def test_corner_start_skips_the_second_polish_round(self, monkeypatch):
+        # The sample batch, the probes, the corners, then one polish round of
+        # one call per pixel: the sample start needs 2 * image_size + 1.
+        calls = []
+
+        def recording(model, xs):
+            calls.append(len(xs))
+            return forward_batch(model, xs)
+
+        monkeypatch.setattr(harness, "forward_batch", recording)
+        for seed in range(6):
+            m, box, y, targets = _shape_m_case(seed, 0.001)
+            calls.clear()
+            attack_min_margin(m, box, y, targets, budget=50, seed=seed)
+            assert len(calls) <= m.image_size + 3
+            assert calls[:3] == [53, m.image_size, len(targets)]
+
+    def test_keyed_stream_is_pinned(self):
+        got = keyed_rng(4, 64).uniform(size=4)
+        want = [0.8425418195834417, 0.14617068350258045, 0.6988966923461044, 0.2741518275287226]
+        assert got.tolist() == want
 
 
 class TestRunSweep:

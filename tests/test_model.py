@@ -294,6 +294,22 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="^heads must be an integer"):
             dataclasses.replace(m, heads=True)
 
+    @pytest.mark.parametrize("residual", ["no", None, 1, 0.0, True, False, np.True_])
+    def test_residual_must_be_a_bool(self, residual, tmp_path):
+        m = random_model(seed=0)
+        if not isinstance(residual, (bool, np.bool_)):
+            with pytest.raises(ValidationError, match="^residual must be a bool"):
+                dataclasses.replace(m, residual=residual)
+            with pytest.raises(ValidationError, match="^residual must be a bool"):
+                random_model(seed=0, residual=residual)
+            return
+        got = dataclasses.replace(m, residual=residual)
+        assert type(got.residual) is bool and got.residual == bool(residual)
+        path = tmp_path / "m.json"
+        save_model(got, str(path))
+        arch = json.loads(path.read_text(encoding="utf-8"))["arch"]
+        assert arch == ("patch-attn-residual" if residual else "patch-attn")
+
 
 class TestRandomModel:
     def test_seed_determinism(self):
