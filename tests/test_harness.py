@@ -7,6 +7,7 @@ import pytest
 from attncert import (
     AttentionModelSpec,
     LinearSuffix,
+    MlpSuffix,
     ScoreBox,
     SweepConfig,
     ValidationError,
@@ -389,23 +390,46 @@ class TestAttackMargin:
         # On near-linear margins the sample start's polish walks to the
         # secant corner, so both searches end at the same point.
         for seed in range(6 if shape == "4-token" else 3):
-            m, box, y, targets = _attack_case(seed, "linear", eps=eps) if shape == "4-token" else _shape_m_case(
-                seed, eps
-            )
+            if shape == "4-token":
+                m, box, y, targets = _attack_case(seed, "linear", eps=eps)
+            else:
+                m, box, y, targets = _shape_m_case(seed, eps)
             got = attack_min_margin(m, box, y, targets, budget=50, seed=seed)
             want = attack_margin_sample_start(m, box, y, targets, 50, seed)
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
     @pytest.mark.parametrize("eps", [0.001, 0.05, 0.2])
-    def test_never_above_the_secant_corner(self, suffix_kind, eps):
+    def test_never_above_the_secant_corner_or_the_samples(self, suffix_kind, eps):
+        # The corner replaces the best sample only when it is lower, so the
+        # attack ends at or below both.
         for seed in range(4):
             m, box, y, targets = _attack_case(seed, suffix_kind, eps=eps)
             got = attack_min_margin(m, box, y, targets, budget=20, seed=seed)
+            samples = keyed_rng(seed, m.image_size, m.n_classes).uniform(box.lo, box.hi, (20, m.image_size))
+            lg = forward_batch(m, samples)
             for target, v in zip(targets, got):
-                lg = forward(m, secant_corner(m, y, target, box))
-                corner = float(lg[y] - lg[target])
+                assert v <= float(np.min(lg[:, y] - lg[:, target]))
+                lc = forward(m, secant_corner(m, y, target, box))
+                corner = float(lc[y] - lc[target])
                 assert v <= corner + 1e-12 * max(1.0, abs(corner))
+
+    def test_a_worse_corner_does_not_replace_the_best_sample(self):
+        # One pixel, margin |x - 0.5|: the center is the minimum, and the
+        # secant corner (lo, since the hi probe raises the margin) is 0.5.
+        m = AttentionModelSpec(
+            height=1, width=1, channels=1, patch=1, d_model=1, d_head=1, heads=1, n_classes=2, residual=True,
+            w_embed=np.eye(1), b_embed=np.zeros(1), wq=np.zeros((1, 1, 1)), bq=np.zeros((1, 1)),
+            wk=np.zeros((1, 1, 1)), bk=np.zeros((1, 1)), wv=np.zeros((1, 1, 1)), bv=np.zeros((1, 1)),
+            wo=np.zeros((1, 1, 1)), bo=np.zeros(1), mask=np.zeros((1, 1, 1)),
+            suffix=MlpSuffix(
+                w1=np.array([[1.0], [-1.0]]), b1=np.array([-0.5, 0.5]),
+                w2=np.array([[1.0, 1.0], [0.0, 0.0]]), b2=np.zeros(2),
+            ),
+        )
+        box = pixel_box(np.array([0.5]), 0.5)
+        assert np.array_equal(secant_corner(m, 0, 1, box), box.lo)
+        assert attack_min_margin(m, box, 0, [1], budget=4, seed=0)[0] == 0.0
 
     def test_corner_start_skips_the_second_polish_round(self, monkeypatch):
         # The sample batch, the probes, the corners, then one polish round of
