@@ -1,6 +1,6 @@
-"""Exact directional softmax bounds over score boxes, a certified interval
-evaluation path, an interval-softmax baseline, and a sound verifier for
-small single-block attention classifiers."""
+"""Exact directional softmax bounds over score boxes, a certified
+floating-point evaluation path, an interval-softmax baseline, and a sound
+verifier for small single-block attention classifiers."""
 
 from .attention import (
     PixelBox,

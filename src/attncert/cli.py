@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance file (JSON with c, ell, u)")
     p_solve.add_argument("instance", help="instance file path")
-    p_solve.add_argument("--certified", action="store_true", help="also print the interval-certified lower bound")
+    p_solve.add_argument("--certified", action="store_true", help="also print the certified lower bound")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="run a synthetic sweep and emit CSV records")
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--epsilon", type=float, default=0.0, help="pixel box radius")
     p_cert.add_argument("--seed", type=int, default=0, help="seed for the generated input and attacks")
     p_cert.add_argument("--budget", type=int, default=200, help="attack sample budget, shared by all targets")
-    p_cert.add_argument("--certified", action="store_true", help="route the vertex arm through interval arithmetic")
+    p_cert.add_argument("--certified", action="store_true", help="route the vertex arm through the certified sweep")
     p_cert.add_argument("--out", default=None, help="JSON report path (stdout when omitted)")
     p_cert.set_defaults(func=cmd_certify)
 

@@ -167,6 +167,33 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     return value.reshape(lead), m_star.reshape(lead), vertex.reshape(lead + c.shape[-1:])
 
 
+def _threshold_sums(cs: np.ndarray, eu: np.ndarray, el: np.ndarray, magnitude: bool = False) -> np.ndarray:
+    """Denominator and numerator of every threshold candidate of (n, K)
+    rows, as planes (den, num) of shape (n, K + 1); with magnitude a third
+    plane sums the magnitudes of the numerator's terms.
+
+    cs holds each row's coefficients in ascending order and eu, el the
+    exponentials of its upper and lower endpoints in the same order.
+    Candidate m takes the prefix sums of the upper terms before it and the
+    suffix sums of the lower terms from it on.  The first side's planes hold
+    the upper terms and the second side's the lower terms reversed, so one
+    cumsum, which adds left to right, gives both kinds of sum; column 0 is
+    the zero of an empty side.
+    """
+    n, k = cs.shape
+    p = 3 if magnitude else 2
+    t = np.zeros((2 * p, n, k + 1))
+    t[0, :, 1:] = eu
+    t[p, :, 1:] = el[:, ::-1]
+    np.multiply(cs, eu, out=t[1, :, 1:])
+    np.multiply(cs[:, ::-1], t[p, :, 1:], out=t[p + 1, :, 1:])
+    if magnitude:
+        np.abs(t[1], out=t[2])
+        np.abs(t[p + 1], out=t[p + 2])
+    np.cumsum(t, axis=-1, out=t)
+    return t[:p] + t[p:, :, ::-1]
+
+
 def _sweep_block(c: np.ndarray, box_row: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """sweep_min on (n, K) coefficient rows; row r's box is row box_row[r]
     of the (nb, K) lower and upper."""
@@ -192,17 +219,7 @@ def _sweep_block(c: np.ndarray, box_row: np.ndarray, lower: np.ndarray, upper: n
         eu = np.exp(us - a)
         el = np.exp(ls - a)
 
-    # Candidate m takes the prefix sums of the upper terms before it and the
-    # suffix sums of the lower terms from it on.  Planes 0-1 hold the upper
-    # terms and planes 2-3 the lower terms reversed, so one cumsum gives both
-    # kinds of sum; column 0 is the zero of an empty side.
-    t = np.zeros((4, n, k + 1))
-    t[0, :, 1:] = eu
-    t[2, :, 1:] = el[:, ::-1]
-    np.multiply(cs, eu, out=t[1, :, 1:])
-    np.multiply(cs[:, ::-1], t[2, :, 1:], out=t[3, :, 1:])
-    np.cumsum(t, axis=-1, out=t)
-    den, num = t[0:2] + t[2:4, :, ::-1]
+    den, num = _threshold_sums(cs, eu, el)
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = num / den
     # A fully underflowed denominator means every retained exponential was

@@ -4,9 +4,9 @@ For every wrong class t the margin logit_y - logit_t gets two independent
 sound lower bounds: the vertex path (exact directional softmax rows) and the
 baseline path (interval-softmax rows).  Their maximum is the hybrid bound;
 the input is certified when every hybrid bound is positive.  In certified
-mode the vertex arm is outward-rounded and the hybrid is that arm alone:
-the baseline arm is round-to-nearest, so it is reported but never lifts a
-certified bound.
+mode the vertex arm's rows and their sum are rounded down and the hybrid is
+that arm alone: the baseline arm is round-to-nearest, so it is reported but
+never lifts a certified bound.
 """
 
 from __future__ import annotations
@@ -63,14 +63,32 @@ def pixel_box(x0, epsilon: float) -> PixelBox:
 
 def _certified_margin(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarray:
     """margin_lower_bound with every (target, head, query token) row bounded
-    by the outward-rounded sweep, in one kernel call."""
+    by the certified sweep, in one kernel call, and the sum rounded down."""
     c, floor = _target_block(coeffs, scores)
     rows, saturated = certified_sweep_min(c, scores.lower, scores.upper)
-    if saturated.any():
+    total = _accumulate_down(floor, rows)
+    if saturated.any() or not np.all(np.isfinite(total)):
         raise CertificationInfeasibleError(
-            "interval evaluation saturated; the certified bound is not valid for this instance"
+            "float evaluation saturated; the certified bound is not valid for this instance"
         )
-    return _accumulate(floor, rows)
+    return total
+
+
+def _accumulate_down(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_accumulate, lowered below the exact sum of its n terms.
+
+    Recursive summation obeys |fl(S) - S| <= gamma_{n-1} * sum|x_i| with
+    gamma_k = k*u / (1 - k*u), u = 2**-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 4.2).  The computed sum of magnitudes reads
+    low by at most the same factor, so n * 2**-52 times it, rounded up,
+    covers the error while (n - 1) * u <= 1/4; nextafter then covers the
+    rounding of the final subtraction.
+    """
+    rows = rows.reshape(len(floor), -1)
+    n = rows.shape[1] + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        pad = np.nextafter((np.abs(floor) + np.abs(rows).sum(axis=1)) * (n * 2.0**-52), np.inf)
+        return np.nextafter(_accumulate(floor, rows) - pad, -np.inf)
 
 
 def certify_targets(
@@ -81,8 +99,8 @@ def certify_targets(
 ) -> CertificationResult:
     """Hybrid margin bounds for all targets t != y, in ascending target order.
 
-    With certified=True the vertex arm runs through the outward-rounded
-    interval path and l_hybrid is l_vertex; saturation raises
+    With certified=True the vertex arm runs through the certified sweep
+    and l_hybrid is l_vertex; saturation raises
     CertificationInfeasibleError.
     """
     if not 0 <= y < model.n_classes:

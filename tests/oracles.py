@@ -17,10 +17,18 @@ scalar_certified_min is the certified sweep as it was before the batched
 kernel: one row, scalar intervals, a one-ulp nudge on every addition of the
 prefix and suffix sums.  It is the reference the kernel is compared with.
 
-certified_sweep_rowwise is certified_sweep_min as it was before the kernel
-shared the box exponentials: every coefficient row gathers its own box
-endpoints in its sort order and evaluates their shift and exponentials
-itself.  The kernel must match it bit for bit.
+Intervals, point, add, mul, div, exp and cumsum are the outward-rounded
+array interval arithmetic the certified kernel used before it bounded its
+error a priori.  certified_sweep_rowwise is that interval kernel as it was
+before it shared the box exponentials: every coefficient row gathers its
+own box endpoints in its sort order and evaluates their shift and
+exponentials itself.  The a-priori kernel must stay within 1e-12 of the
+coefficients' scale of it, with the same saturation flags.
+
+certified_error_bound_exact is the bound certified_sweep_min's error
+analysis promises for one row, evaluated in exact rational arithmetic over
+the same float sums the kernel forms, one Python float operation at a time.
+The kernel's own float evaluation of that bound must never rise above it.
 
 threshold_vertices is the attack's vertex set as the harness built it
 before it took the solver's helper: every threshold vertex from one
@@ -52,21 +60,21 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from typing import NamedTuple
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 
 from attncert import (
     directional_max,
     directional_min,
-    intervals,
     model_score_boxes,
     softmax_objective,
     value_scalar_bounds,
 )
 from attncert.attention import token_bounds
 from attncert.harness import _margin_polish
-from attncert.intervals import Intervals
 from attncert.model import ForwardTrace, LinearSuffix, forward, forward_batch, patch_pixel_indices
 from attncert.solver import _objective, _threshold_vertices
 
@@ -135,6 +143,102 @@ def decimal_min_enclosure(c, lower, upper) -> tuple[Decimal, Decimal]:
 
 
 _MAX_FLOAT = sys.float_info.max
+
+
+class Intervals(NamedTuple):
+    """Elementwise intervals [lo, hi] with their sticky saturation flags.
+
+    Every operation below works elementwise and returns endpoints that
+    contain the true real-valued result for all points of its operand
+    intervals, by nudging computed endpoints outward with np.nextafter: one
+    ulp for the correctly rounded +, *, /, two for libm's exp.  An endpoint
+    beyond the largest double saturates there and sets the sticky flag.
+    Operands are trusted: finite endpoints with lo <= hi."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    saturated: np.ndarray
+
+
+def point(x) -> Intervals:
+    """Degenerate intervals [x, x]."""
+    x = np.asarray(x, dtype=np.float64)
+    return Intervals(x, x, np.zeros(x.shape, dtype=bool))
+
+
+def _outward(lo: np.ndarray, hi: np.ndarray, saturated: np.ndarray) -> Intervals:
+    """Nudge computed endpoints one ulp outward; an endpoint that overflowed
+    saturates at the largest double. A NaN endpoint (inf - inf in `cumsum`)
+    only arises when the other endpoint overflowed, so the flag is set, and
+    fmax/fmin clip it too."""
+    lo = np.nextafter(lo, -np.inf)
+    hi = np.nextafter(hi, np.inf)
+    saturated = saturated | (lo == -np.inf) | (hi == np.inf)
+    return Intervals(np.fmax(lo, -_MAX_FLOAT), np.fmin(hi, _MAX_FLOAT), saturated)
+
+
+def add(a: Intervals, b: Intervals) -> Intervals:
+    with np.errstate(over="ignore"):
+        return _outward(a.lo + b.lo, a.hi + b.hi, a.saturated | b.saturated)
+
+
+def mul(a: Intervals | np.ndarray, b: Intervals) -> Intervals:
+    """Product intervals.  A plain array `a` holds point operands, whose
+    product with b takes two products instead of four."""
+    with np.errstate(over="ignore"):
+        if not isinstance(a, Intervals):
+            p, q = a * b.lo, a * b.hi
+            return _outward(np.minimum(p, q), np.maximum(p, q), b.saturated)
+        p = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    lo = np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3]))
+    hi = np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
+    return _outward(lo, hi, a.saturated | b.saturated)
+
+
+def div(a: Intervals, b: Intervals) -> Intervals:
+    """Quotient intervals. Where the divisor interval contains zero the
+    quotient is unbounded: the result is the whole float range, saturated."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    lo = np.minimum(np.minimum(q[0], q[1]), np.minimum(q[2], q[3]))
+    hi = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    unbounded = (b.lo <= 0.0) & (b.hi >= 0.0)
+    return _outward(np.where(unbounded, -np.inf, lo), np.where(unbounded, np.inf, hi), a.saturated | b.saturated)
+
+
+# exp(709) is about 8.2e307, so math.exp never overflows on clamped
+# arguments; above it the upper endpoint saturates.
+_EXP_ARG_MAX = 709.0
+
+
+def exp(x: Intervals) -> Intervals:
+    """Enclosure of exp over x, by math.exp (libm) padded two ulps beyond
+    the computed endpoints.  Underflow leaves the lower endpoint at 0.0; an
+    upper argument above 709 saturates the upper endpoint."""
+    args = np.minimum(np.stack((x.lo, x.hi)), _EXP_ARG_MAX)
+    e = np.fromiter(map(math.exp, args.ravel().tolist()), dtype=np.float64, count=args.size).reshape(args.shape)
+    lo = np.maximum(np.nextafter(np.nextafter(e[0], -np.inf), -np.inf), 0.0)
+    hi = np.nextafter(np.nextafter(e[1], np.inf), np.inf)
+    over = x.hi > _EXP_ARG_MAX
+    return Intervals(lo, np.where(over, _MAX_FLOAT, hi), x.saturated | over)
+
+
+def cumsum(planes: np.ndarray, saturated: np.ndarray) -> Intervals:
+    """Enclosures of the running sums along the last axis.
+
+    planes[0] holds the terms' lower endpoints, planes[1] their upper ones
+    and planes[2] is scratch for their magnitudes; the sums are formed in
+    place.  A running sum is saturated from its first saturated term on.
+    Recursive summation of n terms obeys |fl(S) - S| <= gamma_{n-1} *
+    sum|x_i| (Higham, sec. 4.2), so each sum is padded by n * 2**-52 times
+    the computed sum of magnitudes, rounded up.
+    """
+    n = planes.shape[-1]
+    np.maximum(-planes[0], planes[1], out=planes[2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(planes, axis=-1, out=planes)
+        pad = np.nextafter(planes[2] * (n * 2.0**-52), np.inf)
+        return _outward(planes[0] - pad, planes[1] + pad, np.logical_or.accumulate(saturated, axis=-1))
 
 
 def _down(x: float) -> float:
@@ -303,16 +407,57 @@ def certified_sweep_rowwise(c, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(c, axis=-1, kind="stable")
     cs = c[rows, order]
     s = np.stack((upper[rows, order], lower[rows, order][:, ::-1]))
-    shifted = intervals.add(intervals.point(s), intervals.point(-s[0].max(axis=-1, keepdims=True)))
-    e = intervals.exp(shifted)
-    ce = intervals.mul(intervals.point(np.stack((cs, cs[:, ::-1]))), e)
+    shifted = add(point(s), point(-s[0].max(axis=-1, keepdims=True)))
+    e = exp(shifted)
+    ce = mul(point(np.stack((cs, cs[:, ::-1]))), e)
     terms = Intervals(*(_zero_first(np.stack(pair)) for pair in zip(e, ce)))
-    sums = intervals.cumsum(np.stack((terms.lo, terms.hi, terms.hi)), terms.saturated)
-    den_num = intervals.add(_select(sums, np.s_[:, 0]), _select(sums, np.s_[:, 1, :, ::-1]))
+    sums = cumsum(np.stack((terms.lo, terms.hi, terms.hi)), terms.saturated)
+    den_num = add(_select(sums, np.s_[:, 0]), _select(sums, np.s_[:, 1, :, ::-1]))
     saturated = den_num.saturated.any(axis=(0, -1))
-    tau = intervals.div(_select(den_num, 1), _select(den_num, 0)).lo
+    tau = div(_select(den_num, 1), _select(den_num, 0)).lo
     bound = np.maximum(tau.min(axis=-1), cs[:, 0])
     return bound.reshape(lead), saturated.reshape(lead)
+
+
+def _running_sums(terms: list[float]) -> list[float]:
+    out = [0.0]
+    for t in terms:
+        out.append(out[-1] + t)
+    return out
+
+
+def certified_error_bound_exact(c, lower, upper) -> Fraction:
+    """max(min_m (tau^_m - E_m), min c) for one row, with E_m as
+    certified_sweep_min documents it (without the 1 + 16u pad) and every
+    candidate with D^ <= (K + 1) * 2**-1074 at -inf."""
+    u, mu = Fraction(1, 2**53), Fraction(1, 2**1074)
+    k = len(c)
+    order = sorted(range(k), key=lambda j: (float(c[j]), j))
+    cs = [float(c[j]) for j in order]
+    a = max(float(x) for x in upper)
+    su = [float(upper[j]) - a for j in order]
+    sl = [float(lower[j]) - a for j in order]
+    eu, el = [math.exp(x) for x in su], [math.exp(x) for x in sl]
+    eta = u * Fraction(min(max(map(abs, su + sl)), 746.0)) * (1 + Fraction(1, 2**40)) + 2 * u
+    eps = eta + (k + 2) * u / (1 - (k + 2) * u)
+    r = (1 + eps) / (1 - eps)
+    w = (k + 1) * (Fraction(max(map(abs, cs))) + 1) * Fraction(1, 2**1070)
+    a_d = (k + 1) * mu
+    cu = [x * y for x, y in zip(cs, eu)]
+    cl = [x * y for x, y in zip(cs[::-1], el[::-1])]
+    # Prefix sums of the upper terms, suffix sums of the lower ones.
+    pre = [_running_sums(t) for t in (eu, cu, [abs(x) for x in cu])]
+    suf = [_running_sums(t) for t in (el[::-1], cl, [abs(x) for x in cl])]
+    floor = Fraction(cs[0])
+    best = None
+    for m in range(k + 1):
+        den, num, mag = (p[m] + q[k - m] for p, q in zip(pre, suf))
+        if not Fraction(den) > a_d:
+            return floor
+        tau = Fraction(num / den)
+        err = (eps * abs(Fraction(num)) + eps * r * Fraction(mag) + w) / (Fraction(den) - a_d) + u * abs(tau)
+        best = tau - err if best is None else min(best, tau - err)
+    return max(best, floor)
 
 
 def forward_broadcast(model, xs) -> ForwardTrace:

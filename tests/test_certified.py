@@ -1,14 +1,16 @@
 import sys
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from attncert import ScoreBox, certified_directional_min, directional_min
-from attncert import certified, intervals
+from attncert import certified
 from attncert.certified import certified_sweep_min
-from oracles import certified_sweep_rowwise, decimal_min_enclosure, scalar_certified_min
+from attncert.solver import sweep_min
+from oracles import certified_error_bound_exact, certified_sweep_rowwise, decimal_min_enclosure, scalar_certified_min
 
 MAX_FLOAT = sys.float_info.max
 
@@ -253,24 +255,38 @@ class TestSharedBoxExponentials:
         ],
     )
     def test_bit_identical_to_rowwise_reference(self, case):
+        # Stacked, the kernel gives every row bit for bit what one call on
+        # that row's own box gives; and it stays within 1e-12 of the
+        # coefficients' scale of the interval kernel it replaced, with the
+        # same saturation flags.  A saturated row's value certifies nothing,
+        # so only unsaturated rows are compared.
         c, lower, upper = case(np.random.default_rng(4000))
         bound, saturated = certified_sweep_min(c, lower, upper)
+        shape = np.broadcast_shapes(c.shape, lower.shape, upper.shape)
+        assert bound.shape == saturated.shape == shape[:-1]
+        c, lower, upper = (np.broadcast_to(a, shape) for a in (c, lower, upper))
+        for idx in np.ndindex(shape[:-1]):
+            row_bound, row_saturated = certified_sweep_min(c[idx], lower[idx], upper[idx])
+            assert row_bound.view(np.uint64) == bound[idx].view(np.uint64)
+            assert row_saturated == saturated[idx]
         ref_bound, ref_saturated = certified_sweep_rowwise(c, lower, upper)
-        assert bound.shape == ref_bound.shape == np.broadcast_shapes(c.shape, lower.shape, upper.shape)[:-1]
-        assert np.array_equal(bound.view(np.uint64), ref_bound.view(np.uint64))
         assert np.array_equal(saturated, ref_saturated)
+        scale = np.maximum(1.0, np.abs(c).max(axis=-1))
+        assert np.all(np.abs(bound - ref_bound)[~saturated] <= 1e-12 * scale[~saturated])
 
-    def test_cases_reach_their_edge(self, monkeypatch):
-        # The cases above are not vacuous: some rows saturate, some
-        # denominators' lower endpoints underflow, and the stacked cases span several
+    def test_cases_reach_their_edge(self):
+        # The cases above are not vacuous: some rows saturate, every row of
+        # the underflowing case has a candidate whose denominator underflows
+        # to 0, so its bound is the coefficient floor although the fast
+        # sweep's value is above it, and the stacked cases span several
         # kernel blocks.
         saturated = certified_sweep_min(*near_dbl_max(np.random.default_rng(4000)))[1]
         assert saturated.any() and not saturated.all()
-        divisors = []
-        div = intervals.div
-        monkeypatch.setattr(intervals, "div", lambda a, b: divisors.append(b.lo) or div(a, b))
-        certified_sweep_min(*fully_underflowing(np.random.default_rng(4000)))
-        assert divisors and all((d <= 0.0).any() for d in divisors)
+        c, lower, upper = fully_underflowing(np.random.default_rng(4000))
+        bound, saturated = certified_sweep_min(c, lower, upper)
+        assert not saturated.any()
+        assert np.array_equal(bound, c.min(axis=-1))
+        assert np.any(sweep_min(c, lower, upper)[0] > c.min(axis=-1))
         for case in (broadcast_target_stack, several_blocks_wide_rows):
             c = case(np.random.default_rng(4000))[0]
             assert c.size > 2 * certified._BLOCK_ELEMENTS
@@ -294,3 +310,70 @@ class TestSharedBoxExponentials:
         expected[:, 1, 2] = True
         assert np.array_equal(saturated, expected)
         assert np.all(bound >= c.min(axis=-1))
+
+
+def wide_scale_rows(seed, n):
+    """n rows with K from 1 to 39, box widths up to 10**2.7 and coefficients
+    scaled by 1, 1e+-150 or 1e+-300.  Every fourth row cancels: two
+    degenerate coordinates on the same score carry coefficients +-1e20
+    against O(1) others, so the computed numerator loses everything but its
+    rounding error, and only the magnitude plane covers that error."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        k = int(rng.integers(3 if i % 4 == 3 else 1, 40))
+        lower = rng.uniform(-3, 3, k)
+        upper = lower + rng.uniform(0, 1, k) * 10.0 ** rng.uniform(-3, 2.7)
+        c = rng.uniform(-2, 2, k) * 10.0 ** rng.choice([0, 150, -150, 300, -300])
+        if i % 4 == 3:
+            upper = lower + rng.uniform(0, 1, k)
+            c = rng.uniform(-2, 2, k)
+            c[:2] = (1e20, -1e20)
+            lower[1] = upper[1] = upper[0] = lower[0]
+        rows.append((c, lower, upper))
+    return rows
+
+
+class TestAPrioriErrorBound:
+    def test_inside_decimal_enclosure_and_below_fast_value(self):
+        floored = 0
+        for c, lower, upper in wide_scale_rows(26, 640):
+            bound, saturated = certified_sweep_min(c, lower, upper)
+            assert not saturated
+            assert bound <= sweep_min(c, lower, upper)[0]
+            _, hi = decimal_min_enclosure(c, lower, upper)
+            assert Decimal(float(bound)) <= hi
+            floored += bound == c.min()
+        # Most rows get a real bound, not the coefficient floor.
+        assert floored < 640 // 4
+
+    def test_float_evaluation_never_above_exact_bound(self):
+        # The kernel evaluates its error bound E_m in floats and pads it by
+        # 1 + 16u; the result is never above the bound the same formula gives
+        # in exact arithmetic.  Rows whose optimum is 0 (a point box whose
+        # scores repeat under coefficients of opposite sign) leave the final
+        # nextafter no slack to absorb a low E_m, so there the pad alone
+        # keeps the bound below.
+        rng = np.random.default_rng(27)
+        rows = wide_scale_rows(28, 200)
+        for _ in range(400):
+            k = int(rng.integers(1, 9))
+            s = np.tile(rng.uniform(-3, 3, k), 2)
+            c = rng.uniform(-2, 2, k) * 10.0 ** rng.integers(-3, 4)
+            rows.append((np.concatenate((c, -c)), s, s))
+        for c, lower, upper in rows:
+            bound, _ = certified_sweep_min(c, lower, upper)
+            assert Fraction(float(bound)) <= certified_error_bound_exact(c, lower, upper)
+
+    def test_shift_error_capped(self):
+        # A lower endpoint of -1e300 shifts to -1e300, whose rounding error
+        # is about 1e284; the relative exp error it implies is capped, since
+        # the exponential underflows either way, so the row stays sharp.
+        c = np.array([1.0, -1.0, 0.5])
+        lower = np.array([-1e300, 0.0, -1.0])
+        upper = np.array([0.0, 1.0, 1.0])
+        bound, saturated = certified_sweep_min(c, lower, upper)
+        fast = sweep_min(c, lower, upper)[0]
+        assert not saturated
+        assert fast - 1e-12 <= bound <= fast
+        assert Decimal(float(bound)) <= decimal_min_enclosure(c, lower, upper)[1]

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attncert import ScoreBox, ValidationError
-from attncert.intervals import Intervals, add, cumsum, div, exp, mul, point
-from oracles import E_HI_PREC, E_INV_HI_PREC
+from oracles import E_HI_PREC, E_INV_HI_PREC, Intervals, add, cumsum, div, exp, mul, point
 
 MAX_FLOAT = sys.float_info.max
 

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,6 +173,18 @@ class TestCertifiedMode:
             with pytest.raises(CertificationInfeasibleError):
                 certify_targets(m, box, 0, certified=True)
 
+    def test_overflowing_sum_is_infeasible(self, monkeypatch):
+        # Every row bound finite and unsaturated, but their sum overflows.
+        m = random_model(seed=0, tokens=4, heads=1, d_model=4, suffix_kind="linear")
+        big = 0.9 * sys.float_info.max
+
+        def huge_rows(c, *_):
+            return np.full(c.shape[:-1], big), np.zeros(c.shape[:-1], dtype=bool)
+
+        monkeypatch.setattr(attncert.verify, "certified_sweep_min", huge_rows)
+        with pytest.raises(CertificationInfeasibleError):
+            certify_targets(m, pixel_box(np.full(m.image_size, 0.5), 0.01), 0, certified=True)
+
     def test_hybrid_uses_certified_arm_only(self):
         # The baseline arm is round-to-nearest: where it beats the certified
         # vertex arm (at tiny radii the two agree up to roundoff), it must
@@ -186,6 +199,35 @@ class TestCertifiedMode:
                     lifted += b.l_baseline > b.l_vertex
                     assert b.l_hybrid == b.l_vertex
         assert lifted > 0
+
+    @pytest.mark.parametrize(
+        "floor, rows",
+        [
+            ([1e16], [[1.0, -1e16, 0.5]]),
+            ([-1e16], [[-1.0, 1e16, -0.5]]),
+            ([3.0], [[-1e-300, 2.0**-60, 1e300, -1e300]]),
+            ("seeded", None),
+        ],
+    )
+    def test_certified_sum_below_exact_sum(self, floor, rows):
+        # The fast arm's round-to-nearest sum can sit above the exact sum of
+        # its terms (-1e16 - 1.0 rounds to -1e16, so -0.5 is all that is left
+        # of -1.5); the certified arm's sum never does.
+        if floor == "seeded":
+            rng = np.random.default_rng(11)
+            rows = rng.normal(size=(200, 64)) * 10.0 ** rng.integers(-8, 9, (200, 64))
+            floor = rng.normal(size=200) * 10.0 ** rng.integers(-8, 17, 200)
+        floor, rows = np.asarray(floor, dtype=float), np.asarray(rows, dtype=float)
+        got = attncert.verify._accumulate_down(floor, rows)
+        fast = attncert.attention._accumulate(floor, rows)
+        above = 0
+        for t in range(len(floor)):
+            exact = Fraction(floor[t]) + sum(map(Fraction, rows[t]))
+            assert Fraction(got[t]) <= exact
+            above += Fraction(fast[t]) > exact
+            assert fast[t] - got[t] <= 2 * (rows.shape[1] + 1) * 2.0**-52 * (abs(floor[t]) + np.abs(rows[t]).sum())
+        if len(floor) > 1:
+            assert above > 0
 
     def test_shift_saturation_is_infeasible_for_every_target(self, monkeypatch):
         # One (head, token) score row whose shifted lower endpoint overflows
@@ -258,7 +300,18 @@ class TestBatchedArms:
                 for pos, (b, cb) in enumerate(zip(fast.bounds, cert.bounds)):
                     assert b.l_vertex == margin_row_loop(coeffs, scores, pos, vertex_row)
                     assert b.l_baseline == margin_row_loop(coeffs, scores, pos, baseline_directional_min)
-                    assert cb.l_vertex == margin_row_loop(coeffs, scores, pos, certified_row)
+                    # The certified sum is the row loop's, rounded down below
+                    # the exact sum of the floor and the certified rows.
+                    rows = []
+
+                    def recorded_row(c, row):
+                        rows.append(certified_row(c, row))
+                        return rows[-1]
+
+                    loop = margin_row_loop(coeffs, scores, pos, recorded_row)
+                    terms = [float(coeffs.b_prime[pos])] + rows
+                    assert Fraction(cb.l_vertex) <= sum(map(Fraction, terms))
+                    assert 0.0 < loop - cb.l_vertex <= 2 * len(terms) * 2.0**-52 * sum(map(abs, terms))
                     assert cb.l_baseline == b.l_baseline
 
     @pytest.mark.parametrize(
@@ -294,13 +347,13 @@ class TestBatchedArms:
 
     @pytest.mark.parametrize("n_classes", [3, 10])
     def test_exponentials_evaluated_once_per_box_row(self, monkeypatch, n_classes):
-        # exp encloses 2 * H * R * R intervals per call (each score's upper
+        # exp evaluates 2 * H * R * R points per call (each score's upper
         # and lower endpoint, shifted), however many targets share the box.
         seen = []
         exp = attncert.intervals.exp
 
         def counted(x):
-            seen.append(x.lo.size)
+            seen.append(x.size)
             return exp(x)
 
         monkeypatch.setattr(attncert.intervals, "exp", counted)
