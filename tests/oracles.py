@@ -60,9 +60,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import NamedTuple
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
