@@ -18,6 +18,7 @@ import numpy as np
 
 from .baseline import baseline_min
 from .errors import ValidationError
+from .intervals import affine_bounds
 from .model import AttentionModelSpec, patch_pixel_indices
 from .solver import ScoreBox, sweep_min
 from .solver import directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps this name
@@ -92,15 +93,6 @@ class ValueCoeffs:
     b_prime: np.ndarray
 
 
-def _matrix_box_bounds(w: np.ndarray, off: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Rowwise exact affine bounds: w (..., n) against a box (..., n)."""
-    wp = np.maximum(w, 0.0)
-    wn = np.minimum(w, 0.0)
-    out_lo = np.einsum("...n,...n->...", wp, lo) + np.einsum("...n,...n->...", wn, hi) + off
-    out_hi = np.einsum("...n,...n->...", wp, hi) + np.einsum("...n,...n->...", wn, lo) + off
-    return out_lo, out_hi
-
-
 def _token_pixel_boxes(model: AttentionModelSpec, box: PixelBox) -> tuple[np.ndarray, np.ndarray]:
     if box.size != model.image_size:
         raise ValidationError(f"pixel box length {box.size} does not match image size {model.image_size}")
@@ -111,36 +103,29 @@ def _token_pixel_boxes(model: AttentionModelSpec, box: PixelBox) -> tuple[np.nda
 def token_bounds(model: AttentionModelSpec, box: PixelBox) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-coordinate bounds on the embedded tokens, (R, d_model) pair."""
     xlo, xhi = _token_pixel_boxes(model, box)
-    w = model.w_embed[None, :, :]  # broadcast over tokens
-    return _matrix_box_bounds(w, model.b_embed[None, :], xlo[:, None, :], xhi[:, None, :])
+    lo, hi = affine_bounds(model.w_embed, xlo.T, xhi.T)
+    return lo.T + model.b_embed, hi.T + model.b_embed
 
 
-def _head_affine(model: AttentionModelSpec, w_head: np.ndarray, b_head: np.ndarray):
-    # Compose head projection with the embedding: affine map from patch pixels.
-    a = np.einsum("hdm,mp->hdp", w_head, model.w_embed)
-    off = np.einsum("hdm,m->hd", w_head, model.b_embed) + b_head
-    return a, off
-
-
-def _head_bounds(model, box, w_head, b_head):
+def _qkv_bounds(model: AttentionModelSpec, box: PixelBox, parts: slice):
+    """Exact bounds on the projections `parts` of (q, k, v) for every
+    token, a pair of (len(parts), heads, R, d_head) arrays."""
     xlo, xhi = _token_pixel_boxes(model, box)
-    a, off = _head_affine(model, w_head, b_head)
-    lo, hi = _matrix_box_bounds(
-        a[:, None, :, :], off[:, None, :], xlo[None, :, None, :], xhi[None, :, None, :]
-    )
-    return lo, hi  # (heads, R, d_head)
+    lo, hi = affine_bounds(model._w_pix_qkv[parts], xlo.T, xhi.T)  # (parts, heads, d_head, R)
+    off = model._b_pix_qkv[parts, :, :, None]
+    return (lo + off).swapaxes(2, 3), (hi + off).swapaxes(2, 3)
 
 
 def qk_scalar_bounds(model: AttentionModelSpec, box: PixelBox):
     """Exact bounds for every query and key coordinate, four (heads, R, d_head) arrays."""
-    q_lo, q_hi = _head_bounds(model, box, model.wq, model.bq)
-    k_lo, k_hi = _head_bounds(model, box, model.wk, model.bk)
+    (q_lo, k_lo), (q_hi, k_hi) = _qkv_bounds(model, box, slice(0, 2))
     return q_lo, q_hi, k_lo, k_hi
 
 
 def value_scalar_bounds(model: AttentionModelSpec, box: PixelBox):
     """Exact bounds for every value coordinate, (heads, R, d_head) pair."""
-    return _head_bounds(model, box, model.wv, model.bv)
+    (v_lo,), (v_hi,) = _qkv_bounds(model, box, slice(2, 3))
+    return v_lo, v_hi
 
 
 def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> ScoreBoxTensor:
@@ -198,30 +183,18 @@ def value_coefficients(
         raise ValidationError(f"gamma must be (tokens, d_model) = ({tokens}, {d_model}), got {gamma.shape[1:]}")
 
     xlo, xhi = _token_pixel_boxes(model, box)
+    av, ov = model._w_pix_qkv[2], model._b_pix_qkv[2]  # pixel -> value affine map
     # eta[t, i, h] = (W_o^h)^T gamma_{t,i}
     eta = np.einsum("hmd,tim->tihd", model.wo, gamma)
-    av, ov = _head_affine(model, model.wv, model.bv)  # pixel -> value affine map
     w = np.einsum("tihd,hdp->tihp", eta, av)
     offs = np.einsum("tihd,hd->tih", eta, ov)
-    wp = np.maximum(w, 0.0)
-    wn = np.minimum(w, 0.0)
-    c = (
-        np.einsum("tihp,jp->tihj", wp, xlo)
-        + np.einsum("tihp,jp->tihj", wn, xhi)
-        + offs[:, :, :, None]
-    )
+    c = affine_bounds(w, xlo.T, xhi.T)[0] + offs[:, :, :, None]
     c = np.transpose(c, (0, 2, 1, 3))  # (T, heads, i, j)
 
     b_prime = beta + gamma.sum(axis=1) @ model.bo
     if model.residual:
-        g = np.einsum("tim,mp->tip", gamma, model.w_embed)
-        gp = np.maximum(g, 0.0)
-        gn = np.minimum(g, 0.0)
-        res_lo = (
-            np.einsum("tip,ip->t", gp, xlo)
-            + np.einsum("tip,ip->t", gn, xhi)
-            + np.einsum("tim,m->t", gamma, model.b_embed)
-        )
+        g = np.einsum("tim,mp->tip", gamma, model.w_embed).reshape(len(beta), -1)
+        res_lo = affine_bounds(g, xlo.reshape(-1), xhi.reshape(-1))[0] + np.einsum("tim,m->t", gamma, model.b_embed)
         b_prime = b_prime + res_lo
     return ValueCoeffs(c=c, b_prime=b_prime)
 

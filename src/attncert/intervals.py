@@ -1,13 +1,16 @@
-"""Elementwise libm exponentials for the certified sweep.
+"""Bounds of affine maps over boxes, and libm exponentials.
 
-`certified.certified_sweep_min` bounds the error of every exponential it
-uses a priori, assuming each one is faithfully rounded: the returned double
-is one of the two that bracket the true value, so it is within one ulp
-(relative 2**-52 in the normal range, absolute 2**-1074 below it).  The
-exponentials are therefore evaluated with ``math.exp`` (libm), one element
-at a time.  numpy's ``exp`` is not used: it may dispatch to SIMD kernels
-with a different error; on an AVX-512 host it differed from libm by one ulp
-on 4.6% of 2M arguments in [-700, 0], which that assumption does not cover.
+`affine_bounds` is where every affine map of the verifier meets a box: the
+embedding, the pixel -> Q/K/V maps, the value coefficients and their
+residual floor, W_o and the ReLU head's hidden layer.  It is the sign split
+of the weights against the box ends, exact in real arithmetic.
+
+`exp` serves `certified.certified_sweep_min`, whose a-priori error bound
+assumes every exponential is faithfully rounded: within one ulp (relative
+2**-52 in the normal range, absolute 2**-1074 below it).  It is libm's
+``math.exp``, one element at a time.  numpy's ``exp`` may dispatch to SIMD
+kernels with a different error; on an AVX-512 host it differed from libm by
+one ulp on 4.6% of 2M arguments in [-700, 0].
 """
 
 from __future__ import annotations
@@ -15,6 +18,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def affine_bounds(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest values of w @ x over lo <= x <= hi.
+
+    w has shape (..., n); the box is a vector pair of shape (n,), giving
+    bounds of shape (...), or a matrix pair of shape (n, m), one box per
+    column, giving bounds of shape (..., m)."""
+    # Flat weights make each product one 2-D matmul; stacked weights would
+    # run as one small product per leading index.
+    shape = w.shape[:-1] + lo.shape[1:]
+    wp = np.maximum(w, 0.0).reshape(-1, w.shape[-1])
+    wn = np.minimum(w, 0.0).reshape(-1, w.shape[-1])
+    return (wp @ lo + wn @ hi).reshape(shape), (wp @ hi + wn @ lo).reshape(shape)
 
 
 def exp(x: np.ndarray) -> np.ndarray:

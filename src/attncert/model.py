@@ -46,7 +46,8 @@ Suffix = Union[LinearSuffix, MlpSuffix]
 class AttentionModelSpec:
     """A validated model.  Its arrays are checked once, at construction, and
     treated as immutable from then on: the forward pass's stacked Q/K/V and
-    output projections (_w_qkv, _b_qkv, _w_o) and the patch gather indices
+    output projections (_w_qkv, _b_qkv, _w_o), the verifier's pixel -> Q/K/V
+    maps (_w_pix_qkv, _b_pix_qkv) and the patch gather indices
     (_patch_index) are built from them then, as read-only attributes that
     are not dataclass fields.  To change a weight, build a new spec
     (dataclasses.replace does).  _shapes gives every array's shape; the
@@ -107,10 +108,16 @@ class AttentionModelSpec:
         h, dh, dm = self.heads, self.d_head, self.d_model
         p = self.patch
         grid = np.arange(self.image_size).reshape(self.channels, self.height // p, p, self.width // p, p)
+        w_qkv = np.concatenate((self.wq, self.wk, self.wv)).reshape(3 * h * dh, dm)  # q, k, v rows
+        b_qkv = np.concatenate((self.bq, self.bk, self.bv)).reshape(-1)
         derived = {
             "_patch_index": grid.transpose(1, 3, 0, 2, 4).reshape(self.tokens, self.patch_dim),
-            "_w_qkv": np.concatenate((self.wq, self.wk, self.wv)).reshape(3 * h * dh, dm),  # q, k, v rows
-            "_b_qkv": np.concatenate((self.bq, self.bk, self.bv)).reshape(-1),
+            "_w_qkv": w_qkv,
+            "_b_qkv": b_qkv,
+            # The q, k, v rows composed with the embedding: the affine maps
+            # from a token's patch pixels, (3, heads, d_head, patch_dim).
+            "_w_pix_qkv": (w_qkv @ self.w_embed).reshape(3, h, dh, self.patch_dim),
+            "_b_pix_qkv": (w_qkv @ self.b_embed + b_qkv).reshape(3, h, dh),
             "_w_o": self.wo.transpose(0, 2, 1).reshape(h * dh, dm),  # (heads * d_head, d_model)
         }
         for name, a in derived.items():

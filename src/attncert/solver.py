@@ -86,19 +86,17 @@ def softmax_objective(c, s) -> float:
     c = np.ascontiguousarray(_as_direction(c, s.shape[0]))
     if not np.all(np.isfinite(s)):
         raise ValidationError("score entries must be finite")
-    # Scores far below the max shift to -inf, whose exp is the true limit 0.
-    with np.errstate(over="ignore"):
-        e = np.exp(s - s.max())
-    val = float(np.dot(c, e) / e.sum())
-    return float(min(max(val, c.min()), c.max()))
+    return float(_objective(c, s))
 
 
 def _objective(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """softmax_objective over the rows of (..., K) arrays that broadcast
-    together, bit for bit: on contiguous rows a (1, K) @ (K, 1) matmul
-    equals np.dot, whatever the number of rows."""
+    together.  Each row's value is a function of that row alone: on
+    contiguous rows a (1, K) @ (K, 1) matmul equals np.dot, whatever the
+    number of rows."""
     c = np.ascontiguousarray(c)
     s = np.ascontiguousarray(s)
+    # Scores far below the max shift to -inf, whose exp is the true limit 0.
     with np.errstate(over="ignore"):
         e = np.exp(s - s.max(axis=-1, keepdims=True))
     val = np.matmul(c[..., None, :], e[..., :, None])[..., 0, 0] / e.sum(axis=-1)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import PixelBox, ScoreBoxTensor, model_score_boxes, token_bounds, value_scalar_bounds
-from .errors import ValidationError
+from .errors import ValidationError, check_int
+from .intervals import affine_bounds
 from .model import AttentionModelSpec, LinearSuffix, MlpSuffix
 from .solver import sweep_min
 from .solver import directional_max, directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps these names
@@ -120,10 +121,10 @@ def block_output_bounds(
     o_hi = -neg_hi
     # The two optima can cross by a ulp on near-degenerate rows; widen outward.
     o_lo, o_hi = np.minimum(o_lo, o_hi), np.maximum(o_lo, o_hi)
-    wo_p = np.maximum(model.wo, 0.0)
-    wo_n = np.minimum(model.wo, 0.0)
-    out_lo = np.einsum("hmd,hid->im", wo_p, o_lo) + np.einsum("hmd,hid->im", wo_n, o_hi) + model.bo
-    out_hi = np.einsum("hmd,hid->im", wo_p, o_hi) + np.einsum("hmd,hid->im", wo_n, o_lo) + model.bo
+    # W_o against one box per query token, the (heads * d_head, R) columns.
+    cols = [o.transpose(0, 2, 1).reshape(-1, model.tokens) for o in (o_lo, o_hi)]
+    out_lo, out_hi = affine_bounds(model._w_o.T, *cols)
+    out_lo, out_hi = out_lo.T + model.bo, out_hi.T + model.bo
     if model.residual:
         t_lo, t_hi = token_bounds(model, box)
         out_lo = out_lo + t_lo
@@ -138,18 +139,13 @@ def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxT
     if isinstance(sfx, LinearSuffix):
         return PreActBox(lo=np.zeros(0), hi=np.zeros(0))
     h_lo, h_hi = block_output_bounds(model, box, scores)
-    p_lo = h_lo.reshape(-1)
-    p_hi = h_hi.reshape(-1)
-    w1_p = np.maximum(sfx.w1, 0.0)
-    w1_n = np.minimum(sfx.w1, 0.0)
-    z_lo = w1_p @ p_lo + w1_n @ p_hi + sfx.b1
-    z_hi = w1_p @ p_hi + w1_n @ p_lo + sfx.b1
-    return PreActBox(lo=z_lo, hi=z_hi)
+    z_lo, z_hi = affine_bounds(sfx.w1, h_lo.reshape(-1), h_hi.reshape(-1))
+    return PreActBox(lo=z_lo + sfx.b1, hi=z_hi + sfx.b1)
 
 
 def _check_classes(model: AttentionModelSpec, y: int, t: int) -> None:
     for name, v in (("y", y), ("t", t)):
-        if not 0 <= v < model.n_classes:
+        if check_int(name, v, 0) >= model.n_classes:
             raise ValidationError(f"class index {name}={v} out of range for {model.n_classes} classes")
     if y == t:
         raise ValidationError("margin needs two distinct classes")

@@ -29,7 +29,7 @@ from .attention import (
 from .baseline import baseline_directional_min  # noqa: F401  unused since the baseline arm is batched; benchmark/tracing.py wraps this name
 from .certified import certified_directional_min  # noqa: F401  unused since the certified arm is batched; benchmark/tracing.py wraps this name
 from .certified import certified_sweep_min
-from .errors import CertificationInfeasibleError, ValidationError
+from .errors import CertificationInfeasibleError, ValidationError, check_int
 from .model import AttentionModelSpec, MlpSuffix
 from .suffix import interval_forward, linear_suffix_bound, relu_suffix_bound
 
@@ -103,7 +103,8 @@ def certify_targets(
     and l_hybrid is l_vertex; saturation raises
     CertificationInfeasibleError.
     """
-    if not 0 <= y < model.n_classes:
+    y = check_int("y", y, 0)
+    if y >= model.n_classes:
         raise ValidationError(f"class index y={y} out of range for {model.n_classes} classes")
     if box.size != model.image_size:
         raise ValidationError(f"pixel box length {box.size} does not match image size {model.image_size}")

@@ -12,6 +12,8 @@ Two oracles, deliberately built on different machinery than the package:
 Two row-loop references reuse the package's own row solvers instead: they
 are the one-row-at-a-time forms of the batched margin and block-output
 bounds, so a test can check that batching leaves every result unchanged.
+The block-output one ends in the package's own W_o step through
+intervals.affine_bounds, so only the rows differ from the batched path.
 
 scalar_certified_min is the certified sweep as it was before the batched
 kernel: one row, scalar intervals, a one-ulp nudge on every addition of the
@@ -75,6 +77,7 @@ from attncert import (
 )
 from attncert.attention import token_bounds
 from attncert.harness import _margin_polish
+from attncert.intervals import affine_bounds
 from attncert.model import ForwardTrace, LinearSuffix, forward, forward_batch, patch_pixel_indices
 from attncert.solver import _objective, _threshold_vertices
 
@@ -360,10 +363,9 @@ def block_output_row_loop(model, box):
                 o_lo[h, i, r] = directional_min(v_lo[h, :, r], row).value
                 o_hi[h, i, r] = directional_max(v_hi[h, :, r], row).value
     o_lo, o_hi = np.minimum(o_lo, o_hi), np.maximum(o_lo, o_hi)
-    wo_p = np.maximum(model.wo, 0.0)
-    wo_n = np.minimum(model.wo, 0.0)
-    out_lo = np.einsum("hmd,hid->im", wo_p, o_lo) + np.einsum("hmd,hid->im", wo_n, o_hi) + model.bo
-    out_hi = np.einsum("hmd,hid->im", wo_p, o_hi) + np.einsum("hmd,hid->im", wo_n, o_lo) + model.bo
+    cols = [o.transpose(0, 2, 1).reshape(-1, model.tokens) for o in (o_lo, o_hi)]
+    out_lo, out_hi = affine_bounds(model._w_o.T, *cols)
+    out_lo, out_hi = out_lo.T + model.bo, out_hi.T + model.bo
     if model.residual:
         t_lo, t_hi = token_bounds(model, box)
         out_lo = out_lo + t_lo

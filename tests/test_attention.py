@@ -21,7 +21,8 @@ from attncert import (
     value_coefficients,
     value_scalar_bounds,
 )
-from attncert.attention import _matrix_box_bounds, token_bounds
+from attncert.attention import token_bounds
+from attncert.intervals import affine_bounds
 
 from oracles import margin_row_loop
 
@@ -34,20 +35,60 @@ def degenerate_box(x0):
     return PixelBox(lo=x0, hi=x0)
 
 
+def corner_extremes(w, lo, hi):
+    """Least and greatest w . x over the 2**n corners of the box [lo, hi]."""
+    vals = np.array(list(itertools.product(*zip(lo, hi)))) @ w
+    return vals.min(), vals.max()
+
+
 class TestAffineBounds:
     def test_attained_at_a_corner(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(1, 6))
             w = rng.normal(size=n)
-            b = float(rng.normal())
             lo = rng.normal(size=n)
             hi = lo + rng.uniform(0, 2, size=n)
-            corners = np.array(list(itertools.product(*zip(lo, hi))))
-            vals = corners @ w + b
-            out_lo, out_hi = _matrix_box_bounds(w, b, lo, hi)
-            assert out_lo == pytest.approx(vals.min(), abs=1e-12)
-            assert out_hi == pytest.approx(vals.max(), abs=1e-12)
+            out_lo, out_hi = affine_bounds(w, lo, hi)
+            want_lo, want_hi = corner_extremes(w, lo, hi)
+            assert out_lo == pytest.approx(want_lo, abs=1e-12)
+            assert out_hi == pytest.approx(want_hi, abs=1e-12)
+
+    def test_matrix_box_and_stacked_weights(self):
+        # Weights (2, 3, n) against a matrix box (n, m): one box per column.
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            n, m = (int(v) for v in rng.integers(1, 5, size=2))
+            w = rng.normal(size=(2, 3, n))
+            lo = rng.normal(size=(n, m))
+            hi = lo + rng.uniform(0, 2, size=(n, m))
+            out_lo, out_hi = affine_bounds(w, lo, hi)
+            assert out_lo.shape == out_hi.shape == (2, 3, m)
+            for a, b, j in itertools.product(range(2), range(3), range(m)):
+                want_lo, want_hi = corner_extremes(w[a, b], lo[:, j], hi[:, j])
+                assert out_lo[a, b, j] == pytest.approx(want_lo, abs=1e-12)
+                assert out_hi[a, b, j] == pytest.approx(want_hi, abs=1e-12)
+
+    def test_stacked_weights_against_a_vector_box(self):
+        rng = np.random.default_rng(2)
+        w = rng.normal(size=(4, 2, 5))
+        lo = rng.normal(size=5)
+        hi = lo + rng.uniform(0, 2, size=5)
+        out_lo, out_hi = affine_bounds(w, lo, hi)
+        assert out_lo.shape == out_hi.shape == (4, 2)
+        for a, b in itertools.product(range(4), range(2)):
+            want_lo, want_hi = corner_extremes(w[a, b], lo, hi)
+            assert out_lo[a, b] == pytest.approx(want_lo, abs=1e-12)
+            assert out_hi[a, b] == pytest.approx(want_hi, abs=1e-12)
+
+    @pytest.mark.parametrize("box_shape", [(6,), (6, 3)])
+    def test_degenerate_box_is_the_product(self, box_shape):
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(2, 4, 6))
+        x = rng.normal(size=box_shape)
+        out_lo, out_hi = affine_bounds(w, x, x)
+        np.testing.assert_allclose(out_lo, w @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out_hi, w @ x, rtol=0, atol=1e-12)
 
 
 class TestScoreBoxes:

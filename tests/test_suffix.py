@@ -87,6 +87,19 @@ class TestLinearSuffix:
         with pytest.raises(ValidationError):
             linear_suffix_bound(m, 0, 5)
 
+    @pytest.mark.parametrize("bad", [1.0, True, np.float64(1), "1"], ids=["float", "bool", "float64", "str"])
+    def test_class_index_must_be_an_integer(self, bad):
+        m = random_model(seed=5, n_classes=3, suffix_kind="mlp1")
+        preact = PreActBox(lo=np.zeros(m.hidden), hi=np.ones(m.hidden))
+        lin = random_model(seed=5, n_classes=3)
+        for call in (
+            lambda y, t: linear_suffix_bound(lin, y, t),
+            lambda y, t: relu_suffix_bound(m, preact, y, t),
+        ):
+            for y, t in ((bad, 0), (0, bad)):
+                with pytest.raises(ValidationError):
+                    call(y, t)
+
 
 class TestReluSuffix:
     def test_all_active_equals_exact_composition(self):

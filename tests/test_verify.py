@@ -255,6 +255,25 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 certify_targets(m, box, y)
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("y", [1.0, True, np.float64(1), "1"], ids=["float", "bool", "float64", "str"])
+    def test_class_index_must_be_an_integer(self, kind, y):
+        m = tiny_model(0, kind, n_classes=3)
+        box = pixel_box(np.full(m.image_size, 0.5), 0.01)
+        with pytest.raises(ValidationError):
+            certify_targets(m, box, y)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    def test_numpy_integer_class_index(self, kind):
+        m = tiny_model(0, kind, n_classes=3)
+        box = pixel_box(np.full(m.image_size, 0.5), 0.01)
+        want = certify_targets(m, box, 1)
+        got = certify_targets(m, box, np.int64(1))
+        assert type(got.y) is int and got.y == 1
+        assert [(b.target, b.l_vertex, b.l_baseline, b.l_hybrid) for b in got.bounds] == [
+            (b.target, b.l_vertex, b.l_baseline, b.l_hybrid) for b in want.bounds
+        ]
+
     def test_box_size_mismatch(self):
         m = tiny_model(0, "linear")
         with pytest.raises(ValidationError):
