@@ -12,7 +12,7 @@ by the interval-softmax baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .baseline import baseline_min
 from .errors import ValidationError
 from .intervals import affine_bounds
 from .model import AttentionModelSpec, patch_pixel_indices
-from .solver import ScoreBox, sweep_min
+from .solver import sweep_min
 from .solver import directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,9 +79,6 @@ class ScoreBoxTensor:
     @property
     def tokens(self) -> int:
         return int(self.lower.shape[1])
-
-    def row(self, h: int, i: int) -> ScoreBox:
-        return ScoreBox(lower=self.lower[h, i], upper=self.upper[h, i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,43 +156,36 @@ def model_score_boxes(model: AttentionModelSpec, box: PixelBox) -> ScoreBoxTenso
     return score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, model.scale, model.mask)
 
 
-def value_coefficients(
-    suffix_bounds: "Sequence[SuffixAffineBound]",
-    model: AttentionModelSpec,
-    box: PixelBox,
-) -> ValueCoeffs:
+def value_coefficients(suffix: "SuffixAffineBound", model: AttentionModelSpec, box: PixelBox) -> ValueCoeffs:
     """Per-row directional coefficients and the input-independent margin floor.
 
-    For target t with suffix bound (beta, gamma), row (h, i) gets coefficients
-    c[t, h, i, j] = exact lower bound over the pixel box of the value
-    contribution gamma_i . W_o^h V_j^h(x), and
+    For target t of the stacked suffix bound (beta, gamma), row (h, i) gets
+    coefficients c[t, h, i, j] = exact lower bound over the pixel box of the
+    value contribution gamma[t, i] . W_o^h V_j^h(x), and
 
-      b_prime[t] = beta + sum_i gamma_i . b_o
-                   (+ exact lower bound of sum_i gamma_i . H_i(x) when the
-                    block has a residual connection).
+      b_prime[t] = beta[t] + sum_i gamma[t, i] . b_o
+                   (+ exact lower bound of sum_i gamma[t, i] . H_i(x) when
+                    the block has a residual connection).
     """
-    if not suffix_bounds:
-        raise ValidationError("need at least one suffix bound")
-    gamma = np.stack([np.asarray(sb.gamma, dtype=np.float64) for sb in suffix_bounds])
-    beta = np.asarray([float(sb.beta) for sb in suffix_bounds])
+    gamma = np.asarray(suffix.gamma, dtype=np.float64)
+    beta = np.asarray(suffix.beta, dtype=np.float64)
     tokens, d_model = model.tokens, model.d_model
-    if gamma.shape[1:] != (tokens, d_model):
-        raise ValidationError(f"gamma must be (tokens, d_model) = ({tokens}, {d_model}), got {gamma.shape[1:]}")
+    n_t = len(gamma)
+    if not n_t or gamma.shape[1:] != (tokens, d_model) or beta.shape != (n_t,):
+        raise ValidationError(f"need beta (T,), gamma (T, {tokens}, {d_model}), T >= 1; got {beta.shape}, {gamma.shape}")
 
     xlo, xhi = _token_pixel_boxes(model, box)
-    av, ov = model._w_pix_qkv[2], model._b_pix_qkv[2]  # pixel -> value affine map
-    # eta[t, i, h] = (W_o^h)^T gamma_{t,i}
-    eta = np.einsum("hmd,tim->tihd", model.wo, gamma)
-    w = np.einsum("tihd,hdp->tihp", eta, av)
-    offs = np.einsum("tihd,hd->tih", eta, ov)
-    c = affine_bounds(w, xlo.T, xhi.T)[0] + offs[:, :, :, None]
+    g = gamma.reshape(-1, d_model)  # (T * R, d_model) rows
+    w = (g @ model._w_pix_o).reshape(n_t, tokens, model.heads, model.patch_dim)
+    offs = (g @ model._b_pix_o).reshape(n_t, tokens, model.heads, 1)
+    c = affine_bounds(w, xlo.T, xhi.T)[0] + offs
     c = np.transpose(c, (0, 2, 1, 3))  # (T, heads, i, j)
 
-    b_prime = beta + gamma.sum(axis=1) @ model.bo
+    g_sum = gamma.sum(axis=1)
+    b_prime = beta + g_sum @ model.bo
     if model.residual:
-        g = np.einsum("tim,mp->tip", gamma, model.w_embed).reshape(len(beta), -1)
-        res_lo = affine_bounds(g, xlo.reshape(-1), xhi.reshape(-1))[0] + np.einsum("tim,m->t", gamma, model.b_embed)
-        b_prime = b_prime + res_lo
+        res = (g @ model.w_embed).reshape(n_t, -1)
+        b_prime = b_prime + (affine_bounds(res, xlo.reshape(-1), xhi.reshape(-1))[0] + g_sum @ model.b_embed)
     return ValueCoeffs(c=c, b_prime=b_prime)
 
 
@@ -224,7 +214,7 @@ def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarra
     """Sound margin lower bounds, shape (T,): each target's floor plus the
     exact directional minimum of its every (head, query token) row."""
     c, floor = _target_block(coeffs, scores)
-    values, _, _ = sweep_min(c, scores.lower, scores.upper)
+    values, _ = sweep_min(c, scores.lower, scores.upper)
     return _accumulate(floor, values)
 
 

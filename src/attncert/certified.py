@@ -1,9 +1,9 @@
 """Certified (machine-checkable) lower bound for the directional minimum.
 
-Runs the fast path's threshold sweep in plain floating point, over
-exponentials evaluated once per box row with libm, adds one magnitude plane
-to its running sums, and lowers every candidate ratio by an a-priori bound
-on its rounding error.  The returned value is a true lower bound on the
+Runs the fast path's threshold sweep (its shift, sort, gather and running
+sums) in plain floating point, over exponentials evaluated once per box row
+with libm, adds one magnitude plane to the sums, and lowers every candidate
+ratio by an a-priori bound on its rounding error.  The returned value is a true lower bound on the
 real-arithmetic optimum, whatever the roundoff in the shift, exp, the
 products, the prefix sums or the quotients.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intervals
-from .solver import ScoreBox, _as_direction, _blockwise, _broadcast_rows, _threshold_sums, directional_min
+from .solver import ScoreBox, _as_direction, _blockwise, _broadcast_rows, _shifted_box, _threshold_sums, directional_min
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,7 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     lead, c, lower, upper, box_row = _broadcast_rows(c, lower, upper)
     # The shift and the exponentials depend on the box alone, so they are
     # evaluated once per box row and gathered for every coefficient row.
-    with np.errstate(over="ignore"):
-        s = np.stack((upper, lower)) - upper.max(axis=-1, keepdims=True)
-    # (side * box rows * K): side 0 the uppers, side 1 the lowers.
+    s = _shifted_box(lower, upper)
     box_exp = intervals.exp(s).reshape(2, -1)
     s_max = np.abs(s).max(axis=(0, -1), initial=0.0)
     eta = _U * np.minimum(s_max, _SHIFT_CAP) * (1.0 + 2.0**-40) + 2.0 * _U
@@ -116,11 +114,8 @@ def _sweep_block(
     """certified_sweep_min on (n, K) coefficient rows; row r gathers its
     exponentials and eta from box row box_row[r]."""
     k = c.shape[1]
-    order = np.argsort(c, axis=-1, kind="stable")
-    cs = np.take_along_axis(c, order, axis=-1)
-    flat = box_row[:, None] * k + order
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sums = _threshold_sums(cs, box_exp[0, flat], box_exp[1, flat], magnitude=True)
+        cs, _, sums = _threshold_sums(c, box_row, box_exp, magnitude=True)
         den, num, mag = sums
         gamma = (k + 2) * _U / (1.0 - (k + 2) * _U)
         eps = (eta[box_row] + gamma)[:, None]

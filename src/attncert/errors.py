@@ -1,4 +1,4 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types and the number checks shared across the package."""
 
 import numpy as np
 
@@ -20,3 +20,10 @@ def check_int(name: str, value, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """value as a float, if it is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .baseline import baseline_directional_min
 from .certified import certified_directional_min
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_real
 from .model import AttentionModelSpec, forward_batch
 from .model import forward  # noqa: F401  unused since the margin polish is batched; benchmark/tracing.py wraps this name
 from .attention import PixelBox
@@ -71,11 +71,10 @@ _POLISH_WINDOW = 4
 
 def _check_finite(name: str, value) -> float:
     """value as a float, if it is a finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+    value = check_real(name, value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return value
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,11 @@ class AttentionModelSpec:
     """A validated model.  Its arrays are checked once, at construction, and
     treated as immutable from then on: the forward pass's stacked Q/K/V and
     output projections (_w_qkv, _b_qkv, _w_o), the verifier's pixel -> Q/K/V
-    maps (_w_pix_qkv, _b_pix_qkv) and the patch gather indices
-    (_patch_index) are built from them then, as read-only attributes that
-    are not dataclass fields.  To change a weight, build a new spec
-    (dataclasses.replace does).  _shapes gives every array's shape; the
-    mask is added to the scaled scores."""
+    maps (_w_pix_qkv, _b_pix_qkv), its pixel -> value -> W_o maps (_w_pix_o,
+    _b_pix_o) and the patch gather indices (_patch_index) are built from
+    them then, as read-only attributes that are not dataclass fields.  To
+    change a weight, build a new spec (dataclasses.replace does).  _shapes
+    gives every array's shape; the mask is added to the scaled scores."""
 
     height: int
     width: int
@@ -120,6 +120,12 @@ class AttentionModelSpec:
             "_b_pix_qkv": (w_qkv @ self.b_embed + b_qkv).reshape(3, h, dh),
             "_w_o": self.wo.transpose(0, 2, 1).reshape(h * dh, dm),  # (heads * d_head, d_model)
         }
+        # The value maps composed with W_o: each output coordinate's affine
+        # map from a token's patch pixels through every head,
+        # (d_model, heads * patch_dim) and (d_model, heads).
+        w_pix_v, b_pix_v = derived["_w_pix_qkv"][2], derived["_b_pix_qkv"][2]
+        derived["_w_pix_o"] = (self.wo @ w_pix_v).transpose(1, 0, 2).reshape(dm, -1)
+        derived["_b_pix_o"] = (self.wo @ b_pix_v[:, :, None])[:, :, 0].T
         for name, a in derived.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)

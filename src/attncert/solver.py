@@ -4,7 +4,8 @@ The problem: minimize c . softmax(s) subject to l <= s <= u coordinatewise.
 The minimum is attained at a box vertex of threshold form: after sorting the
 coefficients ascending, some prefix of coordinates sits at its upper endpoint
 and the rest at the lower endpoint.  Sweeping the K+1 candidate thresholds
-and taking the best ratio gives the exact optimum in O(K log K).
+and taking the best ratio gives the exact optimum in O(K log K); that ratio
+is the value, evaluated again only where its denominator underflows.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Denominators below the smallest normal double trigger a shift-stable
-# re-evaluation of that candidate instead of a 0/0.
+# Denominators below the smallest normal double (over min(max|c|, 1) in the
+# sweep) are evaluated again with a shift of their own, not as a 0/0.
 _DEN_TINY = sys.float_info.min
 _DBL_MAX = sys.float_info.max
 
@@ -152,49 +153,63 @@ def _blockwise(sweep_block, budget: int, c: np.ndarray, box_row: np.ndarray, *bo
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Threshold sweep over every row of (..., K) arrays that broadcast
     together.
 
-    Returns (value, m, vertex) with shapes (...), (...) and (..., K); row by
-    row this is exactly directional_min.  The inputs are trusted: finite,
-    K >= 1 and lower <= upper (callers validate at their API boundary).
+    Returns (value, m), both of shape (...); row by row they are exactly
+    directional_min's value and m.  The inputs are trusted: finite, K >= 1
+    and lower <= upper (callers validate at their API boundary).
     """
     lead, c, lower, upper, box_row = _broadcast_rows(c, lower, upper)
-    value, m_star, vertex = _blockwise(_sweep_block, _BLOCK_ELEMENTS, c, box_row, lower, upper)
-    return value.reshape(lead), m_star.reshape(lead), vertex.reshape(lead + c.shape[-1:])
+    box_exp = np.exp(_shifted_box(lower, upper)).reshape(2, -1)
+    value, m_star = _blockwise(_sweep_block, _BLOCK_ELEMENTS, c, box_row, box_exp, lower, upper)
+    return value.reshape(lead), m_star.reshape(lead)
 
 
-def _threshold_sums(cs: np.ndarray, eu: np.ndarray, el: np.ndarray, magnitude: bool = False) -> np.ndarray:
-    """Denominator and numerator of every threshold candidate of (n, K)
-    rows, as planes (den, num) of shape (n, K + 1); with magnitude a third
-    plane sums the magnitudes of the numerator's terms.
+def _shifted_box(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The (nb, K) box rows' uppers and lowers, (2, nb, K), minus each
+    row's largest upper: an exact shift (-inf far below it, exp 0)."""
+    with np.errstate(over="ignore"):
+        return np.stack((upper, lower)) - upper.max(axis=-1, keepdims=True)
 
-    cs holds each row's coefficients in ascending order and eu, el the
-    exponentials of its upper and lower endpoints in the same order.
+
+def _threshold_sums(c: np.ndarray, box_row: np.ndarray, box_exp: np.ndarray, magnitude: bool = False):
+    """Every threshold candidate of (n, K) coefficient rows, row r over box
+    row box_row[r], whose shifted exponentials box_exp holds flat, (2,
+    nb * K), uppers then lowers.  Each row is sorted ascending (stable) and
+    gathers its exponentials in that order.  Returns (cs, flat, planes): the
+    sorted coefficients, each sorted entry's flat box index, and every
+    candidate's denominator and numerator as planes (den, num), (n, K + 1);
+    with magnitude a third plane sums the magnitudes of the numerator terms.
+
     Candidate m takes the prefix sums of the upper terms before it and the
     suffix sums of the lower terms from it on.  The first side's planes hold
     the upper terms and the second side's the lower terms reversed, so one
     cumsum, which adds left to right, gives both kinds of sum; column 0 is
     the zero of an empty side.
     """
-    n, k = cs.shape
+    n, k = c.shape
+    order = np.argsort(c, axis=-1, kind="stable")
+    cs = np.take_along_axis(c, order, axis=-1)
+    flat = box_row[:, None] * k + order
     p = 3 if magnitude else 2
     t = np.zeros((2 * p, n, k + 1))
-    t[0, :, 1:] = eu
-    t[p, :, 1:] = el[:, ::-1]
-    np.multiply(cs, eu, out=t[1, :, 1:])
+    t[0, :, 1:] = box_exp[0, flat]
+    t[p, :, 1:] = box_exp[1, flat[:, ::-1]]
+    np.multiply(cs, t[0, :, 1:], out=t[1, :, 1:])
     np.multiply(cs[:, ::-1], t[p, :, 1:], out=t[p + 1, :, 1:])
     if magnitude:
         np.abs(t[1], out=t[2])
         np.abs(t[p + 1], out=t[p + 2])
     np.cumsum(t, axis=-1, out=t)
-    return t[:p] + t[p:, :, ::-1]
+    return cs, flat, t[:p] + t[p:, :, ::-1]
 
 
-def _sweep_block(c: np.ndarray, box_row: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+def _sweep_block(c: np.ndarray, box_row: np.ndarray, box_exp: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """sweep_min on (n, K) coefficient rows; row r's box is row box_row[r]
-    of the (nb, K) lower and upper."""
+    of the (nb, K) lower and upper, whose shifted exponentials box_exp
+    holds."""
     n, k = c.shape
     # Coefficients this large overflow the weighted prefix sums; such rows
     # are scaled by an exact power of two and the value scaled back.
@@ -205,35 +220,25 @@ def _sweep_block(c: np.ndarray, box_row: np.ndarray, lower: np.ndarray, upper: n
         shift = np.where(amax > limit, np.frexp(amax)[1], 0)
         c = np.ldexp(c, -shift[:, None])
 
-    rows = np.arange(n)[:, None]
-    order = np.argsort(c, axis=-1, kind="stable")
-    cs = c[rows, order]
-    ls = lower[box_row[:, None], order]
-    us = upper[box_row[:, None], order]
-
-    a = us.max(axis=-1, keepdims=True)
-    # Endpoints far below the max shift to -inf (exp gives the true limit 0).
-    with np.errstate(over="ignore"):
-        eu = np.exp(us - a)
-        el = np.exp(ls - a)
-
-    den, num = _threshold_sums(cs, eu, el)
+    cs, flat, (den, num) = _threshold_sums(c, box_row, box_exp)
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = num / den
-    # A fully underflowed denominator means every retained exponential was
-    # below realmin; re-evaluate those candidates with their own shift.
-    tiny = den < _DEN_TINY
+    # A term below realmin is accurate only to 2**-1075.  Divided by a den
+    # with den * min(max|c|, 1) < realmin (0 included) that error could pass
+    # u * max|c|, so those candidates are re-evaluated with their own shift.
+    c_lo, c_hi = cs[:, 0], cs[:, -1]
+    tiny = den < (_DEN_TINY / np.clip(np.maximum(-c_lo, c_hi), _DEN_TINY, 1.0))[:, None]
     if tiny.any():
         at, ms = np.nonzero(tiny)
-        tau[at, ms] = _objective(cs[at], _threshold_vertices(ls[at], us[at], ms))
+        ends = flat[at]
+        tau[at, ms] = _objective(cs[at], _threshold_vertices(np.take(lower, ends), np.take(upper, ends), ms))
 
     m_star = np.argmin(tau, axis=-1)
-    vertex = np.empty((n, k))
-    vertex[rows, order] = _threshold_vertices(ls, us, m_star)
-    value = _objective(c, vertex)
+    # The true ratio is a convex combination of the coefficients.
+    value = np.minimum(np.maximum(tau[np.arange(n), m_star], c_lo), c_hi)
     if shift is not None:
         value = np.ldexp(value, shift)
-    return value, m_star, vertex
+    return value, m_star
 
 
 def directional_min(c, box: ScoreBox) -> ThresholdResult:
@@ -243,7 +248,11 @@ def directional_min(c, box: ScoreBox) -> ThresholdResult:
     ties between candidate thresholds resolve to the smallest m.
     """
     c = _as_direction(c, box.size)
-    value, m, vertex = sweep_min(c, box.lower, box.upper)
+    value, m = sweep_min(c, box.lower, box.upper)
+    # The first m coordinates in ascending order of c sit at their upper end.
+    top = np.argsort(c, kind="stable")[: int(m)]
+    vertex = box.lower.copy()
+    vertex[top] = box.upper[top]
     return ThresholdResult(value=float(value), m=int(m), vertex=vertex, sense="min")
 
 

@@ -1,11 +1,11 @@
 """Affine lower bounds on class-score margins through the classifier head.
 
-A margin logit_y - logit_t is reduced to an affine function of the block
-output tokens: exactly for a linear head, and through a per-neuron linear
-ReLU relaxation for the one-hidden-layer head.  The relaxation needs boxes
-on the hidden pre-activations, which interval_forward supplies by running
-an interval version of the whole block (directional softmax bounds included)
-up to the hidden layer.
+The margins logit_y - logit_t of all targets t are reduced at once to
+affine functions of the block output tokens: exactly for a linear head,
+and through per-neuron linear ReLU relaxations for the one-hidden-layer
+head.  The relaxation needs boxes on the hidden pre-activations, which
+interval_forward supplies by running an interval version of the whole
+block (directional softmax bounds included) up to the hidden layer.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from .solver import directional_max, directional_min  # noqa: F401  unused since
 
 @dataclass(frozen=True, eq=False)
 class SuffixAffineBound:
-    """margin >= beta + sum_i gamma[i] . hplus_i for all inputs in the box
-    the bound was built for.  gamma has shape (tokens, d_model)."""
+    """margin_t >= beta[t] + sum_i gamma[t, i] . hplus_i for every target t
+    and all inputs in the box the bound was built for.  beta has shape
+    (T,) and gamma (T, tokens, d_model)."""
 
-    beta: float
+    beta: np.ndarray
     gamma: np.ndarray
 
 
@@ -49,37 +50,34 @@ class PreActBox:
         object.__setattr__(self, "hi", hi)
 
 
-def linear_suffix_bound(model: AttentionModelSpec, y: int, t: int) -> SuffixAffineBound:
-    """Exact margin form for a linear head: beta + gamma . tokens reproduces
-    logit_y - logit_t identically."""
+def linear_suffix_bound(model: AttentionModelSpec, y: int, targets) -> SuffixAffineBound:
+    """Exact margin forms for a linear head: beta[t] + gamma[t] . tokens
+    reproduces logit_y - logit_{targets[t]} identically."""
     sfx = model.suffix
     if not isinstance(sfx, LinearSuffix):
         raise ValidationError("linear_suffix_bound requires a linear head")
-    _check_classes(model, y, t)
+    t = _check_classes(model, y, targets)
     w = sfx.w[y] - sfx.w[t]
-    return SuffixAffineBound(
-        beta=float(sfx.b[y] - sfx.b[t]),
-        gamma=w.reshape(model.tokens, model.d_model),
-    )
+    return SuffixAffineBound(beta=sfx.b[y] - sfx.b[t], gamma=w.reshape(len(t), model.tokens, model.d_model))
 
 
-def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, t: int) -> SuffixAffineBound:
-    """Affine margin lower bound through the ReLU head.
+def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, targets) -> SuffixAffineBound:
+    """Affine margin lower bounds through the ReLU head, one per target.
 
-    Each crossing neuron is replaced by a line: the chord from below when the
-    outgoing margin coefficient is negative, and a zero- or unit-slope line
-    through the origin (whichever halves the gap better) when it is positive.
-    Stable neurons pass through exactly.
+    For each target, each crossing neuron is replaced by a line: the chord
+    from below when the outgoing margin coefficient is negative, and a zero-
+    or unit-slope line through the origin (whichever halves the gap better)
+    when it is positive.  Stable neurons pass through exactly.
     """
     sfx = model.suffix
     if not isinstance(sfx, MlpSuffix):
         raise ValidationError("relu_suffix_bound requires an mlp1 head")
-    _check_classes(model, y, t)
+    t = _check_classes(model, y, targets)
     lo, hi = preact.lo, preact.hi
     if lo.shape != (model.hidden,):
         raise ValidationError(f"pre-activation bounds must have shape ({model.hidden},), got {lo.shape}")
 
-    omega = sfx.w2[y] - sfx.w2[t]
+    omega = sfx.w2[y] - sfx.w2[t]  # (T, hidden)
     dead = hi <= 0.0
     live = lo >= 0.0
     cross = ~(dead | live)
@@ -93,9 +91,9 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, t: i
     slope = np.where(cross & (omega < 0.0), omega * chord, slope)
     intercept = np.where(cross & (omega < 0.0), -omega * chord * lo, 0.0)
 
-    beta = float(sfx.b2[y] - sfx.b2[t] + slope @ sfx.b1 + intercept.sum())
-    gamma_flat = sfx.w1.T @ slope
-    return SuffixAffineBound(beta=beta, gamma=gamma_flat.reshape(model.tokens, model.d_model))
+    beta = sfx.b2[y] - sfx.b2[t] + slope @ sfx.b1 + intercept.sum(axis=1)
+    gamma = slope @ sfx.w1
+    return SuffixAffineBound(beta=beta, gamma=gamma.reshape(len(t), model.tokens, model.d_model))
 
 
 def block_output_bounds(
@@ -143,9 +141,14 @@ def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxT
     return PreActBox(lo=z_lo + sfx.b1, hi=z_hi + sfx.b1)
 
 
-def _check_classes(model: AttentionModelSpec, y: int, t: int) -> None:
-    for name, v in (("y", y), ("t", t)):
-        if check_int(name, v, 0) >= model.n_classes:
+def _check_classes(model: AttentionModelSpec, y: int, targets) -> np.ndarray:
+    """The targets as an index array of classes other than y."""
+    t = np.asarray(targets)
+    if t.ndim != 1 or not t.size or not np.issubdtype(t.dtype, np.integer):
+        raise ValidationError(f"targets must be a non-empty sequence of class indices, got {targets!r}")
+    for name, v in (("y", check_int("y", y, 0)), ("t", t.min()), ("t", t.max())):
+        if not 0 <= v < model.n_classes:
             raise ValidationError(f"class index {name}={v} out of range for {model.n_classes} classes")
-    if y == t:
+    if y in t:
         raise ValidationError("margin needs two distinct classes")
+    return t

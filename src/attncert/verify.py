@@ -29,7 +29,7 @@ from .attention import (
 from .baseline import baseline_directional_min  # noqa: F401  unused since the baseline arm is batched; benchmark/tracing.py wraps this name
 from .certified import certified_directional_min  # noqa: F401  unused since the certified arm is batched; benchmark/tracing.py wraps this name
 from .certified import certified_sweep_min
-from .errors import CertificationInfeasibleError, ValidationError, check_int
+from .errors import CertificationInfeasibleError, ValidationError, check_int, check_real
 from .model import AttentionModelSpec, MlpSuffix
 from .suffix import interval_forward, linear_suffix_bound, relu_suffix_bound
 
@@ -52,10 +52,12 @@ class CertificationResult:
 
 
 def pixel_box(x0, epsilon: float) -> PixelBox:
-    """L-infinity ball around x0 of radius epsilon, clipped to valid pixels."""
+    """L-infinity ball around x0 of radius epsilon (a number, inf
+    included), clipped to valid pixels."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1:
         raise ValidationError(f"clean input must be a flat vector, got shape {x0.shape}")
+    epsilon = check_real("epsilon", epsilon)
     if not epsilon >= 0.0:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
     return PixelBox(lo=np.clip(x0 - epsilon, 0.0, 1.0), hi=np.clip(x0 + epsilon, 0.0, 1.0))
@@ -112,12 +114,11 @@ def certify_targets(
     targets = [t for t in range(model.n_classes) if t != y]
     scores: ScoreBoxTensor = model_score_boxes(model, box)
     if isinstance(model.suffix, MlpSuffix):
-        preact = interval_forward(model, box, scores)
-        suffix_bounds = [relu_suffix_bound(model, preact, y, t) for t in targets]
+        suffix = relu_suffix_bound(model, interval_forward(model, box, scores), y, targets)
     else:
-        suffix_bounds = [linear_suffix_bound(model, y, t) for t in targets]
+        suffix = linear_suffix_bound(model, y, targets)
 
-    coeffs = value_coefficients(suffix_bounds, model, box)
+    coeffs = value_coefficients(suffix, model, box)
 
     vertex = (_certified_margin if certified else margin_lower_bound)(coeffs, scores).tolist()
     baseline = baseline_margin_lower_bound(coeffs, scores).tolist()

@@ -69,6 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from attncert import (
+    ScoreBox,
     directional_max,
     directional_min,
     model_score_boxes,
@@ -344,7 +345,7 @@ def margin_row_loop(coeffs, scores, target_pos, row_bound) -> float:
     total = float(coeffs.b_prime[target_pos])
     for h in range(scores.heads):
         for i in range(scores.tokens):
-            total += row_bound(c[h, i], scores.row(h, i))
+            total += row_bound(c[h, i], ScoreBox(lower=scores.lower[h, i], upper=scores.upper[h, i]))
     return total
 
 
@@ -358,7 +359,7 @@ def block_output_row_loop(model, box):
     o_hi = np.empty((heads, tokens, d_head))
     for h in range(heads):
         for i in range(tokens):
-            row = scores.row(h, i)
+            row = ScoreBox(lower=scores.lower[h, i], upper=scores.upper[h, i])
             for r in range(d_head):
                 o_lo[h, i, r] = directional_min(v_lo[h, :, r], row).value
                 o_hi[h, i, r] = directional_max(v_hi[h, :, r], row).value

@@ -198,25 +198,24 @@ class TestValueCoefficients:
     def test_degenerate_box_is_exact(self):
         m = random_model(seed=4, tokens=2, heads=2, d_model=4, d_head=3, n_classes=3)
         x0 = np.random.default_rng(9).uniform(0, 1, m.image_size)
-        bounds = [linear_suffix_bound(m, 0, t) for t in (1, 2)]
+        bounds = linear_suffix_bound(m, 0, [1, 2])
         coeffs = value_coefficients(bounds, m, degenerate_box(x0))
         tr = forward_trace(m, x0)
         v = np.einsum("hdm,rm->hrd", m.wv, tr.tokens) + m.bv[:, None, :]
-        for ti, sb in enumerate(bounds):
-            gamma = np.asarray(sb.gamma)
+        for ti, (beta, gamma) in enumerate(zip(bounds.beta, bounds.gamma)):
             eta = np.einsum("hmd,im->ihd", m.wo, gamma)
             expect = np.einsum("ihd,hjd->hij", eta, v)
             assert coeffs.c[ti] == pytest.approx(expect, abs=1e-12)
-            bp = sb.beta + float(gamma.sum(axis=0) @ m.bo)
+            bp = beta + float(gamma.sum(axis=0) @ m.bo)
             if m.residual:
                 bp += float(np.sum(gamma * tr.tokens))
             assert coeffs.b_prime[ti] == pytest.approx(bp, abs=1e-12)
 
     def test_zero_gamma_gives_floor_only(self):
         m = random_model(seed=5, tokens=2, heads=1, d_model=3)
-        sb = linear_suffix_bound(m, 0, 1)
-        zero = type(sb)(beta=0.25, gamma=np.zeros_like(np.asarray(sb.gamma)))
-        coeffs = value_coefficients([zero], m, degenerate_box(np.full(m.image_size, 0.5)))
+        sb = linear_suffix_bound(m, 0, [1])
+        zero = type(sb)(beta=np.array([0.25]), gamma=np.zeros_like(sb.gamma))
+        coeffs = value_coefficients(zero, m, degenerate_box(np.full(m.image_size, 0.5)))
         assert np.all(coeffs.c[0] == 0.0)
         assert coeffs.b_prime[0] == 0.25
 
@@ -226,9 +225,9 @@ class TestValueCoefficients:
         m = random_model(seed=3, tokens=2, heads=1, d_model=3, patch=2, channels=1, weight_scale=1.2)
         assert m.image_size == 8
         box = PixelBox(lo=np.full(8, 0.2), hi=np.full(8, 0.8))
-        sb = linear_suffix_bound(m, 0, 1)
-        coeffs = value_coefficients([sb], m, box)
-        gamma = np.asarray(sb.gamma)
+        sb = linear_suffix_bound(m, 0, [1])
+        coeffs = value_coefficients(sb, m, box)
+        gamma = sb.gamma[0]
         eta = np.einsum("hmd,im->ihd", m.wo, gamma)
         corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
         best = np.full(coeffs.c[0].shape, np.inf)
@@ -239,22 +238,25 @@ class TestValueCoefficients:
             best = np.minimum(best, np.einsum("ihd,hjd->hij", eta, v))
             res_best = min(res_best, float(np.sum(gamma * tr.tokens)))
         assert coeffs.c[0] == pytest.approx(best, abs=1e-9)
-        floor = sb.beta + float(gamma.sum(axis=0) @ m.bo)
+        floor = sb.beta[0] + float(gamma.sum(axis=0) @ m.bo)
         if m.residual:
             floor += res_best
         assert coeffs.b_prime[0] == pytest.approx(floor, abs=1e-9)
 
     def test_requires_suffix_bounds(self):
         m = random_model(seed=0)
+        none = linear_suffix_bound(m, 0, [1])
+        none = type(none)(beta=none.beta[:0], gamma=none.gamma[:0])
         with pytest.raises(ValidationError):
-            value_coefficients([], m, degenerate_box(np.full(m.image_size, 0.5)))
+            value_coefficients(none, m, degenerate_box(np.full(m.image_size, 0.5)))
 
     def test_gamma_shape_checked(self):
         m = random_model(seed=0, tokens=2, d_model=4)
-        sb = linear_suffix_bound(m, 0, 1)
-        bad = type(sb)(beta=0.0, gamma=np.zeros((3, 4)))
-        with pytest.raises(ValidationError):
-            value_coefficients([bad], m, degenerate_box(np.full(m.image_size, 0.5)))
+        sb = linear_suffix_bound(m, 0, [1])
+        for beta, gamma in ((np.zeros(1), np.zeros((1, 3, 4))), (np.zeros(1), np.zeros((2, 4))), (0.0, sb.gamma)):
+            bad = type(sb)(beta=beta, gamma=gamma)
+            with pytest.raises(ValidationError):
+                value_coefficients(bad, m, degenerate_box(np.full(m.image_size, 0.5)))
 
 
 class TestMarginLowerBound:

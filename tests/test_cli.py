@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import warnings
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from attncert import random_model, save_model
 from attncert.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, REPORT_SCHEMA, main
 
-K3_MIN = -0.6804790632423976
+# The exact minimum (1 - e**2) / (e**2 + 2), at vertex (1, -1, -1),
+# correctly rounded.
+K3_MIN = -0.6804790632423977
 SUMMARY_RE = re.compile(r"^certified=(true|false) min_hybrid=.+ targets=\d+ time_ms=\d+$")
 
 
@@ -44,6 +47,9 @@ class TestSolve:
         out = capsys.readouterr().out.splitlines()
         value = float(out[0].split()[0].split("=")[1])
         assert value == K3_MIN
+        ctx = Context(prec=50)
+        e2 = ctx.exp(Decimal(2))
+        assert float(ctx.divide(ctx.subtract(1, e2), ctx.add(e2, 2))) == K3_MIN
         assert out[1] == "vertex=[1.0, -1.0, -1.0]"
         certified = float(out[2].split("=")[1])
         assert certified <= value

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from attncert import (
     softmax_objective,
 )
 from attncert import solver
+from attncert.certified import certified_sweep_min
 from attncert.solver import sweep_min
 from oracles import decimal_min_enclosure, naive_vertex_min
 
@@ -284,17 +286,23 @@ class TestSweepMin:
         lower[2] = upper[2].max(axis=-1, keepdims=True) - 800.0 - rng.uniform(0, 10, (shape[1], k))
         if k > 1:
             assert np.exp(lower[2] - upper[2].max(axis=-1, keepdims=True)).sum(axis=-1).max() == 0.0
-        value, m, vertex = sweep_min(c, lower, upper)
-        assert value.shape == shape and m.shape == shape and vertex.shape == shape + (k,)
+        value, m = sweep_min(c, lower, upper)
+        assert value.shape == shape and m.shape == shape
         for idx in np.ndindex(shape):
             r = directional_min(c[idx], ScoreBox(lower=lower[idx], upper=upper[idx]))
             assert value[idx] == r.value
             assert m[idx] == r.m
-            assert np.array_equal(vertex[idx], r.vertex)
+            # The vertex puts the first m coordinates of the stable sort at
+            # their upper endpoint, and attains the value.
+            top = np.argsort(c[idx], kind="stable")[: r.m]
+            assert np.array_equal(r.vertex[top], upper[idx][top])
+            assert np.delete(r.vertex, top).tolist() == np.delete(lower[idx], top).tolist()
+            scale = np.abs(c[idx]).max()
+            assert softmax_objective(c[idx], r.vertex) == pytest.approx(r.value, abs=1e-12 * scale)
 
     def test_no_rows(self):
-        value, m, vertex = sweep_min(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
-        assert value.shape == (0,) and m.shape == (0,) and vertex.shape == (0, 3)
+        value, m = sweep_min(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+        assert value.shape == (0,) and m.shape == (0,)
 
     def test_box_broadcasts_against_coefficient_stack(self):
         rng = np.random.default_rng(5)
@@ -328,8 +336,8 @@ class TestSweepMin:
             assert np.array_equal(got, want)
 
     def test_temporaries_stay_bounded(self):
-        # The outputs alone take 1.2 MB; one unblocked call peaked at 20.6 MB
-        # on this stack, and the blocked one at 5.3 MB.
+        # One unblocked call peaks at 11.7 MB on this stack, and the blocked
+        # one at 2.9 MB.
         c, lower, upper = self.shape_l_stack(np.random.default_rng(6))
         sweep_min(c, lower, upper)
         tracemalloc.start()
@@ -379,3 +387,88 @@ class TestHugeCoefficients:
                 lo, hi = decimal_min_enclosure(c, b.lower, b.upper)
                 tol = Decimal(1e-12) * Decimal(float(np.abs(c).max()))
                 assert lo - tol <= Decimal(value) <= hi + tol
+
+
+def accuracy_row(rng, i):
+    """Row i of the fast kernel's accuracy set: K mostly 1-12, every 50th
+    row 16-256, in six kinds by i % 6."""
+    k = int(rng.integers(1, 13)) if i % 50 else (16, 24, 32, 48, 64, 96, 128, 256)[i // 50 % 8]
+    kind = i % 6
+    c = rng.normal(size=k) * 10.0 ** rng.uniform(-3, 3)
+    lower = rng.uniform(-5, 5, k)
+    upper = lower + rng.uniform(0, 3, k) * 10.0 ** rng.uniform(-3, 1)
+    if kind == 1:  # tied coefficients and some point coordinates
+        c = np.round(rng.normal(size=k) * 2)
+        point = rng.random(k) < 0.3
+        upper[point] = lower[point]
+    elif kind == 2:  # a point box
+        upper = lower.copy()
+    elif kind == 3:
+        # Every lower endpoint 750-800 below the top upper, so the m = 0
+        # denominator underflows to 0, uppers spread down to 760 below it
+        # (subnormal terms), and small coefficients whose products underflow.
+        top = rng.uniform(-5, 5)
+        upper = top - rng.uniform(0, 760, k)
+        upper[rng.integers(k)] = top
+        lower = np.minimum(upper, top - rng.uniform(750, 800, k))
+        c = c * 10.0 ** rng.uniform(-12, 0)
+    elif kind == 4:  # |c| near DBL_MAX, scaled down by ldexp, with some small entries
+        small = rng.random(k) < 0.3
+        c = np.where(small, c, rng.choice([-1.0, 1.0], k) * rng.uniform(2e307, 1.79e308, k))
+    elif kind == 5:  # shifts past 746 and very wide boxes
+        lower = rng.uniform(-2000, 0, k)
+        upper = lower + rng.uniform(0, 1500, k)
+    return c, lower, upper
+
+
+class TestFastKernelAccuracy:
+    """sweep_min's value is its own ratio at the best candidate, not a
+    re-evaluation at the vertex.  Against the decimal enclosure of the
+    exact minimum its error stays below
+        (2*min(max|s|, 746) + 4*(K+4)) * 2**-53 * max|c| + (K+1) * 2**-1070 * (max|c| + 1),
+    with s the row's endpoints minus its largest upper endpoint."""
+
+    ROWS = 2000
+
+    @staticmethod
+    def error_bound(c, lower, upper) -> Fraction:
+        k = len(c)
+        s_max = min(float(np.abs(np.concatenate((lower, upper)) - upper.max()).max()), 746.0)
+        c_max = Fraction(float(np.abs(c).max()))
+        return (Fraction(2 * s_max) + 4 * (k + 4)) * Fraction(1, 2**53) * c_max + Fraction(k + 1, 2**1070) * (c_max + 1)
+
+    def test_value_within_a_priori_bound(self, monkeypatch):
+        fallback = []
+        objective = solver._objective
+
+        def counted(c, s):
+            fallback.append(len(c))
+            return objective(c, s)
+
+        monkeypatch.setattr(solver, "_objective", counted)
+        rng = np.random.default_rng(2024)
+        by_k = {}
+        worst = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(self.ROWS):
+                c, lower, upper = accuracy_row(rng, i)
+                value, m = sweep_min(c, lower, upper)
+                by_k.setdefault(len(c), []).append((c, lower, upper, value, m))
+                lo, hi = decimal_min_enclosure(c, lower, upper)
+                bound = self.error_bound(c, lower, upper)
+                err = max(Fraction(float(value)) - Fraction(lo), Fraction(hi) - Fraction(float(value)))
+                assert err <= bound, (i, float(err), float(bound))
+                worst = max(worst, float(err / bound))
+                cert, _ = certified_sweep_min(c, lower, upper)
+                assert cert <= value
+            # Stacked calls, one per K, equal the per-row calls bit for bit.
+            for rows in by_k.values():
+                c, lower, upper, value, m = (np.stack(a) for a in zip(*rows))
+                got_value, got_m = sweep_min(c, lower, upper)
+                assert got_value.tobytes() == value.tobytes()
+                assert np.array_equal(got_m, m)
+                cert, _ = certified_sweep_min(c, lower, upper)
+                assert np.all(cert <= got_value)
+        assert fallback, "the underflow fallback was never taken"
+        print(f"worst error / bound: {worst:.3g}")

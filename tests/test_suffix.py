@@ -25,8 +25,8 @@ def sample_inputs(model, n, rng, box=None):
     return rng.uniform(box.lo, box.hi, (n, model.image_size))
 
 
-def eval_bound(bound, hplus):
-    return bound.beta + float(np.sum(bound.gamma * hplus))
+def eval_bound(bound, hplus, t=0):
+    return bound.beta[t] + float(np.sum(bound.gamma[t] * hplus))
 
 
 class TestLinearSuffix:
@@ -44,9 +44,9 @@ class TestLinearSuffix:
                 "suffix": LinearSuffix(w=np.eye(2), b=np.array([0.4, -0.1])),
             }
         )
-        sb = linear_suffix_bound(m, 0, 1)
-        assert np.array_equal(sb.gamma, [[1.0, -1.0]])
-        assert sb.beta == 0.5
+        sb = linear_suffix_bound(m, 0, [1])
+        assert np.array_equal(sb.gamma, [[[1.0, -1.0]]])
+        assert np.array_equal(sb.beta, [0.5])
 
     def test_identical_class_rows(self):
         m = random_model(seed=2, tokens=2, d_model=3, n_classes=2)
@@ -62,14 +62,14 @@ class TestLinearSuffix:
                 "suffix": LinearSuffix(w=w, b=np.array([1.0, 3.0])),
             }
         )
-        sb = linear_suffix_bound(m2, 0, 1)
-        assert np.array_equal(sb.gamma, np.zeros((2, 3)))
-        assert sb.beta == -2.0
+        sb = linear_suffix_bound(m2, 0, [1])
+        assert np.array_equal(sb.gamma, np.zeros((1, 2, 3)))
+        assert np.array_equal(sb.beta, [-2.0])
 
     def test_exactness_against_forward(self):
         rng = np.random.default_rng(3)
         m = random_model(seed=3, tokens=3, heads=2, d_model=4, d_head=2, n_classes=3)
-        sb = linear_suffix_bound(m, 2, 0)
+        sb = linear_suffix_bound(m, 2, [0])
         for x in sample_inputs(m, 50, rng):
             tr = forward_trace(m, x)
             margin = tr.logits[2] - tr.logits[0]
@@ -78,14 +78,18 @@ class TestLinearSuffix:
     def test_requires_linear_head(self):
         m = random_model(seed=4, suffix_kind="mlp1")
         with pytest.raises(ValidationError):
-            linear_suffix_bound(m, 0, 1)
+            linear_suffix_bound(m, 0, [1])
 
     def test_class_index_validation(self):
         m = random_model(seed=5)
         with pytest.raises(ValidationError):
-            linear_suffix_bound(m, 0, 0)
+            linear_suffix_bound(m, 0, [0])
         with pytest.raises(ValidationError):
-            linear_suffix_bound(m, 0, 5)
+            linear_suffix_bound(m, 0, [5])
+        # targets is a non-empty flat sequence of class indices
+        for targets in (1, [], [[1]], [1.0], [True], "1", None):
+            with pytest.raises(ValidationError):
+                linear_suffix_bound(m, 0, targets)
 
     @pytest.mark.parametrize("bad", [1.0, True, np.float64(1), "1"], ids=["float", "bool", "float64", "str"])
     def test_class_index_must_be_an_integer(self, bad):
@@ -93,8 +97,8 @@ class TestLinearSuffix:
         preact = PreActBox(lo=np.zeros(m.hidden), hi=np.ones(m.hidden))
         lin = random_model(seed=5, n_classes=3)
         for call in (
-            lambda y, t: linear_suffix_bound(lin, y, t),
-            lambda y, t: relu_suffix_bound(m, preact, y, t),
+            lambda y, t: linear_suffix_bound(lin, y, [t]),
+            lambda y, t: relu_suffix_bound(m, preact, y, [t]),
         ):
             for y, t in ((bad, 0), (0, bad)):
                 with pytest.raises(ValidationError):
@@ -106,19 +110,19 @@ class TestReluSuffix:
         m = random_model(seed=6, tokens=2, d_model=3, suffix_kind="mlp1", hidden=5)
         sfx = m.suffix
         pre = PreActBox(lo=np.full(5, 0.1), hi=np.full(5, 2.0))
-        sb = relu_suffix_bound(m, pre, 0, 1)
+        sb = relu_suffix_bound(m, pre, 0, [1])
         omega = sfx.w2[0] - sfx.w2[1]
         gamma_exact = (sfx.w1.T @ omega).reshape(m.tokens, m.d_model)
         beta_exact = float(sfx.b2[0] - sfx.b2[1] + omega @ sfx.b1)
-        assert sb.gamma == pytest.approx(gamma_exact, abs=1e-12)
-        assert sb.beta == pytest.approx(beta_exact, abs=1e-12)
+        assert sb.gamma[0] == pytest.approx(gamma_exact, abs=1e-12)
+        assert sb.beta[0] == pytest.approx(beta_exact, abs=1e-12)
 
     def test_all_dead_layer(self):
         m = random_model(seed=7, suffix_kind="mlp1", hidden=5)
         pre = PreActBox(lo=np.full(5, -3.0), hi=np.full(5, -0.5))
-        sb = relu_suffix_bound(m, pre, 1, 0)
+        sb = relu_suffix_bound(m, pre, 1, [0])
         assert np.array_equal(sb.gamma, np.zeros_like(sb.gamma))
-        assert sb.beta == float(m.suffix.b2[1] - m.suffix.b2[0])
+        assert sb.beta[0] == float(m.suffix.b2[1] - m.suffix.b2[0])
 
     def test_mixed_neurons_sound_by_sampling(self):
         rng = np.random.default_rng(8)
@@ -129,7 +133,7 @@ class TestReluSuffix:
             pre = interval_forward(m, box)
             assert np.any((pre.lo < 0) & (pre.hi > 0)), "fixture should have crossing neurons"
             for y, t in ((0, 1), (1, 0)):
-                sb = relu_suffix_bound(m, pre, y, t)
+                sb = relu_suffix_bound(m, pre, y, [t])
                 xs = sample_inputs(m, 2000, rng, box)
                 for x in xs[:: len(xs) // 500]:
                     tr = forward_trace(m, x)
@@ -140,23 +144,33 @@ class TestReluSuffix:
         # Pre-activation boxes that exclude zero make the relaxation exact.
         m = random_model(seed=13, suffix_kind="mlp1", hidden=4)
         pre = PreActBox(lo=np.array([0.2, 0.5, -2.0, -0.1]), hi=np.array([1.0, 2.0, -0.4, -0.05]))
-        sb = relu_suffix_bound(m, pre, 0, 1)
+        sb = relu_suffix_bound(m, pre, 0, [1])
         sfx = m.suffix
         omega = sfx.w2[0] - sfx.w2[1]
         active = np.array([1.0, 1.0, 0.0, 0.0])
         slope = omega * active
         gamma_exact = (sfx.w1.T @ slope).reshape(m.tokens, m.d_model)
         beta_exact = float(sfx.b2[0] - sfx.b2[1] + slope @ sfx.b1)
-        assert sb.gamma == pytest.approx(gamma_exact, abs=1e-9)
-        assert sb.beta == pytest.approx(beta_exact, abs=1e-9)
+        assert sb.gamma[0] == pytest.approx(gamma_exact, abs=1e-9)
+        assert sb.beta[0] == pytest.approx(beta_exact, abs=1e-9)
+
+    def test_stacked_targets_match_single_targets(self):
+        m = random_model(seed=9, tokens=2, heads=1, d_model=4, n_classes=5, suffix_kind="mlp1", hidden=6)
+        pre = interval_forward(m, pixel_box(np.random.default_rng(9).uniform(0.2, 0.8, m.image_size), 0.05))
+        stacked = relu_suffix_bound(m, pre, 2, np.array([4, 0, 1, 3]))
+        assert stacked.beta.shape == (4,) and stacked.gamma.shape == (4, m.tokens, m.d_model)
+        for pos, t in enumerate((4, 0, 1, 3)):
+            alone = relu_suffix_bound(m, pre, 2, [t])
+            assert stacked.beta[pos] == pytest.approx(alone.beta[0], rel=1e-14, abs=1e-14)
+            assert stacked.gamma[pos] == pytest.approx(alone.gamma[0], rel=1e-14, abs=1e-14)
 
     def test_requires_mlp_head_and_matching_box(self):
         m = random_model(seed=14)
         with pytest.raises(ValidationError):
-            relu_suffix_bound(m, PreActBox(lo=np.zeros(1), hi=np.zeros(1)), 0, 1)
+            relu_suffix_bound(m, PreActBox(lo=np.zeros(1), hi=np.zeros(1)), 0, [1])
         m2 = random_model(seed=14, suffix_kind="mlp1", hidden=6)
         with pytest.raises(ValidationError):
-            relu_suffix_bound(m2, PreActBox(lo=np.zeros(2), hi=np.zeros(2)), 0, 1)
+            relu_suffix_bound(m2, PreActBox(lo=np.zeros(2), hi=np.zeros(2)), 0, [1])
 
 
 class TestIntervalForward:

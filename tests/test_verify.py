@@ -59,6 +59,23 @@ class TestPixelBox:
         with pytest.raises(ValidationError):
             pixel_box(np.array([0.5]), float("nan"))
 
+    @pytest.mark.parametrize("bad", ["0.1", None, True, False, np.bool_(True), 1j, [0.1]])
+    def test_epsilon_must_be_a_number(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="epsilon must be a number"):
+                pixel_box(np.array([0.5]), bad)
+
+    def test_numeric_epsilons(self):
+        x0 = np.array([0.25, 0.75])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = pixel_box(x0, float("inf"))
+            assert np.array_equal(unit.lo, [0.0, 0.0]) and np.array_equal(unit.hi, [1.0, 1.0])
+            for eps in (0, np.int64(0), np.float32(0.0)):
+                box = pixel_box(x0, eps)
+                assert np.array_equal(box.lo, x0) and np.array_equal(box.hi, x0)
+
 
 class TestCleanInput:
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
@@ -164,7 +181,7 @@ class TestCertifiedMode:
         # coefficients stay finite, but the weighted sums of a row overflow.
         m = random_model(seed=0, tokens=4, heads=1, d_model=4, suffix_kind="linear")
         box = pixel_box(np.full(m.image_size, 0.5), 0.01)
-        bounds = [linear_suffix_bound(m, 0, t) for t in range(1, m.n_classes)]
+        bounds = linear_suffix_bound(m, 0, range(1, m.n_classes))
         c_max = np.abs(value_coefficients(bounds, m, box).c).max()
         m = dataclasses.replace(m, wo=m.wo * (0.3 * sys.float_info.max / c_max))
         with warnings.catch_warnings():
@@ -308,11 +325,10 @@ class TestBatchedArms:
             for eps in (0.0, 0.01, 0.1):
                 box = pixel_box(x0, eps)
                 if kind == "mlp1":
-                    preact = interval_forward(m, box)
-                    suffix_bounds = [relu_suffix_bound(m, preact, y, t) for t in targets]
+                    suffix = relu_suffix_bound(m, interval_forward(m, box), y, targets)
                 else:
-                    suffix_bounds = [linear_suffix_bound(m, y, t) for t in targets]
-                coeffs = value_coefficients(suffix_bounds, m, box)
+                    suffix = linear_suffix_bound(m, y, targets)
+                coeffs = value_coefficients(suffix, m, box)
                 scores = model_score_boxes(m, box)
                 fast = certify_targets(m, box, y)
                 cert = certify_targets(m, box, y, certified=True)
