@@ -223,11 +223,13 @@ def _sweep_block(c: np.ndarray, box_row: np.ndarray, box_exp: np.ndarray, lower:
     cs, flat, (den, num) = _threshold_sums(c, box_row, box_exp)
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = num / den
-    # A term below realmin is accurate only to 2**-1075.  Divided by a den
-    # with den * min(max|c|, 1) < realmin (0 included) that error could pass
-    # u * max|c|, so those candidates are re-evaluated with their own shift.
+    # A term below realmin is accurate only to 2**-1075; divided by a den with
+    # den * min(max|c|, 1) < realmin (0 included) that error could pass
+    # u * max|c|, so such candidates are evaluated again with their own shift.
+    # Equal coefficients need that only for den < realmin (the clamp is exact).
     c_lo, c_hi = cs[:, 0], cs[:, -1]
-    tiny = den < (_DEN_TINY / np.clip(np.maximum(-c_lo, c_hi), _DEN_TINY, 1.0))[:, None]
+    scale = np.where(c_lo < c_hi, np.clip(np.maximum(-c_lo, c_hi), _DEN_TINY, 1.0), 1.0)
+    tiny = den < (_DEN_TINY / scale)[:, None]
     if tiny.any():
         at, ms = np.nonzero(tiny)
         ends = flat[at]
@@ -249,10 +251,8 @@ def directional_min(c, box: ScoreBox) -> ThresholdResult:
     """
     c = _as_direction(c, box.size)
     value, m = sweep_min(c, box.lower, box.upper)
-    # The first m coordinates in ascending order of c sit at their upper end.
-    top = np.argsort(c, kind="stable")[: int(m)]
-    vertex = box.lower.copy()
-    vertex[top] = box.upper[top]
+    # The first m coordinates of c's stable ascending order sit at their upper end.
+    vertex = np.where(np.argsort(np.argsort(c, kind="stable")) < m, box.upper, box.lower)
     return ThresholdResult(value=float(value), m=int(m), vertex=vertex, sense="min")
 
 
