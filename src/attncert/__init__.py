@@ -14,7 +14,7 @@ from .attention import (
     value_coefficients,
     value_scalar_bounds,
 )
-from .baseline import SoftmaxOutputBox, baseline_directional_min, softmax_output_box
+from .baseline import baseline_directional_min
 from .certified import CertifiedBound, certified_directional_min
 from .errors import CertificationInfeasibleError, InternalInvariantError, ValidationError
 from .harness import (
@@ -70,7 +70,6 @@ __all__ = [
     "PreActBox",
     "ScoreBox",
     "ScoreBoxTensor",
-    "SoftmaxOutputBox",
     "SuffixAffineBound",
     "SweepConfig",
     "ThresholdResult",
@@ -104,7 +103,6 @@ __all__ = [
     "score_boxes_interval_product",
     "selfcheck",
     "softmax_objective",
-    "softmax_output_box",
     "synth_instance",
     "value_coefficients",
     "value_scalar_bounds",

@@ -205,9 +205,11 @@ def _target_block(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> tuple[np.ndarr
 
 def _accumulate(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # cumsum adds left to right in (head, token) order, so each target's
-    # total is bit-identical to a scalar `total += row` loop.
+    # total is bit-identical to a scalar `total += row` loop.  A sum past
+    # the float range is +-inf, still a sound bound.
     terms = np.concatenate((floor[:, None], rows.reshape(len(floor), -1)), axis=1)
-    return np.cumsum(terms, axis=1)[:, -1]
+    with np.errstate(over="ignore"):
+        return np.cumsum(terms, axis=1)[:, -1]
 
 
 def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarray:

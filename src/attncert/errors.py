@@ -27,3 +27,21 @@ def check_real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def check_classes(n_classes: int, y, targets) -> tuple[int, np.ndarray]:
+    """(y, targets) as an int and an index array, if y is a class index below
+    n_classes and targets a non-empty flat sequence of other, distinct ones."""
+    if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < n_classes:
+        raise ValidationError(f"class index y={y!r} out of range for {n_classes} classes")
+    t = np.asarray(targets)
+    if t.ndim != 1 or not t.size or not np.issubdtype(t.dtype, np.integer):
+        raise ValidationError("targets must be a non-empty flat sequence of integer class indices")
+    out = t[(t < 0) | (t >= n_classes)]
+    if out.size:
+        raise ValidationError(f"target {out[0]} out of range for {n_classes} classes")
+    if np.any(t == y):
+        raise ValidationError(f"target equals the label y={y}")
+    if len(set(t.tolist())) != t.size:
+        raise ValidationError("targets must not repeat")
+    return int(y), t.astype(np.intp)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .baseline import baseline_directional_min
 from .certified import certified_directional_min
-from .errors import ValidationError, check_int, check_real
+from .errors import ValidationError, check_classes, check_int, check_real
 from .model import AttentionModelSpec, forward_batch
 from .model import forward  # noqa: F401  unused since the margin polish is batched; benchmark/tracing.py wraps this name
 from .attention import PixelBox
@@ -57,6 +57,7 @@ from .solver import (
     ScoreBox,
     _as_direction,
     _objective,
+    _threshold_vertices,
     directional_min,
     exhaustive_vertex_min,
 )
@@ -135,16 +136,6 @@ def synth_instance(
     return c, ScoreBox(lower=centers - half, upper=centers + half)
 
 
-def _attack_vertices(c: np.ndarray, box: ScoreBox) -> np.ndarray:
-    """All K+1 threshold vertices of the sweeps of c and of -c, in original
-    coordinate order: 2(K+1) rows.  Vertex m of a sweep has the coordinates
-    of rank < m in the stable ascending sort at their upper endpoint."""
-    k = box.size
-    ranks = np.argsort(np.argsort(np.stack((c, -c)), axis=-1, kind="stable"), axis=-1)
-    take_upper = ranks[:, None, :] < np.arange(k + 1)[:, None]
-    return np.where(take_upper, box.upper, box.lower).reshape(-1, k)
-
-
 def _objective_polish(c: np.ndarray, start: np.ndarray, start_val: float, lo: np.ndarray, hi: np.ndarray) -> float:
     """Endpoint coordinate descent on c . softmax(s) from `start`, whose
     value is start_val: up to two rounds that try each coordinate at lo,
@@ -205,31 +196,13 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
     c = np.ascontiguousarray(_as_direction(c, k))
     n_vertices = 2 * (k + 1)
     points = np.empty((n_vertices + budget, k))
-    points[:n_vertices] = _attack_vertices(c, box)
+    # Every threshold vertex m = 0..K of the sweeps of c and of -c.
+    both = np.stack((c, -c))[:, None]
+    points[:n_vertices] = _threshold_vertices(both, box.lower, box.upper, np.arange(k + 1)).reshape(-1, k)
     points[n_vertices:] = keyed_rng(seed, k).uniform(box.lower, box.upper, size=(budget, k))
     vals = _objective(c, points)
     best = int(np.argmin(vals))
     return _objective_polish(c, points[best], float(vals[best]), box.lower, box.upper)
-
-
-def _check_targets(model: AttentionModelSpec, box: PixelBox, y: int, targets) -> np.ndarray:
-    if box.size != model.image_size:
-        raise ValidationError(f"pixel box length {box.size} does not match image size {model.image_size}")
-    n = model.n_classes
-    if not isinstance(y, (int, np.integer)) or isinstance(y, bool) or not 0 <= y < n:
-        raise ValidationError(f"class index y={y!r} out of range for {n} classes")
-    t = np.asarray(targets)
-    if t.ndim != 1 or not (t.size == 0 or np.issubdtype(t.dtype, np.integer)):
-        raise ValidationError("targets must be a flat sequence of integer class indices")
-    t = t.astype(np.intp)
-    out = t[(t < 0) | (t >= n)]
-    if out.size:
-        raise ValidationError(f"target {out[0]} out of range for {n} classes")
-    if np.any(t == y):
-        raise ValidationError(f"target equals the label y={y}")
-    if np.unique(t).size != t.size:
-        raise ValidationError("targets must not repeat")
-    return t
 
 
 def _margin_polish(
@@ -332,7 +305,9 @@ def attack_min_margin(
     input."""
     budget = check_int("budget", budget, 1)
     seed = check_int("seed", seed, 0)
-    t = _check_targets(model, box, y, targets)
+    if box.size != model.image_size:
+        raise ValidationError(f"pixel box length {box.size} does not match image size {model.image_size}")
+    y, t = check_classes(model.n_classes, y, targets)
     return _attack_margin_points(model, box, y, t, budget, seed)[1]
 
 

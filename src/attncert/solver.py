@@ -6,6 +6,9 @@ coefficients ascending, some prefix of coordinates sits at its upper endpoint
 and the rest at the lower endpoint.  Sweeping the K+1 candidate thresholds
 and taking the best ratio gives the exact optimum in O(K log K); that ratio
 is the value, evaluated again only where its denominator underflows.
+Every row problem of the package (exact, certified, baseline, block-output
+bounds and attack vertices) exponentiates its box through _shifted_box or
+builds its vertices with _threshold_vertices.
 """
 
 from __future__ import annotations
@@ -104,11 +107,13 @@ def _objective(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(val, c.min(axis=-1)), c.max(axis=-1))
 
 
-def _threshold_vertices(ls: np.ndarray, us: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Rows of (n, K) or (K,) sorted endpoints with the first m[row]
-    coordinates at their upper endpoint and the rest at their lower
-    endpoint, shape (n, K)."""
-    return np.where(np.arange(ls.shape[-1]) < m[:, None], us, ls)
+def _threshold_vertices(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, m) -> np.ndarray:
+    """Threshold vertex m of every row of (..., K) arrays that broadcast
+    together (m broadcasts against their leading shape): the coordinates of
+    rank < m in the row's stable ascending order of c sit at their upper
+    endpoint and the rest at their lower endpoint, in original order."""
+    rank = np.argsort(np.argsort(c, axis=-1, kind="stable"), axis=-1)
+    return np.where(rank < m[..., None], upper, lower)
 
 
 # sweep_min sweeps its rows in blocks of about this many elements.  A block's
@@ -168,7 +173,7 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
 
 
 def _shifted_box(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The (nb, K) box rows' uppers and lowers, (2, nb, K), minus each
+    """The (..., K) box rows' uppers and lowers, (2, ..., K), minus each
     row's largest upper: an exact shift (-inf far below it, exp 0)."""
     with np.errstate(over="ignore"):
         return np.stack((upper, lower)) - upper.max(axis=-1, keepdims=True)
@@ -233,7 +238,8 @@ def _sweep_block(c: np.ndarray, box_row: np.ndarray, box_exp: np.ndarray, lower:
     if tiny.any():
         at, ms = np.nonzero(tiny)
         ends = flat[at]
-        tau[at, ms] = _objective(cs[at], _threshold_vertices(np.take(lower, ends), np.take(upper, ends), ms))
+        # The sorted rows cs[at] rank as the identity.
+        tau[at, ms] = _objective(cs[at], _threshold_vertices(cs[at], np.take(lower, ends), np.take(upper, ends), ms))
 
     m_star = np.argmin(tau, axis=-1)
     # The true ratio is a convex combination of the coefficients.
@@ -251,8 +257,7 @@ def directional_min(c, box: ScoreBox) -> ThresholdResult:
     """
     c = _as_direction(c, box.size)
     value, m = sweep_min(c, box.lower, box.upper)
-    # The first m coordinates of c's stable ascending order sit at their upper end.
-    vertex = np.where(np.argsort(np.argsort(c, kind="stable")) < m, box.upper, box.lower)
+    vertex = _threshold_vertices(c, box.lower, box.upper, m)
     return ThresholdResult(value=float(value), m=int(m), vertex=vertex, sense="min")
 
 
@@ -269,7 +274,7 @@ def directional_max(c, box: ScoreBox) -> ThresholdResult:
 _EXHAUSTIVE_CAP = 24
 
 
-def exhaustive_vertex_min(c, box: ScoreBox, max_size: int = _EXHAUSTIVE_CAP) -> ThresholdResult:
+def exhaustive_vertex_min(c, box: ScoreBox) -> ThresholdResult:
     """Brute-force minimum over all box vertices, for cross-checking.
 
     Numerators and denominators for all 2^B vertex patterns (B counts the
@@ -279,13 +284,10 @@ def exhaustive_vertex_min(c, box: ScoreBox, max_size: int = _EXHAUSTIVE_CAP) -> 
     pattern (lower endpoint before upper).  Guarded to small boxes.
     """
     c = _as_direction(c, box.size)
-    if box.size > max_size:
-        raise ValidationError(f"exhaustive search limited to {max_size} coordinates, got {box.size}")
+    if box.size > _EXHAUSTIVE_CAP:
+        raise ValidationError(f"exhaustive search limited to {_EXHAUSTIVE_CAP} coordinates, got {box.size}")
     lower, upper = box.lower, box.upper
-    a = float(upper.max())
-    with np.errstate(over="ignore"):
-        eu = np.exp(upper - a)
-        el = np.exp(lower - a)
+    eu, el = np.exp(_shifted_box(lower, upper))
 
     free = [j for j in range(box.size) if lower[j] < upper[j]]
     num = np.zeros(1)
@@ -301,10 +303,8 @@ def exhaustive_vertex_min(c, box: ScoreBox, max_size: int = _EXHAUSTIVE_CAP) -> 
             ones = np.concatenate((ones, ones + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / den
-    bad = den < _DEN_TINY
-    if bad.any():
-        for idx in np.flatnonzero(bad):
-            vals[idx] = softmax_objective(c, _decode_vertex(lower, upper, free, int(idx)))
+    for idx in np.flatnonzero(den < _DEN_TINY):
+        vals[idx] = softmax_objective(c, _decode_vertex(lower, upper, free, int(idx)))
 
     best = int(np.argmin(vals))
     vertex = _decode_vertex(lower, upper, free, best)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import PixelBox, ScoreBoxTensor, model_score_boxes, token_bounds, value_scalar_bounds
-from .errors import ValidationError, check_int
+from .attention import PixelBox, ScoreBoxTensor, token_bounds, value_scalar_bounds
+from .attention import model_score_boxes  # noqa: F401  unused since the caller passes the score boxes; benchmark/tracing.py wraps this name
+from .errors import ValidationError, check_classes
 from .intervals import affine_bounds
 from .model import AttentionModelSpec, LinearSuffix, MlpSuffix
 from .solver import sweep_min
@@ -56,7 +57,7 @@ def linear_suffix_bound(model: AttentionModelSpec, y: int, targets) -> SuffixAff
     sfx = model.suffix
     if not isinstance(sfx, LinearSuffix):
         raise ValidationError("linear_suffix_bound requires a linear head")
-    t = _check_classes(model, y, targets)
+    y, t = check_classes(model.n_classes, y, targets)
     w = sfx.w[y] - sfx.w[t]
     return SuffixAffineBound(beta=sfx.b[y] - sfx.b[t], gamma=w.reshape(len(t), model.tokens, model.d_model))
 
@@ -72,7 +73,7 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, targ
     sfx = model.suffix
     if not isinstance(sfx, MlpSuffix):
         raise ValidationError("relu_suffix_bound requires an mlp1 head")
-    t = _check_classes(model, y, targets)
+    y, t = check_classes(model.n_classes, y, targets)
     lo, hi = preact.lo, preact.hi
     if lo.shape != (model.hidden,):
         raise ValidationError(f"pre-activation bounds must have shape ({model.hidden},), got {lo.shape}")
@@ -97,17 +98,15 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, targ
 
 
 def block_output_bounds(
-    model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxTensor | None = None
+    model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxTensor
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boxes on the block output tokens, (R, d_model) pair.
 
     Head outputs are convex combinations of value vectors, so each coordinate
     is bounded by a directional softmax problem over the head's score box
     with the value bounds as coefficients.  `scores` is the box's
-    model_score_boxes, built here when not given.
+    model_score_boxes.
     """
-    if scores is None:
-        scores = model_score_boxes(model, box)
     v_lo, v_hi = value_scalar_bounds(model, box)
     if not (np.all(np.isfinite(v_lo)) and np.all(np.isfinite(v_hi))):
         raise ValidationError("value bounds must be finite")
@@ -130,7 +129,7 @@ def block_output_bounds(
     return out_lo, out_hi
 
 
-def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxTensor | None = None) -> PreActBox:
+def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxTensor) -> PreActBox:
     """Hidden pre-activation boxes over the pixel box (empty for a linear
     head).  `scores` is passed on to block_output_bounds."""
     sfx = model.suffix
@@ -139,16 +138,3 @@ def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxT
     h_lo, h_hi = block_output_bounds(model, box, scores)
     z_lo, z_hi = affine_bounds(sfx.w1, h_lo.reshape(-1), h_hi.reshape(-1))
     return PreActBox(lo=z_lo + sfx.b1, hi=z_hi + sfx.b1)
-
-
-def _check_classes(model: AttentionModelSpec, y: int, targets) -> np.ndarray:
-    """The targets as an index array of classes other than y."""
-    t = np.asarray(targets)
-    if t.ndim != 1 or not t.size or not np.issubdtype(t.dtype, np.integer):
-        raise ValidationError(f"targets must be a non-empty sequence of class indices, got {targets!r}")
-    for name, v in (("y", check_int("y", y, 0)), ("t", t.min()), ("t", t.max())):
-        if not 0 <= v < model.n_classes:
-            raise ValidationError(f"class index {name}={v} out of range for {model.n_classes} classes")
-    if y in t:
-        raise ValidationError("margin needs two distinct classes")
-    return t

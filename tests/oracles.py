@@ -32,6 +32,10 @@ analysis promises for one row, evaluated in exact rational arithmetic over
 the same float sums the kernel forms, one Python float operation at a time.
 The kernel's own float evaluation of that bound must never rise above it.
 
+softmax_output_bounds_own_shift is the baseline's per-coordinate output
+box with every coordinate evaluated at its own vertex, shifted by that
+vertex's own max, with math.exp and an exactly rounded sum.
+
 threshold_vertices is the attack's vertex set as the harness built it
 before it took the solver's helper: every threshold vertex from one
 lower-triangular mask.
@@ -80,7 +84,7 @@ from attncert.attention import token_bounds
 from attncert.harness import _margin_polish
 from attncert.intervals import affine_bounds
 from attncert.model import ForwardTrace, LinearSuffix, forward, forward_batch, patch_pixel_indices
-from attncert.solver import _objective, _threshold_vertices
+from attncert.solver import _objective
 
 PREC = 60
 CTX_DN = Context(prec=PREC, rounding=ROUND_FLOOR)
@@ -374,6 +378,22 @@ def block_output_row_loop(model, box):
     return out_lo, out_hi
 
 
+def softmax_output_bounds_own_shift(lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate softmax output bounds (a_lo, a_hi): coordinate j at
+    its lower (upper) endpoint with every rival at its upper (lower)
+    endpoint, each vertex shifted by its own max and evaluated with
+    math.exp and an exactly rounded sum."""
+    a_lo, a_hi = [], []
+    for j in range(len(lower)):
+        for own, rival, out in ((lower, upper, a_lo), (upper, lower, a_hi)):
+            v = [float(s) for s in rival]
+            v[j] = float(own[j])
+            a = max(v)
+            e = [math.exp(s - a) for s in v]
+            out.append(e[j] / math.fsum(e))
+    return np.array(a_lo), np.array(a_hi)
+
+
 def threshold_vertices(c, box) -> np.ndarray:
     """All K+1 threshold vertices of the ascending-c sweep, original order."""
     k = box.size
@@ -578,9 +598,10 @@ def attack_vertices_loop(c, box) -> np.ndarray:
     """The 2(K+1) threshold vertices of c and -c, one sweep at a time."""
     k = box.size
     out = np.empty((2, k + 1, k))
+    take_upper = np.arange(k) < np.arange(k + 1)[:, None]  # vertex m: the first m sorted coordinates
     for side, d in zip(out, (c, -c)):
         order = np.argsort(d, kind="stable")
-        side[:, order] = _threshold_vertices(box.lower[order], box.upper[order], np.arange(k + 1))
+        side[:, order] = np.where(take_upper, box.upper[order], box.lower[order])
     return out.reshape(-1, k)
 
 

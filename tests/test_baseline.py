@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+import attncert.baseline
 from attncert import (
     ScoreBox,
     baseline_directional_min,
     directional_min,
-    softmax_output_box,
 )
-from oracles import naive_vertex_min
+from oracles import naive_vertex_min, softmax_output_bounds_own_shift
 
 K3_MIN = -0.6804790632423976
 K3_BASELINE = -0.7236071038285609
@@ -20,32 +20,42 @@ def box(lower, upper):
     return ScoreBox(lower=np.asarray(lower, float), upper=np.asarray(upper, float))
 
 
+def output_bounds(b):
+    """The baseline's per-coordinate output bounds through the public API:
+    a one-hot direction pairs its coordinate with its lower bound, a negated
+    one with its upper bound, and every other term is an exact zero."""
+    eye = np.eye(b.size)
+    a_lo = np.array([baseline_directional_min(e, b) for e in eye])
+    a_hi = np.array([-baseline_directional_min(-e, b) for e in eye])
+    return a_lo, a_hi
+
+
 def test_degenerate_uniform():
-    ob = softmax_output_box(box([0.0, 0.0], [0.0, 0.0]))
-    assert np.array_equal(ob.a_lo, [0.5, 0.5])
-    assert np.array_equal(ob.a_hi, [0.5, 0.5])
+    a_lo, a_hi = output_bounds(box([0.0, 0.0], [0.0, 0.0]))
+    assert np.array_equal(a_lo, [0.5, 0.5])
+    assert np.array_equal(a_hi, [0.5, 0.5])
 
 
 def test_k2_symmetric_box():
-    ob = softmax_output_box(box([-1.0, -1.0], [1.0, 1.0]))
+    a_lo, a_hi = output_bounds(box([-1.0, -1.0], [1.0, 1.0]))
     lo = 1.0 / (1.0 + math.e**2)
     hi = math.e**2 / (1.0 + math.e**2)
-    assert ob.a_lo == pytest.approx([lo, lo], abs=1e-15)
-    assert ob.a_hi == pytest.approx([hi, hi], abs=1e-15)
+    assert a_lo == pytest.approx([lo, lo], abs=1e-15)
+    assert a_hi == pytest.approx([hi, hi], abs=1e-15)
 
 
 def test_single_coordinate():
-    ob = softmax_output_box(box([3.0], [7.0]))
-    assert np.array_equal(ob.a_lo, [1.0])
-    assert np.array_equal(ob.a_hi, [1.0])
+    a_lo, a_hi = output_bounds(box([3.0], [7.0]))
+    assert np.array_equal(a_lo, [1.0])
+    assert np.array_equal(a_hi, [1.0])
 
 
 def test_k3_fixture_values():
-    ob = softmax_output_box(box([-1.0] * 3, [1.0] * 3))
+    got_lo, got_hi = output_bounds(box([-1.0] * 3, [1.0] * 3))
     a_lo = 1.0 / (1.0 + 2.0 * math.e**2)
     a_hi = math.e**2 / (math.e**2 + 2.0)
-    assert ob.a_lo == pytest.approx([a_lo] * 3, abs=1e-12)
-    assert ob.a_hi == pytest.approx([a_hi] * 3, abs=1e-12)
+    assert got_lo == pytest.approx([a_lo] * 3, abs=1e-12)
+    assert got_hi == pytest.approx([a_hi] * 3, abs=1e-12)
     v = baseline_directional_min([-1.0, 0.0, 1.0], box([-1.0] * 3, [1.0] * 3))
     assert v == pytest.approx(K3_BASELINE, abs=1e-12)
     assert v < K3_MIN  # strictly looser than the exact solver here
@@ -70,15 +80,15 @@ def test_output_box_invariants_and_containment():
         centers = rng.uniform(-3, 3, k)
         w = rng.uniform(0, 2, k)
         b = box(centers - w, centers + w)
-        ob = softmax_output_box(b)
-        assert np.all(ob.a_lo >= 0.0)
-        assert np.all(ob.a_lo <= ob.a_hi)
-        assert np.all(ob.a_hi <= 1.0)
+        a_lo, a_hi = output_bounds(b)
+        assert np.all(a_lo >= 0.0)
+        assert np.all(a_lo <= a_hi)
+        assert np.all(a_hi <= 1.0)
         pts = rng.uniform(b.lower, b.upper, size=(200, k))
         e = np.exp(pts - pts.max(axis=1, keepdims=True))
         soft = e / e.sum(axis=1, keepdims=True)
-        assert np.all(soft >= ob.a_lo[None, :] - 1e-12)
-        assert np.all(soft <= ob.a_hi[None, :] + 1e-12)
+        assert np.all(soft >= a_lo[None, :] - 1e-12)
+        assert np.all(soft <= a_hi[None, :] + 1e-12)
 
 
 def test_soundness_by_sampling():
@@ -121,8 +131,8 @@ def test_fully_underflowed_coordinate():
     # rival both underflow; the bounds used to be 0/0 = NaN.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ob = softmax_output_box(box([-1000.0, -1000.0], [0.0, -1000.0]))
-        assert ob.a_lo[0] == 0.5 and ob.a_hi[1] == 0.5
+        a_lo, a_hi = output_bounds(box([-1000.0, -1000.0], [0.0, -1000.0]))
+        assert a_lo[0] == 0.5 and a_hi[1] == 0.5
         assert baseline_directional_min([1.0, -1.0], box([-1000.0, -1000.0], [0.0, -1000.0])) == 0.0
 
 
@@ -140,3 +150,38 @@ def test_wide_boxes_stay_below_exact_minimum():
             lower, upper = centers - half, centers + half
             exact = naive_vertex_min(c, lower, upper)
             assert baseline_directional_min(c, box(lower, upper)) <= exact + 1e-12 * max(1.0, abs(exact))
+
+
+
+def test_output_bounds_match_own_shift_oracle(monkeypatch):
+    # Boxes up to 1000 wide, where the shared shift often cannot resolve a
+    # coordinate and the baseline evaluates it again at its own vertex.
+    # Those re-evaluated coordinates stay within 4 ulps of the oracle's
+    # own-shift math.exp evaluation.  Every other coordinate keeps the
+    # shared shift's documented accuracy: 2**-40 relative (the flag
+    # threshold on cancellation) plus 2**-53 absolute (a term that
+    # underflows under the shared shift, over a denominator >= realmin).
+    evaluated = []
+
+    def spy(c, s):
+        out = objective(c, s)
+        evaluated.extend(zip(np.argmax(c, axis=-1), s, out))
+        return out
+
+    objective = attncert.baseline._objective
+    monkeypatch.setattr(attncert.baseline, "_objective", spy)
+    rng = np.random.default_rng(43)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(600):
+            k = int(rng.integers(1, 12))
+            centers = rng.uniform(-500.0, 500.0, k)
+            half = rng.uniform(0.0, 500.0, k) * 10.0 ** rng.integers(-3, 1)
+            b = box(centers - half, centers + half)
+            for g, w in zip(output_bounds(b), softmax_output_bounds_own_shift(b.lower, b.upper)):
+                assert np.all(np.abs(g - w) <= 4 * np.spacing(w) + 2.0**-40 * w + 2.0**-53)
+    assert len(evaluated) > 500
+    for j, vertex, got in evaluated:
+        # A degenerate box at the vertex bounds coordinate j by its value there.
+        want = softmax_output_bounds_own_shift(vertex, vertex)[0][j]
+        assert abs(got - want) <= 4 * np.spacing(want)

@@ -223,6 +223,26 @@ class TestCertify:
         assert main(["certify", path, "--input", x]) == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_baseline_sum_past_the_float_range(self, tmp_path, certified):
+        # Value coefficients near DBL_MAX: the baseline arm's sum of rows
+        # overflows to -inf, a sound bound, with no RuntimeWarning, and the
+        # vertex arm stays finite and sets every hybrid bound.
+        m = random_model(0, tokens=4, n_classes=3, suffix_kind="mlp1")
+        s = m.suffix
+        suffix = dataclasses.replace(s, w2=s.w2 * 4e307)
+        m = dataclasses.replace(m, wq=m.wq * 30, wk=m.wk * 30, suffix=suffix)
+        path, out = str(tmp_path / "model.json"), tmp_path / "report.json"
+        save_model(m, path)
+        argv = ["certify", path, "--epsilon", "0.05", "--out", str(out)] + (["--certified"] if certified else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        targets = json.loads(out.read_text())["targets"]
+        assert min(t["l_baseline"] for t in targets) == -np.inf
+        for t in targets:
+            assert np.isfinite(t["l_vertex"]) and t["l_hybrid"] == t["l_vertex"]
+
     def test_overflowing_logits_without_input_exit_3(self, tmp_path, capsys):
         # Without --input the label is the clean prediction, which such a
         # model does not have; no RuntimeWarning may escape while picking it.

@@ -31,7 +31,6 @@ from attncert.harness import (
     METHODS,
     TRIAL_COLUMNS,
     _attack_margin_points,
-    _attack_vertices,
     _margin_polish,
     _objective_polish,
     aggregate_records,
@@ -41,7 +40,7 @@ from attncert.harness import (
     write_trial_csv,
 )
 
-from attncert.solver import _objective
+from attncert.solver import _objective, _threshold_vertices
 from oracles import (
     attack_margin_sample_start,
     attack_objective_loop,
@@ -156,7 +155,8 @@ class TestAttackObjective:
         lower = rng.normal(size=k)
         box = ScoreBox(lower=lower, upper=lower + rng.uniform(0, 2, size=k))
         want = np.vstack((threshold_vertices(c, box), threshold_vertices(-c, box)))
-        assert np.array_equal(_attack_vertices(c, box), want)
+        got = _threshold_vertices(np.stack((c, -c))[:, None], box.lower, box.upper, np.arange(k + 1))
+        assert np.array_equal(got.reshape(-1, k), want)
         assert np.array_equal(attack_vertices_loop(c, box), want)
 
     def test_direction_validated(self):
@@ -196,7 +196,8 @@ def _polish_cases(k: int, kind: str):
             if kind == "tied":
                 c = np.round(c)
             if kind == "vertex":
-                vertices = _attack_vertices(c, box)
+                both = np.stack((c, -c))[:, None]
+                vertices = _threshold_vertices(both, box.lower, box.upper, np.arange(k + 1)).reshape(-1, k)
                 picks = rng.choice(len(vertices), size=min(len(vertices), 6), replace=False)
                 for start in vertices[picks]:
                     yield c, box, start
@@ -322,7 +323,8 @@ class TestAttackMargin:
 
     def test_no_targets(self):
         m, box, y, _ = _attack_case(0, "linear")
-        assert attack_min_margin(m, box, y, [], budget=4).shape == (0,)
+        with pytest.raises(ValidationError, match="non-empty"):
+            attack_min_margin(m, box, y, [], budget=4)
 
     @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
     @pytest.mark.parametrize("eps", [0.05, 0.5])

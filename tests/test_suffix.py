@@ -11,6 +11,7 @@ from attncert import (
     forward_trace,
     interval_forward,
     linear_suffix_bound,
+    model_score_boxes,
     pixel_box,
     random_model,
     relu_suffix_bound,
@@ -91,6 +92,15 @@ class TestLinearSuffix:
             with pytest.raises(ValidationError):
                 linear_suffix_bound(m, 0, targets)
 
+    def test_repeated_targets_rejected(self):
+        lin = random_model(seed=5, n_classes=3)
+        m = random_model(seed=5, n_classes=3, suffix_kind="mlp1")
+        preact = PreActBox(lo=np.zeros(m.hidden), hi=np.ones(m.hidden))
+        with pytest.raises(ValidationError, match="repeat"):
+            linear_suffix_bound(lin, 0, [1, 2, 1])
+        with pytest.raises(ValidationError, match="repeat"):
+            relu_suffix_bound(m, preact, 0, [2, 2])
+
     @pytest.mark.parametrize("bad", [1.0, True, np.float64(1), "1"], ids=["float", "bool", "float64", "str"])
     def test_class_index_must_be_an_integer(self, bad):
         m = random_model(seed=5, n_classes=3, suffix_kind="mlp1")
@@ -130,7 +140,7 @@ class TestReluSuffix:
             m = random_model(seed=seed, tokens=2, heads=1, d_model=4, suffix_kind="mlp1", hidden=6, weight_scale=1.5)
             x0 = np.random.default_rng(100 + seed).uniform(0.2, 0.8, m.image_size)
             box = pixel_box(x0, 0.05)
-            pre = interval_forward(m, box)
+            pre = interval_forward(m, box, model_score_boxes(m, box))
             assert np.any((pre.lo < 0) & (pre.hi > 0)), "fixture should have crossing neurons"
             for y, t in ((0, 1), (1, 0)):
                 sb = relu_suffix_bound(m, pre, y, [t])
@@ -156,7 +166,8 @@ class TestReluSuffix:
 
     def test_stacked_targets_match_single_targets(self):
         m = random_model(seed=9, tokens=2, heads=1, d_model=4, n_classes=5, suffix_kind="mlp1", hidden=6)
-        pre = interval_forward(m, pixel_box(np.random.default_rng(9).uniform(0.2, 0.8, m.image_size), 0.05))
+        box = pixel_box(np.random.default_rng(9).uniform(0.2, 0.8, m.image_size), 0.05)
+        pre = interval_forward(m, box, model_score_boxes(m, box))
         stacked = relu_suffix_bound(m, pre, 2, np.array([4, 0, 1, 3]))
         assert stacked.beta.shape == (4,) and stacked.gamma.shape == (4, m.tokens, m.d_model)
         for pos, t in enumerate((4, 0, 1, 3)):
@@ -176,14 +187,16 @@ class TestReluSuffix:
 class TestIntervalForward:
     def test_linear_head_empty_box(self):
         m = random_model(seed=15)
-        pre = interval_forward(m, pixel_box(np.full(m.image_size, 0.5), 0.1))
+        box = pixel_box(np.full(m.image_size, 0.5), 0.1)
+        pre = interval_forward(m, box, model_score_boxes(m, box))
         assert pre.lo.shape == (0,)
 
     def test_zero_epsilon_collapses_to_forward(self):
         for residual in (True, False):
             m = random_model(seed=16, tokens=3, heads=2, d_model=4, d_head=2, suffix_kind="mlp1", hidden=5, residual=residual)
             x0 = np.random.default_rng(4).uniform(0, 1, m.image_size)
-            pre = interval_forward(m, pixel_box(x0, 0.0))
+            box = pixel_box(x0, 0.0)
+            pre = interval_forward(m, box, model_score_boxes(m, box))
             exact = forward_trace(m, x0).hidden_pre
             assert pre.lo == pytest.approx(exact, abs=1e-12)
             assert pre.hi == pytest.approx(exact, abs=1e-12)
@@ -191,9 +204,11 @@ class TestIntervalForward:
     def test_monotone_in_epsilon(self):
         m = random_model(seed=17, tokens=2, suffix_kind="mlp1", hidden=6)
         x0 = np.random.default_rng(5).uniform(0.2, 0.8, m.image_size)
-        prev = interval_forward(m, pixel_box(x0, 0.0))
+        box = pixel_box(x0, 0.0)
+        prev = interval_forward(m, box, model_score_boxes(m, box))
         for eps in (0.01, 0.03, 0.1):
-            cur = interval_forward(m, pixel_box(x0, eps))
+            box = pixel_box(x0, eps)
+            cur = interval_forward(m, box, model_score_boxes(m, box))
             assert np.all(cur.lo <= prev.lo + 1e-12)
             assert np.all(cur.hi >= prev.hi - 1e-12)
             prev = cur
@@ -203,7 +218,7 @@ class TestIntervalForward:
         m = random_model(seed=18, tokens=3, heads=1, d_model=4, suffix_kind="mlp1", hidden=6)
         x0 = rng.uniform(0.2, 0.8, m.image_size)
         box = pixel_box(x0, 0.05)
-        pre = interval_forward(m, box)
+        pre = interval_forward(m, box, model_score_boxes(m, box))
         idx = patch_pixel_indices(m)
         xs = sample_inputs(m, 10_000, rng, box)
         # Batched hidden pre-activations, mirroring the reference forward.
@@ -232,6 +247,6 @@ class TestBlockOutputBounds:
             x0 = np.random.default_rng(90 + seed).uniform(0, 1, m.image_size)
             for eps in (0.0, 0.05, 0.5):
                 box = pixel_box(x0, eps)
-                lo, hi = block_output_bounds(m, box)
+                lo, hi = block_output_bounds(m, box, model_score_boxes(m, box))
                 ref_lo, ref_hi = block_output_row_loop(m, box)
                 assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)

@@ -324,12 +324,12 @@ class TestBatchedArms:
             targets = [t for t in range(m.n_classes) if t != y]
             for eps in (0.0, 0.01, 0.1):
                 box = pixel_box(x0, eps)
+                scores = model_score_boxes(m, box)
                 if kind == "mlp1":
-                    suffix = relu_suffix_bound(m, interval_forward(m, box), y, targets)
+                    suffix = relu_suffix_bound(m, interval_forward(m, box, scores), y, targets)
                 else:
                     suffix = linear_suffix_bound(m, y, targets)
                 coeffs = value_coefficients(suffix, m, box)
-                scores = model_score_boxes(m, box)
                 fast = certify_targets(m, box, y)
                 cert = certify_targets(m, box, y, certified=True)
                 for pos, (b, cb) in enumerate(zip(fast.bounds, cert.bounds)):
@@ -412,10 +412,3 @@ class TestBatchedArms:
         x0 = np.random.default_rng(1).uniform(0, 1, m.image_size)
         certify_targets(m, pixel_box(x0, 0.02), int(np.argmax(forward(m, x0))))
         assert len(built) == 1
-
-    def test_given_score_boxes_change_nothing(self):
-        m = random_model(seed=2, tokens=4, heads=2, d_model=6, n_classes=4, suffix_kind="mlp1", hidden=6)
-        box = pixel_box(np.random.default_rng(2).uniform(0, 1, m.image_size), 0.02)
-        own = interval_forward(m, box)
-        given = interval_forward(m, box, model_score_boxes(m, box))
-        assert np.array_equal(own.lo, given.lo) and np.array_equal(own.hi, given.hi)
