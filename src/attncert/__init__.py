@@ -16,7 +16,7 @@ from .attention import (
 )
 from .baseline import baseline_directional_min
 from .certified import CertifiedBound, certified_directional_min
-from .errors import CertificationInfeasibleError, InternalInvariantError, ValidationError
+from .errors import CertificationInfeasibleError, ValidationError
 from .harness import (
     SweepConfig,
     TrialRecord,
@@ -62,7 +62,6 @@ __all__ = [
     "CertificationInfeasibleError",
     "CertificationResult",
     "CertifiedBound",
-    "InternalInvariantError",
     "LinearSuffix",
     "MarginBound",
     "MlpSuffix",

@@ -1,8 +1,7 @@
 """Command-line interface: solve, sweep, certify, selfcheck.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 validation error,
-4 certification infeasible (interval saturation), 5 internal invariant
-failure (selfcheck or cross-check disagreement).
+4 certification infeasible (the certified sweep saturated), 5 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -15,8 +14,9 @@ import time
 import numpy as np
 
 from .certified import certified_directional_min
-from .errors import CertificationInfeasibleError, InternalInvariantError, ValidationError, check_int
+from .errors import CertificationInfeasibleError, ValidationError, check_int
 from .harness import (
+    AGGREGATE_COLUMNS,
     SweepConfig,
     aggregate_records,
     attack_min_margin,
@@ -83,7 +83,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         coeff_scale=args.coeff_scale,
     )
     records = run_sweep(config, attack_budget=args.budget, trial_csv=args.out, aggregate_csv=args.agg_out)
-    print(",".join(("K", "method", "cert_rate", "mean_lower", "mean_gap", "total_time_s")))
+    print(",".join(AGGREGATE_COLUMNS))
     for row in aggregate_records(records):
         print(
             f"{row['K']},{row['method']},{row['cert_rate']:.4f},"
@@ -230,9 +230,6 @@ def main(argv=None) -> int:
     except CertificationInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except InternalInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,10 +11,6 @@ class CertificationInfeasibleError(RuntimeError):
     """Raised when the certified path saturates and cannot produce a valid bound."""
 
 
-class InternalInvariantError(AssertionError):
-    """Raised when a cross-check between two independent code paths disagrees."""
-
-
 def check_int(name: str, value, minimum: int) -> int:
     """value as an int, if it is an integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:

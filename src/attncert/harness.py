@@ -5,8 +5,8 @@ SeedSequence(seed, spawn_key=(K, trial)), so every (K, trial) pair owns an
 independent, platform-stable stream.  Attacks are upper bounds on the true
 minimum obtained from feasible points only:
 
-* attack_min_objective (one score row): threshold vertices of both c and -c,
-  uniform samples, and a windowed endpoint polish;
+* attack_min_objective (one score row): the K+1 threshold vertices of c,
+  one of which attains the exact minimum, and uniform samples;
 * attack_min_margin (a model's margins): every target of one pixel box in
   one search, with one shared sample batch, a secant corner per target and
   a lockstep endpoint polish that scores all targets' candidate moves in
@@ -22,19 +22,6 @@ at most 2 * image_size + 3 forward_batch calls, and image_size + 3 when no
 single pixel move improves any target's start; on the benchmark's report
 pools at seeds 21-23 (shape M, 64 pixels) it made 75.7 per box instead of
 129, with every value equal to the sample start's within 1e-15.
-
-The objective polish starts from the best threshold vertex or sample, and
-one threshold vertex is the exact optimum, so it rarely moves: over the
-2,000 polishes of the benchmark's rows pool at seed 21, none improved on its
-start.  It therefore scores the candidate moves of a window of coordinates
-in one _objective call, and widens the window while no move is accepted, so
-a polish without a move makes about log4(K) calls instead of 2K one-point
-calls.  That raised rows throughput from 15.6 to 24.6 items/s over 10 paired
-runs on a 2-core host.  Where most coordinates move (interior starts) each
-move costs a call over a short window, up to 1.35x the one-point descent at
-K=64 and K=256.  An earlier batch of one coordinate's two candidates per
-call measured slower than the one-point descent (0.66 instead of 0.10 ms per
-trial at K=4): it still made a call per coordinate.
 """
 
 from __future__ import annotations
@@ -65,9 +52,6 @@ from .solver import (
 TRIAL_COLUMNS = ("K", "trial", "method", "lower", "attack", "gap", "time_us")
 AGGREGATE_COLUMNS = ("K", "method", "cert_rate", "mean_lower", "mean_gap", "total_time_s")
 METHODS = ("vertex", "baseline", "certified")
-# The objective polish's first window of coordinates; the window grows by
-# this factor after a window without an accepted move.
-_POLISH_WINDOW = 4
 
 
 def _check_finite(name: str, value) -> float:
@@ -136,56 +120,16 @@ def synth_instance(
     return c, ScoreBox(lower=centers - half, upper=centers + half)
 
 
-def _objective_polish(c: np.ndarray, start: np.ndarray, start_val: float, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Endpoint coordinate descent on c . softmax(s) from `start`, whose
-    value is start_val: up to two rounds that try each coordinate at lo,
-    then at hi, keeping every strict improvement (the hi move is compared
-    with the value after any lo move).  Returns the best value seen.
-
-    One _objective call scores the candidates of a window of coordinates
-    against the current point: each endpoint that differs from the current
-    coordinate.  The first accepted move ends the window, since later
-    candidates no longer differ from the point in one coordinate only; the
-    hi candidate of the same coordinate is still valid, because it is the
-    same point whether x_j has just moved to lo or not.  The next window
-    starts after that coordinate at _POLISH_WINDOW coordinates, and a window
-    without a move is followed by one _POLISH_WINDOW times wider.  _objective
-    rows equal softmax_objective bit for bit, so the result is exactly the
-    one-point-per-call descent's."""
-    best = start.copy()
-    best_val = start_val
-    ends = np.stack((lo, hi), axis=-1)  # (K, 2): lo, then hi
-    k = best.size
-    for _ in range(2):
-        improved = False
-        j, width = 0, _POLISH_WINDOW
-        while j < k:
-            stop = min(j + width, k)
-            col, side = np.nonzero(ends[j:stop] != best[j:stop, None])
-            col += j
-            cand = np.repeat(best[None, :], col.size, axis=0)
-            cand[np.arange(col.size), col] = ends[col, side]
-            vals = _objective(c, cand)
-            hit = np.flatnonzero(vals < best_val)
-            if not hit.size:
-                j, width = stop, width * _POLISH_WINDOW
-                continue
-            i = hit[0]
-            at = col[i]
-            best[at], best_val = ends[at, side[i]], float(vals[i])
-            if side[i] == 0 and i + 1 < col.size and col[i + 1] == at and vals[i + 1] < best_val:
-                best[at], best_val = hi[at], float(vals[i + 1])
-            improved = True
-            j, width = at + 1, _POLISH_WINDOW
-        if not improved:
-            break
-    return best_val
-
-
 def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
-    """Best (smallest) objective value over a feasible candidate set; an upper
-    bound on the exact minimum, and equal to it whenever a threshold vertex
-    attains the optimum."""
+    """Smallest objective value over the K+1 threshold vertices of c and
+    `budget` uniform samples of the box.
+
+    Every candidate is a point of the box, so the value is an upper bound on
+    the exact minimum; one threshold vertex attains that minimum, so the
+    value equals it up to _objective's rounding.  The sample stream is keyed
+    by (seed, K, 1), apart from synth_instance's (seed, K) stream, so a sweep
+    that passes one trial seed to both does not sample with the words that
+    drew the instance."""
     budget = check_int("budget", budget, 1)
     seed = check_int("seed", seed, 0)
     with np.errstate(over="ignore"):
@@ -194,15 +138,13 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
         raise ValidationError("box widths must be finite to sample the box")
     k = box.size
     c = np.ascontiguousarray(_as_direction(c, k))
-    n_vertices = 2 * (k + 1)
-    points = np.empty((n_vertices + budget, k))
-    # Every threshold vertex m = 0..K of the sweeps of c and of -c.
-    both = np.stack((c, -c))[:, None]
-    points[:n_vertices] = _threshold_vertices(both, box.lower, box.upper, np.arange(k + 1)).reshape(-1, k)
-    points[n_vertices:] = keyed_rng(seed, k).uniform(box.lower, box.upper, size=(budget, k))
-    vals = _objective(c, points)
-    best = int(np.argmin(vals))
-    return _objective_polish(c, points[best], float(vals[best]), box.lower, box.upper)
+    points = np.vstack(
+        (
+            _threshold_vertices(c, box.lower, box.upper, np.arange(k + 1)),
+            keyed_rng(seed, k, 1).uniform(box.lower, box.upper, size=(budget, k)),
+        )
+    )
+    return float(_objective(c, points).min())
 
 
 def _margin_polish(
@@ -459,7 +401,7 @@ def selfcheck(trials: int = 200, samples: int = 200, seed: int = 0, fault: bool 
             soundness_fail.append(s_i)
 
         n_dom += 1
-        if solve_value(c, box) < baseline_directional_min(c, box) - 1e-12:
+        if fast < baseline_directional_min(c, box) - 1e-12:
             dominance_fail.append(s_i)
 
     suites = (

@@ -45,6 +45,8 @@ class PreActBox:
         hi = np.asarray(self.hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValidationError("pre-activation bounds must be matched vectors")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValidationError("pre-activation bounds must be finite")
         if np.any(lo > hi):
             raise ValidationError("pre-activation bounds out of order")
         object.__setattr__(self, "lo", lo)

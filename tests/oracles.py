@@ -55,10 +55,12 @@ best point of the shared sample batch.  secant_corner builds a target's
 corner one probe at a time with forward.
 
 attack_vertices_loop, scalar_objective_polish and attack_objective_loop are
-attack_min_objective as it was before its polish was windowed: the vertices
-of each sweep scattered into place one side at a time, the samples stacked
-below them, and an endpoint coordinate descent that scores one point per
-softmax call.
+attack_min_objective as it was before its polish was removed: the threshold
+vertices of both c and -c scattered into place one side at a time, the
+samples stacked below them, and an endpoint coordinate descent from the
+best candidate that scores one point per softmax call.  One threshold
+vertex of c is the exact minimizer, so the attack without the -c vertices
+and the descent must stay within rounding of it.
 """
 
 from __future__ import annotations
@@ -605,26 +607,22 @@ def attack_vertices_loop(c, box) -> np.ndarray:
     return out.reshape(-1, k)
 
 
-def scalar_objective_polish(c, start, lo, hi, hi_against_start=False) -> float:
+def scalar_objective_polish(c, start, lo, hi) -> float:
     """Endpoint coordinate descent on c . softmax(s) from `start`: up to two
     rounds that try each coordinate at lo, then hi, keeping every strict
-    improvement.  One softmax_objective call per candidate point.
-
-    hi_against_start=True is a deliberate fault for mutant checks: the hi
-    move is compared with the value before the coordinate's lo move."""
+    improvement.  One softmax_objective call per candidate point."""
     best = np.array(start, dtype=np.float64)
     best_val = softmax_objective(c, best)
     for _ in range(2):
         improved = False
         for j in range(best.size):
-            before = best_val
             for cand in (lo[j], hi[j]):
                 if cand == best[j]:
                     continue
                 old = best[j]
                 best[j] = cand
                 v = softmax_objective(c, best)
-                if v < (before if hi_against_start and cand == hi[j] else best_val):
+                if v < best_val:
                     best_val = v
                     improved = True
                 else:
@@ -636,9 +634,9 @@ def scalar_objective_polish(c, start, lo, hi, hi_against_start=False) -> float:
 
 def attack_objective_loop(c, box, budget, seed=0) -> float:
     """attack_min_objective from attack_vertices_loop, stacked samples of
-    the (seed, K) stream and scalar_objective_polish from the best point."""
+    the (seed, K, 1) stream and scalar_objective_polish from the best point."""
     c = np.ascontiguousarray(c, dtype=np.float64)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(box.size,))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(box.size, 1))))
     points = np.vstack((attack_vertices_loop(c, box), rng.uniform(box.lower, box.upper, size=(budget, box.size))))
     vals = _objective(c, points)
     best = int(np.argmin(vals))

@@ -32,7 +32,6 @@ from attncert.harness import (
     TRIAL_COLUMNS,
     _attack_margin_points,
     _margin_polish,
-    _objective_polish,
     aggregate_records,
     keyed_rng,
     trial_seed,
@@ -46,7 +45,6 @@ from oracles import (
     attack_objective_loop,
     attack_vertices_loop,
     scalar_margin_polish,
-    scalar_objective_polish,
     secant_corner,
     threshold_vertices,
 )
@@ -137,8 +135,8 @@ class TestAttackObjective:
 
     @pytest.mark.parametrize("k", [1, 2, 4, 16, 64, 256])
     def test_matches_loop_oracle_bit_for_bit(self, k):
-        # The attack before the polish was windowed: loop-built vertices,
-        # stacked samples, one-point-per-call polish.
+        # The attack before its polish was removed: loop-built vertices of c
+        # and -c, stacked samples, one-point-per-call polish.
         for i in range(40 if k <= 16 else 12):
             width_scale = (1.0, 50.0, 1e-14)[i % 3]
             c, box = synth_instance(k, 40 * k + i, width_scale=width_scale)
@@ -159,6 +157,70 @@ class TestAttackObjective:
         assert np.array_equal(got.reshape(-1, k), want)
         assert np.array_equal(attack_vertices_loop(c, box), want)
 
+    def test_within_rounding_of_the_search_with_polish(self, capsys):
+        # The loop oracle adds the threshold vertices of -c and an endpoint
+        # descent from its best candidate to the attack's candidates, so it
+        # is never above the attack; one threshold vertex of c is the exact
+        # minimizer, so the attack may exceed it by rounding only.
+        rng = np.random.default_rng(15)
+        n = identical = 0
+        for i in range(3072):
+            k = int(np.exp2(rng.uniform(0.0, 8.0)).round()) if i % 64 else (1, 256)[i // 64 % 2]
+            width_scale = 10.0 ** rng.uniform(-14.0, 2.0)
+            coeff_scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            c, box = synth_instance(k, 5000 + i, width_scale=width_scale, coeff_scale=coeff_scale)
+            if i % 3 == 1:
+                c = np.round(c / coeff_scale) * coeff_scale  # tied coefficients
+            if i % 4 == 2:
+                lower = box.lower.copy()
+                pinned = rng.random(k) < 0.3
+                lower[pinned] = box.upper[pinned]  # lo == hi
+                box = ScoreBox(lower=lower, upper=box.upper)
+            budget = (1, 8, 40)[i % 3]
+            got = attack_min_objective(c, box, budget=budget, seed=i)
+            want = attack_objective_loop(c, box, budget, seed=i)
+            assert want <= got <= want + 1e-12 * max(1.0, float(np.max(np.abs(c)))), (i, k, got, want)
+            n += 1
+            identical += got == want
+        with capsys.disabled():
+            print(f"\nattack vs loop oracle: {identical} of {n} bit-identical")
+
+    def test_samples_keyed_apart_from_the_instance(self, monkeypatch):
+        # A sweep trial passes one seed to synth_instance and the attack; the
+        # attack's samples must not come from the instance's (seed, K) stream.
+        seen = []
+        objective = harness._objective
+
+        def spy(c, points):
+            seen.append(points.copy())
+            return objective(c, points)
+
+        monkeypatch.setattr(harness, "_objective", spy)
+        budget = 12
+        for k in (1, 4, 64):
+            seed = trial_seed(3, k, 0)
+            c, box = synth_instance(k, seed)
+            seen.clear()
+            attack_min_objective(c, box, budget=budget, seed=seed)
+            points = seen[0]  # the candidate set
+            samples = points[-budget:]  # stacked below the K+1 threshold vertices
+            instance_stream = keyed_rng(seed, k).uniform(box.lower, box.upper, size=(budget, k))
+            assert not np.isin(samples, instance_stream).any()
+            assert points.shape == (k + 1 + budget, k)
+            assert np.array_equal(samples, keyed_rng(seed, k, 1).uniform(box.lower, box.upper, size=(budget, k)))
+
+    @pytest.mark.parametrize("k", [1, 4, 64, 256])
+    def test_objective_rows_equal_softmax_objective(self, k):
+        # The attack scores its candidates with _objective and the loop
+        # oracle's descent scores one point per softmax_objective call: they
+        # must agree bit for bit on any number of rows.
+        for width_scale in (1.0, 50.0):
+            c, box = synth_instance(k, k, width_scale=width_scale)
+            points = np.random.default_rng(k).uniform(box.lower, box.upper, size=(9, k))
+            want = [softmax_objective(c, p) for p in points]
+            for n in (1, 2, 9):
+                assert _objective(c, points[:n]).tolist() == want[:n]
+
     def test_direction_validated(self):
         box = ScoreBox(lower=np.zeros(3), upper=np.ones(3))
         for c in ([1.0, 2.0], [1.0, np.nan, 0.0]):
@@ -172,78 +234,6 @@ class TestAttackObjective:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="width"):
                 attack_min_objective(np.array([1.0, -1.0]), box, budget=10)
-
-
-POLISH_KINDS = ("vertex", "interior", "pinned", "tied", "roundoff")
-
-
-def _polish_cases(k: int, kind: str):
-    """(c, box, start) cases for the objective polish.  vertex: threshold
-    vertices, the attack's own starts (most coordinates never move);
-    interior: uniform starts, where most coordinates move; pinned: every
-    third coordinate has lo == hi; tied: coefficients rounded to integers;
-    roundoff: widths of a few ulps, where lo and hi can both improve by
-    roundoff and the hi move must be compared with the value after the lo
-    move.  Widths up to 50 make most exponentials underflow."""
-    for i in range(6 if k <= 16 else 2):
-        for width_scale in (1e-14,) if kind == "roundoff" else (1.0, 50.0):
-            c, box = synth_instance(k, 1000 * k + i, width_scale=width_scale)
-            rng = np.random.default_rng(i)
-            if kind == "pinned":
-                lower = box.lower.copy()
-                lower[::3] = box.upper[::3]
-                box = ScoreBox(lower=lower, upper=box.upper)
-            if kind == "tied":
-                c = np.round(c)
-            if kind == "vertex":
-                both = np.stack((c, -c))[:, None]
-                vertices = _threshold_vertices(both, box.lower, box.upper, np.arange(k + 1)).reshape(-1, k)
-                picks = rng.choice(len(vertices), size=min(len(vertices), 6), replace=False)
-                for start in vertices[picks]:
-                    yield c, box, start
-            else:
-                yield c, box, rng.uniform(box.lower, box.upper)
-
-
-class TestObjectivePolish:
-    @pytest.mark.parametrize("kind", POLISH_KINDS)
-    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64, 256])
-    def test_matches_scalar_oracle_bit_for_bit(self, k, kind):
-        for c, box, start in _polish_cases(k, kind):
-            start_val = float(_objective(c, start[None, :])[0])
-            got = _objective_polish(c, start, start_val, box.lower, box.upper)
-            assert got == scalar_objective_polish(c, start, box.lower, box.upper)
-
-    def test_cases_reach_the_hi_after_lo_edge(self):
-        # A polish that compares the hi move with the value before the lo
-        # move ends elsewhere on some roundoff case, so the test above
-        # catches it.
-        caught = [
-            scalar_objective_polish(c, start, box.lower, box.upper, hi_against_start=True)
-            != scalar_objective_polish(c, start, box.lower, box.upper)
-            for k in (4, 16, 64, 256)
-            for c, box, start in _polish_cases(k, "roundoff")
-        ]
-        assert any(caught)
-
-    def test_start_is_not_modified(self):
-        c, box = synth_instance(16, 3)
-        start = np.random.default_rng(0).uniform(box.lower, box.upper)
-        kept = start.copy()
-        _objective_polish(c, start, float(_objective(c, start[None, :])[0]), box.lower, box.upper)
-        assert np.array_equal(start, kept)
-
-    @pytest.mark.parametrize("k", [1, 4, 64, 256])
-    def test_objective_rows_equal_softmax_objective(self, k):
-        # The polish scores candidates with _objective and the descent it
-        # reproduces scored one point per call: they must agree bit for bit
-        # on any number of rows.
-        for width_scale in (1.0, 50.0):
-            c, box = synth_instance(k, k, width_scale=width_scale)
-            points = np.random.default_rng(k).uniform(box.lower, box.upper, size=(9, k))
-            want = [softmax_objective(c, p) for p in points]
-            for n in (1, 2, 9):
-                assert _objective(c, points[:n]).tolist() == want[:n]
 
 
 def _attack_case(seed: int, suffix_kind: str, n_classes: int = 4, eps: float = 0.05):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,27 @@ class TestIntervalForward:
     def test_preact_box_validation(self):
         with pytest.raises(ValidationError):
             PreActBox(lo=np.array([1.0]), hi=np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (np.nan, 1.0),
+            (0.0, np.nan),
+            (np.nan, np.nan),
+            (-np.inf, 1.0),
+            (0.0, np.inf),
+            (-np.inf, np.inf),
+            (np.inf, np.inf),
+            (-np.inf, -np.inf),
+        ],
+    )
+    def test_preact_box_rejects_non_finite_endpoints(self, lo, hi):
+        # A NaN passes the lo > hi check, and -inf..inf would reach the
+        # chord's inf / inf in relu_suffix_bound.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                PreActBox(lo=np.array([0.0, lo, -1.0]), hi=np.array([1.0, hi, 1.0]))
 
 
 class TestBlockOutputBounds:
