@@ -4,7 +4,6 @@ verifier for small single-block attention classifiers."""
 
 from .attention import (
     PixelBox,
-    ScoreBoxTensor,
     ValueCoeffs,
     baseline_margin_lower_bound,
     margin_lower_bound,
@@ -68,7 +67,6 @@ __all__ = [
     "PixelBox",
     "PreActBox",
     "ScoreBox",
-    "ScoreBoxTensor",
     "SuffixAffineBound",
     "SweepConfig",
     "ThresholdResult",

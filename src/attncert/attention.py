@@ -2,11 +2,12 @@
 
 Everything before the softmax is affine in the pixels of a single patch, so
 query/key/value coordinates get exact interval bounds over a pixel box.
-Score boxes come from interval products of the query and key bounds.  The
-margin of a linear functional of the attention output then decomposes into
-one directional softmax row problem per (target, head, query token); every
-row is solved in one kernel call, exactly by the threshold sweep or bounded
-by the interval-softmax baseline.
+Score boxes come from interval products of the query and key bounds, as
+one ScoreBox stack of shape (heads, R, R), a row per (head, query token).
+The margin of a linear functional of the attention output then decomposes
+into one directional softmax row problem per (target, head, query token);
+every row is solved in one kernel call, exactly by the threshold sweep or
+bounded by the interval-softmax baseline.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .baseline import baseline_min
-from .errors import ValidationError
+from .errors import ValidationError, check_box
 from .intervals import affine_bounds
 from .model import AttentionModelSpec, patch_pixel_indices
-from .solver import sweep_min
+from .solver import ScoreBox, sweep_min
 from .solver import directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,50 +36,13 @@ class PixelBox:
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ValidationError(f"pixel box endpoints must be matched flat vectors, got {lo.shape} and {hi.shape}")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValidationError("pixel box endpoints must be finite")
-        if np.any(lo > hi):
-            raise ValidationError("pixel box has lo > hi")
+        lo, hi = check_box("pixel box", self.lo, self.hi, ndim=1)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     @property
     def size(self) -> int:
         return int(self.lo.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreBoxTensor:
-    """Per (head, query token) boxes over the score rows, shape (heads, R, R)."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        lower = np.asarray(self.lower, dtype=np.float64)
-        upper = np.asarray(self.upper, dtype=np.float64)
-        if lower.ndim != 3 or lower.shape != upper.shape:
-            raise ValidationError(f"score tensor must be (heads, R, R) pairs, got {lower.shape} and {upper.shape}")
-        if lower.shape[1] < 1:
-            raise ValidationError("score tensor must have at least one token")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValidationError("score tensor endpoints must be finite")
-        if np.any(lower > upper):
-            raise ValidationError("score tensor has lower > upper")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def heads(self) -> int:
-        return int(self.lower.shape[0])
-
-    @property
-    def tokens(self) -> int:
-        return int(self.lower.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +89,9 @@ def value_scalar_bounds(model: AttentionModelSpec, box: PixelBox):
     return v_lo, v_hi
 
 
-def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> ScoreBoxTensor:
-    """Score boxes from query/key coordinate bounds.
+def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> ScoreBox:
+    """Score boxes from query/key coordinate bounds: one (heads, R, R) stack,
+    a row per (head, query token).
 
     Each scalar product q_ir * k_jr is bounded by its four endpoint
     products; the bounds are summed over the head dimension, scaled, and
@@ -140,17 +105,17 @@ def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> 
     qh = q_hi[:, :, None, :]
     kl = k_lo[:, None, :, :]
     kh = k_hi[:, None, :, :]
-    # Products that overflow give non-finite scores, which ScoreBoxTensor
+    # Products that overflow give non-finite scores, which ScoreBox
     # rejects; the float warnings on the way there would be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         corners = np.stack((ql * kl, ql * kh, qh * kl, qh * kh))
         p_min = corners.min(axis=0).sum(axis=3)
         p_max = corners.max(axis=0).sum(axis=3)
         lower, upper = scale * p_min + mask, scale * p_max + mask
-    return ScoreBoxTensor(lower=lower, upper=upper)
+    return ScoreBox(lower=lower, upper=upper)
 
 
-def model_score_boxes(model: AttentionModelSpec, box: PixelBox) -> ScoreBoxTensor:
+def model_score_boxes(model: AttentionModelSpec, box: PixelBox) -> ScoreBox:
     """Score boxes for a model over a pixel box."""
     q_lo, q_hi, k_lo, k_hi = qk_scalar_bounds(model, box)
     return score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, model.scale, model.mask)
@@ -189,14 +154,14 @@ def value_coefficients(suffix: "SuffixAffineBound", model: AttentionModelSpec, b
     return ValueCoeffs(c=c, b_prime=b_prime)
 
 
-def _target_block(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> tuple[np.ndarray, np.ndarray]:
+def _target_block(coeffs: ValueCoeffs, scores: ScoreBox) -> tuple[np.ndarray, np.ndarray]:
     """The (T, heads, R, R) coefficient stack and the (T,) floors, checked
-    against the score tensor the stack is broadcast over."""
+    against the score boxes the stack is broadcast over."""
     c = coeffs.c
     floor = np.asarray(coeffs.b_prime, dtype=np.float64)
     if c.shape[1:] != scores.lower.shape or floor.shape != c.shape[:1]:
         raise ValidationError(
-            f"coefficients {c.shape} and floors {floor.shape} do not match score tensor {scores.lower.shape}"
+            f"coefficients {c.shape} and floors {floor.shape} do not match score boxes {scores.lower.shape}"
         )
     if not np.all(np.isfinite(c)):
         raise ValidationError("value coefficients must be finite")
@@ -212,7 +177,7 @@ def _accumulate(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.cumsum(terms, axis=1)[:, -1]
 
 
-def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarray:
+def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
     """Sound margin lower bounds, shape (T,): each target's floor plus the
     exact directional minimum of its every (head, query token) row."""
     c, floor = _target_block(coeffs, scores)
@@ -220,7 +185,7 @@ def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarra
     return _accumulate(floor, values)
 
 
-def baseline_margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarray:
+def baseline_margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
     """margin_lower_bound with the interval-softmax baseline bounding each row."""
     c, floor = _target_block(coeffs, scores)
     return _accumulate(floor, baseline_min(c, scores.lower, scores.upper))

@@ -22,10 +22,12 @@ def _output_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
     and smallest in the mirrored vertex (plane 1).
 
     A rivals' sum is the shared sum minus j's own rival term, off by up to
-    about (K + 1) * 2**-53 of the shared sum.  Where that could exceed
-    2**-40 of the denominator, or the denominator is below realmin (0/0 when
-    every term underflowed), coordinate j is evaluated again as the one-hot
-    objective at its vertex, with that vertex's own max shift.
+    about (K + 1) * 2**-53 of the shared sum.  Coordinate j is evaluated
+    again as the one-hot objective at its vertex, with that vertex's own max
+    shift, where that error could exceed 2**-40 of the denominator, where
+    the denominator is below realmin (0/0 when every term underflowed), and
+    where j's own term is below realmin, so accurate only to 2**-1075 and
+    not relative to the share.
     """
     e = _shifted_box(lower, upper)
     np.exp(e, out=e)
@@ -36,8 +38,9 @@ def _output_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
     slack = (k + 1) * 2.0**-13
     with np.errstate(invalid="ignore"):
         share = e / den
-    if den.min(initial=np.inf) < max(slack * shared.max(initial=0.0), _DEN_TINY):
-        flagged = den < np.maximum(slack * shared, _DEN_TINY)
+    cut = max(slack * shared.max(initial=0.0), _DEN_TINY)
+    if den.min(initial=np.inf) < cut or e.min(initial=np.inf) < _DEN_TINY:
+        flagged = (den < np.maximum(slack * shared, _DEN_TINY)) | (e < _DEN_TINY)
         plane, rows, j = np.nonzero(flagged.reshape(2, -1, k))
         ends = np.stack((upper, lower)).reshape(2, -1, k)
         vertex = ends[1 - plane, rows]
@@ -59,4 +62,4 @@ def baseline_directional_min(c, box: ScoreBox) -> float:
     """Lower bound on min c . softmax(s): each positive coefficient is paired
     with its coordinate's lower output bound, each negative one with the
     upper bound."""
-    return float(baseline_min(_as_direction(c, box.size), box.lower, box.upper))
+    return float(baseline_min(_as_direction(c, box.lower), box.lower, box.upper))

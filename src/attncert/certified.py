@@ -141,7 +141,7 @@ def _sweep_block(
 def certified_directional_min(c, box: ScoreBox) -> CertifiedBound:
     """certified_sweep_min on one row, with the fast path's value for
     reporting the gap."""
-    c = _as_direction(c, box.size)
+    c = _as_direction(c, box.lower)
     bound, saturated = certified_sweep_min(c, box.lower, box.upper)
     fast = directional_min(c, box)
     return CertifiedBound(lower=float(bound), float_value=fast.value, saturated=bool(saturated))

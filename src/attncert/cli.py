@@ -23,8 +23,10 @@ from .harness import (
     keyed_rng,
     run_sweep,
     selfcheck,
+    write_aggregate_csv,
+    write_trial_csv,
 )
-from .model import forward, load_model, read_json
+from .model import _require_keys, forward, load_model, read_json
 from .solver import ScoreBox, directional_min
 from .verify import certify_targets, pixel_box
 
@@ -37,16 +39,7 @@ EXIT_INTERNAL = 5
 REPORT_SCHEMA = "certify-report/1"
 
 
-def _load_json(path: str) -> dict:
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    return doc
-
-
 def _number_array(doc: dict, key: str, path: str) -> np.ndarray:
-    if key not in doc:
-        raise ValidationError(f"{path}: missing field '{key}'")
     v = doc[key]
     if not isinstance(v, list) or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
         raise ValidationError(f"{path}: field '{key}' must be a list of numbers")
@@ -54,13 +47,9 @@ def _number_array(doc: dict, key: str, path: str) -> np.ndarray:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    doc = _load_json(args.instance)
-    extra = set(doc) - {"c", "ell", "u"}
-    if extra:
-        raise ValidationError(f"{args.instance}: unknown fields {sorted(extra)}")
-    c = _number_array(doc, "c", args.instance)
-    ell = _number_array(doc, "ell", args.instance)
-    u = _number_array(doc, "u", args.instance)
+    doc = read_json(args.instance)
+    _require_keys(doc, {"c", "ell", "u"}, set(), args.instance)
+    c, ell, u = (_number_array(doc, key, args.instance) for key in ("c", "ell", "u"))
     box = ScoreBox(lower=ell, upper=u)
     res = directional_min(c, box)
     print(f"value={res.value!r} m={res.m} sense={res.sense}")
@@ -82,7 +71,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         width_scale=args.width_scale,
         coeff_scale=args.coeff_scale,
     )
-    records = run_sweep(config, attack_budget=args.budget, trial_csv=args.out, aggregate_csv=args.agg_out)
+    records = run_sweep(config, attack_budget=args.budget)
+    if args.out is not None:
+        write_trial_csv(records, args.out)
+    if args.agg_out is not None:
+        write_aggregate_csv(records, args.agg_out)
     print(",".join(AGGREGATE_COLUMNS))
     for row in aggregate_records(records):
         print(
@@ -107,10 +100,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     seed = check_int("seed", args.seed, 0)
     model = load_model(args.model)
     if args.input is not None:
-        doc = _load_json(args.input)
-        extra = set(doc) - {"x", "y"}
-        if extra:
-            raise ValidationError(f"{args.input}: unknown fields {sorted(extra)}")
+        doc = read_json(args.input)
+        _require_keys(doc, {"x"}, {"y"}, args.input)
         x0 = _number_array(doc, "x", args.input)
         if "y" in doc:
             y = doc["y"]
@@ -164,7 +155,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    report = selfcheck(trials=args.trials, samples=args.samples, seed=args.seed, fault=args.inject_fault)
+    report = selfcheck(trials=args.trials, samples=args.samples, seed=args.seed)
     for suite in report.suites:
         line = f"{suite.name}: checked={suite.checked} failures={suite.failures}"
         if suite.failures:
@@ -214,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=int, default=200)
     p_check.add_argument("--samples", type=int, default=200)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_check.set_defaults(func=cmd_selfcheck)
     return parser
 

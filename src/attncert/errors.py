@@ -25,6 +25,23 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
+def check_box(what: str, lower, upper, ndim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) as float64 arrays, if they share one shape with at least
+    one axis (exactly ndim when given), are finite and lower <= upper."""
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if lower.shape != upper.shape or not lower.ndim or ndim not in (None, lower.ndim):
+        axes = "matched arrays with at least one axis" if ndim is None else f"matched {ndim}-D arrays"
+        raise ValidationError(f"{what} endpoints must be {axes}, got shapes {lower.shape} and {upper.shape}")
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValidationError(f"{what} endpoints must be finite")
+    if np.any(lower > upper):
+        j = tuple(np.argwhere(lower > upper)[0].tolist())
+        at = j[0] if len(j) == 1 else j
+        raise ValidationError(f"{what} coordinate {at} has lower {lower[j]} > upper {upper[j]}")
+    return lower, upper
+
+
 def check_classes(n_classes: int, y, targets) -> tuple[int, np.ndarray]:
     """(y, targets) as an int and an index array, if y is a class index below
     n_classes and targets a non-empty flat sequence of other, distinct ones."""

@@ -137,7 +137,7 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
     if not np.all(np.isfinite(width)):
         raise ValidationError("box widths must be finite to sample the box")
     k = box.size
-    c = np.ascontiguousarray(_as_direction(c, k))
+    c = np.ascontiguousarray(_as_direction(c, box.lower))
     points = np.vstack(
         (
             _threshold_vertices(c, box.lower, box.upper, np.arange(k + 1)),
@@ -276,25 +276,15 @@ def _run_trial(config: SweepConfig, k: int, trial: int, attack_budget: int) -> l
     return rows
 
 
-def run_sweep(
-    config: SweepConfig,
-    attack_budget: int = 200,
-    trial_csv: str | None = None,
-    aggregate_csv: str | None = None,
-) -> list[TrialRecord]:
+def run_sweep(config: SweepConfig, attack_budget: int = 200) -> list[TrialRecord]:
     """Vertex, baseline, and certified bounds with a shared attack per trial.
 
     Records come back in (K, trial, method) order; only the timing column
-    varies between reruns.
+    varies between reruns.  write_trial_csv and write_aggregate_csv save them.
     """
-    records = [
+    return [
         row for k in config.k_values for t in range(config.trials) for row in _run_trial(config, k, t, attack_budget)
     ]
-    if trial_csv is not None:
-        write_trial_csv(records, trial_csv)
-    if aggregate_csv is not None:
-        write_aggregate_csv(records, aggregate_csv)
-    return records
 
 
 def write_trial_csv(records: Sequence[TrialRecord], path: str) -> None:
@@ -367,17 +357,12 @@ class SelfcheckReport:
         return all(s.failures == 0 for s in self.suites)
 
 
-def selfcheck(trials: int = 200, samples: int = 200, seed: int = 0, fault: bool = False) -> SelfcheckReport:
+def selfcheck(trials: int = 200, samples: int = 200, seed: int = 0) -> SelfcheckReport:
     """Release gate: oracle equivalence, soundness sampling, and dominance at
-    reduced trial counts.  `fault` flips the direction sign inside the solver
-    call, which a healthy suite must catch (used to test the selfcheck)."""
+    reduced trial counts."""
     trials = check_int("trials", trials, 1)
     samples = check_int("samples", samples, 1)
     seed = check_int("seed", seed, 0)
-
-    def solve_value(c: np.ndarray, box: ScoreBox) -> float:
-        return directional_min(-c if fault else c, box).value
-
     rng_k = keyed_rng(seed, 0)
     equivalence_fail: list[int] = []
     soundness_fail: list[int] = []
@@ -387,7 +372,7 @@ def selfcheck(trials: int = 200, samples: int = 200, seed: int = 0, fault: bool 
         s_i = trial_seed(seed, 0, i)
         k = int(rng_k.integers(2, 11))
         c, box = synth_instance(k, s_i)
-        fast = solve_value(c, box)
+        fast = directional_min(c, box).value
 
         n_equiv += 1
         if abs(fast - exhaustive_vertex_min(c, box).value) > 1e-9:

@@ -8,7 +8,10 @@ and taking the best ratio gives the exact optimum in O(K log K); that ratio
 is the value, evaluated again only where its denominator underflows.
 Every row problem of the package (exact, certified, baseline, block-output
 bounds and attack vertices) exponentiates its box through _shifted_box or
-builds its vertices with _threshold_vertices.
+builds its vertices with _threshold_vertices.  A ScoreBox holds one row or
+a (..., K) stack of rows; the batched kernels (sweep_min and its certified
+and baseline twins) take any stack, and the single-row entry points reject
+a stacked box in _as_direction.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_box
 
 # Denominators below the smallest normal double (over min(max|c|, 1) in the
 # sweep) are evaluated again with a shift of their own, not as a 0/0.
@@ -25,12 +28,17 @@ _DEN_TINY = sys.float_info.min
 _DBL_MAX = sys.float_info.max
 
 
-def _as_direction(c, size: int) -> np.ndarray:
+def _as_direction(c, row: np.ndarray) -> np.ndarray:
+    """c as a float64 direction for one score row `row` (a box's lower end
+    or a score vector), which must be one-dimensional: the single-row entry
+    points take no stacked box."""
+    if row.ndim != 1:
+        raise ValidationError(f"expected one score row, got shape {row.shape}")
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1:
         raise ValidationError(f"direction must be one-dimensional, got shape {c.shape}")
-    if c.shape[0] != size:
-        raise ValidationError(f"direction length {c.shape[0]} does not match box size {size}")
+    if c.shape[0] != row.shape[0]:
+        raise ValidationError(f"direction length {c.shape[0]} does not match box size {row.shape[0]}")
     if not np.all(np.isfinite(c)):
         raise ValidationError("direction entries must be finite")
     return c
@@ -38,31 +46,23 @@ def _as_direction(c, size: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScoreBox:
-    """Axis-aligned box of score vectors, lower <= upper coordinatewise."""
+    """Axis-aligned boxes of score rows, lower <= upper coordinatewise: one
+    row of shape (K,) or a stack of shape (..., K), with K >= 1."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        lower = np.asarray(self.lower, dtype=np.float64)
-        upper = np.asarray(self.upper, dtype=np.float64)
-        if lower.ndim != 1 or upper.ndim != 1 or lower.shape != upper.shape:
-            raise ValidationError(
-                f"box endpoints must be one-dimensional and matched, got {lower.shape} and {upper.shape}"
-            )
-        if lower.shape[0] < 1:
-            raise ValidationError("box must have at least one coordinate")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValidationError("box endpoints must be finite")
-        if np.any(lower > upper):
-            j = int(np.argmax(lower > upper))
-            raise ValidationError(f"box coordinate {j} has lower {lower[j]} > upper {upper[j]}")
+        lower, upper = check_box("score box", self.lower, self.upper)
+        if lower.shape[-1] < 1:
+            raise ValidationError("score box must have at least one coordinate per row")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
     @property
     def size(self) -> int:
-        return int(self.lower.shape[0])
+        """The row length K."""
+        return int(self.lower.shape[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +83,9 @@ def softmax_objective(c, s) -> float:
     combination of the coefficients, so only float roundoff is removed.
     """
     s = np.ascontiguousarray(s, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValidationError(f"score vector must be one-dimensional, got shape {s.shape}")
     # Contiguous buffers keep the dot's accumulation order a function of the
     # values alone (strided views can take a different SIMD path by one ulp).
-    c = np.ascontiguousarray(_as_direction(c, s.shape[0]))
+    c = np.ascontiguousarray(_as_direction(c, s))
     if not np.all(np.isfinite(s)):
         raise ValidationError("score entries must be finite")
     return float(_objective(c, s))
@@ -255,7 +253,7 @@ def directional_min(c, box: ScoreBox) -> ThresholdResult:
     Ties in the coefficient sort are broken by original index (stable sort);
     ties between candidate thresholds resolve to the smallest m.
     """
-    c = _as_direction(c, box.size)
+    c = _as_direction(c, box.lower)
     value, m = sweep_min(c, box.lower, box.upper)
     vertex = _threshold_vertices(c, box.lower, box.upper, m)
     return ThresholdResult(value=float(value), m=int(m), vertex=vertex, sense="min")
@@ -266,7 +264,7 @@ def directional_max(c, box: ScoreBox) -> ThresholdResult:
 
     The identity max = -min(-c) holds exactly in floats: only signs change.
     """
-    c = _as_direction(c, box.size)
+    c = _as_direction(c, box.lower)
     res = directional_min(-c, box)
     return ThresholdResult(value=-res.value, m=res.m, vertex=res.vertex, sense="max")
 
@@ -283,7 +281,7 @@ def exhaustive_vertex_min(c, box: ScoreBox) -> ThresholdResult:
     first, which makes ties resolve to the lexicographically smallest
     pattern (lower endpoint before upper).  Guarded to small boxes.
     """
-    c = _as_direction(c, box.size)
+    c = _as_direction(c, box.lower)
     if box.size > _EXHAUSTIVE_CAP:
         raise ValidationError(f"exhaustive search limited to {_EXHAUSTIVE_CAP} coordinates, got {box.size}")
     lower, upper = box.lower, box.upper

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import PixelBox, ScoreBoxTensor, token_bounds, value_scalar_bounds
+from .attention import PixelBox, token_bounds, value_scalar_bounds
 from .attention import model_score_boxes  # noqa: F401  unused since the caller passes the score boxes; benchmark/tracing.py wraps this name
-from .errors import ValidationError, check_classes
+from .errors import ValidationError, check_box, check_classes
 from .intervals import affine_bounds
 from .model import AttentionModelSpec, LinearSuffix, MlpSuffix
-from .solver import sweep_min
+from .solver import ScoreBox, sweep_min
 from .solver import directional_max, directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps these names
 
 
@@ -41,14 +41,7 @@ class PreActBox:
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValidationError("pre-activation bounds must be matched vectors")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValidationError("pre-activation bounds must be finite")
-        if np.any(lo > hi):
-            raise ValidationError("pre-activation bounds out of order")
+        lo, hi = check_box("pre-activation box", self.lo, self.hi, ndim=1)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -100,7 +93,7 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, targ
 
 
 def block_output_bounds(
-    model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxTensor
+    model: AttentionModelSpec, box: PixelBox, scores: ScoreBox
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boxes on the block output tokens, (R, d_model) pair.
 
@@ -109,9 +102,7 @@ def block_output_bounds(
     with the value bounds as coefficients.  `scores` is the box's
     model_score_boxes.
     """
-    v_lo, v_hi = value_scalar_bounds(model, box)
-    if not (np.all(np.isfinite(v_lo)) and np.all(np.isfinite(v_hi))):
-        raise ValidationError("value bounds must be finite")
+    v_lo, v_hi = check_box("value bounds", *value_scalar_bounds(model, box))
     # Row (p, h, i, r): coefficients v[h, :, r] over the score box of query
     # token i, with v_lo in plane 0 and -v_hi in plane 1; the maximum is
     # -min(-c).  Shapes (2, heads, 1, d_head, R) against (heads, R, 1, R).
@@ -131,7 +122,7 @@ def block_output_bounds(
     return out_lo, out_hi
 
 
-def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBoxTensor) -> PreActBox:
+def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBox) -> PreActBox:
     """Hidden pre-activation boxes over the pixel box (empty for a linear
     head).  `scores` is passed on to block_output_bounds."""
     sfx = model.suffix

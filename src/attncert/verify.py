@@ -17,7 +17,6 @@ import numpy as np
 
 from .attention import (
     PixelBox,
-    ScoreBoxTensor,
     ValueCoeffs,
     _accumulate,
     _target_block,
@@ -31,6 +30,7 @@ from .certified import certified_directional_min  # noqa: F401  unused since the
 from .certified import certified_sweep_min
 from .errors import CertificationInfeasibleError, ValidationError, check_int, check_real
 from .model import AttentionModelSpec, MlpSuffix
+from .solver import ScoreBox
 from .suffix import interval_forward, linear_suffix_bound, relu_suffix_bound
 
 
@@ -63,7 +63,7 @@ def pixel_box(x0, epsilon: float) -> PixelBox:
     return PixelBox(lo=np.clip(x0 - epsilon, 0.0, 1.0), hi=np.clip(x0 + epsilon, 0.0, 1.0))
 
 
-def _certified_margin(coeffs: ValueCoeffs, scores: ScoreBoxTensor) -> np.ndarray:
+def _certified_margin(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
     """margin_lower_bound with every (target, head, query token) row bounded
     by the certified sweep, in one kernel call, and the sum rounded down."""
     c, floor = _target_block(coeffs, scores)
@@ -112,7 +112,7 @@ def certify_targets(
         raise ValidationError(f"pixel box length {box.size} does not match image size {model.image_size}")
 
     targets = [t for t in range(model.n_classes) if t != y]
-    scores: ScoreBoxTensor = model_score_boxes(model, box)
+    scores: ScoreBox = model_score_boxes(model, box)
     if isinstance(model.suffix, MlpSuffix):
         suffix = relu_suffix_bound(model, interval_forward(model, box, scores), y, targets)
     else:

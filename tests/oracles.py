@@ -349,8 +349,9 @@ def margin_row_loop(coeffs, scores, target_pos, row_bound) -> float:
     token) row of one target, added one row at a time in that order."""
     c = coeffs.c[target_pos]
     total = float(coeffs.b_prime[target_pos])
-    for h in range(scores.heads):
-        for i in range(scores.tokens):
+    heads, tokens = scores.lower.shape[:2]
+    for h in range(heads):
+        for i in range(tokens):
             total += row_bound(c[h, i], ScoreBox(lower=scores.lower[h, i], upper=scores.upper[h, i]))
     return total
 

@@ -1,11 +1,13 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from attncert import (
     PixelBox,
-    ScoreBoxTensor,
+    PreActBox,
+    ScoreBox,
     ValidationError,
     ValueCoeffs,
     baseline_directional_min,
@@ -39,6 +41,15 @@ def corner_extremes(w, lo, hi):
     """Least and greatest w . x over the 2**n corners of the box [lo, hi]."""
     vals = np.array(list(itertools.product(*zip(lo, hi)))) @ w
     return vals.min(), vals.max()
+
+
+# Box types by kind: the class, its endpoint field names and a valid shape.
+BOX_KINDS = {
+    "score-row": (ScoreBox, ("lower", "upper"), (3,)),
+    "score-stack": (ScoreBox, ("lower", "upper"), (2, 2, 3)),
+    "pixel": (PixelBox, ("lo", "hi"), (3,)),
+    "preact": (PreActBox, ("lo", "hi"), (3,)),
+}
 
 
 class TestAffineBounds:
@@ -119,15 +130,33 @@ class TestScoreBoxes:
             with pytest.raises(ValidationError):
                 score_boxes_interval_product(one, one, one, one, scale=bad, mask=one)
 
-    def test_tensor_validation(self):
-        with pytest.raises(ValidationError):
-            ScoreBoxTensor(lower=np.zeros((1, 2, 2)), upper=-np.ones((1, 2, 2)))
-        with pytest.raises(ValidationError):
-            ScoreBoxTensor(lower=np.zeros((2, 2)), upper=np.zeros((2, 2)))
-
-    def test_tensor_needs_a_token(self):
-        with pytest.raises(ValidationError, match="at least one token"):
-            ScoreBoxTensor(lower=np.zeros((2, 0, 0)), upper=np.zeros((2, 0, 0)))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "order", "shape", "extra"])
+    @pytest.mark.parametrize("kind", list(BOX_KINDS))
+    def test_box_validation(self, kind, bad):
+        # Every box type checks its endpoints through errors.check_box, plus
+        # its own rule ("extra"): a score row needs a coordinate, the pixel
+        # and pre-activation boxes are flat.
+        cls, names, shape = BOX_KINDS[kind]
+        lower, upper = np.zeros(shape), np.ones(shape)
+        if bad == "nan":
+            lower.flat[1] = np.nan  # NaN passes the order check
+        elif bad == "inf":
+            upper.flat[1] = np.inf
+        elif bad == "-inf":
+            lower.flat[1] = -np.inf
+        elif bad == "order":
+            lower.flat[-1] = 2.0
+        elif bad == "shape":
+            upper = np.ones(shape[:-1] + (shape[-1] + 1,))
+        elif cls is ScoreBox:
+            lower, upper = np.zeros(shape[:-1] + (0,)), np.zeros(shape[:-1] + (0,))
+        else:
+            lower, upper = np.zeros((2,) + shape), np.ones((2,) + shape)
+        match = {"order": "lower 2.0 > upper 1.0", "shape": "matched", "extra": "coordinate per row|1-D"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match.get(bad, "finite")):
+                cls(**dict(zip(names, (lower, upper))))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_tensor_rejects_non_finite(self, bad):
@@ -137,7 +166,7 @@ class TestScoreBoxes:
             arrays = {"lower": lo.copy(), "upper": hi.copy()}
             arrays[which][0, 1, 0] = bad
             with pytest.raises(ValidationError, match="finite"):
-                ScoreBoxTensor(**arrays)
+                ScoreBox(**arrays)
 
     def test_degenerate_box_matches_trace(self):
         for seed in range(4):
@@ -160,14 +189,6 @@ class TestScoreBoxes:
                 s = forward_trace(m, x).scores
                 assert np.all(s >= t.lower - 1e-9)
                 assert np.all(s <= t.upper + 1e-9)
-
-    def test_pixel_box_validation(self):
-        with pytest.raises(ValidationError):
-            PixelBox(lo=np.zeros((2, 2)), hi=np.ones((2, 2)))
-        with pytest.raises(ValidationError):
-            PixelBox(lo=np.ones(3), hi=np.zeros(3))
-        with pytest.raises(ValidationError):
-            PixelBox(lo=np.array([np.nan]), hi=np.array([1.0]))
 
 
 class TestTokenAndValueBounds:
@@ -264,20 +285,20 @@ class TestMarginLowerBound:
         coeffs = ValueCoeffs(c=np.array([[[[0.0, 1.0]]]]), b_prime=np.array([0.0]))
         z = np.zeros((1, 1, 2))
         # Both scores pinned to 0 -> uniform attention -> margin 0.5.
-        scores = ScoreBoxTensor(lower=z, upper=z)
+        scores = ScoreBox(lower=z, upper=z)
         assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(0.5, abs=0)
 
     def test_single_skewed_row(self):
         coeffs = ValueCoeffs(c=np.array([[[[0.0, 1.0]]]]), b_prime=np.array([0.0]))
         s = np.array([[[1.0, -1.0]]])
-        scores = ScoreBoxTensor(lower=s, upper=s)
+        scores = ScoreBox(lower=s, upper=s)
         assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(ROW_MIN_01, abs=1e-15)
 
     def test_two_rows_plus_floor(self):
         c = np.array([[[[0.0, 1.0], [0.0, 1.0]]]])
         coeffs = ValueCoeffs(c=c, b_prime=np.array([1.0]))
         s = np.array([[[1.0, -1.0], [1.0, -1.0]]])
-        scores = ScoreBoxTensor(lower=s, upper=s)
+        scores = ScoreBox(lower=s, upper=s)
         assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(1.0 + 2.0 * ROW_MIN_01, abs=1e-15)
 
     def test_targets_stack_into_one_call(self):
@@ -285,7 +306,7 @@ class TestMarginLowerBound:
         heads, r, targets = 2, 3, 4
         coeffs = ValueCoeffs(c=rng.normal(size=(targets, heads, r, r)), b_prime=rng.normal(size=targets))
         lo = rng.normal(size=(heads, r, r))
-        scores = ScoreBoxTensor(lower=lo, upper=lo + rng.uniform(0, 2, size=lo.shape))
+        scores = ScoreBox(lower=lo, upper=lo + rng.uniform(0, 2, size=lo.shape))
         rows = (lambda c, row: directional_min(c, row).value, baseline_directional_min)
         for arm, row in zip((margin_lower_bound, baseline_margin_lower_bound), rows):
             stacked = arm(coeffs, scores)
@@ -299,10 +320,10 @@ class TestMarginLowerBound:
         coeffs = ValueCoeffs(c=np.zeros((1, 1, 1, 3)), b_prime=np.zeros(1))
         z = np.zeros((1, 1, 2))
         with pytest.raises(ValidationError):
-            margin_lower_bound(coeffs, ScoreBoxTensor(lower=z, upper=z))
+            margin_lower_bound(coeffs, ScoreBox(lower=z, upper=z))
         two_floors = ValueCoeffs(c=np.zeros((1, 1, 1, 2)), b_prime=np.zeros(2))
         with pytest.raises(ValidationError):
-            margin_lower_bound(two_floors, ScoreBoxTensor(lower=z, upper=z))
+            margin_lower_bound(two_floors, ScoreBox(lower=z, upper=z))
 
     def test_vertex_arm_dominates_baseline_arm(self):
         rng = np.random.default_rng(6)
@@ -310,7 +331,7 @@ class TestMarginLowerBound:
             heads, r = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             coeffs = ValueCoeffs(c=rng.normal(size=(1, heads, r, r)), b_prime=rng.normal(size=1))
             lo = rng.normal(size=(heads, r, r))
-            scores = ScoreBoxTensor(lower=lo, upper=lo + rng.uniform(0, 2, size=lo.shape))
+            scores = ScoreBox(lower=lo, upper=lo + rng.uniform(0, 2, size=lo.shape))
             exact = margin_lower_bound(coeffs, scores)[0]
             relaxed = baseline_margin_lower_bound(coeffs, scores)[0]
             assert exact >= relaxed - 1e-12
@@ -320,7 +341,7 @@ class TestMarginLowerBound:
 
     def test_non_finite_coefficients_rejected(self):
         z = np.zeros((1, 1, 2))
-        scores = ScoreBoxTensor(lower=z, upper=z)
+        scores = ScoreBox(lower=z, upper=z)
         for bad in (np.inf, np.nan):
             coeffs = ValueCoeffs(c=np.array([[[[0.0, bad]]]]), b_prime=np.zeros(1))
             for arm in (margin_lower_bound, baseline_margin_lower_bound):

@@ -158,9 +158,9 @@ def test_output_bounds_match_own_shift_oracle(monkeypatch):
     # coordinate and the baseline evaluates it again at its own vertex.
     # Those re-evaluated coordinates stay within 4 ulps of the oracle's
     # own-shift math.exp evaluation.  Every other coordinate keeps the
-    # shared shift's documented accuracy: 2**-40 relative (the flag
-    # threshold on cancellation) plus 2**-53 absolute (a term that
-    # underflows under the shared shift, over a denominator >= realmin).
+    # shared shift's documented accuracy: 2**-40 relative, the flag
+    # threshold on cancellation (a coordinate whose own term underflows
+    # under the shared shift is re-evaluated, so no absolute term remains).
     evaluated = []
 
     def spy(c, s):
@@ -179,7 +179,7 @@ def test_output_bounds_match_own_shift_oracle(monkeypatch):
             half = rng.uniform(0.0, 500.0, k) * 10.0 ** rng.integers(-3, 1)
             b = box(centers - half, centers + half)
             for g, w in zip(output_bounds(b), softmax_output_bounds_own_shift(b.lower, b.upper)):
-                assert np.all(np.abs(g - w) <= 4 * np.spacing(w) + 2.0**-40 * w + 2.0**-53)
+                assert np.all(np.abs(g - w) <= 4 * np.spacing(w) + 2.0**-40 * w)
     assert len(evaluated) > 500
     for j, vertex, got in evaluated:
         # A degenerate box at the vertex bounds coordinate j by its value there.

@@ -8,6 +8,7 @@ from decimal import Context, Decimal
 import numpy as np
 import pytest
 
+import attncert.harness
 from attncert import random_model, save_model
 from attncert.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, REPORT_SCHEMA, main
 
@@ -313,8 +314,10 @@ class TestSelfcheck:
             assert main(["selfcheck", "--trials", "5", "--seed", "-1"]) == EXIT_VALIDATION
         assert "seed" in capsys.readouterr().err
 
-    def test_injected_fault_detected(self, capsys):
-        assert main(["selfcheck", "--trials", "25", "--samples", "25", "--inject-fault"]) == EXIT_INTERNAL
+    def test_injected_fault_detected(self, capsys, monkeypatch):
+        solve = attncert.harness.directional_min
+        monkeypatch.setattr(attncert.harness, "directional_min", lambda c, box: solve(-c, box))
+        assert main(["selfcheck", "--trials", "25", "--samples", "25"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert "selfcheck FAILED" in captured.err
         assert "failing_seeds=" in captured.out

@@ -26,6 +26,7 @@ from attncert import (
     synth_instance,
 )
 from attncert import harness
+from attncert.cli import main
 from attncert.harness import (
     AGGREGATE_COLUMNS,
     METHODS,
@@ -570,15 +571,21 @@ class TestAggregation:
         assert len(arows) == 1 + len(METHODS)
 
     def test_sweep_writes_files(self, tmp_path):
-        trial_path = tmp_path / "t.csv"
-        agg_path = tmp_path / "a.csv"
-        run_sweep(
-            SweepConfig(k_values=(3,), trials=2, seed=0),
-            attack_budget=10,
-            trial_csv=str(trial_path),
-            aggregate_csv=str(agg_path),
-        )
-        assert trial_path.exists() and agg_path.exists()
+        # `attncert sweep` writes run_sweep's records with the two writers:
+        # every byte but the timing columns matches a direct call.
+        cli_paths = tmp_path / "t.csv", tmp_path / "a.csv"
+        argv = ["sweep", "--k", "3", "--trials", "2", "--budget", "10", "--out", str(cli_paths[0])]
+        assert main(argv + ["--agg-out", str(cli_paths[1])]) == 0
+        records = run_sweep(SweepConfig(k_values=(3,), trials=2, seed=0), attack_budget=10)
+        api_paths = tmp_path / "t_api.csv", tmp_path / "a_api.csv"
+        write_trial_csv(records, str(api_paths[0]))
+        write_aggregate_csv(records, str(api_paths[1]))
+        for cli_path, api_path in zip(cli_paths, api_paths):
+            untimed = []
+            for path in (cli_path, api_path):
+                with open(path, newline="") as fh:
+                    untimed.append([row[:-1] for row in csv.reader(fh)])
+            assert untimed[0] == untimed[1]
 
 
 class TestSelfcheck:
@@ -591,8 +598,10 @@ class TestSelfcheck:
             assert s.failures == 0
             assert s.failing_seeds == ()
 
-    def test_fault_injection_is_caught(self):
-        report = selfcheck(trials=40, samples=40, seed=0, fault=True)
+    def test_fault_injection_is_caught(self, monkeypatch):
+        solve = harness.directional_min
+        monkeypatch.setattr(harness, "directional_min", lambda c, box: solve(-c, box))
+        report = selfcheck(trials=40, samples=40, seed=0)
         assert not report.passed
         broken = [s for s in report.suites if s.failures > 0]
         assert broken

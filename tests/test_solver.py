@@ -12,6 +12,7 @@ from attncert import (
     ValidationError,
     attack_min_objective,
     baseline_directional_min,
+    certified_directional_min,
     directional_max,
     directional_min,
     exhaustive_vertex_min,
@@ -75,6 +76,26 @@ class TestScoreBox:
     def test_degenerate_allowed(self):
         b = box([1.0, 2.0], [1.0, 3.0])
         assert b.size == 2
+        # A stack of rows is a box too; its size is the row length.
+        assert box(np.zeros((4, 3)), np.zeros((4, 3))).size == 3
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            directional_min,
+            directional_max,
+            exhaustive_vertex_min,
+            baseline_directional_min,
+            certified_directional_min,
+            lambda c, b: attack_min_objective(c, b, budget=4),
+        ],
+        ids=["min", "max", "exhaustive", "baseline", "certified", "attack"],
+    )
+    def test_single_row_calls_reject_a_stack(self, solve):
+        # A stack is a valid ScoreBox, but these calls solve one row.
+        stack = box(np.zeros((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValidationError, match="one score row"):
+            solve(np.ones(3), stack)
 
 
 class TestDirectionalMin:

@@ -237,10 +237,6 @@ class TestIntervalForward:
         assert np.all(z >= pre.lo[None, :] - 1e-9)
         assert np.all(z <= pre.hi[None, :] + 1e-9)
 
-    def test_preact_box_validation(self):
-        with pytest.raises(ValidationError):
-            PreActBox(lo=np.array([1.0]), hi=np.array([0.0]))
-
     @pytest.mark.parametrize(
         "lo, hi",
         [

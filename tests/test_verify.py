@@ -12,7 +12,7 @@ import attncert.suffix
 import attncert.verify
 from attncert import (
     CertificationInfeasibleError,
-    ScoreBoxTensor,
+    ScoreBox,
     ValidationError,
     baseline_directional_min,
     certified_directional_min,
@@ -256,7 +256,7 @@ class TestCertifiedMode:
         lower, upper = scores.lower.copy(), scores.upper.copy()
         lower[1, 2, 0] = -1e308
         upper[1, 2, 3] = 1e308
-        monkeypatch.setattr(attncert.verify, "model_score_boxes", lambda *_: ScoreBoxTensor(lower, upper))
+        monkeypatch.setattr(attncert.verify, "model_score_boxes", lambda *_: ScoreBox(lower, upper))
         # The fast path takes the row without a warning (the baseline arm's
         # shift used to overflow on it).
         assert certify_targets(m, box, 0).bounds
