@@ -10,7 +10,8 @@ products, the prefix sums or the quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,12 +22,19 @@ from .solver import ScoreBox, _as_direction, _blockwise, _broadcast_rows, _shift
 @dataclass(frozen=True)
 class CertifiedBound:
     """lower: sound lower bound on the true minimum.
-    float_value: the fast path's answer for the same instance, for gap reporting.
-    saturated: a float quantity overflowed; the bound is not certifiable."""
+    saturated: a float quantity overflowed; the bound is not certifiable.
+    float_value: the fast path's answer for the same instance, for gap
+    reporting; solved on first read from the direction and box the bound
+    keeps, so a caller that reads only lower pays no fast solve."""
 
     lower: float
-    float_value: float
     saturated: bool
+    _c: np.ndarray = field(repr=False, compare=False)
+    _box: ScoreBox = field(repr=False, compare=False)
+
+    @cached_property
+    def float_value(self) -> float:
+        return directional_min(self._c, self._box).value
 
 
 # Rows are swept in blocks of about this many elements.  A block's planes
@@ -139,9 +147,8 @@ def _sweep_block(
 
 
 def certified_directional_min(c, box: ScoreBox) -> CertifiedBound:
-    """certified_sweep_min on one row, with the fast path's value for
-    reporting the gap."""
+    """certified_sweep_min on one row; the fast path's value for reporting
+    the gap is solved only if float_value is read."""
     c = _as_direction(c, box.lower)
     bound, saturated = certified_sweep_min(c, box.lower, box.upper)
-    fast = directional_min(c, box)
-    return CertifiedBound(lower=float(bound), float_value=fast.value, saturated=bool(saturated))
+    return CertifiedBound(lower=float(bound), saturated=bool(saturated), _c=c, _box=box)

@@ -86,7 +86,7 @@ class SweepConfig:
         object.__setattr__(self, "coeff_scale", coeff_scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     K: int
     trial: int
@@ -138,12 +138,14 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
         raise ValidationError("box widths must be finite to sample the box")
     k = box.size
     c = np.ascontiguousarray(_as_direction(c, box.lower))
-    points = np.vstack(
-        (
-            _threshold_vertices(c, box.lower, box.upper, np.arange(k + 1)),
-            keyed_rng(seed, k, 1).uniform(box.lower, box.upper, size=(budget, k)),
-        )
-    )
+    points = np.empty((k + 1 + budget, k))
+    points[: k + 1] = _threshold_vertices(c, box.lower, box.upper, np.arange(k + 1))
+    # Generator.uniform(lower, upper) draws lower + width * random(), so the
+    # samples are drawn in place with the same roundings.
+    samples = points[k + 1 :]
+    keyed_rng(seed, k, 1).random(out=samples)
+    samples *= width
+    samples += box.lower
     return float(_objective(c, points).min())
 
 
@@ -298,13 +300,11 @@ def write_trial_csv(records: Sequence[TrialRecord], path: str) -> None:
 def aggregate_records(records: Sequence[TrialRecord]) -> list[dict]:
     """Per (K, method) summary: certification rate (lower > 0), mean lower,
     mean gap, and total solver time."""
-    keys: list[tuple[int, str]] = []
+    groups: dict[tuple[int, str], list[TrialRecord]] = {}
     for r in records:
-        if (r.K, r.method) not in keys:
-            keys.append((r.K, r.method))
+        groups.setdefault((r.K, r.method), []).append(r)
     out = []
-    for k, method in keys:
-        rows = [r for r in records if r.K == k and r.method == method]
+    for (k, method), rows in groups.items():
         n = len(rows)
         out.append(
             {

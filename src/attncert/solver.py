@@ -100,7 +100,8 @@ def _objective(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     s = np.ascontiguousarray(s)
     # Scores far below the max shift to -inf, whose exp is the true limit 0.
     with np.errstate(over="ignore"):
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        e = s - s.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
     val = np.matmul(c[..., None, :], e[..., :, None])[..., 0, 0] / e.sum(axis=-1)
     return np.minimum(np.maximum(val, c.min(axis=-1)), c.max(axis=-1))
 
@@ -173,8 +174,12 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
 def _shifted_box(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The (..., K) box rows' uppers and lowers, (2, ..., K), minus each
     row's largest upper: an exact shift (-inf far below it, exp 0)."""
+    top = upper.max(axis=-1, keepdims=True)
+    out = np.empty((2,) + upper.shape)
     with np.errstate(over="ignore"):
-        return np.stack((upper, lower)) - upper.max(axis=-1, keepdims=True)
+        np.subtract(upper, top, out=out[0])
+        np.subtract(lower, top, out=out[1])
+    return out
 
 
 def _threshold_sums(c: np.ndarray, box_row: np.ndarray, box_exp: np.ndarray, magnitude: bool = False):

@@ -35,6 +35,18 @@ def test_degenerate_half():
     assert not cb.saturated
 
 
+def test_fast_value_solved_only_when_read(monkeypatch):
+    calls = []
+    solve = certified.directional_min
+    monkeypatch.setattr(certified, "directional_min", lambda c, b: calls.append(1) or solve(c, b))
+    c, b = rand_instance(np.random.default_rng(20), 6)
+    cb = certified_directional_min(c, b)
+    assert not calls
+    assert cb.float_value == solve(c, b).value
+    assert cb.float_value == cb.float_value
+    assert len(calls) == 1
+
+
 def test_k3_fixture_bound_bracket():
     cb = certified_directional_min([-1.0, 0.0, 1.0], box([-1.0] * 3, [1.0] * 3))
     assert K3_MIN - 1e-6 <= cb.lower <= K3_MIN

@@ -40,6 +40,7 @@ from attncert.harness import (
     write_trial_csv,
 )
 
+from attncert.certified import certified_sweep_min
 from attncert.solver import _objective, _threshold_vertices
 from oracles import (
     attack_margin_sample_start,
@@ -209,6 +210,31 @@ class TestAttackObjective:
             assert not np.isin(samples, instance_stream).any()
             assert points.shape == (k + 1 + budget, k)
             assert np.array_equal(samples, keyed_rng(seed, k, 1).uniform(box.lower, box.upper, size=(budget, k)))
+
+    @pytest.mark.parametrize("k", [1, 4, 256])
+    @pytest.mark.parametrize("width", [1e-14, 1.0, 1e300])
+    def test_samples_drawn_in_place_equal_uniform(self, monkeypatch, k, width):
+        # The samples are drawn into the candidate buffer as lower + width *
+        # random(); they must be Generator.uniform's samples bit for bit,
+        # signed zeros included.  Every third coordinate from the third has
+        # width 0, and every fourth from the first a -0.0 lower end.
+        seen = []
+        objective = harness._objective
+        monkeypatch.setattr(harness, "_objective", lambda c, points: seen.append(points.copy()) or objective(c, points))
+        rng = np.random.default_rng(k)
+        lower = rng.normal(size=k) * min(width, 1.0)
+        widths = np.full(k, width)
+        widths[2::3] = 0.0
+        lower[::4] = -0.0
+        box = ScoreBox(lower=lower, upper=lower + widths)
+        c = rng.normal(size=k)
+        budget = 30
+        for seed in (0, 7):
+            seen.clear()
+            attack_min_objective(c, box, budget=budget, seed=seed)
+            want = keyed_rng(seed, k, 1).uniform(box.lower, box.upper, size=(budget, k))
+            assert np.array_equal(seen[0][k + 1 :].view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(seen[0][: k + 1], _threshold_vertices(c, box.lower, box.upper, np.arange(k + 1)))
 
     @pytest.mark.parametrize("k", [1, 4, 64, 256])
     def test_objective_rows_equal_softmax_objective(self, k):
@@ -476,6 +502,25 @@ class TestRunSweep:
             tol = 1e-9 if r.method == "certified" else 1e-12
             assert r.lower == pytest.approx(value, abs=tol)
             assert r.attack == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("width_scale, coeff_scale", [(1.0, 1.0), (50.0, 1e-3)])
+    def test_records_equal_their_per_cell_rebuild(self, width_scale, coeff_scale):
+        # Every record is rebuilt from its cell's instance: the loop oracle's
+        # attack, the exact and baseline solves and the certified kernel.
+        config = SweepConfig((1, 4, 64, 256), trials=3, seed=13, width_scale=width_scale, coeff_scale=coeff_scale)
+        budget = 40
+        records = run_sweep(config, attack_budget=budget)
+        assert len(records) == 4 * 3 * len(METHODS)
+        for r in records:
+            seed = trial_seed(config.seed, r.K, r.trial)
+            c, box = synth_instance(r.K, seed, width_scale, coeff_scale)
+            lower = {
+                "vertex": directional_min(c, box).value,
+                "baseline": baseline_directional_min(c, box),
+                "certified": float(certified_sweep_min(c, box.lower, box.upper)[0]),
+            }[r.method]
+            attack = attack_objective_loop(c, box, budget, seed=seed)
+            assert (r.lower, r.attack, r.gap) == (lower, attack, attack - lower), (r.K, r.trial, r.method)
 
     def test_per_method_bounds_consistent(self):
         records = run_sweep(SweepConfig(k_values=(4, 8), trials=10, seed=3), attack_budget=40)
