@@ -6,8 +6,9 @@ Score boxes come from interval products of the query and key bounds, as
 one ScoreBox stack of shape (heads, R, R), a row per (head, query token).
 The margin of a linear functional of the attention output then decomposes
 into one directional softmax row problem per (target, head, query token);
-every row is solved in one kernel call, exactly by the threshold sweep or
-bounded by the interval-softmax baseline.
+every row is solved in one kernel call: exactly by the threshold sweep,
+from below by the certified sweep, or by the interval-softmax baseline.
+These stages trust their inputs, which verify.certify_targets checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .baseline import baseline_min
-from .errors import ValidationError, check_box
+from .certified import certified_sweep_min
+from .errors import CertificationInfeasibleError, ValidationError, check_box
 from .intervals import affine_bounds
 from .model import AttentionModelSpec, patch_pixel_indices
 from .solver import ScoreBox, sweep_min
@@ -55,8 +57,6 @@ class ValueCoeffs:
 
 
 def _token_pixel_boxes(model: AttentionModelSpec, box: PixelBox) -> tuple[np.ndarray, np.ndarray]:
-    if box.size != model.image_size:
-        raise ValidationError(f"pixel box length {box.size} does not match image size {model.image_size}")
     idx = patch_pixel_indices(model)
     return box.lo[idx], box.hi[idx]  # (R, patch_dim) each
 
@@ -77,12 +77,6 @@ def _qkv_bounds(model: AttentionModelSpec, box: PixelBox, parts: slice):
     return (lo + off).swapaxes(2, 3), (hi + off).swapaxes(2, 3)
 
 
-def qk_scalar_bounds(model: AttentionModelSpec, box: PixelBox):
-    """Exact bounds for every query and key coordinate, four (heads, R, d_head) arrays."""
-    (q_lo, k_lo), (q_hi, k_hi) = _qkv_bounds(model, box, slice(0, 2))
-    return q_lo, q_hi, k_lo, k_hi
-
-
 def value_scalar_bounds(model: AttentionModelSpec, box: PixelBox):
     """Exact bounds for every value coordinate, (heads, R, d_head) pair."""
     (v_lo,), (v_hi,) = _qkv_bounds(model, box, slice(2, 3))
@@ -97,27 +91,19 @@ def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> 
     products; the bounds are summed over the head dimension, scaled, and
     shifted by the additive mask.
     """
-    q_lo, q_hi, k_lo, k_hi = (np.asarray(a, dtype=np.float64) for a in (q_lo, q_hi, k_lo, k_hi))
-    mask = np.asarray(mask, dtype=np.float64)
-    if not scale > 0.0:
-        raise ValidationError(f"scale must be positive, got {scale}")
     ql = q_lo[:, :, None, :]
     qh = q_hi[:, :, None, :]
     kl = k_lo[:, None, :, :]
     kh = k_hi[:, None, :, :]
-    # Products that overflow give non-finite scores, which ScoreBox
-    # rejects; the float warnings on the way there would be noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        corners = np.stack((ql * kl, ql * kh, qh * kl, qh * kh))
-        p_min = corners.min(axis=0).sum(axis=3)
-        p_max = corners.max(axis=0).sum(axis=3)
-        lower, upper = scale * p_min + mask, scale * p_max + mask
-    return ScoreBox(lower=lower, upper=upper)
+    corners = np.stack((ql * kl, ql * kh, qh * kl, qh * kh))
+    p_min = corners.min(axis=0).sum(axis=3)
+    p_max = corners.max(axis=0).sum(axis=3)
+    return ScoreBox(lower=scale * p_min + mask, upper=scale * p_max + mask)
 
 
 def model_score_boxes(model: AttentionModelSpec, box: PixelBox) -> ScoreBox:
     """Score boxes for a model over a pixel box."""
-    q_lo, q_hi, k_lo, k_hi = qk_scalar_bounds(model, box)
+    (q_lo, k_lo), (q_hi, k_hi) = _qkv_bounds(model, box, slice(0, 2))
     return score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, model.scale, model.mask)
 
 
@@ -131,14 +117,12 @@ def value_coefficients(suffix: "SuffixAffineBound", model: AttentionModelSpec, b
       b_prime[t] = beta[t] + sum_i gamma[t, i] . b_o
                    (+ exact lower bound of sum_i gamma[t, i] . H_i(x) when
                     the block has a residual connection).
+
+    Raises ValidationError unless every coefficient and floor is finite.
     """
-    gamma = np.asarray(suffix.gamma, dtype=np.float64)
-    beta = np.asarray(suffix.beta, dtype=np.float64)
+    gamma, beta = suffix.gamma, suffix.beta
     tokens, d_model = model.tokens, model.d_model
     n_t = len(gamma)
-    if not n_t or gamma.shape[1:] != (tokens, d_model) or beta.shape != (n_t,):
-        raise ValidationError(f"need beta (T,), gamma (T, {tokens}, {d_model}), T >= 1; got {beta.shape}, {gamma.shape}")
-
     xlo, xhi = _token_pixel_boxes(model, box)
     g = gamma.reshape(-1, d_model)  # (T * R, d_model) rows
     w = (g @ model._w_pix_o).reshape(n_t, tokens, model.heads, model.patch_dim)
@@ -151,21 +135,9 @@ def value_coefficients(suffix: "SuffixAffineBound", model: AttentionModelSpec, b
     if model.residual:
         res = (g @ model.w_embed).reshape(n_t, -1)
         b_prime = b_prime + (affine_bounds(res, xlo.reshape(-1), xhi.reshape(-1))[0] + g_sum @ model.b_embed)
-    return ValueCoeffs(c=c, b_prime=b_prime)
-
-
-def _target_block(coeffs: ValueCoeffs, scores: ScoreBox) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, heads, R, R) coefficient stack and the (T,) floors, checked
-    against the score boxes the stack is broadcast over."""
-    c = coeffs.c
-    floor = np.asarray(coeffs.b_prime, dtype=np.float64)
-    if c.shape[1:] != scores.lower.shape or floor.shape != c.shape[:1]:
-        raise ValidationError(
-            f"coefficients {c.shape} and floors {floor.shape} do not match score boxes {scores.lower.shape}"
-        )
-    if not np.all(np.isfinite(c)):
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b_prime))):
         raise ValidationError("value coefficients must be finite")
-    return c, floor
+    return ValueCoeffs(c=c, b_prime=b_prime)
 
 
 def _accumulate(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -177,15 +149,42 @@ def _accumulate(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.cumsum(terms, axis=1)[:, -1]
 
 
+def _accumulate_down(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_accumulate, lowered below the exact sum of its n terms.
+
+    Recursive summation obeys |fl(S) - S| <= gamma_{n-1} * sum|x_i| with
+    gamma_k = k*u / (1 - k*u), u = 2**-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 4.2).  The computed sum of magnitudes reads
+    low by at most the same factor, so n * 2**-52 times it, rounded up,
+    covers the error while (n - 1) * u <= 1/4; nextafter then covers the
+    rounding of the final subtraction.
+    """
+    rows = rows.reshape(len(floor), -1)
+    n = rows.shape[1] + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        pad = np.nextafter((np.abs(floor) + np.abs(rows).sum(axis=1)) * (n * 2.0**-52), np.inf)
+        return np.nextafter(_accumulate(floor, rows) - pad, -np.inf)
+
+
 def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
     """Sound margin lower bounds, shape (T,): each target's floor plus the
     exact directional minimum of its every (head, query token) row."""
-    c, floor = _target_block(coeffs, scores)
-    values, _ = sweep_min(c, scores.lower, scores.upper)
-    return _accumulate(floor, values)
+    values, _ = sweep_min(coeffs.c, scores.lower, scores.upper)
+    return _accumulate(coeffs.b_prime, values)
 
 
 def baseline_margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
     """margin_lower_bound with the interval-softmax baseline bounding each row."""
-    c, floor = _target_block(coeffs, scores)
-    return _accumulate(floor, baseline_min(c, scores.lower, scores.upper))
+    return _accumulate(coeffs.b_prime, baseline_min(coeffs.c, scores.lower, scores.upper))
+
+
+def certified_margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
+    """margin_lower_bound with every (target, head, query token) row bounded
+    by the certified sweep, in one kernel call, and the sum rounded down."""
+    rows, saturated = certified_sweep_min(coeffs.c, scores.lower, scores.upper)
+    total = _accumulate_down(coeffs.b_prime, rows)
+    if saturated.any() or not np.all(np.isfinite(total)):
+        raise CertificationInfeasibleError(
+            "float evaluation saturated; the certified bound is not valid for this instance"
+        )
+    return total

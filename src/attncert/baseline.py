@@ -12,7 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .solver import _DEN_TINY, ScoreBox, _as_direction, _objective, _shifted_box
+from .solver import _DEN_TINY, ScoreBox, _as_direction, _shifted_box
+
+
+def _own_share(vertex: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """softmax(vertex[n])[j[n]] of every row n of a (N, K) array, with the
+    row's own max shift."""
+    with np.errstate(over="ignore"):
+        e = vertex - vertex.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e[np.arange(j.size), j] / e.sum(axis=-1)
 
 
 def _output_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -23,11 +32,11 @@ def _output_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
 
     A rivals' sum is the shared sum minus j's own rival term, off by up to
     about (K + 1) * 2**-53 of the shared sum.  Coordinate j is evaluated
-    again as the one-hot objective at its vertex, with that vertex's own max
-    shift, where that error could exceed 2**-40 of the denominator, where
-    the denominator is below realmin (0/0 when every term underflowed), and
-    where j's own term is below realmin, so accurate only to 2**-1075 and
-    not relative to the share.
+    again at its vertex, with that vertex's own max shift, where that error
+    could exceed 2**-40 of the denominator, where the denominator is below
+    realmin (0/0 when every term underflowed), and where j's own term is
+    below realmin, so accurate only to 2**-1075 and not relative to the
+    share.
     """
     e = _shifted_box(lower, upper)
     np.exp(e, out=e)
@@ -45,7 +54,7 @@ def _output_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
         ends = np.stack((upper, lower)).reshape(2, -1, k)
         vertex = ends[1 - plane, rows]
         vertex[np.arange(j.size), j] = ends[plane, rows, j]
-        share[flagged] = _objective(np.eye(k)[j], vertex)
+        share[flagged] = _own_share(vertex, j)
     return np.minimum(share[1], 1.0), np.minimum(share[0], 1.0)
 
 

@@ -110,22 +110,26 @@ class AttentionModelSpec:
         grid = np.arange(self.image_size).reshape(self.channels, self.height // p, p, self.width // p, p)
         w_qkv = np.concatenate((self.wq, self.wk, self.wv)).reshape(3 * h * dh, dm)  # q, k, v rows
         b_qkv = np.concatenate((self.bq, self.bk, self.bv)).reshape(-1)
-        derived = {
-            "_patch_index": grid.transpose(1, 3, 0, 2, 4).reshape(self.tokens, self.patch_dim),
-            "_w_qkv": w_qkv,
-            "_b_qkv": b_qkv,
-            # The q, k, v rows composed with the embedding: the affine maps
-            # from a token's patch pixels, (3, heads, d_head, patch_dim).
-            "_w_pix_qkv": (w_qkv @ self.w_embed).reshape(3, h, dh, self.patch_dim),
-            "_b_pix_qkv": (w_qkv @ self.b_embed + b_qkv).reshape(3, h, dh),
-            "_w_o": self.wo.transpose(0, 2, 1).reshape(h * dh, dm),  # (heads * d_head, d_model)
-        }
-        # The value maps composed with W_o: each output coordinate's affine
-        # map from a token's patch pixels through every head,
-        # (d_model, heads * patch_dim) and (d_model, heads).
-        w_pix_v, b_pix_v = derived["_w_pix_qkv"][2], derived["_b_pix_qkv"][2]
-        derived["_w_pix_o"] = (self.wo @ w_pix_v).transpose(1, 0, 2).reshape(dm, -1)
-        derived["_b_pix_o"] = (self.wo @ b_pix_v[:, :, None])[:, :, 0].T
+        # Finite weights can compose to maps that overflow.  The verifier's
+        # finite checks reject the bounds built from them, once, so the float
+        # warnings on the way are silenced here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            derived = {
+                "_patch_index": grid.transpose(1, 3, 0, 2, 4).reshape(self.tokens, self.patch_dim),
+                "_w_qkv": w_qkv,
+                "_b_qkv": b_qkv,
+                # The q, k, v rows composed with the embedding: the affine maps
+                # from a token's patch pixels, (3, heads, d_head, patch_dim).
+                "_w_pix_qkv": (w_qkv @ self.w_embed).reshape(3, h, dh, self.patch_dim),
+                "_b_pix_qkv": (w_qkv @ self.b_embed + b_qkv).reshape(3, h, dh),
+                "_w_o": self.wo.transpose(0, 2, 1).reshape(h * dh, dm),  # (heads * d_head, d_model)
+            }
+            # The value maps composed with W_o: each output coordinate's affine
+            # map from a token's patch pixels through every head,
+            # (d_model, heads * patch_dim) and (d_model, heads).
+            w_pix_v, b_pix_v = derived["_w_pix_qkv"][2], derived["_b_pix_qkv"][2]
+            derived["_w_pix_o"] = (self.wo @ w_pix_v).transpose(1, 0, 2).reshape(dm, -1)
+            derived["_b_pix_o"] = (self.wo @ b_pix_v[:, :, None])[:, :, 0].T
         for name, a in derived.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -233,26 +237,14 @@ def _check_image(model: AttentionModelSpec, x) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class ForwardTrace:
-    tokens: np.ndarray  # (R, d_model)
-    scores: np.ndarray  # (heads, R, R)
-    attn: np.ndarray  # (heads, R, R)
-    head_out: np.ndarray  # (heads, R, d_head)
-    hplus: np.ndarray  # (R, d_model)
-    hidden_pre: np.ndarray | None  # (hidden,) for the mlp1 head
-    logits: np.ndarray  # (classes,)
-
-
-def _forward(model: AttentionModelSpec, xs: np.ndarray) -> ForwardTrace:
-    """The forward pass over (..., image_size) inputs; every trace field
-    carries the same leading axes.
+def _forward(model: AttentionModelSpec, xs: np.ndarray) -> np.ndarray:
+    """The logits of (..., image_size) inputs, shape (..., n_classes).
 
     The N inputs are flattened to N*R token rows, so the embedding, the Q/K/V
     projections of every head and W_o are one 2-D matmul each.  Scores and
     attention weights are held key-axis first, (R_key, N, heads, R_query),
     so the softmax reductions run over long contiguous rows rather than
-    over N*heads*R rows of length R; the trace gets transposed views."""
+    over N*heads*R rows of length R."""
     lead = xs.shape[:-1]
     n = math.prod(lead)
     r, h, dh, dm = model.tokens, model.heads, model.d_head, model.d_model
@@ -266,39 +258,22 @@ def _forward(model: AttentionModelSpec, xs: np.ndarray) -> ForwardTrace:
     attn_t = scores_t - scores_t.max(axis=0)
     np.exp(attn_t, out=attn_t)
     attn_t /= attn_t.sum(axis=0)
-    attn = attn_t.transpose(1, 2, 3, 0)  # (N, H, R_query, R_key) view
-    head_out = attn @ v  # (N, H, R, d_head)
+    head_out = attn_t.transpose(1, 2, 3, 0) @ v  # (N, H, R_query, d_head)
     hplus = head_out.transpose(0, 2, 1, 3).reshape(n * r, h * dh) @ model._w_o + model.bo
     if model.residual:
         hplus += toks
     pooled = hplus.reshape(n, r * dm)
     sfx = model.suffix
     if isinstance(sfx, LinearSuffix):
-        hidden_pre = None
         logits = pooled @ sfx.w.T + sfx.b
     else:
-        hidden_pre = pooled @ sfx.w1.T + sfx.b1
-        logits = np.maximum(hidden_pre, 0.0) @ sfx.w2.T + sfx.b2
-        hidden_pre = hidden_pre.reshape(*lead, model.hidden)
-    return ForwardTrace(
-        tokens=toks.reshape(*lead, r, dm),
-        scores=scores_t.transpose(1, 2, 3, 0).reshape(*lead, h, r, r),
-        attn=attn.reshape(*lead, h, r, r),
-        head_out=head_out.reshape(*lead, h, r, dh),
-        hplus=hplus.reshape(*lead, r, dm),
-        hidden_pre=hidden_pre,
-        logits=logits.reshape(*lead, model.n_classes),
-    )
-
-
-def forward_trace(model: AttentionModelSpec, x) -> ForwardTrace:
-    """Every intermediate of the forward pass for one flat image vector."""
-    return _forward(model, _check_image(model, x))
+        logits = np.maximum(pooled @ sfx.w1.T + sfx.b1, 0.0) @ sfx.w2.T + sfx.b2
+    return logits.reshape(*lead, model.n_classes)
 
 
 def forward(model: AttentionModelSpec, x) -> np.ndarray:
     """Clean logits for one flat image vector."""
-    return forward_trace(model, x).logits
+    return _forward(model, _check_image(model, x))
 
 
 def forward_batch(model: AttentionModelSpec, xs) -> np.ndarray:
@@ -307,7 +282,7 @@ def forward_batch(model: AttentionModelSpec, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.image_size:
         raise ValidationError(f"batch must have shape (N, {model.image_size}), got {xs.shape}")
-    return _forward(model, xs).logits
+    return _forward(model, xs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ import numpy as np
 
 from .attention import PixelBox, token_bounds, value_scalar_bounds
 from .attention import model_score_boxes  # noqa: F401  unused since the caller passes the score boxes; benchmark/tracing.py wraps this name
-from .errors import ValidationError, check_box, check_classes
+from .errors import check_box
 from .intervals import affine_bounds
-from .model import AttentionModelSpec, LinearSuffix, MlpSuffix
+from .model import AttentionModelSpec, LinearSuffix
 from .solver import ScoreBox, sweep_min
 from .solver import directional_max, directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps these names
 
@@ -50,11 +50,8 @@ def linear_suffix_bound(model: AttentionModelSpec, y: int, targets) -> SuffixAff
     """Exact margin forms for a linear head: beta[t] + gamma[t] . tokens
     reproduces logit_y - logit_{targets[t]} identically."""
     sfx = model.suffix
-    if not isinstance(sfx, LinearSuffix):
-        raise ValidationError("linear_suffix_bound requires a linear head")
-    y, t = check_classes(model.n_classes, y, targets)
-    w = sfx.w[y] - sfx.w[t]
-    return SuffixAffineBound(beta=sfx.b[y] - sfx.b[t], gamma=w.reshape(len(t), model.tokens, model.d_model))
+    w = sfx.w[y] - sfx.w[targets]
+    return SuffixAffineBound(beta=sfx.b[y] - sfx.b[targets], gamma=w.reshape(len(targets), model.tokens, model.d_model))
 
 
 def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, targets) -> SuffixAffineBound:
@@ -66,14 +63,8 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, targ
     when it is positive.  Stable neurons pass through exactly.
     """
     sfx = model.suffix
-    if not isinstance(sfx, MlpSuffix):
-        raise ValidationError("relu_suffix_bound requires an mlp1 head")
-    y, t = check_classes(model.n_classes, y, targets)
     lo, hi = preact.lo, preact.hi
-    if lo.shape != (model.hidden,):
-        raise ValidationError(f"pre-activation bounds must have shape ({model.hidden},), got {lo.shape}")
-
-    omega = sfx.w2[y] - sfx.w2[t]  # (T, hidden)
+    omega = sfx.w2[y] - sfx.w2[targets]  # (T, hidden)
     dead = hi <= 0.0
     live = lo >= 0.0
     cross = ~(dead | live)
@@ -87,9 +78,9 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, targ
     slope = np.where(cross & (omega < 0.0), omega * chord, slope)
     intercept = np.where(cross & (omega < 0.0), -omega * chord * lo, 0.0)
 
-    beta = sfx.b2[y] - sfx.b2[t] + slope @ sfx.b1 + intercept.sum(axis=1)
+    beta = sfx.b2[y] - sfx.b2[targets] + slope @ sfx.b1 + intercept.sum(axis=1)
     gamma = slope @ sfx.w1
-    return SuffixAffineBound(beta=beta, gamma=gamma.reshape(len(t), model.tokens, model.d_model))
+    return SuffixAffineBound(beta=beta, gamma=gamma.reshape(len(targets), model.tokens, model.d_model))
 
 
 def block_output_bounds(

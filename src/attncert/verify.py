@@ -17,20 +17,16 @@ import numpy as np
 
 from .attention import (
     PixelBox,
-    ValueCoeffs,
-    _accumulate,
-    _target_block,
     baseline_margin_lower_bound,
+    certified_margin_lower_bound,
     margin_lower_bound,
     model_score_boxes,
     value_coefficients,
 )
 from .baseline import baseline_directional_min  # noqa: F401  unused since the baseline arm is batched; benchmark/tracing.py wraps this name
 from .certified import certified_directional_min  # noqa: F401  unused since the certified arm is batched; benchmark/tracing.py wraps this name
-from .certified import certified_sweep_min
-from .errors import CertificationInfeasibleError, ValidationError, check_int, check_real
+from .errors import ValidationError, check_int, check_real
 from .model import AttentionModelSpec, MlpSuffix
-from .solver import ScoreBox
 from .suffix import interval_forward, linear_suffix_bound, relu_suffix_bound
 
 
@@ -63,36 +59,6 @@ def pixel_box(x0, epsilon: float) -> PixelBox:
     return PixelBox(lo=np.clip(x0 - epsilon, 0.0, 1.0), hi=np.clip(x0 + epsilon, 0.0, 1.0))
 
 
-def _certified_margin(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
-    """margin_lower_bound with every (target, head, query token) row bounded
-    by the certified sweep, in one kernel call, and the sum rounded down."""
-    c, floor = _target_block(coeffs, scores)
-    rows, saturated = certified_sweep_min(c, scores.lower, scores.upper)
-    total = _accumulate_down(floor, rows)
-    if saturated.any() or not np.all(np.isfinite(total)):
-        raise CertificationInfeasibleError(
-            "float evaluation saturated; the certified bound is not valid for this instance"
-        )
-    return total
-
-
-def _accumulate_down(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """_accumulate, lowered below the exact sum of its n terms.
-
-    Recursive summation obeys |fl(S) - S| <= gamma_{n-1} * sum|x_i| with
-    gamma_k = k*u / (1 - k*u), u = 2**-53 (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 4.2).  The computed sum of magnitudes reads
-    low by at most the same factor, so n * 2**-52 times it, rounded up,
-    covers the error while (n - 1) * u <= 1/4; nextafter then covers the
-    rounding of the final subtraction.
-    """
-    rows = rows.reshape(len(floor), -1)
-    n = rows.shape[1] + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        pad = np.nextafter((np.abs(floor) + np.abs(rows).sum(axis=1)) * (n * 2.0**-52), np.inf)
-        return np.nextafter(_accumulate(floor, rows) - pad, -np.inf)
-
-
 def certify_targets(
     model: AttentionModelSpec,
     box: PixelBox,
@@ -112,15 +78,18 @@ def certify_targets(
         raise ValidationError(f"pixel box length {box.size} does not match image size {model.image_size}")
 
     targets = [t for t in range(model.n_classes) if t != y]
-    scores: ScoreBox = model_score_boxes(model, box)
-    if isinstance(model.suffix, MlpSuffix):
-        suffix = relu_suffix_bound(model, interval_forward(model, box, scores), y, targets)
-    else:
-        suffix = linear_suffix_bound(model, y, targets)
+    # Each stage up to the rows ends in a finite check (the score boxes, the
+    # value bounds, the pre-activation box, the coefficients), so an
+    # overflow on the way is reported there, once, as a ValidationError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = model_score_boxes(model, box)
+        if isinstance(model.suffix, MlpSuffix):
+            suffix = relu_suffix_bound(model, interval_forward(model, box, scores), y, targets)
+        else:
+            suffix = linear_suffix_bound(model, y, targets)
+        coeffs = value_coefficients(suffix, model, box)
 
-    coeffs = value_coefficients(suffix, model, box)
-
-    vertex = (_certified_margin if certified else margin_lower_bound)(coeffs, scores).tolist()
+    vertex = (certified_margin_lower_bound if certified else margin_lower_bound)(coeffs, scores).tolist()
     baseline = baseline_margin_lower_bound(coeffs, scores).tolist()
     bounds = [
         MarginBound(target=t, l_vertex=lv, l_baseline=lb, l_hybrid=lv if certified else max(lv, lb))

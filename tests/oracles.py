@@ -42,7 +42,9 @@ lower-triangular mask.
 
 forward_broadcast is the forward pass as it was before the projections were
 flattened: heads as a broadcast matmul axis and the softmax over the last
-axis.  The flat pass must match it to roundoff, field by field.
+axis.  The flat pass's logits must match it to roundoff, and tests read
+every intermediate (tokens, scores, attention, block output, hidden
+pre-activations) from its ForwardTrace.
 
 attack_margin_per_target and scalar_margin_polish are the margin attack as
 it was before all targets shared one search: one target at a time, with its
@@ -68,24 +70,18 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from attncert import (
-    ScoreBox,
-    directional_max,
-    directional_min,
-    model_score_boxes,
-    softmax_objective,
-    value_scalar_bounds,
-)
-from attncert.attention import token_bounds
+from attncert import ScoreBox, directional_max, directional_min, softmax_objective
+from attncert.attention import model_score_boxes, token_bounds, value_scalar_bounds
 from attncert.harness import _margin_polish
 from attncert.intervals import affine_bounds
-from attncert.model import ForwardTrace, LinearSuffix, forward, forward_batch, patch_pixel_indices
+from attncert.model import LinearSuffix, forward, forward_batch, patch_pixel_indices
 from attncert.solver import _objective
 
 PREC = 60
@@ -484,6 +480,17 @@ def certified_error_bound_exact(c, lower, upper) -> Fraction:
         err = (eps * abs(Fraction(num)) + eps * r * Fraction(mag) + w) / (Fraction(den) - a_d) + u * abs(tau)
         best = tau - err if best is None else min(best, tau - err)
     return max(best, floor)
+
+
+@dataclass(frozen=True, eq=False)
+class ForwardTrace:
+    tokens: np.ndarray  # (..., R, d_model)
+    scores: np.ndarray  # (..., heads, R, R)
+    attn: np.ndarray  # (..., heads, R, R)
+    head_out: np.ndarray  # (..., heads, R, d_head)
+    hplus: np.ndarray  # (..., R, d_model)
+    hidden_pre: np.ndarray | None  # (..., hidden) for the mlp1 head
+    logits: np.ndarray  # (..., classes)
 
 
 def forward_broadcast(model, xs) -> ForwardTrace:

@@ -6,27 +6,27 @@ import pytest
 
 from attncert import (
     PixelBox,
-    PreActBox,
     ScoreBox,
     ValidationError,
-    ValueCoeffs,
     baseline_directional_min,
-    baseline_margin_lower_bound,
     directional_min,
-    forward_trace,
-    linear_suffix_bound,
-    margin_lower_bound,
-    model_score_boxes,
     pixel_box,
     random_model,
+)
+from attncert.attention import (
+    ValueCoeffs,
+    baseline_margin_lower_bound,
+    margin_lower_bound,
+    model_score_boxes,
     score_boxes_interval_product,
+    token_bounds,
     value_coefficients,
     value_scalar_bounds,
 )
-from attncert.attention import token_bounds
 from attncert.intervals import affine_bounds
+from attncert.suffix import PreActBox, linear_suffix_bound
 
-from oracles import margin_row_loop
+from oracles import forward_broadcast, margin_row_loop
 
 # 1 / (1 + e^2): row minimum of direction (0, 1) over the point scores (1, -1).
 ROW_MIN_01 = 0.11920292202211755
@@ -105,16 +105,14 @@ class TestAffineBounds:
 class TestScoreBoxes:
     def test_positive_product(self):
         # One head, one token, one head dim: q in [1, 2], k in [3, 4].
-        t = score_boxes_interval_product(
-            [[[1.0]]], [[[2.0]]], [[[3.0]]], [[[4.0]]], scale=1.0, mask=np.zeros((1, 1, 1))
-        )
+        q_lo, q_hi, k_lo, k_hi = (np.full((1, 1, 1), v) for v in (1.0, 2.0, 3.0, 4.0))
+        t = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=1.0, mask=np.zeros((1, 1, 1)))
         assert t.lower[0, 0, 0] == 3.0
         assert t.upper[0, 0, 0] == 8.0
 
     def test_sign_crossing_product(self):
-        t = score_boxes_interval_product(
-            [[[-1.0]]], [[[1.0]]], [[[-2.0]]], [[[2.0]]], scale=1.0, mask=np.zeros((1, 1, 1))
-        )
+        q_lo, q_hi, k_lo, k_hi = (np.full((1, 1, 1), v) for v in (-1.0, 1.0, -2.0, 2.0))
+        t = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=1.0, mask=np.zeros((1, 1, 1)))
         assert t.lower[0, 0, 0] == -2.0
         assert t.upper[0, 0, 0] == 2.0
 
@@ -123,12 +121,6 @@ class TestScoreBoxes:
         t = score_boxes_interval_product(one, one, one, one, scale=0.5, mask=0.5 * one)
         assert t.lower[0, 0, 0] == 1.0
         assert t.upper[0, 0, 0] == 1.0
-
-    def test_scale_must_be_positive(self):
-        one = np.ones((1, 1, 1))
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValidationError):
-                score_boxes_interval_product(one, one, one, one, scale=bad, mask=one)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "order", "shape", "extra"])
     @pytest.mark.parametrize("kind", list(BOX_KINDS))
@@ -173,7 +165,7 @@ class TestScoreBoxes:
             m = random_model(seed=seed, tokens=3, heads=2, d_model=5, d_head=3)
             x0 = np.random.default_rng(50 + seed).uniform(0, 1, m.image_size)
             t = model_score_boxes(m, degenerate_box(x0))
-            tr = forward_trace(m, x0)
+            tr = forward_broadcast(m, x0)
             assert t.lower == pytest.approx(tr.scores, abs=1e-9)
             assert t.upper == pytest.approx(tr.scores, abs=1e-9)
 
@@ -186,7 +178,7 @@ class TestScoreBoxes:
             t = model_score_boxes(m, box)
             for _ in range(300):
                 x = rng.uniform(box.lo, box.hi)
-                s = forward_trace(m, x).scores
+                s = forward_broadcast(m, x).scores
                 assert np.all(s >= t.lower - 1e-9)
                 assert np.all(s <= t.upper + 1e-9)
 
@@ -196,7 +188,7 @@ class TestTokenAndValueBounds:
         m = random_model(seed=7, tokens=3, heads=1, d_model=4)
         x0 = np.random.default_rng(2).uniform(0, 1, m.image_size)
         lo, hi = token_bounds(m, degenerate_box(x0))
-        tr = forward_trace(m, x0)
+        tr = forward_broadcast(m, x0)
         assert lo == pytest.approx(tr.tokens, abs=1e-12)
         assert hi == pytest.approx(tr.tokens, abs=1e-12)
 
@@ -204,15 +196,10 @@ class TestTokenAndValueBounds:
         m = random_model(seed=8, tokens=2, heads=2, d_model=4, d_head=3)
         x0 = np.random.default_rng(3).uniform(0, 1, m.image_size)
         v_lo, v_hi = value_scalar_bounds(m, degenerate_box(x0))
-        tr = forward_trace(m, x0)
+        tr = forward_broadcast(m, x0)
         v = np.einsum("hdm,rm->hrd", m.wv, tr.tokens) + m.bv[:, None, :]
         assert v_lo == pytest.approx(v, abs=1e-12)
         assert v_hi == pytest.approx(v, abs=1e-12)
-
-    def test_wrong_image_size(self):
-        m = random_model(seed=0)
-        with pytest.raises(ValidationError):
-            token_bounds(m, PixelBox(lo=np.zeros(3), hi=np.ones(3)))
 
 
 class TestValueCoefficients:
@@ -221,7 +208,7 @@ class TestValueCoefficients:
         x0 = np.random.default_rng(9).uniform(0, 1, m.image_size)
         bounds = linear_suffix_bound(m, 0, [1, 2])
         coeffs = value_coefficients(bounds, m, degenerate_box(x0))
-        tr = forward_trace(m, x0)
+        tr = forward_broadcast(m, x0)
         v = np.einsum("hdm,rm->hrd", m.wv, tr.tokens) + m.bv[:, None, :]
         for ti, (beta, gamma) in enumerate(zip(bounds.beta, bounds.gamma)):
             eta = np.einsum("hmd,im->ihd", m.wo, gamma)
@@ -254,7 +241,7 @@ class TestValueCoefficients:
         best = np.full(coeffs.c[0].shape, np.inf)
         res_best = np.inf
         for x in corners:
-            tr = forward_trace(m, x)
+            tr = forward_broadcast(m, x)
             v = np.einsum("hdm,rm->hrd", m.wv, tr.tokens) + m.bv[:, None, :]
             best = np.minimum(best, np.einsum("ihd,hjd->hij", eta, v))
             res_best = min(res_best, float(np.sum(gamma * tr.tokens)))
@@ -264,20 +251,18 @@ class TestValueCoefficients:
             floor += res_best
         assert coeffs.b_prime[0] == pytest.approx(floor, abs=1e-9)
 
-    def test_requires_suffix_bounds(self):
-        m = random_model(seed=0)
-        none = linear_suffix_bound(m, 0, [1])
-        none = type(none)(beta=none.beta[:0], gamma=none.gamma[:0])
-        with pytest.raises(ValidationError):
-            value_coefficients(none, m, degenerate_box(np.full(m.image_size, 0.5)))
-
-    def test_gamma_shape_checked(self):
+    def test_non_finite_coefficients_rejected(self):
+        # One check covers the row coefficients and the floors.  The float
+        # warnings on the way are silenced, as certify_targets does.
         m = random_model(seed=0, tokens=2, d_model=4)
         sb = linear_suffix_bound(m, 0, [1])
-        for beta, gamma in ((np.zeros(1), np.zeros((1, 3, 4))), (np.zeros(1), np.zeros((2, 4))), (0.0, sb.gamma)):
-            bad = type(sb)(beta=beta, gamma=gamma)
-            with pytest.raises(ValidationError):
-                value_coefficients(bad, m, degenerate_box(np.full(m.image_size, 0.5)))
+        box = degenerate_box(np.full(m.image_size, 0.5))
+        for bad in (np.inf, np.nan):
+            gamma = sb.gamma.copy()
+            gamma[0, 1, 2] = bad
+            for suffix in (type(sb)(beta=sb.beta, gamma=gamma), type(sb)(beta=np.array([bad]), gamma=sb.gamma)):
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="finite"):
+                    value_coefficients(suffix, m, box)
 
 
 class TestMarginLowerBound:
@@ -316,15 +301,6 @@ class TestMarginLowerBound:
                 assert stacked[t] == arm(alone, scores)[0]
                 assert stacked[t] == margin_row_loop(coeffs, scores, t, row)
 
-    def test_shape_mismatch(self):
-        coeffs = ValueCoeffs(c=np.zeros((1, 1, 1, 3)), b_prime=np.zeros(1))
-        z = np.zeros((1, 1, 2))
-        with pytest.raises(ValidationError):
-            margin_lower_bound(coeffs, ScoreBox(lower=z, upper=z))
-        two_floors = ValueCoeffs(c=np.zeros((1, 1, 1, 2)), b_prime=np.zeros(2))
-        with pytest.raises(ValidationError):
-            margin_lower_bound(two_floors, ScoreBox(lower=z, upper=z))
-
     def test_vertex_arm_dominates_baseline_arm(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -338,12 +314,3 @@ class TestMarginLowerBound:
         floor_only = ValueCoeffs(c=np.zeros_like(coeffs.c), b_prime=coeffs.b_prime)
         assert margin_lower_bound(floor_only, scores)[0] == float(coeffs.b_prime[0])
         assert baseline_margin_lower_bound(floor_only, scores)[0] == float(coeffs.b_prime[0])
-
-    def test_non_finite_coefficients_rejected(self):
-        z = np.zeros((1, 1, 2))
-        scores = ScoreBox(lower=z, upper=z)
-        for bad in (np.inf, np.nan):
-            coeffs = ValueCoeffs(c=np.array([[[[0.0, bad]]]]), b_prime=np.zeros(1))
-            for arm in (margin_lower_bound, baseline_margin_lower_bound):
-                with pytest.raises(ValidationError, match="finite"):
-                    arm(coeffs, scores)

@@ -163,13 +163,13 @@ def test_output_bounds_match_own_shift_oracle(monkeypatch):
     # under the shared shift is re-evaluated, so no absolute term remains).
     evaluated = []
 
-    def spy(c, s):
-        out = objective(c, s)
-        evaluated.extend(zip(np.argmax(c, axis=-1), s, out))
+    def spy(vertex, j):
+        out = own_share(vertex, j)
+        evaluated.extend(zip(j, vertex, out))
         return out
 
-    objective = attncert.baseline._objective
-    monkeypatch.setattr(attncert.baseline, "_objective", spy)
+    own_share = attncert.baseline._own_share
+    monkeypatch.setattr(attncert.baseline, "_own_share", spy)
     rng = np.random.default_rng(43)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -20,14 +20,11 @@ from attncert import (
     directional_min,
     forward,
     forward_batch,
-    interval_forward,
-    linear_suffix_bound,
-    model_score_boxes,
     pixel_box,
     random_model,
-    relu_suffix_bound,
-    value_coefficients,
 )
+from attncert.attention import model_score_boxes, value_coefficients
+from attncert.suffix import interval_forward, linear_suffix_bound, relu_suffix_bound
 from oracles import margin_row_loop
 
 
@@ -198,7 +195,7 @@ class TestCertifiedMode:
         def huge_rows(c, *_):
             return np.full(c.shape[:-1], big), np.zeros(c.shape[:-1], dtype=bool)
 
-        monkeypatch.setattr(attncert.verify, "certified_sweep_min", huge_rows)
+        monkeypatch.setattr(attncert.attention, "certified_sweep_min", huge_rows)
         with pytest.raises(CertificationInfeasibleError):
             certify_targets(m, pixel_box(np.full(m.image_size, 0.5), 0.01), 0, certified=True)
 
@@ -235,7 +232,7 @@ class TestCertifiedMode:
             rows = rng.normal(size=(200, 64)) * 10.0 ** rng.integers(-8, 9, (200, 64))
             floor = rng.normal(size=200) * 10.0 ** rng.integers(-8, 17, 200)
         floor, rows = np.asarray(floor, dtype=float), np.asarray(rows, dtype=float)
-        got = attncert.verify._accumulate_down(floor, rows)
+        got = attncert.attention._accumulate_down(floor, rows)
         fast = attncert.attention._accumulate(floor, rows)
         above = 0
         for t in range(len(floor)):
@@ -295,6 +292,35 @@ class TestValidation:
         m = tiny_model(0, "linear")
         with pytest.raises(ValidationError):
             certify_targets(m, pixel_box(np.full(3, 0.5), 0.01), 0)
+
+    @pytest.mark.parametrize("case", ["a", "b", "c", "d", "e"])
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_overflow_before_the_rows_rejected(self, case, certified):
+        # Finite weights whose bounds overflow before the rows: (a) in the
+        # value coefficients, (b) in the model's composed pixel maps and the
+        # value bounds, (c) in the hidden pre-activations, (d) in the ReLU
+        # head's margin forms, and (e) in the residual floor, as inf - inf.
+        # Each is one ValidationError with no float warning on the way.
+        r = dataclasses.replace
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lin = random_model(0, tokens=4, n_classes=3)
+            mlp = random_model(0, tokens=4, n_classes=3, suffix_kind="mlp1")
+            m = {
+                "a": lambda: r(lin, wv=lin.wv * 1e200, suffix=r(lin.suffix, w=lin.suffix.w * 1e200)),
+                "b": lambda: r(mlp, wv=mlp.wv * 1e300, w_embed=mlp.w_embed * 1e10),
+                "c": lambda: r(mlp, wo=mlp.wo * 1e10, suffix=r(mlp.suffix, w1=mlp.suffix.w1 * 1e300)),
+                "d": lambda: r(
+                    mlp, wv=mlp.wv * 1e150, suffix=r(mlp.suffix, w1=mlp.suffix.w1 * 1e100, w2=mlp.suffix.w2 * 1e100)
+                ),
+                "e": lambda: r(
+                    lin, w_embed=lin.w_embed * 1e300, b_embed=lin.b_embed * 0.0,
+                    wq=lin.wq * 1e-300, wk=lin.wk * 1e-300, wv=lin.wv * 1e-300, wo=lin.wo * 1e-300,
+                    suffix=r(lin.suffix, w=lin.suffix.w * 1e10),
+                ),
+            }[case]()
+            with pytest.raises(ValidationError, match="finite"):
+                certify_targets(m, pixel_box(np.full(m.image_size, 0.5), 0.01), 0, certified=certified)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     @pytest.mark.parametrize("certified", [False, True])
@@ -371,7 +397,7 @@ class TestBatchedArms:
         counted(attncert.attention, "sweep_min")
         counted(attncert.suffix, "sweep_min")
         counted(attncert.attention, "baseline_min")
-        counted(attncert.verify, "certified_sweep_min")
+        counted(attncert.attention, "certified_sweep_min")
         m = random_model(
             seed=0, tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, suffix_kind=kind, hidden=32, residual=True
         )
