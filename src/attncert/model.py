@@ -237,18 +237,39 @@ def _check_image(model: AttentionModelSpec, x) -> np.ndarray:
     return x
 
 
+# Entries of the (R, N, heads, R) score stack per forward block: 16 points
+# at 16 tokens and 4 heads.  Larger blocks page-fault in their temporaries
+# and cost about twice as much per point.
+_FORWARD_BLOCK_ELEMENTS = 2**14
+
+
 def _forward(model: AttentionModelSpec, xs: np.ndarray) -> np.ndarray:
     """The logits of (..., image_size) inputs, shape (..., n_classes).
+
+    The inputs are scored in consecutive blocks of _FORWARD_BLOCK_ELEMENTS
+    score entries, so a call's temporaries are bounded by the budget, not by
+    the batch."""
+    lead = xs.shape[:-1]
+    rows = xs.reshape(-1, xs.shape[-1])
+    n = rows.shape[0]
+    step = max(1, _FORWARD_BLOCK_ELEMENTS // (model.tokens**2 * model.heads))
+    out = np.empty((n, model.n_classes))
+    for i in range(0, n, step):
+        out[i : i + step] = _forward_block(model, rows[i : i + step])
+    return out.reshape(*lead, model.n_classes)
+
+
+def _forward_block(model: AttentionModelSpec, xs: np.ndarray) -> np.ndarray:
+    """The (N, n_classes) logits of (N, image_size) inputs.
 
     The N inputs are flattened to N*R token rows, so the embedding, the Q/K/V
     projections of every head and W_o are one 2-D matmul each.  Scores and
     attention weights are held key-axis first, (R_key, N, heads, R_query),
     so the softmax reductions run over long contiguous rows rather than
     over N*heads*R rows of length R."""
-    lead = xs.shape[:-1]
-    n = math.prod(lead)
+    n = xs.shape[0]
     r, h, dh, dm = model.tokens, model.heads, model.d_head, model.d_model
-    patches = xs.reshape(n, xs.shape[-1])[:, model._patch_index].reshape(n * r, model.patch_dim)
+    patches = xs[:, model._patch_index].reshape(n * r, model.patch_dim)
     toks = patches @ model.w_embed.T + model.b_embed  # (N*R, d_model)
     qkv = toks @ model._w_qkv.T + model._b_qkv
     q, k, v = qkv.reshape(n, r, 3, h, dh).transpose(2, 0, 3, 1, 4)  # (N, H, R, d_head)
@@ -268,7 +289,7 @@ def _forward(model: AttentionModelSpec, xs: np.ndarray) -> np.ndarray:
         logits = pooled @ sfx.w.T + sfx.b
     else:
         logits = np.maximum(pooled @ sfx.w1.T + sfx.b1, 0.0) @ sfx.w2.T + sfx.b2
-    return logits.reshape(*lead, model.n_classes)
+    return logits
 
 
 def forward(model: AttentionModelSpec, x) -> np.ndarray:

@@ -18,7 +18,7 @@ from .attention import PixelBox, token_bounds, value_scalar_bounds
 from .attention import model_score_boxes  # noqa: F401  unused since the caller passes the score boxes; benchmark/tracing.py wraps this name
 from .errors import check_box
 from .intervals import affine_bounds
-from .model import AttentionModelSpec, LinearSuffix
+from .model import AttentionModelSpec
 from .solver import ScoreBox, sweep_min
 from .solver import directional_max, directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps these names
 
@@ -35,7 +35,7 @@ class SuffixAffineBound:
 
 @dataclass(frozen=True, eq=False)
 class PreActBox:
-    """Bounds on the hidden-layer pre-activations; empty for a linear head."""
+    """Bounds on the hidden-layer pre-activations of an mlp1 head."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -114,11 +114,9 @@ def block_output_bounds(
 
 
 def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBox) -> PreActBox:
-    """Hidden pre-activation boxes over the pixel box (empty for a linear
-    head).  `scores` is passed on to block_output_bounds."""
+    """Hidden pre-activation boxes of an mlp1 head over the pixel box.
+    `scores` is passed on to block_output_bounds."""
     sfx = model.suffix
-    if isinstance(sfx, LinearSuffix):
-        return PreActBox(lo=np.zeros(0), hi=np.zeros(0))
     h_lo, h_hi = block_output_bounds(model, box, scores)
     z_lo, z_hi = affine_bounds(sfx.w1, h_lo.reshape(-1), h_hi.reshape(-1))
     return PreActBox(lo=z_lo + sfx.b1, hi=z_hi + sfx.b1)

@@ -51,6 +51,11 @@ it was before all targets shared one search: one target at a time, with its
 own sample stream keyed by (seed, image_size, target), and an endpoint
 coordinate descent that scores one point per forward call.
 
+lockstep_margin_polish is the shared polish as it was before each target
+scored a window of coordinates per forward call: all targets step through
+one coordinate per forward_batch.  The windowed polish must make the same
+decisions.
+
 attack_margin_sample_start is attack_min_margin as it was before each
 target could start from its secant corner: the lockstep polish from the
 best point of the shared sample batch.  secant_corner builds a target's
@@ -79,7 +84,6 @@ import numpy as np
 
 from attncert import ScoreBox, directional_max, directional_min, softmax_objective
 from attncert.attention import model_score_boxes, token_bounds, value_scalar_bounds
-from attncert.harness import _margin_polish
 from attncert.intervals import affine_bounds
 from attncert.model import LinearSuffix, forward, forward_batch, patch_pixel_indices
 from attncert.solver import _objective
@@ -552,6 +556,50 @@ def scalar_margin_polish(model, y, target, start, lo, hi) -> float:
     return best_val
 
 
+def lockstep_margin_polish(model, y, targets, start, start_val, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint coordinate descent of the margin for every target at once,
+    one coordinate at a time.
+
+    Target r descends from start[r], whose margin is start_val[r].  At
+    coordinate j one forward_batch scores the lo and hi candidates of every
+    active target; the hi candidate is the same point whether x_j has just
+    moved to lo or not, so the scalar order (keep, else lo, else hi, strict
+    <) is kept exactly.  A target drops out after a round without a move.
+    Returns the (T, n) best points and their (T,) margins."""
+    best = start.copy()
+    best_val = start_val.copy()
+    active = np.arange(targets.size)
+    for _ in range(2):
+        improved = np.zeros(targets.size, dtype=bool)
+        for j in range(lo.size):
+            cur = best[active, j]
+            rows_lo = active[cur != lo[j]]
+            rows_hi = active[cur != hi[j]]
+            if rows_lo.size + rows_hi.size == 0:
+                continue
+            cand = np.concatenate((best[rows_lo], best[rows_hi]))
+            cand[: rows_lo.size, j] = lo[j]
+            cand[rows_lo.size :, j] = hi[j]
+            rows = np.concatenate((rows_lo, rows_hi))
+            logits = forward_batch(model, cand)
+            vals = logits[:, y] - logits[np.arange(rows.size), targets[rows]]
+            v_lo = np.full(targets.size, np.inf)
+            v_hi = np.full(targets.size, np.inf)
+            v_lo[rows_lo] = vals[: rows_lo.size]
+            v_hi[rows_hi] = vals[rows_lo.size :]
+            take_lo = v_lo < best_val
+            best[take_lo, j] = lo[j]
+            best_val = np.where(take_lo, v_lo, best_val)
+            take_hi = v_hi < best_val
+            best[take_hi, j] = hi[j]
+            best_val = np.where(take_hi, v_hi, best_val)
+            improved |= take_lo | take_hi
+        active = np.flatnonzero(improved)
+        if not active.size:
+            break
+    return best, best_val
+
+
 def attack_margin_per_target(model, box, y, target, budget, seed=0) -> float:
     """The single-target attack: corners, center and `budget` samples from
     the target's own stream, then scalar_margin_polish from the best."""
@@ -570,7 +618,7 @@ def attack_margin_per_target(model, box, y, target, budget, seed=0) -> float:
 def attack_margin_sample_start(model, box, y, targets, budget, seed=0) -> np.ndarray:
     """The shared-batch attack from its best samples only: corners, center
     and `budget` samples of the (seed, image_size, n_classes) stream, then
-    _margin_polish from each target's best point."""
+    lockstep_margin_polish from each target's best point."""
     t = np.asarray(targets, dtype=np.intp)
     key = (model.image_size, model.n_classes)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
@@ -582,7 +630,7 @@ def attack_margin_sample_start(model, box, y, targets, budget, seed=0) -> np.nda
     margins = logits[:, [y]] - logits[:, t]
     best_idx = np.argmin(margins, axis=0)
     start_val = margins[best_idx, np.arange(t.size)]
-    return _margin_polish(model, y, t, points[best_idx], start_val, box.lo, box.hi)[1]
+    return lockstep_margin_polish(model, y, t, points[best_idx], start_val, box.lo, box.hi)[1]
 
 
 def secant_corner(model, y, target, box) -> np.ndarray:

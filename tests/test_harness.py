@@ -46,6 +46,7 @@ from oracles import (
     attack_margin_sample_start,
     attack_objective_loop,
     attack_vertices_loop,
+    lockstep_margin_polish,
     scalar_margin_polish,
     secant_corner,
     threshold_vertices,
@@ -360,6 +361,72 @@ class TestAttackMargin:
                 assert abs(got[r] - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("eps", [0.001, 0.05, 0.5])
+    def test_windowed_polish_matches_lockstep_oracle(self, suffix_kind, eps):
+        # Starts per case: an interior point, a random vertex, a point the
+        # lockstep polish ended at, and such a point with the coordinate at
+        # the first (0) or the last (3) of the first window flipped.
+        for seed in range(4):
+            m, box, y, targets = _attack_case(seed, suffix_kind, n_classes=6, eps=eps)
+            t = np.array(targets)
+            rng = np.random.default_rng(200 + seed)
+            starts = rng.uniform(box.lo, box.hi, (t.size, m.image_size))
+            starts[1] = np.where(rng.uniform(size=m.image_size) < 0.5, box.lo, box.hi)
+            logits = forward_batch(m, starts)
+            start_val = logits[:, y] - logits[np.arange(t.size), t]
+            settled, _ = lockstep_margin_polish(m, y, t, starts, start_val, box.lo, box.hi)
+            starts[2:] = settled[2:]
+            for r, j in ((3, 0), (4, 3)):
+                starts[r, j] = box.lo[j] + box.hi[j] - starts[r, j]
+            logits = forward_batch(m, starts)
+            start_val = logits[:, y] - logits[np.arange(t.size), t]
+            got_x, got = _margin_polish(m, y, t, starts, start_val, box.lo, box.hi)
+            want_x, want = lockstep_margin_polish(m, y, t, starts, start_val, box.lo, box.hi)
+            assert np.array_equal(got_x, want_x)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_window_schedule_on_a_separable_margin(self, monkeypatch):
+        # 24 one-pixel tokens passed through untouched and a linear head, so
+        # each target's margin is a sum of per-pixel terms and pixel j moves
+        # exactly when its start is off the term's minimizing end.  Target 1
+        # moves at the first coordinate of its first window (0) and the last
+        # of its second (4), target 2 at the last of its first (3), target 3
+        # nowhere and target 4 inside its 16-wide second window (10).
+        n = 24
+        rng = np.random.default_rng(9)
+        a = rng.choice([-1.0, 1.0], size=(5, n)) * rng.uniform(1, 2, (5, n))
+        m = AttentionModelSpec(
+            height=1, width=n, channels=1, patch=1, d_model=1, d_head=1, heads=1, n_classes=5, residual=True,
+            w_embed=np.eye(1), b_embed=np.zeros(1), wq=np.zeros((1, 1, 1)), bq=np.zeros((1, 1)),
+            wk=np.zeros((1, 1, 1)), bk=np.zeros((1, 1)), wv=np.zeros((1, 1, 1)), bv=np.zeros((1, 1)),
+            wo=np.zeros((1, 1, 1)), bo=np.zeros(1), mask=np.zeros((1, n, n)),
+            suffix=LinearSuffix(w=np.vstack((np.zeros(n), -a[1:])), b=np.zeros(5)),
+        )
+        box = pixel_box(np.full(n, 0.5), 0.25)
+        t = np.array([1, 2, 3, 4])
+        best = np.where(a[1:] > 0, box.lo, box.hi)  # margin_t = a[t] . x
+        starts = best.copy()
+        for r, j in ((0, 0), (0, 4), (1, 3), (3, 10)):
+            starts[r, j] = box.lo[j] + box.hi[j] - starts[r, j]
+        start_val = np.einsum("tj,tj->t", a[1:], starts)
+        calls = []
+
+        def recording(model, xs):
+            calls.append(len(xs))
+            return forward_batch(model, xs)
+
+        monkeypatch.setattr(harness, "forward_batch", recording)
+        got_x, got = _margin_polish(m, 0, t, starts, start_val, box.lo, box.hi)
+        assert np.array_equal(got_x, best)
+        assert np.allclose(got, np.einsum("tj,tj->t", a[1:], best), rtol=1e-14, atol=0.0)
+        # Windows over the two rounds' coordinates 0-47: target 1 at 0-3
+        # (moves at 0), 1-4 (moves at 4), 5-8, 9-24 and 25-47; target 2 at
+        # 0-3 (moves at 3), 4-7, 8-23 and 24-47; target 3 at 0-3, 4-19 and
+        # 20-23, its one round; target 4 at 0-3, 4-19 (moves at 10), 11-14,
+        # 15-30 and 31-47.
+        assert calls == [16, 40, 28, 56, 40]
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
     def test_values_are_margins_at_points_of_the_box(self, suffix_kind):
         for seed in range(3):
             m, box, y, targets = _attack_case(seed, suffix_kind)
@@ -451,8 +518,8 @@ class TestAttackMargin:
         assert attack_min_margin(m, box, 0, [1], budget=4, seed=0)[0] == 0.0
 
     def test_corner_start_skips_the_second_polish_round(self, monkeypatch):
-        # The sample batch, the probes, the corners, then one polish round of
-        # one call per pixel: the sample start needs 2 * image_size + 1.
+        # The sample batch, the probes, the corners, then one polish round:
+        # when no start moves, windows of 4, 16 and 44 of the 64 pixels.
         calls = []
 
         def recording(model, xs):
@@ -464,8 +531,7 @@ class TestAttackMargin:
             m, box, y, targets = _shape_m_case(seed, 0.001)
             calls.clear()
             attack_min_margin(m, box, y, targets, budget=50, seed=seed)
-            assert len(calls) <= m.image_size + 3
-            assert calls[:3] == [53, m.image_size, len(targets)]
+            assert calls == [53, m.image_size, len(targets)] + [4 * len(targets), 16 * len(targets), 44 * len(targets)]
 
     def test_keyed_stream_is_pinned(self):
         got = keyed_rng(4, 64).uniform(size=4)

@@ -17,7 +17,7 @@ from attncert import (
     random_model,
     save_model,
 )
-from attncert.model import _forward, patch_pixel_indices
+from attncert.model import _FORWARD_BLOCK_ELEMENTS, _forward, patch_pixel_indices
 
 from oracles import forward_broadcast
 
@@ -230,6 +230,26 @@ class TestFlatForward:
         m = random_model(seed=4, tokens=4, heads=2, d_model=6, suffix_kind="mlp1", n_classes=3)
         xs = np.random.default_rng(4).uniform(0, 1, (2, 3, m.image_size))
         _assert_close(_forward(m, xs), forward_broadcast(m, xs).logits, "logits")
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    def test_blocks_match_reference_and_per_block_calls(self, suffix_kind):
+        # Shape M: 16 tokens and 4 heads, so a block is 16 points.
+        m = random_model(seed=8, tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, suffix_kind=suffix_kind)
+        block = _FORWARD_BLOCK_ELEMENTS // (m.tokens**2 * m.heads)
+        assert block == 16
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(0, 1, (3 * block + 5, m.image_size))
+        got = forward_batch(m, xs)
+        _assert_close(got, forward_broadcast(m, xs).logits, "forward_batch")
+        per_block = np.concatenate([forward_batch(m, xs[i : i + block]) for i in range(0, xs.shape[0], block)])
+        assert np.array_equal(got, per_block)
+        # 3 * 7 = 21 points: one full block and one of 5, across the inner axis.
+        nested = rng.uniform(0, 1, (3, 7, m.image_size))
+        got = _forward(m, nested)
+        _assert_close(got, forward_broadcast(m, nested).logits, "_forward")
+        flat = nested.reshape(-1, m.image_size)
+        per_block = np.concatenate((forward_batch(m, flat[:block]), forward_batch(m, flat[block:])))
+        assert np.array_equal(got, per_block.reshape(3, 7, m.n_classes))
 
     def test_empty_batch(self):
         m = random_model(seed=5, tokens=2, heads=1, d_model=4, suffix_kind="mlp1", n_classes=3)

@@ -129,12 +129,6 @@ class TestReluSuffix:
 
 
 class TestIntervalForward:
-    def test_linear_head_empty_box(self):
-        m = random_model(seed=15)
-        box = pixel_box(np.full(m.image_size, 0.5), 0.1)
-        pre = interval_forward(m, box, model_score_boxes(m, box))
-        assert pre.lo.shape == (0,)
-
     def test_zero_epsilon_collapses_to_forward(self):
         for residual in (True, False):
             m = random_model(seed=16, tokens=3, heads=2, d_model=4, d_head=2, suffix_kind="mlp1", hidden=5, residual=residual)
