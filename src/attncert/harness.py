@@ -8,9 +8,14 @@ minimum obtained from feasible points only:
 * attack_min_objective (one score row): the K+1 threshold vertices of c,
   one of which attains the exact minimum, and uniform samples;
 * attack_min_margin (a model's margins): every target of one pixel box in
-  one search, with one shared sample batch, a secant corner per target and
+  one search, with one shared sample set, a secant corner per target and
   an endpoint polish that scores every target's next window of pixel moves
   in one forward_batch.
+
+Both attacks, and selfcheck's soundness sampling, draw and score their
+candidates in bounded blocks with a running minimum, so their memory does
+not grow with the budget; each block's values are those of one unblocked
+batch.
 
 A target's secant corner is the box vertex at hi wherever moving that one
 pixel of the center to hi lowers the target's margin: the sign-of-slope
@@ -20,10 +25,10 @@ where the polish of an interior sample ends, and a polish that starts there
 makes one round instead of two.  A target's windows start at 4 pixels and
 grow 4-fold while it does not move, so a round without a move over 64
 pixels takes 3 calls (windows of 4, 16 and 44), and the whole attack 6.
-It makes at most 2 * image_size + 3 forward_batch calls; on the
-benchmark's report pools at seeds 21-23 (shape M, 64 pixels) it made
-6.4 per box, against 75.7 for a polish of one pixel per call, with the
-same values.
+With one sample chunk it makes at most 2 * image_size + 3 forward_batch
+calls; on the benchmark's report pools at seeds 21-23 (shape M, 64
+pixels) it made 6.4 per box, against 75.7 for a polish of one pixel per
+call, with the same values.
 """
 
 from __future__ import annotations
@@ -39,13 +44,14 @@ import numpy as np
 from .baseline import baseline_directional_min
 from .certified import certified_directional_min
 from .errors import ValidationError, check_classes, check_int, check_real
-from .model import AttentionModelSpec, forward_batch
+from .model import AttentionModelSpec, _forward_block_points, forward_batch
 from .model import forward  # noqa: F401  unused since the margin polish is batched; benchmark/tracing.py wraps this name
 from .attention import PixelBox
 from .solver import (
     ScoreBox,
     _as_direction,
     _objective,
+    _stable_rank,
     _threshold_vertices,
     directional_min,
     exhaustive_vertex_min,
@@ -122,16 +128,51 @@ def synth_instance(
     return c, ScoreBox(lower=centers - half, upper=centers + half)
 
 
+# The objective attack and the selfcheck's soundness suite score their
+# candidates in consecutive row blocks of about this many elements (64 rows
+# at K = 256), keeping a running minimum, so their memory does not grow with
+# the budget and no block's temporaries page-fault in fresh pages.  On the
+# benchmark's rows pool, 2**13 and 2**15 elements were each slower in three
+# of three runs (2**15 page-faulted 768 times per item).
+_OBJECTIVE_BLOCK_ELEMENTS = 2**14
+
+
+def _objective_block_rows(k: int) -> int:
+    """Rows of K scores per _objective block, at least one."""
+    return max(1, _OBJECTIVE_BLOCK_ELEMENTS // k)
+
+
+def _sample_objective_min(c: np.ndarray, lower: np.ndarray, width: np.ndarray, rng, n: int):
+    """Smallest _objective value of c over n uniform samples of the box
+    [lower, lower + width], drawn from rng block by block into one buffer.
+
+    Generator.uniform(lower, upper) draws lower + width * random(), and
+    random fills its rows in stream order however they are split, so the
+    samples are uniform(lower, upper, (n, K))'s bit for bit."""
+    block = np.empty((min(n, _objective_block_rows(c.size)), c.size))
+    best = np.inf
+    for i in range(0, n, block.shape[0]):
+        samples = block[: n - i]
+        rng.random(out=samples)
+        samples *= width
+        samples += lower
+        best = np.minimum(best, _objective(c, samples).min())
+    return best
+
+
 def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
     """Smallest objective value over the K+1 threshold vertices of c and
     `budget` uniform samples of the box.
 
     Every candidate is a point of the box, so the value is an upper bound on
     the exact minimum; one threshold vertex attains that minimum, so the
-    value equals it up to _objective's rounding.  The sample stream is keyed
-    by (seed, K, 1), apart from synth_instance's (seed, K) stream, so a sweep
-    that passes one trial seed to both does not sample with the words that
-    drew the instance."""
+    value equals it up to _objective's rounding.  The vertices, then the
+    samples, are built and scored in row blocks of _OBJECTIVE_BLOCK_ELEMENTS
+    scores with a running minimum, so memory does not grow with the budget;
+    an _objective row does not depend on its batch, so the value is that of
+    one unblocked batch.  The sample stream is keyed by (seed, K, 1), apart
+    from synth_instance's (seed, K) stream, so a sweep that passes one trial
+    seed to both does not sample with the words that drew the instance."""
     budget = check_int("budget", budget, 1)
     seed = check_int("seed", seed, 0)
     with np.errstate(over="ignore"):
@@ -140,15 +181,13 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
         raise ValidationError("box widths must be finite to sample the box")
     k = box.size
     c = np.ascontiguousarray(_as_direction(c, box.lower))
-    points = np.empty((k + 1 + budget, k))
-    points[: k + 1] = _threshold_vertices(c, box.lower, box.upper, np.arange(k + 1))
-    # Generator.uniform(lower, upper) draws lower + width * random(), so the
-    # samples are drawn in place with the same roundings.
-    samples = points[k + 1 :]
-    keyed_rng(seed, k, 1).random(out=samples)
-    samples *= width
-    samples += box.lower
-    return float(_objective(c, points).min())
+    step = _objective_block_rows(k)
+    rank = _stable_rank(c)
+    best = np.inf
+    for i in range(0, k + 1, step):
+        vertices = _threshold_vertices(c, box.lower, box.upper, np.arange(i, min(i + step, k + 1)), rank)
+        best = np.minimum(best, _objective(c, vertices).min())
+    return float(np.minimum(best, _sample_objective_min(c, box.lower, width, keyed_rng(seed, k, 1), budget)))
 
 
 # The polish's first window per target, in coordinates, and its growth
@@ -220,6 +259,13 @@ def _margin_polish(
     return best, best_val
 
 
+# The margin attack draws and scores its samples in chunks of about this
+# many pixel values (1,024 points at 64 pixels), each a whole number of
+# _forward blocks, so its memory does not grow with the budget and every
+# forward block, so every logit, is the one an unchunked batch gives.
+_SAMPLE_CHUNK_ELEMENTS = 2**16
+
+
 def _attack_margin_points(
     model: AttentionModelSpec, box: PixelBox, y: int, targets: np.ndarray, budget: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -230,18 +276,27 @@ def _attack_margin_points(
     the center to hi lowered the target's margin, and at lo elsewhere."""
     rng = keyed_rng(seed, model.image_size, model.n_classes)
     center = 0.5 * (box.lo + box.hi)
-    points = np.vstack(
-        [box.lo[None, :], box.hi[None, :], center[None, :], rng.uniform(box.lo, box.hi, size=(budget, box.size))]
-    )
-    logits = forward_batch(model, points)
-    margins = logits[:, [y]] - logits[:, targets]
-    best_idx = np.argmin(margins, axis=0)
+    block = _forward_block_points(model)
+    chunk = block * max(3, _SAMPLE_CHUNK_ELEMENTS // (block * box.size))  # the first holds lo, hi, center
     cols = np.arange(targets.size)
-    start, start_val = points[best_idx], margins[best_idx, cols]
+    start, start_val = np.empty((targets.size, box.size)), np.full(targets.size, np.inf)
+    head = [box.lo[None, :], box.hi[None, :], center[None, :]]
+    drawn = 0
+    while head or drawn < budget:
+        size = min(chunk - len(head), budget - drawn)
+        points = np.vstack(head + [rng.uniform(box.lo, box.hi, size=(size, box.size))])
+        logits = forward_batch(model, points)
+        margins = logits[:, [y]] - logits[:, targets]
+        if head:
+            center_val = margins[2]
+        best_idx = np.argmin(margins, axis=0)
+        lower = margins[best_idx, cols] < start_val  # strict: an earlier chunk keeps a tie
+        start[lower], start_val[lower] = points[best_idx[lower]], margins[best_idx[lower], cols[lower]]
+        head, drawn = [], drawn + size
     probes = np.repeat(center[None, :], box.size, axis=0)
     np.fill_diagonal(probes, box.hi)  # probe j: the center with pixel j at hi
     logits = forward_batch(model, probes)
-    corners = np.where((logits[:, [y]] - logits[:, targets] < margins[2]).T, box.hi, box.lo)
+    corners = np.where((logits[:, [y]] - logits[:, targets] < center_val).T, box.hi, box.lo)
     logits = forward_batch(model, corners)
     corner_val = logits[cols, y] - logits[cols, targets]
     lower = corner_val < start_val
@@ -261,14 +316,16 @@ def attack_min_margin(
     inputs, one per target t, in the order given.
 
     One candidate set serves every target: the box corners lo and hi, the
-    center and `budget` uniform samples, scored by one forward_batch.  One
-    more forward_batch scores the image_size one-pixel probes of the center
-    and one the targets' secant corners; a corner replaces a target's best
-    sample when its margin is strictly lower.  Each target then polishes
-    its start by endpoint coordinate descent, every target's next window of
-    coordinates in one forward_batch (see _margin_polish): 6 calls in all
-    when no start moves at 64 pixels, 2 * image_size + 3 at most.
-    Every value is a forward margin at a point of the box, so it is an upper
+    center and `budget` uniform samples, drawn and scored by forward_batch
+    in chunks of whole forward blocks (one call up to 1,021 samples at 64
+    pixels; see _SAMPLE_CHUNK_ELEMENTS), keeping each target's first best
+    point.  One more forward_batch scores the image_size one-pixel probes
+    of the center and one the targets' secant corners; a corner replaces a
+    target's best sample when its margin is strictly lower.  Each target
+    then polishes its start by endpoint coordinate descent, every target's
+    next window of coordinates in one forward_batch (see _margin_polish):
+    with one sample chunk, 6 calls in all when no start moves at 64 pixels,
+    2 * image_size + 3 at most.  Every value is a forward margin at a point of the box, so it is an upper
     bound on the true minimum.  The sample stream is keyed by (seed,
     image_size, n_classes), apart from the stream of the CLI's default
     input."""
@@ -405,9 +462,8 @@ def selfcheck(trials: int = 200, samples: int = 200, seed: int = 0) -> Selfcheck
 
         n_sound += 1
         cert = certified_directional_min(c, box).lower
-        pts = keyed_rng(s_i, k, 1).uniform(box.lower, box.upper, size=(samples, k))
-        vals = _objective(c, pts)
-        if np.any(vals < fast - 1e-9) or np.any(vals < cert - 1e-15):
+        low = _sample_objective_min(c, box.lower, box.upper - box.lower, keyed_rng(s_i, k, 1), samples)
+        if low < fast - 1e-9 or low < cert - 1e-15:
             soundness_fail.append(s_i)
 
         n_dom += 1

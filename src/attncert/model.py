@@ -243,6 +243,12 @@ def _check_image(model: AttentionModelSpec, x) -> np.ndarray:
 _FORWARD_BLOCK_ELEMENTS = 2**14
 
 
+def _forward_block_points(model: AttentionModelSpec) -> int:
+    """Points per _forward block: _FORWARD_BLOCK_ELEMENTS score entries, at
+    least one point."""
+    return max(1, _FORWARD_BLOCK_ELEMENTS // (model.tokens**2 * model.heads))
+
+
 def _forward(model: AttentionModelSpec, xs: np.ndarray) -> np.ndarray:
     """The logits of (..., image_size) inputs, shape (..., n_classes).
 
@@ -252,7 +258,7 @@ def _forward(model: AttentionModelSpec, xs: np.ndarray) -> np.ndarray:
     lead = xs.shape[:-1]
     rows = xs.reshape(-1, xs.shape[-1])
     n = rows.shape[0]
-    step = max(1, _FORWARD_BLOCK_ELEMENTS // (model.tokens**2 * model.heads))
+    step = _forward_block_points(model)
     out = np.empty((n, model.n_classes))
     for i in range(0, n, step):
         out[i : i + step] = _forward_block(model, rows[i : i + step])

@@ -106,12 +106,20 @@ def _objective(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(val, c.min(axis=-1)), c.max(axis=-1))
 
 
-def _threshold_vertices(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, m) -> np.ndarray:
+def _stable_rank(c: np.ndarray) -> np.ndarray:
+    """Each entry's rank in its (..., K) row's stable ascending order."""
+    return np.argsort(np.argsort(c, axis=-1, kind="stable"), axis=-1)
+
+
+def _threshold_vertices(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, m, rank=None) -> np.ndarray:
     """Threshold vertex m of every row of (..., K) arrays that broadcast
     together (m broadcasts against their leading shape): the coordinates of
     rank < m in the row's stable ascending order of c sit at their upper
-    endpoint and the rest at their lower endpoint, in original order."""
-    rank = np.argsort(np.argsort(c, axis=-1, kind="stable"), axis=-1)
+    endpoint and the rest at their lower endpoint, in original order.  A
+    caller that builds c's vertices in several calls passes
+    rank = _stable_rank(c), taken once."""
+    if rank is None:
+        rank = _stable_rank(c)
     return np.where(rank < m[..., None], upper, lower)
 
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,7 +42,7 @@ from attncert.harness import (
 )
 
 from attncert.certified import certified_sweep_min
-from attncert.solver import _objective, _threshold_vertices
+from attncert.solver import _objective, _stable_rank, _threshold_vertices
 from oracles import (
     attack_margin_sample_start,
     attack_objective_loop,
@@ -205,7 +206,7 @@ class TestAttackObjective:
             c, box = synth_instance(k, seed)
             seen.clear()
             attack_min_objective(c, box, budget=budget, seed=seed)
-            points = seen[0]  # the candidate set
+            points = np.vstack(seen)  # the candidate set, scored in blocks
             samples = points[-budget:]  # stacked below the K+1 threshold vertices
             instance_stream = keyed_rng(seed, k).uniform(box.lower, box.upper, size=(budget, k))
             assert not np.isin(samples, instance_stream).any()
@@ -234,8 +235,58 @@ class TestAttackObjective:
             seen.clear()
             attack_min_objective(c, box, budget=budget, seed=seed)
             want = keyed_rng(seed, k, 1).uniform(box.lower, box.upper, size=(budget, k))
-            assert np.array_equal(seen[0][k + 1 :].view(np.uint64), want.view(np.uint64))
-            assert np.array_equal(seen[0][: k + 1], _threshold_vertices(c, box.lower, box.upper, np.arange(k + 1)))
+            points = np.vstack(seen)  # the candidate set, scored in blocks
+            assert points.shape == (k + 1 + budget, k)
+            assert np.array_equal(points[k + 1 :].view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(points[: k + 1], _threshold_vertices(c, box.lower, box.upper, np.arange(k + 1)))
+
+    @pytest.mark.parametrize(
+        "k, budget", [(k, budget) for k in (1, 4, 256) for budget in (1, 40, 1000)] + [(2**14 + 1, 40)]
+    )
+    def test_candidates_scored_in_bounded_blocks(self, monkeypatch, k, budget):
+        # Every _objective call scores at most max(1, 2**14 // K) rows, and
+        # the calls stack, bit for bit, to the unblocked candidate set: the
+        # K+1 threshold vertices of c, then Generator.uniform's samples in
+        # one draw.  At K = 2**14 + 1 every block is one row (and the attack
+        # takes seconds), so each call is checked as it comes rather than
+        # stacked.
+        seed = 5
+        c, box = synth_instance(k, seed)
+        samples = keyed_rng(seed, k, 1).uniform(box.lower, box.upper, size=(budget, k))
+        rank = _stable_rank(c)
+        objective = harness._objective
+        calls = []
+        scored = 0
+
+        def spy(c_, points):
+            nonlocal scored
+            idx = np.arange(scored, scored + len(points))
+            vertices = _threshold_vertices(c, box.lower, box.upper, idx[idx <= k], rank)
+            want = np.vstack((vertices, samples[idx[idx > k] - k - 1]))
+            assert np.array_equal(points.view(np.uint64), want.view(np.uint64))
+            calls.append(len(points))
+            scored += len(points)
+            return objective(c_, points)
+
+        monkeypatch.setattr(harness, "_objective", spy)
+        attack_min_objective(c, box, budget=budget, seed=seed)
+        assert max(calls) <= max(1, 2**14 // k)
+        assert scored == k + 1 + budget
+
+    def test_attack_memory_is_flat_in_the_budget(self):
+        # The candidates are scored in bounded blocks, so the traced peak at
+        # K = 256 does not grow with the budget (it grew 1.9 -> 79.6 MiB from
+        # budget 200 to 20,000 when they were scored in one array).
+        c, box = synth_instance(256, 3)
+        peaks = []
+        for budget in (200, 20_000):
+            tracemalloc.start()
+            try:
+                attack_min_objective(c, box, budget=budget, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     @pytest.mark.parametrize("k", [1, 4, 64, 256])
     def test_objective_rows_equal_softmax_objective(self, k):
@@ -533,6 +584,32 @@ class TestAttackMargin:
             attack_min_margin(m, box, y, targets, budget=50, seed=seed)
             assert calls == [53, m.image_size, len(targets)] + [4 * len(targets), 16 * len(targets), 44 * len(targets)]
 
+    def test_samples_scored_in_whole_forward_block_chunks(self, monkeypatch):
+        # At shape M (16 points per forward block) the samples are drawn and
+        # scored in chunks of 1,024 points, the first led by lo, hi and the
+        # center.  Every chunk is whole forward blocks, so the attack values
+        # equal those of one unchunked batch bit for bit.
+        m, box, y, targets = _shape_m_case(0, 0.05)
+        budget, seed = 2500, 3
+        batches = []
+
+        def recording(model, xs):
+            batches.append(np.array(xs))
+            return forward_batch(model, xs)
+
+        monkeypatch.setattr(harness, "forward_batch", recording)
+        got = attack_min_margin(m, box, y, targets, budget=budget, seed=seed)
+        chunks = batches[:3]
+        assert [len(b) for b in chunks] == [1024, 1024, 455]
+        assert np.array_equal(chunks[0][:3], np.vstack((box.lo, box.hi, 0.5 * (box.lo + box.hi))))
+        samples = keyed_rng(seed, m.image_size, m.n_classes).uniform(box.lo, box.hi, (budget, m.image_size))
+        assert np.array_equal(np.vstack(chunks)[3:], samples)
+        batches.clear()
+        monkeypatch.setattr(harness, "_SAMPLE_CHUNK_ELEMENTS", 2**40)
+        want = attack_min_margin(m, box, y, targets, budget=budget, seed=seed)
+        assert len(batches[0]) == budget + 3
+        assert np.array_equal(got, want)
+
     def test_keyed_stream_is_pinned(self):
         got = keyed_rng(4, 64).uniform(size=4)
         want = [0.8425418195834417, 0.14617068350258045, 0.6988966923461044, 0.2741518275287226]
@@ -708,6 +785,33 @@ class TestSelfcheck:
             assert s.checked == 60
             assert s.failures == 0
             assert s.failing_seeds == ()
+
+    def test_samples_scored_in_bounded_blocks(self, monkeypatch):
+        # The soundness suite scores each trial's samples in blocks of at
+        # most max(1, 2**14 // K) rows, which stack to one uniform draw of
+        # the trial's keyed stream bit for bit.
+        calls = []
+        objective = harness._objective
+
+        def spy(c, points):
+            calls.append(points.copy())
+            return objective(c, points)
+
+        monkeypatch.setattr(harness, "_objective", spy)
+        trials, samples = 4, 5000
+        assert selfcheck(trials=trials, samples=samples, seed=2).passed
+        rng_k = keyed_rng(2, 0)
+        for i in range(trials):
+            k = int(rng_k.integers(2, 11))
+            s_i = trial_seed(2, 0, i)
+            _, box = synth_instance(k, s_i)
+            blocks = []
+            while sum(len(b) for b in blocks) < samples:
+                blocks.append(calls.pop(0))
+                assert len(blocks[-1]) <= max(1, 2**14 // k)
+            want = keyed_rng(s_i, k, 1).uniform(box.lower, box.upper, size=(samples, k))
+            assert np.array_equal(np.vstack(blocks), want)
+        assert not calls
 
     def test_fault_injection_is_caught(self, monkeypatch):
         solve = harness.directional_min
