@@ -21,7 +21,7 @@ import numpy as np
 from .baseline import baseline_min
 from .certified import certified_sweep_min
 from .errors import CertificationInfeasibleError, ValidationError, check_box
-from .intervals import affine_bounds
+from .intervals import affine_bounds, affine_lower
 from .model import AttentionModelSpec, patch_pixel_indices
 from .solver import ScoreBox, sweep_min
 from .solver import directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps this name
@@ -127,14 +127,14 @@ def value_coefficients(suffix: "SuffixAffineBound", model: AttentionModelSpec, b
     g = gamma.reshape(-1, d_model)  # (T * R, d_model) rows
     w = (g @ model._w_pix_o).reshape(n_t, tokens, model.heads, model.patch_dim)
     offs = (g @ model._b_pix_o).reshape(n_t, tokens, model.heads, 1)
-    c = affine_bounds(w, xlo.T, xhi.T)[0] + offs
+    c = affine_lower(w, xlo.T, xhi.T) + offs
     c = np.transpose(c, (0, 2, 1, 3))  # (T, heads, i, j)
 
     g_sum = gamma.sum(axis=1)
     b_prime = beta + g_sum @ model.bo
     if model.residual:
         res = (g @ model.w_embed).reshape(n_t, -1)
-        b_prime = b_prime + (affine_bounds(res, xlo.reshape(-1), xhi.reshape(-1))[0] + g_sum @ model.b_embed)
+        b_prime = b_prime + (affine_lower(res, xlo.reshape(-1), xhi.reshape(-1)) + g_sum @ model.b_embed)
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b_prime))):
         raise ValidationError("value coefficients must be finite")
     return ValueCoeffs(c=c, b_prime=b_prime)

@@ -2,8 +2,9 @@
 
 Runs the fast path's threshold sweep (its shift, sort, gather and running
 sums) in plain floating point, over exponentials evaluated once per box row
-with libm, adds one magnitude plane to the sums, and lowers every candidate
-ratio by an a-priori bound on its rounding error.  The returned value is a true lower bound on the
+with libm and coefficient rows sorted once each, adds one magnitude plane
+to the sums, and lowers every candidate ratio by an a-priori bound on its
+rounding error.  The returned value is a true lower bound on the
 real-arithmetic optimum, whatever the roundoff in the shift, exp, the
 products, the prefix sums or the quotients.
 """
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import intervals
-from .solver import ScoreBox, _as_direction, _blockwise, _broadcast_rows, _shifted_box, _threshold_sums, directional_min
+from .solver import ScoreBox, _as_direction, _broadcast_rows, _shifted_box, _sweep_rows, _threshold_sums, directional_min
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,13 @@ class CertifiedBound:
         return directional_min(self._c, self._box).value
 
 
-# Rows are swept in blocks of about this many elements.  A block's planes
-# and temporaries peak at about 140 bytes per element, so a shape-M target
-# stack (9,216 elements, three blocks) peaks near 0.6 MB, with no measured
-# loss of speed against one 2**15 block (1.2 MB).
-_BLOCK_ELEMENTS = 4096
+# Rows are swept in blocks of about this many elements, after the sort (once
+# per distinct coefficient row, as in solver.sweep_min).  A block's planes
+# and temporaries peak at about 85 bytes per element (tracemalloc, K = 16
+# and 64), so a shape-M target stack (9,216 elements) runs as three equal
+# blocks of 192 rows, each near 0.26 MB; that was 15% faster than blocks of
+# 4,096 elements (256, 256 and 64 rows) on the verify-certified pool.
+_BLOCK_ELEMENTS = 3072
 
 _U = 2.0**-53
 _TINY = 2.0**-1074
@@ -105,26 +108,28 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     A row saturates where its shift overflows or where some D^, N^ or A^
     is not finite.
     """
-    lead, c, lower, upper, box_row = _broadcast_rows(c, lower, upper)
+    lead, order, cs, c_row, lower, upper, box_row = _broadcast_rows(c, lower, upper)
     # The shift and the exponentials depend on the box alone, so they are
-    # evaluated once per box row and gathered for every coefficient row.
+    # evaluated once per box row and gathered for every output row.
     s = _shifted_box(lower, upper)
-    box_exp = intervals.exp(s).reshape(2, -1)
     s_max = np.abs(s).max(axis=(0, -1), initial=0.0)
     eta = _U * np.minimum(s_max, _SHIFT_CAP) * (1.0 + 2.0**-40) + 2.0 * _U
-    bound, saturated = _blockwise(_sweep_block, _BLOCK_ELEMENTS, c, box_row, box_exp, eta, s_max == np.inf)
+    box_exp = intervals.exp(s).reshape(2, -1)
+    bound, saturated = _sweep_rows(
+        _sweep_block, _BLOCK_ELEMENTS, c_row, box_row, order, cs, box_exp, eta, s_max == np.inf
+    )
     return bound.reshape(lead), saturated.reshape(lead)
 
 
 def _sweep_block(
-    c: np.ndarray, box_row: np.ndarray, box_exp: np.ndarray, eta: np.ndarray, box_saturated: np.ndarray
+    c_row, box_row, order, cs, box_exp, eta: np.ndarray, box_saturated: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """certified_sweep_min on (n, K) coefficient rows; row r gathers its
-    exponentials and eta from box row box_row[r]."""
-    k = c.shape[1]
+    """certified_sweep_min on the n output rows of solver._threshold_sums;
+    row r takes eta from box row box_row[r]."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cs, _, sums = _threshold_sums(c, box_row, box_exp, magnitude=True)
-        den, num, mag = sums
+        cs, _, t = _threshold_sums(c_row, box_row, order, cs, box_exp, magnitude=True)
+        den, num, mag, tau, err, tmp = t
+        k = cs.shape[1]
         gamma = (k + 2) * _U / (1.0 - (k + 2) * _U)
         eps = (eta[box_row] + gamma)[:, None]
         eps_r = eps * (1.0 + eps) / (1.0 - eps)
@@ -132,16 +137,20 @@ def _sweep_block(
         # subnormal tail: (max|c| + 1) * 2**-60 times (K + 1) * 2**-1010.
         c_max = np.maximum(-cs[:, 0], cs[:, -1])
         w = np.nextafter((c_max + 1.0) * 2.0**-60 * ((k + 1) * 2.0**-1010), np.inf)[:, None]
-        tau = num / den
-        # D^ <= a_D gives a zero divisor, E = inf and a -inf (or NaN)
-        # candidate, which the floor below replaces.
-        err = eps * np.abs(num) + eps_r * mag + w
-        err /= np.maximum(den - (k + 1) * _TINY, 0.0)
-        err += np.abs(tau) * _U
+        np.divide(num, den, out=tau)
+        # err = ((eps*|N^| + eps*r*A^ + W) / max(D^ - a_D, 0) + u*|tau^|) * (1 + 16u),
+        # in the free planes.  D^ <= a_D gives a zero divisor, E = inf and a
+        # -inf (or NaN) candidate, which the floor below replaces.
+        np.abs(num, out=err)
+        err *= eps
+        err += np.multiply(eps_r, mag, out=tmp)
+        err += w
+        err /= np.maximum(np.subtract(den, (k + 1) * _TINY, out=tmp), 0.0, out=tmp)
+        err += np.multiply(np.abs(tau, out=tmp), _U, out=tmp)
         err *= 1.0 + 16.0 * _U
         tau -= err
         best = np.nextafter(tau.min(axis=-1), -np.inf)
-    saturated = box_saturated[box_row] | ~np.isfinite(sums).all(axis=(0, -1))
+    saturated = box_saturated[box_row] | ~np.isfinite(t[:3]).all(axis=(0, -1))
     # fmax also floors a NaN minimum (an inf - inf candidate).
     return np.fmax(best, cs[:, 0]), saturated
 

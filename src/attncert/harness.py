@@ -328,11 +328,16 @@ def attack_min_margin(
     2 * image_size + 3 at most.  Every value is a forward margin at a point of the box, so it is an upper
     bound on the true minimum.  The sample stream is keyed by (seed,
     image_size, n_classes), apart from the stream of the CLI's default
-    input."""
+    input.  A box whose widths are not all finite cannot be sampled: a
+    ValidationError."""
     budget = check_int("budget", budget, 1)
     seed = check_int("seed", seed, 0)
     if box.size != model.image_size:
         raise ValidationError(f"pixel box length {box.size} does not match image size {model.image_size}")
+    with np.errstate(over="ignore"):
+        width = box.hi - box.lo
+    if not np.all(np.isfinite(width)):
+        raise ValidationError("pixel box widths must be finite to sample the box")
     y, t = check_classes(model.n_classes, y, targets)
     return _attack_margin_points(model, box, y, t, budget, seed)[1]
 

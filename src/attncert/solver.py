@@ -11,7 +11,10 @@ bounds and attack vertices) exponentiates its box through _shifted_box or
 builds its vertices with _threshold_vertices.  A ScoreBox holds one row or
 a (..., K) stack of rows; the batched kernels (sweep_min and its certified
 and baseline twins) take any stack, and the single-row entry points reject
-a stacked box in _as_direction.
+a stacked box in _as_direction.  sweep_min and its certified twin sort each
+distinct coefficient row once (_sorted_rows: numpy's default sort, and the
+stable one only for rows with a tie) and exponentiate each box row once;
+every output row gathers its sorted row and its box row's exponentials.
 """
 
 from __future__ import annotations
@@ -106,9 +109,30 @@ def _objective(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(val, c.min(axis=-1)), c.max(axis=-1))
 
 
+def _sorted_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, cs): each (..., K) row's stable ascending order, and the row
+    in that order.  numpy's default sort orders every row; a row with no
+    two equal entries (-0.0 equals 0.0) has one ascending order, the stable
+    one, so only the rows with a tie are sorted again, stably."""
+    order = c.argsort(axis=-1)
+    # Flat indices: one take, where take_along_axis builds an index per axis.
+    at = order if c.ndim == 1 else order + np.arange(0, c.size, c.shape[-1]).reshape(order.shape[:-1] + (1,))
+    cs = c.take(at)
+    # Neighbours are compared across the whole buffer first: one pair per
+    # row boundary is not a tie, and only a match sends the rows through
+    # the exact test.
+    flat = cs.reshape(-1)
+    if (flat[1:] == flat[:-1]).any():
+        tied = (cs[..., 1:] == cs[..., :-1]).any(axis=-1)
+        order[tied] = c[tied].argsort(axis=-1, kind="stable")
+        cs[tied] = np.take_along_axis(c[tied], order[tied], axis=-1)
+    return order, cs
+
+
 def _stable_rank(c: np.ndarray) -> np.ndarray:
     """Each entry's rank in its (..., K) row's stable ascending order."""
-    return np.argsort(np.argsort(c, axis=-1, kind="stable"), axis=-1)
+    # An order's entries are distinct, so any sort of them is the stable one.
+    return np.argsort(_sorted_rows(c)[0], axis=-1)
 
 
 def _threshold_vertices(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, m, rank=None) -> np.ndarray:
@@ -123,21 +147,25 @@ def _threshold_vertices(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, m, 
     return np.where(rank < m[..., None], upper, lower)
 
 
-# sweep_min sweeps its rows in blocks of about this many elements.  A block's
-# temporaries peak at about 110 bytes per element, so a call stays near 4 MB
-# however many rows it stacks, and both shape-M stacks (the 9,216-element
-# margin stack and the 8,192-element block_output_bounds stack) are one block.
+# sweep_min sweeps its rows in blocks of about this many elements.  The sort
+# runs once per distinct coefficient row and the exponentials once per box
+# row, before the blocks; the sorted rows take 16 bytes per coefficient.  A
+# block's planes and temporaries peak at about 60 bytes per element
+# (tracemalloc, K = 16 and 64), so a block stays near 2 MB however many rows
+# a call stacks, and both shape-M stacks (the 9,216-element margin stack and
+# the 8,192-element block_output_bounds stack) are one block.
 _BLOCK_ELEMENTS = 2**15
 
 
 def _broadcast_rows(c, lower, upper):
     """(..., K) arrays that broadcast together, as rows.
 
-    Returns (lead, c, lower, upper, box_row): the leading shape of the
-    broadcast, the coefficients as (n, K) rows, the box as the (nb, K) rows
-    of its own broadcast shape (so a box shared by many coefficient rows is
-    not copied per row), and for each coefficient row the index of its box
-    row.
+    Returns (lead, order, cs, c_row, lower, upper, box_row): the leading
+    shape of the broadcast; the (nc, K) rows of c's own shape, sorted by
+    _sorted_rows into order and cs, and the box as the (nb, K) rows of its
+    own broadcast shape, so that a row shared by many output rows is neither
+    copied nor sorted per row; and for each of the n output rows the index
+    of its coefficient row and of its box row.
     """
     c, lower, upper = (np.asarray(a, dtype=np.float64) for a in (c, lower, upper))
     k = max(c.shape[-1], lower.shape[-1], upper.shape[-1])
@@ -146,22 +174,23 @@ def _broadcast_rows(c, lower, upper):
     # than a one-row sweep's arithmetic.
     if not lower.shape == upper.shape == lower.shape[:-1] + (k,):
         lower, upper, _ = np.broadcast_arrays(lower, upper, np.empty(k))
-    box_row = np.arange(lower.size // k).reshape(lower.shape[:-1])
+    box_row = c_row = np.arange(lower.size // k).reshape(lower.shape[:-1])
     if c.shape != lower.shape:
-        c, box_row = np.broadcast_arrays(c, box_row[..., None])
-        box_row = box_row[..., 0]
-    return c.shape[:-1], c.reshape(-1, k), lower.reshape(-1, k), upper.reshape(-1, k), box_row.reshape(-1)
+        c_row, box_row = np.broadcast_arrays(np.arange(c.size // k).reshape(c.shape[:-1]), box_row)
+    order, cs = _sorted_rows(c.reshape(-1, k))
+    return c_row.shape, order, cs, c_row.reshape(-1), lower.reshape(-1, k), upper.reshape(-1, k), box_row.reshape(-1)
 
 
-def _blockwise(sweep_block, budget: int, c: np.ndarray, box_row: np.ndarray, *box) -> tuple[np.ndarray, ...]:
-    """sweep_block(c, box_row, *box) over consecutive blocks of about
-    `budget` elements of the (n, K) rows c, with its outputs joined along
-    the rows, so a call's temporaries are bounded by the budget, not by n."""
-    n, k = c.shape
-    step = max(1, budget // k)
+def _sweep_rows(sweep_block, budget: int, c_row, box_row, order, cs, *args) -> tuple[np.ndarray, ...]:
+    """sweep_block(c_row, box_row, order, cs, *args) over consecutive blocks
+    of about `budget` elements of the n output rows, with its outputs joined
+    along the rows, so a block's temporaries are bounded by the budget, not
+    by n."""
+    n = len(c_row)
+    step = max(1, budget // cs.shape[1])
     if n <= step:
-        return sweep_block(c, box_row, *box)
-    parts = [sweep_block(c[i : i + step], box_row[i : i + step], *box) for i in range(0, n, step)]
+        return sweep_block(c_row, box_row, order, cs, *args)
+    parts = [sweep_block(c_row[i : i + step], box_row[i : i + step], order, cs, *args) for i in range(0, n, step)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -173,9 +202,24 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     directional_min's value and m.  The inputs are trusted: finite, K >= 1
     and lower <= upper (callers validate at their API boundary).
     """
-    lead, c, lower, upper, box_row = _broadcast_rows(c, lower, upper)
-    box_exp = np.exp(_shifted_box(lower, upper)).reshape(2, -1)
-    value, m_star = _blockwise(_sweep_block, _BLOCK_ELEMENTS, c, box_row, box_exp, lower, upper)
+    c = np.asarray(c, dtype=np.float64)
+    # Coefficients this large overflow the weighted prefix sums; such rows
+    # are scaled by an exact power of two before the sort, and the value
+    # scaled back.
+    limit = _DBL_MAX / (2 * (c.shape[-1] + 1))
+    shift = None
+    if max(c.max(initial=0.0), -c.min(initial=0.0)) > limit:
+        amax = np.abs(c).max(axis=-1, keepdims=True)
+        shift = np.where(amax > limit, np.frexp(amax)[1], 0)
+        c = np.ldexp(c, -shift)
+    lead, order, cs, c_row, lower, upper, box_row = _broadcast_rows(c, lower, upper)
+    box_exp = _shifted_box(lower, upper)
+    np.exp(box_exp, out=box_exp)
+    value, m_star = _sweep_rows(
+        _sweep_block, _BLOCK_ELEMENTS, c_row, box_row, order, cs, box_exp.reshape(2, -1), lower, upper
+    )
+    if shift is not None:
+        value = np.ldexp(value, shift.reshape(-1)[c_row])
     return value.reshape(lead), m_star.reshape(lead)
 
 
@@ -190,73 +234,79 @@ def _shifted_box(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return out
 
 
-def _threshold_sums(c: np.ndarray, box_row: np.ndarray, box_exp: np.ndarray, magnitude: bool = False):
-    """Every threshold candidate of (n, K) coefficient rows, row r over box
-    row box_row[r], whose shifted exponentials box_exp holds flat, (2,
-    nb * K), uppers then lowers.  Each row is sorted ascending (stable) and
-    gathers its exponentials in that order.  Returns (cs, flat, planes): the
-    sorted coefficients, each sorted entry's flat box index, and every
-    candidate's denominator and numerator as planes (den, num), (n, K + 1);
-    with magnitude a third plane sums the magnitudes of the numerator terms.
+def _threshold_sums(c_row, box_row, order, cs, box_exp, magnitude: bool = False):
+    """Every threshold candidate of n output rows: row r takes row c_row[r]
+    of the sorted coefficients order and cs over box row box_row[r], whose
+    shifted exponentials box_exp holds flat, (2, nb * K), uppers then
+    lowers.
+
+    Returns (cs, flat, t): the rows' sorted coefficients and each sorted
+    entry's flat box index, (n, K) each, and planes t, (2p, n, K + 1) with
+    p = 2, or 3 with magnitude.  t[:p] holds every candidate's denominator
+    and numerator, and with magnitude the sum of the magnitudes of the
+    numerator terms; t[p:] is free for the caller.
 
     Candidate m takes the prefix sums of the upper terms before it and the
-    suffix sums of the lower terms from it on.  The first side's planes hold
-    the upper terms and the second side's the lower terms reversed, so one
-    cumsum, which adds left to right, gives both kinds of sum; column 0 is
-    the zero of an empty side.
+    suffix sums of the lower terms from it on.  The index and coefficient
+    buffers hold [z, f(0), z, f(1), ..., z, f(n - 1), z], f(r) row r's
+    entries and z a slot for an empty sum.  Read forward from the start
+    they give each row's upper terms after an empty sum; read backward from
+    the end, each row's lower terms reversed after one, with the rows in
+    reverse order.  So every gather and product writes a whole plane, one
+    cumsum adds both sides' terms in order, and the lower planes are read
+    back reversed on both axes.
     """
-    n, k = c.shape
-    order = np.argsort(c, axis=-1, kind="stable")
-    cs = np.take_along_axis(c, order, axis=-1)
-    flat = box_row[:, None] * k + order
+    n, k = len(c_row), cs.shape[1]
+    k1 = k + 1
     p = 3 if magnitude else 2
-    t = np.zeros((2 * p, n, k + 1))
-    t[0, :, 1:] = box_exp[0, flat]
-    t[p, :, 1:] = box_exp[1, flat[:, ::-1]]
-    np.multiply(cs, t[0, :, 1:], out=t[1, :, 1:])
-    np.multiply(cs[:, ::-1], t[p, :, 1:], out=t[p + 1, :, 1:])
-    if magnitude:
-        np.abs(t[1], out=t[2])
-        np.abs(t[p + 1], out=t[p + 2])
-    np.cumsum(t, axis=-1, out=t)
-    return cs, flat, t[:p] + t[p:, :, ::-1]
+    idx = np.zeros(n * k1 + 1, dtype=np.intp)
+    rows = idx[:-1].reshape(n, k1)[:, 1:]
+    np.add(order[c_row], (box_row * k)[:, None], out=rows)
+    coef = np.zeros(n * k1 + 1)
+    coef_rows = coef[:-1].reshape(n, k1)[:, 1:]
+    cs.take(c_row, axis=0, out=coef_rows)
+    t = np.empty((2 * p, n * k1))
+    for side, at in ((0, slice(None, -1)), (p, slice(None, 0, -1))):
+        # take writes straight into a contiguous `out` unless mode is "raise".
+        box_exp[side // p].take(idx[at], out=t[side], mode="clip")
+        np.multiply(coef[at], t[side], out=t[side + 1])
+        if magnitude:
+            np.abs(t[side + 1], out=t[side + 2])
+    t = t.reshape(2 * p, n, k1)
+    # The empty-sum slots gathered an arbitrary exponential; their products
+    # are already 0.
+    t[::p, :, 0] = 0.0
+    t.cumsum(axis=-1, out=t)
+    np.add(t[:p], t[p:, ::-1, ::-1], out=t[:p])
+    return coef_rows, rows, t
 
 
-def _sweep_block(c: np.ndarray, box_row: np.ndarray, box_exp: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-    """sweep_min on (n, K) coefficient rows; row r's box is row box_row[r]
-    of the (nb, K) lower and upper, whose shifted exponentials box_exp
-    holds."""
-    n, k = c.shape
-    # Coefficients this large overflow the weighted prefix sums; such rows
-    # are scaled by an exact power of two and the value scaled back.
-    limit = _DBL_MAX / (2 * (k + 1))
-    shift = None
-    if np.abs(c).max(initial=0.0) > limit:
-        amax = np.abs(c).max(axis=-1)
-        shift = np.where(amax > limit, np.frexp(amax)[1], 0)
-        c = np.ldexp(c, -shift[:, None])
-
-    cs, flat, (den, num) = _threshold_sums(c, box_row, box_exp)
+def _sweep_block(c_row, box_row, order, cs, box_exp, lower: np.ndarray, upper: np.ndarray):
+    """sweep_min on the n output rows of _threshold_sums; the (nb, K) lower
+    and upper are the box rows whose shifted exponentials box_exp holds."""
+    cs, flat, (den, tau, limit, _) = _threshold_sums(c_row, box_row, order, cs, box_exp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tau = num / den
+        np.divide(tau, den, out=tau)
     # A term below realmin is accurate only to 2**-1075; divided by a den with
     # den * min(max|c|, 1) < realmin (0 included) that error could pass
     # u * max|c|, so such candidates are evaluated again with their own shift.
     # Equal coefficients need that only for den < realmin (the clamp is exact).
     c_lo, c_hi = cs[:, 0], cs[:, -1]
-    scale = np.where(c_lo < c_hi, np.clip(np.maximum(-c_lo, c_hi), _DEN_TINY, 1.0), 1.0)
-    tiny = den < (_DEN_TINY / scale)[:, None]
+    scale = np.where(c_lo < c_hi, np.minimum(np.maximum(np.maximum(-c_lo, c_hi), _DEN_TINY), 1.0), 1.0)
+    # Filled into a free plane, the limit compares without a broadcast
+    # (which would take a buffer of its own).
+    limit[...] = (_DEN_TINY / scale)[:, None]
+    tiny = den < limit
     if tiny.any():
         at, ms = np.nonzero(tiny)
         ends = flat[at]
         # The sorted rows cs[at] rank as the identity.
-        tau[at, ms] = _objective(cs[at], _threshold_vertices(cs[at], np.take(lower, ends), np.take(upper, ends), ms))
+        vertices = _threshold_vertices(cs[at], np.take(lower, ends), np.take(upper, ends), ms, np.arange(cs.shape[1]))
+        tau[at, ms] = _objective(cs[at], vertices)
 
-    m_star = np.argmin(tau, axis=-1)
+    m_star = tau.argmin(axis=-1)
     # The true ratio is a convex combination of the coefficients.
-    value = np.minimum(np.maximum(tau[np.arange(n), m_star], c_lo), c_hi)
-    if shift is not None:
-        value = np.ldexp(value, shift)
+    value = np.minimum(np.maximum(tau[np.arange(len(tau)), m_star], c_lo), c_hi)
     return value, m_star
 
 

@@ -23,7 +23,7 @@ from attncert.attention import (
     value_coefficients,
     value_scalar_bounds,
 )
-from attncert.intervals import affine_bounds
+from attncert.intervals import affine_bounds, affine_lower
 from attncert.suffix import PreActBox, linear_suffix_bound
 
 from oracles import forward_broadcast, margin_row_loop
@@ -91,6 +91,19 @@ class TestAffineBounds:
             want_lo, want_hi = corner_extremes(w[a, b], lo, hi)
             assert out_lo[a, b] == pytest.approx(want_lo, abs=1e-12)
             assert out_hi[a, b] == pytest.approx(want_hi, abs=1e-12)
+
+    @pytest.mark.parametrize("box_shape", [(6,), (6, 3)])
+    def test_lower_half_alone_is_the_same(self, box_shape):
+        # affine_lower computes only the lower products, bit for bit the
+        # first half of affine_bounds.
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(9, 16, 4, 6))
+        lo = rng.normal(size=box_shape)
+        hi = lo + rng.uniform(0, 2, size=box_shape)
+        got = affine_lower(w, lo, hi)
+        want = affine_bounds(w, lo, hi)[0]
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("box_shape", [(6,), (6, 3)])
     def test_degenerate_box_is_the_product(self, box_shape):

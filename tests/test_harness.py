@@ -9,6 +9,7 @@ from attncert import (
     AttentionModelSpec,
     LinearSuffix,
     MlpSuffix,
+    PixelBox,
     ScoreBox,
     SweepConfig,
     ValidationError,
@@ -353,6 +354,19 @@ class TestAttackMargin:
         m = two_pixel_identity_model()
         with pytest.raises(ValidationError):
             attack_min_margin(m, pixel_box(np.array([0.5, 0.5]), 0.1), 0, [1], budget=0)
+
+    @pytest.mark.parametrize("wide", [slice(None), slice(1, 2)])
+    def test_unbounded_box_is_a_validation_error(self, wide):
+        # Finite ends whose width passes the float range, on every pixel or on
+        # one: the box cannot be sampled, so one ValidationError, with no
+        # overflow warning on the way.
+        m = random_model(seed=0, tokens=4, n_classes=3)
+        lo, hi = np.full(m.image_size, 0.25), np.full(m.image_size, 0.75)
+        lo[wide], hi[wide] = -1e308, 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="widths must be finite"):
+                attack_min_margin(m, PixelBox(lo=lo, hi=hi), 0, [1, 2], budget=4)
 
     @pytest.mark.parametrize("budget, seed, match", [(4.0, 0, "budget"), (4, -1, "seed"), (4, 1.5, "seed")])
     def test_budget_and_seed_types_validated(self, budget, seed, match):

@@ -357,8 +357,9 @@ class TestSweepMin:
             assert np.array_equal(got, want)
 
     def test_temporaries_stay_bounded(self):
-        # One unblocked call peaks at 11.7 MB on this stack, and the blocked
-        # one at 2.9 MB.
+        # One unblocked call peaks at 12.4 MB on this stack, and the blocked
+        # one at 5.7 MB, 2.4 MB of it the coefficient rows, sorted once for
+        # the whole call.
         c, lower, upper = self.shape_l_stack(np.random.default_rng(6))
         sweep_min(c, lower, upper)
         tracemalloc.start()
@@ -368,6 +369,159 @@ class TestSweepMin:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def stable_sorted(c):
+    order = np.argsort(c, axis=-1, kind="stable")
+    return order, np.take_along_axis(c, order, axis=-1)
+
+
+def assert_same_bits(got, want):
+    # Bit patterns, so that -0.0 and 0.0 differ.
+    assert got.shape == want.shape
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+class TestSortedRows:
+    """solver._sorted_rows sorts with numpy's default sort and re-sorts the
+    tied rows stably; its order is the stable one on every row."""
+
+    @staticmethod
+    def tied_rows(rng, k):
+        rows = [
+            rng.normal(size=k),  # no tie
+            np.round(rng.normal(size=k)),  # ties
+            np.full(k, 0.5),  # all equal
+            rng.choice([0.0, -0.0], k),  # zeros of both signs
+            rng.choice([-0.0, 0.0, 1.0, -1.0], k),
+            np.where(rng.random(k) < 0.5, 0.0, rng.normal(size=k)),
+        ]
+        return np.stack(rows)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 64, 257])
+    def test_matches_stable_argsort(self, k):
+        rng = np.random.default_rng(7000 + k)
+        c = self.tied_rows(rng, k)
+        order, cs = solver._sorted_rows(c)
+        want_order, want_cs = stable_sorted(c)
+        assert np.array_equal(order, want_order)
+        assert_same_bits(cs, want_cs)
+        # The ranks of solver._stable_rank follow the same order.
+        assert np.array_equal(solver._stable_rank(c), np.argsort(want_order, axis=-1))
+
+    def test_one_row_and_stacks(self):
+        rng = np.random.default_rng(7100)
+        c = self.tied_rows(rng, 5)
+        for rows in (c[3], c.reshape(2, 3, 5), c[:, :1], np.zeros((0, 4))):
+            order, cs = solver._sorted_rows(rows)
+            want_order, want_cs = stable_sorted(rows)
+            assert np.array_equal(order, want_order)
+            assert_same_bits(cs, want_cs)
+
+    def test_tie_across_rows_is_no_tie(self):
+        # The last entry of a row equals the first of the next: both rows have
+        # one ascending order, which the default sort already gives.
+        c = np.array([[3.0, 1.0, 2.0], [3.0, 5.0, 4.0]])
+        order, cs = solver._sorted_rows(c)
+        assert order.tolist() == [[1, 2, 0], [0, 2, 1]]
+        assert cs.tolist() == [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]
+
+    def test_rows_the_huge_coefficient_shift_scales(self, monkeypatch):
+        # sweep_min scales rows above DBL_MAX / (2 (K + 1)) by a power of two
+        # before the sort; the scaling flushes the row's smallest entries to
+        # +-0.0 or to equal subnormals, so distinct coefficients tie there.
+        rng = np.random.default_rng(7200)
+        k = 8
+        c = rng.choice([-1.0, 1.0], (6, k)) * rng.uniform(2e307, 1.79e308, (6, k))
+        c[:, :4] = rng.choice([-1.0, 1.0], (6, 4)) * rng.choice([5e-324, 1e-320, 2e-310, 3e-300], (6, 4))
+        c[0] = rng.normal(size=k)  # a row the shift leaves alone
+        seen = []
+        original = solver._sorted_rows
+
+        def spy(rows):
+            out = original(rows)
+            seen.append((rows.copy(), out))
+            return out
+
+        monkeypatch.setattr(solver, "_sorted_rows", spy)
+        lower = rng.uniform(-3, 3, k)
+        value, m = sweep_min(c, lower, lower + 1.0)
+        (rows, (order, cs)), *_ = seen
+        flushed = (rows == 0.0) & (c != 0.0)
+        assert flushed.any() and not flushed[0].any()
+        assert np.array_equal(rows[0], c[0])
+        want_order, want_cs = stable_sorted(rows)
+        assert np.array_equal(order, want_order)
+        assert_same_bits(cs, want_cs)
+        for i in range(len(c)):
+            r = directional_min(c[i], box(lower, lower + 1.0))
+            assert value[i] == r.value and m[i] == r.m
+
+
+class TestBroadcastCoefficients:
+    """A coefficient stack that broadcasts against its boxes is sorted once
+    per distinct row; every output row equals the materialised stack's."""
+
+    @staticmethod
+    def block_output_layout(rng, heads=4, d_head=4, tokens=16):
+        """suffix.block_output_bounds' layout: (2, heads, 1, d_head, R)
+        coefficients against a (heads, R, 1, R) box, with tied, signed-zero,
+        huge and underflowing rows."""
+        c = rng.normal(size=(2, heads, 1, d_head, tokens))
+        c[0, 0] = np.round(c[0, 0])
+        c[0, 1, 0, 0] = rng.choice([0.0, -0.0], tokens)
+        c[1, 1, 0, 1] = 0.25
+        c[1, 2] = rng.choice([-1.0, 1.0], (1, d_head, tokens)) * rng.uniform(2e307, 1.79e308, (1, d_head, tokens))
+        lower = rng.uniform(-3, 3, (heads, tokens, 1, tokens))
+        upper = lower + rng.uniform(0, 2, lower.shape)
+        upper[0, 3] = lower[0, 3]
+        lower[1] = upper[1].max(axis=-1, keepdims=True) - 800.0 - rng.uniform(0, 10, (tokens, 1, tokens))
+        return c, lower, upper
+
+    @pytest.mark.parametrize("block", [None, 3 * 16, 7 * 16 + 5])
+    def test_fast_sweep_matches_materialised_stack(self, block, monkeypatch):
+        c, lower, upper = self.block_output_layout(np.random.default_rng(7300))
+        full = np.broadcast_shapes(c.shape, lower.shape)
+        if block is not None:
+            # Blocks of 3 and 7 rows: 512 rows end mid-block, and a block
+            # starts partway through a coefficient row's run of box rows.
+            monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", block)
+        value, m = sweep_min(c, lower, upper)
+        want_value, want_m = sweep_min(np.broadcast_to(c, full).copy(), lower, upper)
+        assert value.shape == m.shape == full[:-1]
+        assert_same_bits(value, want_value)
+        assert np.array_equal(m, want_m)
+        # Not vacuous: the layout's 32 coefficient rows serve 512 output rows.
+        assert c[..., 0].size == 32 and value.size == 512
+
+    def test_fast_sweep_sorts_each_distinct_row_once(self, monkeypatch):
+        c, lower, upper = self.block_output_layout(np.random.default_rng(7300))
+        sorted_rows = []
+        original = solver._sorted_rows
+
+        def counted(rows):
+            sorted_rows.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(solver, "_sorted_rows", counted)
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 3 * 16)
+        sweep_min(c, lower, upper)
+        assert sorted_rows == [32]
+
+    @pytest.mark.parametrize("block", [None, 3 * 16, 7 * 16 + 5])
+    def test_certified_sweep_matches_materialised_stack(self, block, monkeypatch):
+        from attncert import certified
+
+        c, lower, upper = self.block_output_layout(np.random.default_rng(7400))
+        full = np.broadcast_shapes(c.shape, lower.shape)
+        if block is not None:
+            monkeypatch.setattr(certified, "_BLOCK_ELEMENTS", block)
+        bound, saturated = certified_sweep_min(c, lower, upper)
+        want_bound, want_saturated = certified_sweep_min(np.broadcast_to(c, full).copy(), lower, upper)
+        assert bound.shape == saturated.shape == full[:-1]
+        assert_same_bits(bound, want_bound)
+        assert np.array_equal(saturated, want_saturated)
+        assert saturated.any() and not saturated.all()
 
 
 # c . softmax(s) is -1.0 on this finite box: coordinate 1 takes all the
