@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import intervals
-from .solver import ScoreBox, _as_direction, _broadcast_rows, _shifted_box, _sweep_rows, _threshold_sums, directional_min
+from .solver import ScoreBox, _as_direction, _blockwise, _broadcast_rows, _shifted_box, _threshold_sums, directional_min
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     s_max = np.abs(s).max(axis=(0, -1), initial=0.0)
     eta = _U * np.minimum(s_max, _SHIFT_CAP) * (1.0 + 2.0**-40) + 2.0 * _U
     box_exp = intervals.exp(s).reshape(2, -1)
-    bound, saturated = _sweep_rows(
+    bound, saturated = _blockwise(
         _sweep_block, _BLOCK_ELEMENTS, c_row, box_row, order, cs, box_exp, eta, s_max == np.inf
     )
     return bound.reshape(lead), saturated.reshape(lead)

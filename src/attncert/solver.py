@@ -181,7 +181,7 @@ def _broadcast_rows(c, lower, upper):
     return c_row.shape, order, cs, c_row.reshape(-1), lower.reshape(-1, k), upper.reshape(-1, k), box_row.reshape(-1)
 
 
-def _sweep_rows(sweep_block, budget: int, c_row, box_row, order, cs, *args) -> tuple[np.ndarray, ...]:
+def _blockwise(sweep_block, budget: int, c_row, box_row, order, cs, *args) -> tuple[np.ndarray, ...]:
     """sweep_block(c_row, box_row, order, cs, *args) over consecutive blocks
     of about `budget` elements of the n output rows, with its outputs joined
     along the rows, so a block's temporaries are bounded by the budget, not
@@ -215,7 +215,7 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     lead, order, cs, c_row, lower, upper, box_row = _broadcast_rows(c, lower, upper)
     box_exp = _shifted_box(lower, upper)
     np.exp(box_exp, out=box_exp)
-    value, m_star = _sweep_rows(
+    value, m_star = _blockwise(
         _sweep_block, _BLOCK_ELEMENTS, c_row, box_row, order, cs, box_exp.reshape(2, -1), lower, upper
     )
     if shift is not None:

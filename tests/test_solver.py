@@ -357,7 +357,7 @@ class TestSweepMin:
             assert np.array_equal(got, want)
 
     def test_temporaries_stay_bounded(self):
-        # One unblocked call peaks at 12.4 MB on this stack, and the blocked
+        # One unblocked call peaks at 12.2 MB on this stack, and the blocked
         # one at 5.7 MB, 2.4 MB of it the coefficient rows, sorted once for
         # the whole call.
         c, lower, upper = self.shape_l_stack(np.random.default_rng(6))
