@@ -38,14 +38,6 @@ class CertifiedBound:
         return directional_min(self._c, self._box).value
 
 
-# Rows are swept in blocks of about this many elements, after the sort (once
-# per distinct coefficient row, as in solver.sweep_min).  A block's planes
-# and temporaries peak at about 85 bytes per element (tracemalloc, K = 16
-# and 64), so a shape-M target stack (9,216 elements) runs as three equal
-# blocks of 192 rows, each near 0.26 MB; that was 15% faster than blocks of
-# 4,096 elements (256, 256 and 64 rows) on the verify-certified pool.
-_BLOCK_ELEMENTS = 3072
-
 _U = 2.0**-53
 _TINY = 2.0**-1074
 # Above this |shifted score| exp is below half the smallest subnormal, so
@@ -80,7 +72,7 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
       s~ < -746 (then e and e~ both lie in [0, mu]).
     * Sums.  Candidate m's denominator D^, numerator N^ and magnitude A^
       (the terms |fl(c*e~)|) are a prefix plus a suffix sum of K terms from
-      one cumsum: each term passes at most K additions, and each product
+      one prefix sum: each term passes at most K additions, and each product
       one rounding, or an absolute error of mu/2 where it underflows.
       With eps = eta + gamma_{K+2}:
           |D^ - D| <= eps*D + a_D,   |N^ - N| <= eps*A + a_N,
@@ -115,9 +107,7 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     s_max = np.abs(s).max(axis=(0, -1), initial=0.0)
     eta = _U * np.minimum(s_max, _SHIFT_CAP) * (1.0 + 2.0**-40) + 2.0 * _U
     box_exp = intervals.exp(s).reshape(2, -1)
-    bound, saturated = _blockwise(
-        _sweep_block, _BLOCK_ELEMENTS, c_row, box_row, order, cs, box_exp, eta, s_max == np.inf
-    )
+    bound, saturated = _blockwise(_sweep_block, c_row, box_row, order, cs, box_exp, eta, s_max == np.inf)
     return bound.reshape(lead), saturated.reshape(lead)
 
 
@@ -140,11 +130,15 @@ def _sweep_block(
         np.divide(num, den, out=tau)
         # err = ((eps*|N^| + eps*r*A^ + W) / max(D^ - a_D, 0) + u*|tau^|) * (1 + 16u),
         # in the free planes.  D^ <= a_D gives a zero divisor, E = inf and a
-        # -inf (or NaN) candidate, which the floor below replaces.
-        np.abs(num, out=err)
-        err *= eps
-        err += np.multiply(eps_r, mag, out=tmp)
-        err += w
+        # -inf (or NaN) candidate, which the floor below replaces.  Each
+        # per-row factor is filled into a plane first: an (n, 1) broadcast
+        # operand would take numpy's iterator buffer.
+        err[...] = eps
+        err *= np.abs(num, out=tmp)
+        tmp[...] = eps_r
+        err += np.multiply(tmp, mag, out=tmp)
+        tmp[...] = w
+        err += tmp
         err /= np.maximum(np.subtract(den, (k + 1) * _TINY, out=tmp), 0.0, out=tmp)
         err += np.multiply(np.abs(tau, out=tmp), _U, out=tmp)
         err *= 1.0 + 16.0 * _U

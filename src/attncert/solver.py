@@ -20,6 +20,7 @@ every output row gathers its sorted row and its box row's exponentials.
 from __future__ import annotations
 
 import sys
+import threading
 from dataclasses import dataclass
 import numpy as np
 
@@ -147,13 +148,13 @@ def _threshold_vertices(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, m, 
     return np.where(rank < m[..., None], upper, lower)
 
 
-# sweep_min sweeps its rows in blocks of about this many elements.  The sort
-# runs once per distinct coefficient row and the exponentials once per box
-# row, before the blocks; the sorted rows take 16 bytes per coefficient.  A
-# block's planes and temporaries peak at about 60 bytes per element
-# (tracemalloc, K = 16 and 64), so a block stays near 2 MB however many rows
-# a call stacks, and both shape-M stacks (the 9,216-element margin stack and
-# the 8,192-element block_output_bounds stack) are one block.
+# sweep_min and certified_sweep_min sweep their rows in blocks of about this
+# many elements.  The sort runs once per distinct coefficient row and the
+# exponentials once per box row, before the blocks; the sorted rows take 16
+# bytes per coefficient.  A block's planes and buffers live in the thread's
+# workspace (see _threshold_sums), so a shape-M stack (the 9,216-element
+# margin stack, the 8,192-element block_output_bounds stack) is one block
+# whose planes the next sweep on the thread reuses.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -181,13 +182,13 @@ def _broadcast_rows(c, lower, upper):
     return c_row.shape, order, cs, c_row.reshape(-1), lower.reshape(-1, k), upper.reshape(-1, k), box_row.reshape(-1)
 
 
-def _blockwise(sweep_block, budget: int, c_row, box_row, order, cs, *args) -> tuple[np.ndarray, ...]:
+def _blockwise(sweep_block, c_row, box_row, order, cs, *args) -> tuple[np.ndarray, ...]:
     """sweep_block(c_row, box_row, order, cs, *args) over consecutive blocks
-    of about `budget` elements of the n output rows, with its outputs joined
-    along the rows, so a block's temporaries are bounded by the budget, not
-    by n."""
+    of about _BLOCK_ELEMENTS elements of the n output rows, with its outputs
+    joined along the rows, so a block's temporaries are bounded by the
+    budget, not by n."""
     n = len(c_row)
-    step = max(1, budget // cs.shape[1])
+    step = max(1, _BLOCK_ELEMENTS // cs.shape[1])
     if n <= step:
         return sweep_block(c_row, box_row, order, cs, *args)
     parts = [sweep_block(c_row[i : i + step], box_row[i : i + step], order, cs, *args) for i in range(0, n, step)]
@@ -215,9 +216,7 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     lead, order, cs, c_row, lower, upper, box_row = _broadcast_rows(c, lower, upper)
     box_exp = _shifted_box(lower, upper)
     np.exp(box_exp, out=box_exp)
-    value, m_star = _blockwise(
-        _sweep_block, _BLOCK_ELEMENTS, c_row, box_row, order, cs, box_exp.reshape(2, -1), lower, upper
-    )
+    value, m_star = _blockwise(_sweep_block, c_row, box_row, order, cs, box_exp.reshape(2, -1), lower, upper)
     if shift is not None:
         value = np.ldexp(value, shift.reshape(-1)[c_row])
     return value.reshape(lead), m_star.reshape(lead)
@@ -232,6 +231,22 @@ def _shifted_box(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         np.subtract(upper, top, out=out[0])
         np.subtract(lower, top, out=out[1])
     return out
+
+
+# The buffers of _threshold_sums, one set per thread, kept between calls.
+_workspace = threading.local()
+
+
+def _buffer(name: str, size: int, dtype, keep: bool) -> np.ndarray:
+    """The first `size` entries of this thread's workspace buffer `name`,
+    which is grown to `size` if it is shorter; the grown buffer replaces
+    the kept one only if `keep`."""
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        if keep:
+            setattr(_workspace, name, buf)
+    return buf[:size]
 
 
 def _threshold_sums(c_row, box_row, order, cs, box_exp, magnitude: bool = False):
@@ -253,30 +268,56 @@ def _threshold_sums(c_row, box_row, order, cs, box_exp, magnitude: bool = False)
     they give each row's upper terms after an empty sum; read backward from
     the end, each row's lower terms reversed after one, with the rows in
     reverse order.  So every gather and product writes a whole plane, one
-    cumsum adds both sides' terms in order, and the lower planes are read
-    back reversed on both axes.
+    prefix sum adds both sides' terms in order, and the lower planes are
+    read back reversed on both axes.  A block of at least as many rows as
+    coefficients (n >= K) takes its prefix sums as K additions of whole
+    columns, and a smaller one by numpy's per-row cumsum: both add the same
+    terms in the same order.
+
+    All three arrays are views of this thread's workspace, valid until the
+    thread's next call: a caller copies what it returns.  A block within
+    _BLOCK_ELEMENTS keeps its buffers for the next call, so the workspace
+    holds at most one such block; a larger block (one row with K above the
+    budget) gets buffers of its own.
     """
     n, k = len(c_row), cs.shape[1]
     k1 = k + 1
     p = 3 if magnitude else 2
-    idx = np.zeros(n * k1 + 1, dtype=np.intp)
+    size = n * k1 + 1
+    keep = n * k <= _BLOCK_ELEMENTS
+    t = _buffer("planes", 2 * p * n * k1, np.float64, keep).reshape(2 * p, n * k1)
+    idx = _buffer("index", size + 2 * n * k, np.intp, keep)
+    idx, scratch = idx[:size], idx[size:]
     rows = idx[:-1].reshape(n, k1)[:, 1:]
-    np.add(order[c_row], (box_row * k)[:, None], out=rows)
-    coef = np.zeros(n * k1 + 1)
+    # Each gather goes to a contiguous scratch and is copied into its rows:
+    # a strided `out` or an (n, 1) broadcast operand would take numpy's
+    # iterator buffer.  The planes are free until the gathers below.
+    gathered, offset = scratch.reshape(2, n, k)
+    order.take(c_row, axis=0, out=gathered, mode="clip")
+    offset[...] = (box_row * k)[:, None]
+    rows[...] = np.add(gathered, offset, out=gathered)
+    coef = _buffer("coef", size, np.float64, keep)
+    coef[::k1] = 0.0
     coef_rows = coef[:-1].reshape(n, k1)[:, 1:]
-    cs.take(c_row, axis=0, out=coef_rows)
-    t = np.empty((2 * p, n * k1))
-    for side, at in ((0, slice(None, -1)), (p, slice(None, 0, -1))):
+    coef_rows[...] = cs.take(c_row, axis=0, out=t[0, : n * k].reshape(n, k), mode="clip")
+    # take copies a reversed index; the scratch (2nK >= n(K + 1)) holds it.
+    back = scratch[: n * k1]
+    back[...] = idx[:0:-1]
+    for side, at, c_at in ((0, idx[:-1], coef[:-1]), (p, back, coef[:0:-1])):
         # take writes straight into a contiguous `out` unless mode is "raise".
-        box_exp[side // p].take(idx[at], out=t[side], mode="clip")
-        np.multiply(coef[at], t[side], out=t[side + 1])
+        box_exp[side // p].take(at, out=t[side], mode="clip")
+        np.multiply(c_at, t[side], out=t[side + 1])
         if magnitude:
             np.abs(t[side + 1], out=t[side + 2])
     t = t.reshape(2 * p, n, k1)
     # The empty-sum slots gathered an arbitrary exponential; their products
     # are already 0.
     t[::p, :, 0] = 0.0
-    t.cumsum(axis=-1, out=t)
+    if n >= k:
+        for j in range(1, k1):
+            np.add(t[..., j - 1], t[..., j], out=t[..., j])
+    else:
+        t.cumsum(axis=-1, out=t)
     np.add(t[:p], t[p:, ::-1, ::-1], out=t[:p])
     return coef_rows, rows, t
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from attncert import ScoreBox, certified_directional_min, directional_min
-from attncert import certified
+from attncert import certified, solver
 from attncert.certified import certified_sweep_min
 from attncert.solver import sweep_min
 from oracles import certified_error_bound_exact, certified_sweep_rowwise, decimal_min_enclosure, scalar_certified_min
@@ -252,6 +252,15 @@ def fully_underflowing(rng):
     return rng.normal(size=(6, 20, 5)), lower, upper
 
 
+# A block budget under which the stacked cases below span several blocks.
+SMALL_BLOCK = 3072
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", SMALL_BLOCK)
+
+
 class TestSharedBoxExponentials:
     @pytest.mark.parametrize(
         "case",
@@ -266,7 +275,7 @@ class TestSharedBoxExponentials:
             fully_underflowing,
         ],
     )
-    def test_bit_identical_to_rowwise_reference(self, case):
+    def test_bit_identical_to_rowwise_reference(self, case, small_blocks):
         # Stacked, the kernel gives every row bit for bit what one call on
         # that row's own box gives; and it stays within 1e-12 of the
         # coefficients' scale of the interval kernel it replaced, with the
@@ -286,7 +295,7 @@ class TestSharedBoxExponentials:
         scale = np.maximum(1.0, np.abs(c).max(axis=-1))
         assert np.all(np.abs(bound - ref_bound)[~saturated] <= 1e-12 * scale[~saturated])
 
-    def test_cases_reach_their_edge(self):
+    def test_cases_reach_their_edge(self, small_blocks):
         # The cases above are not vacuous: some rows saturate, every row of
         # the underflowing case has a candidate whose denominator underflows
         # to 0, so its bound is the coefficient floor although the fast
@@ -301,7 +310,7 @@ class TestSharedBoxExponentials:
         assert np.any(sweep_min(c, lower, upper)[0] > c.min(axis=-1))
         for case in (broadcast_target_stack, several_blocks_wide_rows):
             c = case(np.random.default_rng(4000))[0]
-            assert c.size > 2 * certified._BLOCK_ELEMENTS
+            assert c.size > 2 * solver._BLOCK_ELEMENTS
 
     def test_no_rows_against_a_box(self):
         lower, upper = box_pair(np.random.default_rng(1), (4, 3))

@@ -1,6 +1,8 @@
 import math
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 
@@ -356,12 +358,14 @@ class TestSweepMin:
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)
 
-    def test_temporaries_stay_bounded(self):
-        # One unblocked call peaks at 12.2 MB on this stack, and the blocked
-        # one at 5.7 MB, 2.4 MB of it the coefficient rows, sorted once for
-        # the whole call.
+    def test_temporaries_stay_bounded(self, monkeypatch):
+        # A fresh workspace, so that the traced call pays for its blocks'
+        # planes and the budget, not the reuse, bounds them.  One unblocked
+        # call peaks at 14.4 MB on this stack, and the blocked one at 6.2 MB,
+        # 2.4 MB of it the coefficient rows, sorted once for the whole call.
         c, lower, upper = self.shape_l_stack(np.random.default_rng(6))
         sweep_min(c, lower, upper)
+        monkeypatch.setattr(solver, "_workspace", threading.local())
         tracemalloc.start()
         try:
             sweep_min(c, lower, upper)
@@ -369,6 +373,105 @@ class TestSweepMin:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def margin_stack(rng, targets=9):
+    """certify_targets' margin layout at shape M: (T, 4, 16, 16)
+    coefficients against a (4, 16, 16) box."""
+    lower = rng.uniform(-3, 3, (4, 16, 16))
+    return rng.normal(size=(targets, 4, 16, 16)), lower, lower + rng.uniform(0, 2, lower.shape)
+
+
+def row_stack(rng, n, k):
+    lower = rng.uniform(-3, 3, (n, k))
+    return rng.normal(size=(n, k)), lower, lower + rng.uniform(0, 2, lower.shape)
+
+
+def workspace_buffers():
+    return {name: getattr(solver._workspace, name, None) for name in ("planes", "index", "coef")}
+
+
+class TestWorkspace:
+    """_threshold_sums keeps its buffers in a per-thread workspace: what a
+    sweep returns is its own, threads do not share planes, the kept buffers
+    stay within one block at the budget, and a repeated call reuses them."""
+
+    @staticmethod
+    def sweeps(rng):
+        stacks = [margin_stack(rng), margin_stack(rng, targets=3)] + [row_stack(rng, 40, k) for k in (4, 64, 256)]
+        return [(f, stack) for stack in stacks for f in (sweep_min, certified_sweep_min)]
+
+    def test_threads_match_serial(self):
+        sweeps = self.sweeps(np.random.default_rng(8100))
+        serial = [f(*stack) for f, stack in sweeps]
+        jobs = sweeps * 4
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda job: job[0](*job[1]), jobs, timeout=120))
+        for got, want in zip(results, serial * 4):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("sweep", [sweep_min, certified_sweep_min])
+    def test_results_outlive_the_next_call(self, sweep):
+        rng = np.random.default_rng(8200)
+        first, second = margin_stack(rng), margin_stack(rng)
+        kept = sweep(*first)
+        copies = [a.copy() for a in kept]
+        sweep(*second)
+        for a, b in zip(kept, copies):
+            assert a.tobytes() == b.tobytes()
+            assert not any(np.shares_memory(a, buf) for buf in workspace_buffers().values() if buf is not None)
+
+    def test_large_row_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(solver, "_workspace", threading.local())
+        rng = np.random.default_rng(8300)
+        row = [a[0] for a in row_stack(rng, 1, solver._BLOCK_ELEMENTS + 1)]
+        for sweep in (sweep_min, certified_sweep_min):
+            sweep(*row)
+        assert workspace_buffers() == dict.fromkeys(("planes", "index", "coef"))
+        # One certified block at the budget keeps its buffers, and a larger
+        # row after it leaves them as they are.
+        block = solver._BLOCK_ELEMENTS // 16
+        certified_sweep_min(*row_stack(rng, block, 16))
+        kept = workspace_buffers()
+        assert kept["planes"].size == 6 * block * 17
+        for sweep in (sweep_min, certified_sweep_min):
+            sweep(*row)
+        assert all(workspace_buffers()[name] is buf for name, buf in kept.items())
+
+    @pytest.mark.parametrize("magnitude", [False, True])
+    def test_second_call_allocates_no_plane(self, magnitude):
+        c, lower, upper = margin_stack(np.random.default_rng(8400))
+        _, order, cs, c_row, lower, upper, box_row = solver._broadcast_rows(c, lower, upper)
+        box_exp = np.exp(solver._shifted_box(lower, upper)).reshape(2, -1)
+        args = (c_row, box_row, order, cs, box_exp, magnitude)
+        first = [a.copy() for a in solver._threshold_sums(*args)]
+        tracemalloc.start()
+        try:
+            second = solver._threshold_sums(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = len(c_row) * (cs.shape[1] + 1) * 8
+        assert peak < plane
+        for a, b in zip(second, first):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 16, 64])
+    def test_column_sums_equal_row_cumsum(self, k):
+        # 80 rows take their prefix sums by column; each row alone (n = 1 <
+        # K) takes numpy's cumsum.  Both add the same terms in the same order.
+        rng = np.random.default_rng(8500 + k)
+        c = rng.normal(size=(80, k)) * rng.choice([1e-300, 1.0, 1e300], (80, 1))
+        lower = rng.uniform(-3, 3, (80, k)) * rng.choice([1.0, 300.0], (80, 1))
+        _, order, cs, c_row, lower, upper, box_row = solver._broadcast_rows(c, lower, lower + rng.uniform(0, 2, (80, k)))
+        box_exp = np.exp(solver._shifted_box(lower, upper)).reshape(2, -1)
+        for magnitude in (False, True):
+            p = 3 if magnitude else 2
+            planes = solver._threshold_sums(c_row, box_row, order, cs, box_exp, magnitude)[2][:p].copy()
+            for r in range(80):
+                one = solver._threshold_sums(c_row[r : r + 1], box_row[r : r + 1], order, cs, box_exp, magnitude)[2]
+                assert one[:p, 0].tobytes() == planes[:, r].tobytes()
 
 
 def stable_sorted(c):
@@ -510,12 +613,10 @@ class TestBroadcastCoefficients:
 
     @pytest.mark.parametrize("block", [None, 3 * 16, 7 * 16 + 5])
     def test_certified_sweep_matches_materialised_stack(self, block, monkeypatch):
-        from attncert import certified
-
         c, lower, upper = self.block_output_layout(np.random.default_rng(7400))
         full = np.broadcast_shapes(c.shape, lower.shape)
         if block is not None:
-            monkeypatch.setattr(certified, "_BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", block)
         bound, saturated = certified_sweep_min(c, lower, upper)
         want_bound, want_saturated = certified_sweep_min(np.broadcast_to(c, full).copy(), lower, upper)
         assert bound.shape == saturated.shape == full[:-1]
