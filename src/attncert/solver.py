@@ -152,9 +152,12 @@ def _threshold_vertices(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, m, 
 # many elements.  The sort runs once per distinct coefficient row and the
 # exponentials once per box row, before the blocks; the sorted rows take 16
 # bytes per coefficient.  A block's planes and buffers live in the thread's
-# workspace (see _threshold_sums), so a shape-M stack (the 9,216-element
-# margin stack, the 8,192-element block_output_bounds stack) is one block
-# whose planes the next sweep on the thread reuses.
+# workspace (see _threshold_sums), which keeps at most one block at this
+# budget: about 67 bytes per element in the fast kernel and 85 in the
+# certified one at K >= 16 (tracemalloc), so at most about 2.6 MB per
+# thread.  A shape-M stack (the 9,216-element margin stack, the
+# 8,192-element block_output_bounds stack) is one block whose planes the
+# next sweep on the thread reuses.
 _BLOCK_ELEMENTS = 2**15
 
 
