@@ -2,10 +2,10 @@
 
 Runs the fast path's threshold sweep (its shift, sort, gather and running
 sums) in plain floating point, over exponentials evaluated once per box row
-with libm and coefficient rows sorted once each, adds one magnitude plane
-to the sums, and lowers every candidate ratio by an a-priori bound on its
-rounding error.  The returned value is a true lower bound on the
-real-arithmetic optimum, whatever the roundoff in the shift, exp, the
+with libm and coefficient rows sorted once each, and lowers its smallest
+candidate ratio by an a-priori bound on the rounding error that holds for
+every candidate of the row.  The returned value is a true lower bound on
+the real-arithmetic optimum, whatever the roundoff in the shift, exp, the
 products, the prefix sums or the quotients.
 """
 
@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import intervals
-from .solver import ScoreBox, _as_direction, _blockwise, _broadcast_rows, _shifted_box, _threshold_sums, directional_min
+from .solver import _DBL_MAX, ScoreBox, _as_direction, _blockwise, _broadcast_rows, _shifted_box, _threshold_sums, directional_min
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,9 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     Returns (lower_bound, saturated), both of shape (...). Each row's
     lower_bound is at most the true minimum of c . softmax(s) over its box,
     and never below the row's smallest coefficient. `saturated` marks rows
-    where a float quantity overflowed, so the bound certifies nothing.
-    The inputs are trusted, as in solver.sweep_min.
+    where a float quantity overflowed, so the bound certifies nothing and
+    is the smallest coefficient.  The inputs are trusted, as in
+    solver.sweep_min.
 
     Error analysis, with u = 2**-53, mu = 2**-1074, gamma_n = n*u/(1-n*u)
     (Higham, Accuracy and Stability of Numerical Algorithms, secs. 3.1
@@ -70,35 +71,49 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
       and the 2u of faithful rounding, the 2**-40 absorbing the second-order
       terms), and absolutely, within mu, where exp(s~) is subnormal or
       s~ < -746 (then e and e~ both lie in [0, mu]).
-    * Sums.  Candidate m's denominator D^, numerator N^ and magnitude A^
-      (the terms |fl(c*e~)|) are a prefix plus a suffix sum of K terms from
-      one prefix sum: each term passes at most K additions, and each product
-      one rounding, or an absolute error of mu/2 where it underflows.
-      With eps = eta + gamma_{K+2}:
+    * Sums.  Candidate m's denominator D^ and numerator N^ are a prefix
+      plus a suffix sum of K terms from one prefix sum: each term passes at
+      most K additions, and each product one rounding, or an absolute error
+      of mu/2 where it underflows.  With eps = eta + gamma_{K+2}:
           |D^ - D| <= eps*D + a_D,   |N^ - N| <= eps*A + a_N,
-          A <= (A^ + a_N) / (1 - eps),
-      where a_D = (K+1)*mu and a_N = (K+1)*mu*(max|c| + 1) collect the
-      absolute terms.  Also |N^/D^| <= 2*max|c| + 1/2 wherever D^ > a_D.
-    * Ratio.  tau - N^/D^ = (N - N^)/D - (N^/D^)(D - D^)/D and
-      D >= (D^ - a_D)/(1 + eps), so
-          |tau - N^/D^| <= (eps*|N^| + eps*r*A^ + W) / (D^ - a_D),
-      r = (1 + eps)/(1 - eps), where W = (K+1)*(max|c| + 1)*2**-1070 is
-      at least four times r*a_N + (1 + eps)*|N^/D^|*a_D; the rest absorbs
-      the absolute (subnormal) roundings of tau^ and of E_m's own
-      evaluation, at most (2K + 1)*mu in all.
-    * Quotient.  tau^ = fl(N^/D^) is within u*|tau^| (plus mu/2, inside W)
-      of N^/D^.  So
-          E_m = ((eps*|N^| + eps*r*A^ + W) / (D^ - a_D) + u*|tau^|) * (1 + 16u)
-      bounds |tau - tau^|: the (1 + 16u) pad covers the 14 roundings of
-      its own float evaluation, eps and r included.
-    * Candidates.  tau^ - E_m <= tau_m where D^ > a_D; elsewhere the
-      candidate gives -inf.  nextafter(min_m fl(tau^ - E_m), -inf) is at
-      most the exact min_m (tau^ - E_m), so at most the true minimum.  The
-      true ratio is a convex combination of the coefficients, so the row's
-      smallest coefficient is a sound floor for every candidate.
+      where A = sum_j |c_j|*e_j over the candidate's terms, and
+      a_D = (K+1)*mu and a_N = (K+1)*mu*(C + 1), C = max|c|, collect the
+      absolute terms.
+    * Magnitudes.  A <= C*D in real arithmetic, so eps*A/D <= eps*C: no
+      magnitude sum is needed.
+    * One denominator bound per row.  Candidate 0 keeps every coordinate
+      at its lower end, and every other candidate moves some of them up, so
+      D_m >= D_0 in real arithmetic.  With delta = D^_0 - a_D > 0,
+      D_0 >= delta/(1 + eps); so 1/D_m <= (1 + eps)/delta for every m.
+    * Ratio.  For x = N^/D^ (real), tau - x = (N - N^)/D + x*(D^ - D)/D,
+      so with rho = a_D/delta:
+          |tau - x| <= f'*|x| + g',
+          f' = eps + (1 + eps)*rho,   g' = eps*C + (1 + eps)*(C + 1)*rho.
+    * Quotient.  tau^ = fl(x) is within u*|tau^| + mu/2 of x.  For
+      f' < 1, h(x) = x - f'*|x| is nondecreasing with slope at most
+      1 + f' < 2, so tau >= h(x) - g' >= tau^ - f*|tau^| - g with
+          f = f'*(1 + u) + u,   g = g' + mu.
+      A quotient that overflows to +inf has x > DBL_MAX >= tau^_min, so
+      h(x) >= h(tau^_min) covers it too.
+    * Candidates.  For f < 1, x -> x - f*|x| is nondecreasing as well (its
+      slope is 1 - f or 1 + f), so min_m (tau^_m - f*|tau^_m|) is
+      tau^_min - f*|tau^_min|: the row bound
+          tau^_min - f*|tau^_min| - g
+      needs one divide and one minimum over the candidate plane, and the
+      rest is per row.  rho is evaluated as (K+1)*2**-1000 / fl(D^_0 - a_D)
+      times 2**-74, so no quotient is subnormal.  f and g are evaluated in
+      floats on positive terms, and both are padded by 64u (1 + 2**-47),
+      which covers the at most 13 roundings of f, g, eps and
+      f*|tau^_min| + g.  2**-1069 (32 mu) added to g covers g's own mu and
+      the at most four products that underflow (mu/2 each); f >= 2u takes
+      its one underflow relatively.  One nextafter towards -inf covers the
+      final subtraction.  The true ratio is a convex combination of the
+      coefficients, so the row's smallest coefficient is a sound floor: it
+      is the bound where delta <= 0, f >= 1, some tau^ is NaN (0/0) or the
+      smallest is -inf, or the row saturates.
 
-    A row saturates where its shift overflows or where some D^, N^ or A^
-    is not finite.
+    A row saturates where its shift overflows or where some N^ is not
+    finite (D^ <= K + 1 always is: every exponential is at most 1).
     """
     lead, order, cs, c_row, lower, upper, box_row = _broadcast_rows(c, lower, upper)
     # The shift and the exponentials depend on the box alone, so they are
@@ -111,42 +126,43 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     return bound.reshape(lead), saturated.reshape(lead)
 
 
+# f and g are padded by 64u, and g takes an absolute slack of 32 mu (see
+# certified_sweep_min).
+_PAD = 1.0 + 2.0**-47
+_SLACK = 2.0**-1069
+
+
 def _sweep_block(
     c_row, box_row, order, cs, box_exp, eta: np.ndarray, box_saturated: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """certified_sweep_min on the n output rows of solver._threshold_sums;
     row r takes eta from box row box_row[r]."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cs, _, t = _threshold_sums(c_row, box_row, order, cs, box_exp, magnitude=True)
-        den, num, mag, tau, err, tmp = t
+        cs, _, (den, num, tau, _) = _threshold_sums(c_row, box_row, order, cs, box_exp)
         k = cs.shape[1]
-        gamma = (k + 2) * _U / (1.0 - (k + 2) * _U)
-        eps = (eta[box_row] + gamma)[:, None]
-        eps_r = eps * (1.0 + eps) / (1.0 - eps)
-        # W rounded up, in an order that neither overflows nor drops the
-        # subnormal tail: (max|c| + 1) * 2**-60 times (K + 1) * 2**-1010.
-        c_max = np.maximum(-cs[:, 0], cs[:, -1])
-        w = np.nextafter((c_max + 1.0) * 2.0**-60 * ((k + 1) * 2.0**-1010), np.inf)[:, None]
+        c_lo = cs[:, 0]
+        c_max = np.maximum(-c_lo, cs[:, -1])
+        saturated = box_saturated[box_row]
+        # Every exponential is at most 1, so D^ <= K + 1 is finite, and N^
+        # can overflow only on a row with some |c| above DBL_MAX / (2(K+1)).
+        if (c_max > _DBL_MAX / (2 * (k + 1))).any():
+            saturated = saturated | ~np.isfinite(num).all(axis=-1)
         np.divide(num, den, out=tau)
-        # err = ((eps*|N^| + eps*r*A^ + W) / max(D^ - a_D, 0) + u*|tau^|) * (1 + 16u),
-        # in the free planes.  D^ <= a_D gives a zero divisor, E = inf and a
-        # -inf (or NaN) candidate, which the floor below replaces.  Each
-        # per-row factor is filled into a plane first: an (n, 1) broadcast
-        # operand would take numpy's iterator buffer.
-        err[...] = eps
-        err *= np.abs(num, out=tmp)
-        tmp[...] = eps_r
-        err += np.multiply(tmp, mag, out=tmp)
-        tmp[...] = w
-        err += tmp
-        err /= np.maximum(np.subtract(den, (k + 1) * _TINY, out=tmp), 0.0, out=tmp)
-        err += np.multiply(np.abs(tau, out=tmp), _U, out=tmp)
-        err *= 1.0 + 16.0 * _U
-        tau -= err
-        best = np.nextafter(tau.min(axis=-1), -np.inf)
-    saturated = box_saturated[box_row] | ~np.isfinite(t[:3]).all(axis=(0, -1))
-    # fmax also floors a NaN minimum (an inf - inf candidate).
-    return np.fmax(best, cs[:, 0]), saturated
+        t_min = tau.min(axis=-1)
+        gamma = (k + 2) * _U / (1.0 - (k + 2) * _U)
+        eps = eta[box_row] + gamma
+        # (1 + eps) * rho * 2**74: normal where delta > 0, and inf where
+        # delta <= 0, which makes f inf.
+        rho = (k + 1) * 2.0**-1000 / np.maximum(den[:, 0] - (k + 1) * _TINY, 0.0)
+        rho *= 1.0 + eps
+        f = (rho * 2.0**-74 + eps) * _PAD + _U * _PAD
+        g = ((c_max + 1.0) * 2.0**-74 * rho + eps * c_max) * _PAD + _SLACK
+        best = np.nextafter(t_min - (f * np.abs(t_min) + g), -np.inf)
+    best[f >= 1.0] = -np.inf
+    if saturated.any():
+        best[saturated] = -np.inf
+    # fmax also floors a NaN minimum (a 0/0 candidate).
+    return np.fmax(best, c_lo), saturated
 
 
 def certified_directional_min(c, box: ScoreBox) -> CertifiedBound:

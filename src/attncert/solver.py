@@ -153,11 +153,11 @@ def _threshold_vertices(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, m, 
 # exponentials once per box row, before the blocks; the sorted rows take 16
 # bytes per coefficient.  A block's planes and buffers live in the thread's
 # workspace (see _threshold_sums), which keeps at most one block at this
-# budget: about 67 bytes per element in the fast kernel and 85 in the
-# certified one at K >= 16 (tracemalloc), so at most about 2.6 MB per
-# thread.  A shape-M stack (the 9,216-element margin stack, the
-# 8,192-element block_output_bounds stack) is one block whose planes the
-# next sweep on the thread reuses.
+# budget: about 65-71 bytes per element in either kernel at K >= 16
+# (tracemalloc, empty workspace), so at most about 2.3 MB per thread.  A
+# shape-M stack (the 9,216-element margin stack, the 8,192-element
+# block_output_bounds stack) is one block whose planes the next sweep on
+# the thread reuses.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -206,6 +206,15 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     directional_min's value and m.  The inputs are trusted: finite, K >= 1
     and lower <= upper (callers validate at their API boundary).
     """
+    value, m_star, _ = _sweep(c, lower, upper)
+    return value, m_star
+
+
+def _sweep(c, lower, upper):
+    """sweep_min's (value, m), and the (nc, K) stable ascending order of
+    c's own rows that m counts in, or None where rows were scaled: the
+    scaling can flush small entries to equal ones, so that order is not
+    c's own."""
     c = np.asarray(c, dtype=np.float64)
     # Coefficients this large overflow the weighted prefix sums; such rows
     # are scaled by an exact power of two before the sort, and the value
@@ -222,7 +231,8 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     value, m_star = _blockwise(_sweep_block, c_row, box_row, order, cs, box_exp.reshape(2, -1), lower, upper)
     if shift is not None:
         value = np.ldexp(value, shift.reshape(-1)[c_row])
-    return value.reshape(lead), m_star.reshape(lead)
+        order = None
+    return value.reshape(lead), m_star.reshape(lead), order
 
 
 def _shifted_box(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -252,17 +262,16 @@ def _buffer(name: str, size: int, dtype, keep: bool) -> np.ndarray:
     return buf[:size]
 
 
-def _threshold_sums(c_row, box_row, order, cs, box_exp, magnitude: bool = False):
+def _threshold_sums(c_row, box_row, order, cs, box_exp):
     """Every threshold candidate of n output rows: row r takes row c_row[r]
     of the sorted coefficients order and cs over box row box_row[r], whose
     shifted exponentials box_exp holds flat, (2, nb * K), uppers then
     lowers.
 
     Returns (cs, flat, t): the rows' sorted coefficients and each sorted
-    entry's flat box index, (n, K) each, and planes t, (2p, n, K + 1) with
-    p = 2, or 3 with magnitude.  t[:p] holds every candidate's denominator
-    and numerator, and with magnitude the sum of the magnitudes of the
-    numerator terms; t[p:] is free for the caller.
+    entry's flat box index, (n, K) each, and planes t, (4, n, K + 1).
+    t[:2] holds every candidate's denominator and numerator; t[2:] is free
+    for the caller.
 
     Candidate m takes the prefix sums of the upper terms before it and the
     suffix sums of the lower terms from it on.  The index and coefficient
@@ -285,10 +294,9 @@ def _threshold_sums(c_row, box_row, order, cs, box_exp, magnitude: bool = False)
     """
     n, k = len(c_row), cs.shape[1]
     k1 = k + 1
-    p = 3 if magnitude else 2
     size = n * k1 + 1
     keep = n * k <= _BLOCK_ELEMENTS
-    t = _buffer("planes", 2 * p * n * k1, np.float64, keep).reshape(2 * p, n * k1)
+    t = _buffer("planes", 4 * n * k1, np.float64, keep).reshape(4, n * k1)
     idx = _buffer("index", size + 2 * n * k, np.intp, keep)
     idx, scratch = idx[:size], idx[size:]
     rows = idx[:-1].reshape(n, k1)[:, 1:]
@@ -306,22 +314,20 @@ def _threshold_sums(c_row, box_row, order, cs, box_exp, magnitude: bool = False)
     # take copies a reversed index; the scratch (2nK >= n(K + 1)) holds it.
     back = scratch[: n * k1]
     back[...] = idx[:0:-1]
-    for side, at, c_at in ((0, idx[:-1], coef[:-1]), (p, back, coef[:0:-1])):
+    for side, at, c_at in ((0, idx[:-1], coef[:-1]), (2, back, coef[:0:-1])):
         # take writes straight into a contiguous `out` unless mode is "raise".
-        box_exp[side // p].take(at, out=t[side], mode="clip")
+        box_exp[side // 2].take(at, out=t[side], mode="clip")
         np.multiply(c_at, t[side], out=t[side + 1])
-        if magnitude:
-            np.abs(t[side + 1], out=t[side + 2])
-    t = t.reshape(2 * p, n, k1)
+    t = t.reshape(4, n, k1)
     # The empty-sum slots gathered an arbitrary exponential; their products
     # are already 0.
-    t[::p, :, 0] = 0.0
+    t[::2, :, 0] = 0.0
     if n >= k:
         for j in range(1, k1):
             np.add(t[..., j - 1], t[..., j], out=t[..., j])
     else:
         t.cumsum(axis=-1, out=t)
-    np.add(t[:p], t[p:, ::-1, ::-1], out=t[:p])
+    np.add(t[:2], t[2:, ::-1, ::-1], out=t[:2])
     return coef_rows, rows, t
 
 
@@ -361,8 +367,13 @@ def directional_min(c, box: ScoreBox) -> ThresholdResult:
     ties between candidate thresholds resolve to the smallest m.
     """
     c = _as_direction(c, box.lower)
-    value, m = sweep_min(c, box.lower, box.upper)
-    vertex = _threshold_vertices(c, box.lower, box.upper, m)
+    value, m, order = _sweep(c, box.lower, box.upper)
+    rank = None
+    if order is not None:
+        # The sweep's own order, inverted: the row is not sorted again.
+        rank = np.empty_like(order[0])
+        rank[order[0]] = np.arange(len(c))
+    vertex = _threshold_vertices(c, box.lower, box.upper, m, rank)
     return ThresholdResult(value=float(value), m=int(m), vertex=vertex, sense="min")
 
 

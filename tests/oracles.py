@@ -6,8 +6,9 @@ Two oracles, deliberately built on different machinery than the package:
   for small K.
 * decimal_min_enclosure: a 60-digit decimal evaluation of the threshold
   sweep with directed rounding on every add/multiply/divide and padded
-  exponentials, giving a rigorous enclosure of the true minimum that does
-  not depend on the package's shift or rounding choices.
+  exponentials of the scores shifted exactly by their largest upper end,
+  giving a rigorous enclosure of the true minimum that does not depend on
+  the package's rounding choices.
 
 Two row-loop references reuse the package's own row solvers instead: they
 are the one-row-at-a-time forms of the batched margin and block-output
@@ -29,8 +30,9 @@ coefficients' scale of it, with the same saturation flags.
 
 certified_error_bound_exact is the bound certified_sweep_min's error
 analysis promises for one row, evaluated in exact rational arithmetic over
-the same float sums the kernel forms, one Python float operation at a time.
-The kernel's own float evaluation of that bound must never rise above it.
+the same float sums the kernel forms (certified_threshold_sums, one Python
+float operation at a time).  The kernel's own float evaluation of that
+bound must never rise above it.
 
 softmax_output_bounds_own_shift is the baseline's per-coordinate output
 box with every coordinate evaluated at its own vertex, shifted by that
@@ -76,7 +78,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, Inexact
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -108,8 +110,17 @@ def naive_vertex_min(c, lower, upper) -> float:
     return best
 
 
+# Exact for the difference of any two doubles (at most 1,400 digits).
+_CTX_EXACT = Context(prec=2000, traps=[Inexact])
+# Exponentials below this are enclosed as [0, _EXP_FLOOR]: Decimal's own
+# subnormal results are not accurate to _EXP_PAD.
+_EXP_FLOOR = Decimal(1).scaleb(_CTX_EXP.Emin)
+
+
 def _exp_enclosure(t: Decimal) -> tuple[Decimal, Decimal]:
     r = _CTX_EXP.exp(t)
+    if r < _EXP_FLOOR:
+        return Decimal(0), _EXP_FLOOR
     pad = CTX_UP.multiply(abs(r), _EXP_PAD)
     lo = CTX_DN.subtract(r, pad)
     hi = CTX_UP.add(r, pad)
@@ -120,13 +131,17 @@ def _exp_enclosure(t: Decimal) -> tuple[Decimal, Decimal]:
 
 def decimal_min_enclosure(c, lower, upper) -> tuple[Decimal, Decimal]:
     """Rigorous [lo, hi] containing the true minimum of c . softmax(s) over
-    the box, via the threshold characterization (no shift needed: decimal's
-    exponent range dwarfs the instances)."""
+    the box, via the threshold characterization.  The scores are shifted
+    by the largest upper end exactly, which leaves every ratio as it is and
+    keeps the exponentials in range; a candidate whose denominator's lower
+    end is 0 (every term below _EXP_FLOOR) is enclosed by [min c, max c],
+    which holds for any convex combination of the coefficients."""
     k = len(c)
     order = sorted(range(k), key=lambda j: (c[j], j))
     cd = [Decimal(float(c[j])) for j in order]
-    exp_l = [_exp_enclosure(Decimal(float(lower[j]))) for j in order]
-    exp_u = [_exp_enclosure(Decimal(float(upper[j]))) for j in order]
+    a = Decimal(max(float(x) for x in upper))
+    exp_l = [_exp_enclosure(_CTX_EXACT.subtract(Decimal(float(lower[j])), a)) for j in order]
+    exp_u = [_exp_enclosure(_CTX_EXACT.subtract(Decimal(float(upper[j])), a)) for j in order]
 
     def term(cj: Decimal, x: tuple[Decimal, Decimal]) -> tuple[Decimal, Decimal]:
         if cj >= 0:
@@ -144,9 +159,11 @@ def decimal_min_enclosure(c, lower, upper) -> tuple[Decimal, Decimal]:
             num_up = CTX_UP.add(num_up, t_up)
             den_dn = CTX_DN.add(den_dn, x[0])
             den_up = CTX_UP.add(den_up, x[1])
-        assert den_dn > 0, "decimal denominators stay positive at test scales"
-        tau_lo = min(CTX_DN.divide(num_dn, den_dn), CTX_DN.divide(num_dn, den_up))
-        tau_hi = max(CTX_UP.divide(num_up, den_dn), CTX_UP.divide(num_up, den_up))
+        if den_dn > 0:
+            tau_lo = min(CTX_DN.divide(num_dn, den_dn), CTX_DN.divide(num_dn, den_up))
+            tau_hi = max(CTX_UP.divide(num_up, den_dn), CTX_UP.divide(num_up, den_up))
+        else:
+            tau_lo, tau_hi = cd[0], cd[-1]
         best_lo = tau_lo if best_lo is None else min(best_lo, tau_lo)
         best_hi = tau_hi if best_hi is None else min(best_hi, tau_hi)
     return best_lo, best_hi
@@ -452,38 +469,63 @@ def _running_sums(terms: list[float]) -> list[float]:
     return out
 
 
-def certified_error_bound_exact(c, lower, upper) -> Fraction:
-    """max(min_m (tau^_m - E_m), min c) for one row, with E_m as
-    certified_sweep_min documents it (without the 1 + 16u pad) and every
-    candidate with D^ <= (K + 1) * 2**-1074 at -inf."""
-    u, mu = Fraction(1, 2**53), Fraction(1, 2**1074)
+def certified_threshold_sums(c, lower, upper) -> tuple[list[float], ...]:
+    """(cs, den, num, mag) for one row: its coefficients in stable ascending
+    order, and every candidate's denominator and numerator as the kernel
+    forms them, one Python float operation at a time (libm exp, the prefix
+    sums of the upper terms plus the suffix sums of the lower ones).  mag
+    is the sum of the numerator terms' magnitudes, formed the same way: the
+    kernel bounds its error without it, and a row whose only overflow is
+    mag is not saturated."""
     k = len(c)
     order = sorted(range(k), key=lambda j: (float(c[j]), j))
     cs = [float(c[j]) for j in order]
     a = max(float(x) for x in upper)
-    su = [float(upper[j]) - a for j in order]
-    sl = [float(lower[j]) - a for j in order]
-    eu, el = [math.exp(x) for x in su], [math.exp(x) for x in sl]
-    eta = u * Fraction(min(max(map(abs, su + sl)), 746.0)) * (1 + Fraction(1, 2**40)) + 2 * u
-    eps = eta + (k + 2) * u / (1 - (k + 2) * u)
-    r = (1 + eps) / (1 - eps)
-    w = (k + 1) * (Fraction(max(map(abs, cs))) + 1) * Fraction(1, 2**1070)
-    a_d = (k + 1) * mu
+    eu = [math.exp(float(upper[j]) - a) for j in order]
+    el = [math.exp(float(lower[j]) - a) for j in order]
     cu = [x * y for x, y in zip(cs, eu)]
     cl = [x * y for x, y in zip(cs[::-1], el[::-1])]
-    # Prefix sums of the upper terms, suffix sums of the lower ones.
     pre = [_running_sums(t) for t in (eu, cu, [abs(x) for x in cu])]
     suf = [_running_sums(t) for t in (el[::-1], cl, [abs(x) for x in cl])]
+    den, num, mag = ([p[m] + q[k - m] for m in range(k + 1)] for p, q in zip(pre, suf))
+    return cs, den, num, mag
+
+
+def certified_error_bound_exact(c, lower, upper) -> Fraction:
+    """max(tau^_min - f*|tau^_min| - g, min c) for one row, with f and g as
+    certified_sweep_min documents them (without the 1 + 2**-47 pad and the
+    2**-1069 slack), in exact rational arithmetic over the float ratios
+    tau^_m the kernel forms.  A row floors at min c where D^_0 <= (K + 1) *
+    2**-1074, where f >= 1, or where some tau^_m is NaN (a 0/0 candidate)
+    or the smallest is -inf."""
+    u, mu = Fraction(1, 2**53), Fraction(1, 2**1074)
+    k = len(c)
+    cs, den, num, _ = certified_threshold_sums(c, lower, upper)
     floor = Fraction(cs[0])
-    best = None
-    for m in range(k + 1):
-        den, num, mag = (p[m] + q[k - m] for p, q in zip(pre, suf))
-        if not Fraction(den) > a_d:
+    a = max(float(x) for x in upper)
+    shifted = [float(x) - a for x in list(lower) + list(upper)]
+    eta = u * Fraction(min(max(map(abs, shifted)), 746.0)) * (1 + Fraction(1, 2**40)) + 2 * u
+    eps = eta + (k + 2) * u / (1 - (k + 2) * u)
+    c_max = Fraction(max(map(abs, cs)))
+    delta = Fraction(den[0]) - (k + 1) * mu
+    if delta <= 0:
+        return floor
+    rho = (k + 1) * mu / delta
+    f = (eps + (1 + eps) * rho) * (1 + u) + u
+    g = eps * c_max + (1 + eps) * (c_max + 1) * rho + mu
+    if f >= 1:
+        return floor
+    taus = []
+    for n_m, d_m in zip(num, den):
+        if d_m == 0.0:
+            # Every term of the candidate is 0, so its numerator is too.
             return floor
-        tau = Fraction(num / den)
-        err = (eps * abs(Fraction(num)) + eps * r * Fraction(mag) + w) / (Fraction(den) - a_d) + u * abs(tau)
-        best = tau - err if best is None else min(best, tau - err)
-    return max(best, floor)
+        taus.append(n_m / d_m)
+    t_min = min(taus)
+    if t_min == -math.inf:
+        return floor
+    t = Fraction(t_min)
+    return max(t - f * abs(t) - g, floor)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,14 @@ from attncert import ScoreBox, certified_directional_min, directional_min
 from attncert import certified, solver
 from attncert.certified import certified_sweep_min
 from attncert.solver import sweep_min
-from oracles import certified_error_bound_exact, certified_sweep_rowwise, decimal_min_enclosure, scalar_certified_min
+from oracles import (
+    certified_error_bound_exact,
+    certified_sweep_rowwise,
+    certified_threshold_sums,
+    decimal_min_enclosure,
+    scalar_certified_min,
+)
+from test_solver import margin_stack
 
 MAX_FLOAT = sys.float_info.max
 
@@ -121,6 +128,19 @@ def test_never_below_coefficient_floor():
         assert cb.lower >= c.min()
 
 
+def assert_only_magnitude_overflowed(bound, c, lower, upper):
+    """A row that the interval kernels saturate on and the a-priori kernel
+    does not: every denominator and numerator is finite and only the sum
+    of the numerator terms' magnitudes overflows, which the kernel no
+    longer forms.  Its bound is finite and sound."""
+    _, den, num, mag = certified_threshold_sums(c, lower, upper)
+    assert np.all(np.isfinite(den)) and np.all(np.isfinite(num))
+    assert not np.all(np.isfinite(mag))
+    assert np.isfinite(bound) and bound >= c.min()
+    assert bound <= sweep_min(c, lower, upper)[0]
+    assert Decimal(float(bound)) <= decimal_min_enclosure(c, lower, upper)[1]
+
+
 def stacked_rows(rng, shape, k):
     """Rows with tied coefficients, degenerate and partly degenerate boxes,
     and lowers so far below the largest upper that the m = 0 denominator
@@ -190,8 +210,11 @@ class TestCertifiedSweepMin:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bound, saturated = certified_sweep_min(c, lower, upper)
-        assert saturated.all()
+        # Row 1 overflows only in its magnitude sum, which the kernel no
+        # longer forms; the scalar reference, which forms it, saturates.
+        assert saturated.tolist() == [True, False, True, True]
         assert np.all(np.isfinite(bound)) and np.all(bound >= c.min(axis=-1))
+        assert_only_magnitude_overflowed(bound[1], c[1], lower[1], upper[1])
         for r in range(len(c)):
             assert scalar_certified_min(c[r], lower[r], upper[r])[1]
 
@@ -279,8 +302,10 @@ class TestSharedBoxExponentials:
         # Stacked, the kernel gives every row bit for bit what one call on
         # that row's own box gives; and it stays within 1e-12 of the
         # coefficients' scale of the interval kernel it replaced, with the
-        # same saturation flags.  A saturated row's value certifies nothing,
-        # so only unsaturated rows are compared.
+        # same saturation flags except on rows whose only overflow is the
+        # magnitude sum, which only the interval kernel forms.  A saturated
+        # row's value certifies nothing, so only rows the interval kernel
+        # does not saturate on are compared with it.
         c, lower, upper = case(np.random.default_rng(4000))
         bound, saturated = certified_sweep_min(c, lower, upper)
         shape = np.broadcast_shapes(c.shape, lower.shape, upper.shape)
@@ -291,9 +316,11 @@ class TestSharedBoxExponentials:
             assert row_bound.view(np.uint64) == bound[idx].view(np.uint64)
             assert row_saturated == saturated[idx]
         ref_bound, ref_saturated = certified_sweep_rowwise(c, lower, upper)
-        assert np.array_equal(saturated, ref_saturated)
+        assert not np.any(saturated & ~ref_saturated)
+        for idx in zip(*np.nonzero(ref_saturated & ~saturated)):
+            assert_only_magnitude_overflowed(bound[idx], c[idx], lower[idx], upper[idx])
         scale = np.maximum(1.0, np.abs(c).max(axis=-1))
-        assert np.all(np.abs(bound - ref_bound)[~saturated] <= 1e-12 * scale[~saturated])
+        assert np.all(np.abs(bound - ref_bound)[~ref_saturated] <= 1e-12 * scale[~ref_saturated])
 
     def test_cases_reach_their_edge(self, small_blocks):
         # The cases above are not vacuous: some rows saturate, every row of
@@ -338,7 +365,8 @@ def wide_scale_rows(seed, n):
     scaled by 1, 1e+-150 or 1e+-300.  Every fourth row cancels: two
     degenerate coordinates on the same score carry coefficients +-1e20
     against O(1) others, so the computed numerator loses everything but its
-    rounding error, and only the magnitude plane covers that error."""
+    rounding error, and only the bound's eps*max|c| term covers that
+    error."""
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(n):
@@ -369,12 +397,13 @@ class TestAPrioriErrorBound:
         assert floored < 640 // 4
 
     def test_float_evaluation_never_above_exact_bound(self):
-        # The kernel evaluates its error bound E_m in floats and pads it by
-        # 1 + 16u; the result is never above the bound the same formula gives
-        # in exact arithmetic.  Rows whose optimum is 0 (a point box whose
-        # scores repeat under coefficients of opposite sign) leave the final
-        # nextafter no slack to absorb a low E_m, so there the pad alone
-        # keeps the bound below.
+        # The kernel evaluates its per-row error terms f and g in floats,
+        # pads them by 1 + 2**-47 and adds 2**-1069 to g; the result is never
+        # above the bound the same formula gives in exact arithmetic.  Rows
+        # whose optimum is 0 (a point box whose scores repeat under
+        # coefficients of opposite sign) leave the final nextafter no slack
+        # to absorb a low g, so there the pad and the slack alone keep the
+        # bound below.
         rng = np.random.default_rng(27)
         rows = wide_scale_rows(28, 200)
         for _ in range(400):
@@ -385,6 +414,23 @@ class TestAPrioriErrorBound:
         for c, lower, upper in rows:
             bound, _ = certified_sweep_min(c, lower, upper)
             assert Fraction(float(bound)) <= certified_error_bound_exact(c, lower, upper)
+
+    def test_gap_to_fast_value_is_small(self):
+        # The per-row bound is not loose: on the margin layout and on the
+        # wide-scale rows, every row that is neither saturated nor floored
+        # sits at most 1e-12 of the coefficients' scale below the fast value.
+        rows = [(c, lower, upper) for c, lower, upper in wide_scale_rows(26, 640)]
+        c, lower, upper = margin_stack(np.random.default_rng(29))
+        rows += [(c[idx], lower[idx[1:]], upper[idx[1:]]) for idx in np.ndindex(c.shape[:-1])]
+        checked = 0
+        for c, lower, upper in rows:
+            bound, saturated = certified_sweep_min(c, lower, upper)
+            if saturated or bound == c.min():
+                continue
+            gap = sweep_min(c, lower, upper)[0] - bound
+            assert 0.0 <= gap <= 1e-12 * max(1.0, np.abs(c).max())
+            checked += 1
+        assert checked > 576 + 640 // 2
 
     def test_shift_error_capped(self):
         # A lower endpoint of -1e300 shifts to -1e300, whose rounding error

@@ -434,17 +434,16 @@ class TestWorkspace:
         block = solver._BLOCK_ELEMENTS // 16
         certified_sweep_min(*row_stack(rng, block, 16))
         kept = workspace_buffers()
-        assert kept["planes"].size == 6 * block * 17
+        assert kept["planes"].size == 4 * block * 17
         for sweep in (sweep_min, certified_sweep_min):
             sweep(*row)
         assert all(workspace_buffers()[name] is buf for name, buf in kept.items())
 
-    @pytest.mark.parametrize("magnitude", [False, True])
-    def test_second_call_allocates_no_plane(self, magnitude):
+    def test_second_call_allocates_no_plane(self):
         c, lower, upper = margin_stack(np.random.default_rng(8400))
         _, order, cs, c_row, lower, upper, box_row = solver._broadcast_rows(c, lower, upper)
         box_exp = np.exp(solver._shifted_box(lower, upper)).reshape(2, -1)
-        args = (c_row, box_row, order, cs, box_exp, magnitude)
+        args = (c_row, box_row, order, cs, box_exp)
         first = [a.copy() for a in solver._threshold_sums(*args)]
         tracemalloc.start()
         try:
@@ -466,12 +465,10 @@ class TestWorkspace:
         lower = rng.uniform(-3, 3, (80, k)) * rng.choice([1.0, 300.0], (80, 1))
         _, order, cs, c_row, lower, upper, box_row = solver._broadcast_rows(c, lower, lower + rng.uniform(0, 2, (80, k)))
         box_exp = np.exp(solver._shifted_box(lower, upper)).reshape(2, -1)
-        for magnitude in (False, True):
-            p = 3 if magnitude else 2
-            planes = solver._threshold_sums(c_row, box_row, order, cs, box_exp, magnitude)[2][:p].copy()
-            for r in range(80):
-                one = solver._threshold_sums(c_row[r : r + 1], box_row[r : r + 1], order, cs, box_exp, magnitude)[2]
-                assert one[:p, 0].tobytes() == planes[:, r].tobytes()
+        planes = solver._threshold_sums(c_row, box_row, order, cs, box_exp)[2][:2].copy()
+        for r in range(80):
+            one = solver._threshold_sums(c_row[r : r + 1], box_row[r : r + 1], order, cs, box_exp)[2]
+            assert one[:2, 0].tobytes() == planes[:, r].tobytes()
 
 
 def stable_sorted(c):
