@@ -103,8 +103,8 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
       rest is per row.  rho is evaluated as (K+1)*2**-1000 / fl(D^_0 - a_D)
       times 2**-74, so no quotient is subnormal.  f and g are evaluated in
       floats on positive terms, and both are padded by 64u (1 + 2**-47),
-      which covers the at most 13 roundings of f, g, eps and
-      f*|tau^_min| + g.  2**-1069 (32 mu) added to g covers g's own mu and
+      which covers f's factor 1 + u and the at most 13 roundings of f, g,
+      eps and f*|tau^_min| + g.  2**-1069 (32 mu) added to g covers g's own mu and
       the at most four products that underflow (mu/2 each); f >= 2u takes
       its one underflow relatively.  One nextafter towards -inf covers the
       final subtraction.  The true ratio is a convex combination of the
@@ -158,9 +158,7 @@ def _sweep_block(
         f = (rho * 2.0**-74 + eps) * _PAD + _U * _PAD
         g = ((c_max + 1.0) * 2.0**-74 * rho + eps * c_max) * _PAD + _SLACK
         best = np.nextafter(t_min - (f * np.abs(t_min) + g), -np.inf)
-    best[f >= 1.0] = -np.inf
-    if saturated.any():
-        best[saturated] = -np.inf
+    best[(f >= 1.0) | saturated] = -np.inf
     # fmax also floors a NaN minimum (a 0/0 candidate).
     return np.fmax(best, c_lo), saturated
 

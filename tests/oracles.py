@@ -26,7 +26,9 @@ error a priori.  certified_sweep_rowwise is that interval kernel as it was
 before it shared the box exponentials: every coefficient row gathers its
 own box endpoints in its sort order and evaluates their shift and
 exponentials itself.  The a-priori kernel must stay within 1e-12 of the
-coefficients' scale of it, with the same saturation flags.
+coefficients' scale of it, with the same saturation flags except on rows
+where only the sum of the numerator terms' magnitudes overflows: the
+interval kernels saturate there, and the a-priori kernel does not.
 
 certified_error_bound_exact is the bound certified_sweep_min's error
 analysis promises for one row, evaluated in exact rational arithmetic over

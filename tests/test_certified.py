@@ -210,8 +210,8 @@ class TestCertifiedSweepMin:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bound, saturated = certified_sweep_min(c, lower, upper)
-        # Row 1 overflows only in its magnitude sum, which the kernel no
-        # longer forms; the scalar reference, which forms it, saturates.
+        # Row 1 overflows only in its magnitude sum, which the kernel does
+        # not form; the interval reference still saturates on it.
         assert saturated.tolist() == [True, False, True, True]
         assert np.all(np.isfinite(bound)) and np.all(bound >= c.min(axis=-1))
         assert_only_magnitude_overflowed(bound[1], c[1], lower[1], upper[1])
@@ -302,10 +302,10 @@ class TestSharedBoxExponentials:
         # Stacked, the kernel gives every row bit for bit what one call on
         # that row's own box gives; and it stays within 1e-12 of the
         # coefficients' scale of the interval kernel it replaced, with the
-        # same saturation flags except on rows whose only overflow is the
-        # magnitude sum, which only the interval kernel forms.  A saturated
-        # row's value certifies nothing, so only rows the interval kernel
-        # does not saturate on are compared with it.
+        # same saturation flags except on rows where only the magnitude sum
+        # overflows, on which only the interval kernel saturates.  A
+        # saturated row's value certifies nothing, so only rows the interval
+        # kernel does not saturate on are compared with it.
         c, lower, upper = case(np.random.default_rng(4000))
         bound, saturated = certified_sweep_min(c, lower, upper)
         shape = np.broadcast_shapes(c.shape, lower.shape, upper.shape)
@@ -419,7 +419,7 @@ class TestAPrioriErrorBound:
         # The per-row bound is not loose: on the margin layout and on the
         # wide-scale rows, every row that is neither saturated nor floored
         # sits at most 1e-12 of the coefficients' scale below the fast value.
-        rows = [(c, lower, upper) for c, lower, upper in wide_scale_rows(26, 640)]
+        rows = wide_scale_rows(26, 640)
         c, lower, upper = margin_stack(np.random.default_rng(29))
         rows += [(c[idx], lower[idx[1:]], upper[idx[1:]]) for idx in np.ndindex(c.shape[:-1])]
         checked = 0
