@@ -2,7 +2,8 @@
 
 Runs the fast path's threshold sweep (its shift, sort, gather and running
 sums) in plain floating point, over exponentials evaluated once per box row
-with libm and coefficient rows sorted once each, and lowers its smallest
+by intervals.exp (a numpy kernel with its own proven error bound, no libm)
+and coefficient rows sorted once each, and lowers its smallest
 candidate ratio by an a-priori bound on the rounding error that holds for
 every candidate of the row.  The returned value is a true lower bound on
 the real-arithmetic optimum, whatever the roundoff in the shift, exp, the
@@ -64,13 +65,15 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
       common a cancels in the ratio.  s~ = fl(x - a) <= 0 is within
       u*|s~| of x - a (exact where the result is subnormal); -inf there
       saturates the row.
-    * Exponentials.  e~ = math.exp(s~) is faithfully rounded (module
-      intervals).  With eta = u*min(max|s~|, 746)*(1 + 2**-40) + 2u, every
-      entry has |e~ - e| <= eta*e + mu for the true e = exp(x - a):
-      relatively for a normal result with |s~| <= 746 (exp(u|s~|) - 1
-      and the 2u of faithful rounding, the 2**-40 absorbing the second-order
-      terms), and absolutely, within mu, where exp(s~) is subnormal or
-      s~ < -746 (then e and e~ both lie in [0, mu]).
+    * Exponentials.  e~ = intervals.exp(s~) has |e~ - exp(s~)| <=
+      kappa*u*exp(s~) + mu with kappa = intervals.EXP_KAPPA = 3 (module
+      intervals: the reduction by k*ln 2, the degree-13 Horner sum and its
+      truncation, and one rounding of ldexp where the result is subnormal),
+      and e~ <= 1.  With eta = u*min(max|s~|, 746)*(1 + 2**-40) + kappa*u,
+      every entry has |e~ - e| <= eta*e + mu for the true e = exp(x - a):
+      for |s~| <= 746, exp(s~) is within exp(u|s~|) - 1 <= u|s~|(1 + u|s~|)
+      of e relatively, and the second-order terms (kappa*u + u|s~|)*u|s~|
+      are below u|s~|*2**-40; for s~ < -746, e~ = 0 and e < mu.
     * Sums.  Candidate m's denominator D^ and numerator N^ are a prefix
       plus a suffix sum of K terms from one prefix sum: each term passes at
       most K additions, and each product one rounding, or an absolute error
@@ -120,7 +123,7 @@ def certified_sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     # evaluated once per box row and gathered for every output row.
     s = _shifted_box(lower, upper)
     s_max = np.abs(s).max(axis=(0, -1), initial=0.0)
-    eta = _U * np.minimum(s_max, _SHIFT_CAP) * (1.0 + 2.0**-40) + 2.0 * _U
+    eta = _U * np.minimum(s_max, _SHIFT_CAP) * (1.0 + 2.0**-40) + intervals.EXP_KAPPA * _U
     box_exp = intervals.exp(s).reshape(2, -1)
     bound, saturated = _blockwise(_sweep_block, c_row, box_row, order, cs, box_exp, eta, s_max == np.inf)
     return bound.reshape(lead), saturated.reshape(lead)
@@ -148,7 +151,8 @@ def _sweep_block(
         if (c_max > _DBL_MAX / (2 * (k + 1))).any():
             saturated = saturated | ~np.isfinite(num).all(axis=-1)
         np.divide(num, den, out=tau)
-        t_min = tau.min(axis=-1)
+        # argmin and a gather: numpy's min over a short last axis is slower.
+        t_min = tau[np.arange(len(tau)), tau.argmin(axis=-1)]
         gamma = (k + 2) * _U / (1.0 - (k + 2) * _U)
         eps = eta[box_row] + gamma
         # (1 + eps) * rho * 2**74: normal where delta > 0, and inf where

@@ -86,7 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from attncert import ScoreBox, directional_max, directional_min, softmax_objective
+from attncert import ScoreBox, directional_max, directional_min, intervals, softmax_objective
 from attncert.attention import model_score_boxes, token_bounds, value_scalar_bounds
 from attncert.intervals import affine_bounds
 from attncert.model import LinearSuffix, forward, forward_batch, patch_pixel_indices
@@ -474,7 +474,8 @@ def _running_sums(terms: list[float]) -> list[float]:
 def certified_threshold_sums(c, lower, upper) -> tuple[list[float], ...]:
     """(cs, den, num, mag) for one row: its coefficients in stable ascending
     order, and every candidate's denominator and numerator as the kernel
-    forms them, one Python float operation at a time (libm exp, the prefix
+    forms them, one Python float operation at a time (the kernel's
+    intervals.exp, whose error test_intervals checks on its own, the prefix
     sums of the upper terms plus the suffix sums of the lower ones).  mag
     is the sum of the numerator terms' magnitudes, formed the same way: the
     kernel bounds its error without it, and a row whose only overflow is
@@ -483,8 +484,7 @@ def certified_threshold_sums(c, lower, upper) -> tuple[list[float], ...]:
     order = sorted(range(k), key=lambda j: (float(c[j]), j))
     cs = [float(c[j]) for j in order]
     a = max(float(x) for x in upper)
-    eu = [math.exp(float(upper[j]) - a) for j in order]
-    el = [math.exp(float(lower[j]) - a) for j in order]
+    eu, el = (intervals.exp(np.array([float(x[j]) - a for j in order])).tolist() for x in (upper, lower))
     cu = [x * y for x, y in zip(cs, eu)]
     cl = [x * y for x, y in zip(cs[::-1], el[::-1])]
     pre = [_running_sums(t) for t in (eu, cu, [abs(x) for x in cu])]
@@ -506,7 +506,7 @@ def certified_error_bound_exact(c, lower, upper) -> Fraction:
     floor = Fraction(cs[0])
     a = max(float(x) for x in upper)
     shifted = [float(x) - a for x in list(lower) + list(upper)]
-    eta = u * Fraction(min(max(map(abs, shifted)), 746.0)) * (1 + Fraction(1, 2**40)) + 2 * u
+    eta = u * Fraction(min(max(map(abs, shifted)), 746.0)) * (1 + Fraction(1, 2**40)) + 3 * u
     eps = eta + (k + 2) * u / (1 - (k + 2) * u)
     c_max = Fraction(max(map(abs, cs)))
     delta = Fraction(den[0]) - (k + 1) * mu

@@ -17,6 +17,7 @@ from oracles import (
     decimal_min_enclosure,
     scalar_certified_min,
 )
+from test_intervals import boundary_neighbours
 from test_solver import margin_stack
 
 MAX_FLOAT = sys.float_info.max
@@ -431,6 +432,29 @@ class TestAPrioriErrorBound:
             assert 0.0 <= gap <= 1e-12 * max(1.0, np.abs(c).max())
             checked += 1
         assert checked > 576 + 640 // 2
+
+    def test_sound_at_exponential_edges(self):
+        # Shifted scores (the largest upper end is 0) on the reduction
+        # boundaries -(k + 1/2)*ln 2 of intervals.exp and its neighbours, and
+        # in the range [-745.2, -708.4] where the exponentials are
+        # subnormal: every bound lies between min c and the lower end of the
+        # Decimal enclosure, in one batched call and row by row.
+        rng = np.random.default_rng(32)
+        rows = []
+        for _ in range(60):
+            near = boundary_neighbours(rng.integers(0, 5, 4))[rng.integers(0, 12, 4)]
+            deep = boundary_neighbours(rng.integers(0, 1077, 2))[rng.integers(0, 6, 2)]
+            sub = rng.uniform(-745.2, -708.4, (2, 2))
+            lower = np.concatenate((near, deep, sub.min(axis=0)))
+            upper = np.concatenate(([0.0], near[1:], deep, sub.max(axis=0)))
+            rows.append((rng.uniform(-2, 2, 8), lower, upper))
+        c, lower, upper = (np.stack(a) for a in zip(*rows))
+        bounds, saturated = certified_sweep_min(c, lower, upper)
+        assert not saturated.any()
+        for r in range(len(rows)):
+            assert certified_sweep_min(c[r], lower[r], upper[r])[0] == bounds[r]
+            lo, _ = decimal_min_enclosure(c[r], lower[r], upper[r])
+            assert c[r].min() <= bounds[r] and Decimal(float(bounds[r])) <= lo
 
     def test_shift_error_capped(self):
         # A lower endpoint of -1e300 shifts to -1e300, whose rounding error

@@ -1,13 +1,13 @@
 import math
 import sys
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attncert import ScoreBox, ValidationError
+from attncert import ScoreBox, ValidationError, intervals
 from oracles import E_HI_PREC, E_INV_HI_PREC, Intervals, add, cumsum, div, exp, mul, point
 
 MAX_FLOAT = sys.float_info.max
@@ -202,3 +202,61 @@ def test_widening_monotone_div(mid_a, w_a, extra, mid_b, w_b):
     wide = div(a_wide, b)
     assert _width(wide) >= _width(narrow)
     assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
+
+
+# The package's own exponential (attncert.intervals.exp), against 60-digit
+# Decimal exp: every result is within EXP_KAPPA*u of the true value
+# relatively, plus 2**-1074 absolutely, as its module docstring proves.
+_EXACT = Context(prec=60)
+_LN2 = _EXACT.ln(Decimal(2))
+
+
+def assert_exp_bound(x):
+    x = np.asarray(x, dtype=np.float64)
+    before = x.copy()
+    got = intervals.exp(x)
+    assert np.array_equal(x, before, equal_nan=True)
+    assert got.shape == x.shape and got.max() <= 1.0
+    kappa_u = Decimal(intervals.EXP_KAPPA) * Decimal(2) ** -53
+    mu = Decimal(2) ** -1074
+    for xi, gi in zip(x.ravel().tolist(), got.ravel().tolist()):
+        e = _EXACT.exp(Decimal(xi)) if xi > -math.inf else Decimal(0)
+        assert abs(Decimal(gi) - e) <= kappa_u * e + mu, (xi, gi)
+
+
+def boundary_neighbours(ks):
+    """The float nearest each reduction boundary -(k + 1/2)*ln 2 and its
+    two neighbours."""
+    b = np.array([float(-(Decimal(int(k)) + Decimal("0.5")) * _LN2) for k in ks])
+    return np.concatenate((np.nextafter(b, -np.inf), b, np.nextafter(b, 0.0)))
+
+
+def test_package_exp_on_a_grid():
+    rng = np.random.default_rng(30)
+    assert_exp_bound(np.concatenate((np.linspace(-746.0, 0.0, 3001), -rng.uniform(0.0, 746.0, 3000))))
+    assert_exp_bound(-rng.uniform(0.0, 1.0, (40, 50)))
+
+
+def test_package_exp_at_reduction_boundaries():
+    assert_exp_bound(boundary_neighbours(range(1077)))
+
+
+def test_package_exp_subnormal_results():
+    rng = np.random.default_rng(31)
+    assert_exp_bound(np.concatenate((np.linspace(-745.2, -708.4, 2001), rng.uniform(-745.2, -708.4, 1000))))
+
+
+def test_package_exp_edge_arguments():
+    x = np.array([0.0, -0.0, -5e-324, -np.inf, -746.0, -1e300, -sys.float_info.max])
+    assert intervals.exp(x).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    assert_exp_bound(x)
+
+
+def test_package_exp_ln2_split():
+    # k * ln2_hi is exact for |k| <= 1077 (11 bits) when ln2_hi has at least
+    # 11 trailing zero bits, and ln2_hi + ln2_lo is within half an ulp of
+    # ln2_lo of ln 2.
+    hi, lo = intervals._LN2_HI, intervals._LN2_LO
+    assert np.array(hi).view(np.int64) & (2**11 - 1) == 0
+    assert math.ulp(lo) == 2.0**-85
+    assert abs(Decimal(hi) + Decimal(lo) - _LN2) <= Decimal(2) ** -86
