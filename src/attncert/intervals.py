@@ -20,8 +20,8 @@ the Elementary Functions, 1980, for the reduction; Higham, Accuracy and
 Stability of Numerical Algorithms, sec. 5.1, for Horner's rule):
 
 * Clamp.  x' = max(x, -746).  exp(-746) < 0.22*mu, so below -746 (and at
-  -inf) e~ rounds to 0 in the last step and |e~ - e| <= e < mu.  Below,
-  x = x' in [-746, 0].
+  -inf) e~ rounds to 0 in the last step and |e~ - e| <= e < mu.  From
+  here on x stands for x', in [-746, 0].
 * Reduction.  k = rint(fl(x*L)) with L = fl(1/ln 2); fl(x*L) is within
   (746 + 1077)*u of x/ln 2, so k is an integer in [-1076, 0] and the real
   r* = x - k*ln 2 has |r*| < rho = 0.3466 (ln 2/2 = 0.34657...).  ln 2 is
@@ -39,9 +39,12 @@ Stability of Numerical Algorithms, sec. 5.1, for Horner's rule):
   term, summed with |Q_i| bounded by M_i = sum_{j>=i} c_j*rho**(j-i) at
   |r| = rho and divided by exp(r) >= exp(-rho), is at most 1.387u*exp(r).
   The coefficients' roundings add at most u*exp(rho)*sum_{j>=3} rho**j/j!
-  <= 0.011u*exp(r), and the truncation rho**14/14!*exp(rho) <= 0.053u*exp(r).
-  So |p - exp(r)| <= 2.452u*exp(r).  A product that underflows (|r| below
-  2**-1000) errs by at most mu/2 instead, far below u*exp(r).
+  <= 0.011u*exp(r).  The truncation error is at most rho**14/14! times
+  exp(r) for r >= 0 (Lagrange) and rho**14/14! absolutely for r < 0 (an
+  alternating series), so at most rho**14/14!*exp(rho) <= 0.053u times
+  exp(r).  So |p - exp(r)| <= 2.452u*exp(r).  A product that underflows
+  (only where |r| < 2**-1000) errs by at most mu/2 instead, far below
+  u*exp(r).
 * Reduction error.  |r - r*| <= 0.3467u gives |exp(r) - exp(r*)| <=
   0.3468u*exp(r*), so |p - exp(r*)| <= 2.80u*exp(r*) <= 3u*exp(r*).
 * Scale.  e~ = ldexp(p, k) is 2**k*p exactly where it is normal, and rounds
@@ -49,10 +52,12 @@ Stability of Numerical Algorithms, sec. 5.1, for Horner's rule):
 
 Every e~ is at most 1: for k = 0, q_1 > 0 and r <= 0 give fl(q_1*r) <= 0,
 and p = fl(fl(q_1*r) + 1) <= 1; for k <= -1, p < 1.42 and 2**k <= 1/2.
-tests/test_intervals.py checks the bound against 60-digit Decimal exp.  On
-a 2-core Xeon the kernel takes about 30 us on 2,048 points and about as long
-on 8 (the numpy calls' fixed cost), where one math.exp per element took
-150 us and 3 us.
+tests/test_intervals.py checks the bound against 60-digit Decimal exp.
+Interleaved in one process with the math.exp loop it replaced (shared
+2-core Xeon), it took 0.26-0.30x that loop's time on the 2,048 points of a
+shape-M score box (37-57 against 143-190 us), but 10x on 8 points (23-34
+against 2-3.5 us): its 35 numpy calls cost about 25 us however few the
+points, and it is cheaper from about 500 points on.
 """
 
 from __future__ import annotations
