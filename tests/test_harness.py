@@ -43,6 +43,7 @@ from attncert.harness import (
 )
 
 from attncert.certified import certified_sweep_min
+from attncert.suffix import margin_gradient_bounds
 from attncert.solver import _objective, _stable_rank, _threshold_vertices
 from oracles import (
     attack_margin_sample_start,
@@ -53,6 +54,12 @@ from oracles import (
     secant_corner,
     threshold_vertices,
 )
+
+
+def no_screen(model, box, y, targets):
+    """A gradient enclosure that proves nothing: (-inf, inf) everywhere."""
+    shape = (len(targets), model.image_size)
+    return np.full(shape, -np.inf), np.full(shape, np.inf)
 
 
 def two_pixel_identity_model():
@@ -325,10 +332,13 @@ def _attack_case(seed: int, suffix_kind: str, n_classes: int = 4, eps: float = 0
     return m, pixel_box(x0, eps), y, [t for t in range(n_classes) if t != y]
 
 
-def _shape_m_case(seed: int, eps: float):
-    """A linear model of the benchmark's shape M (16 tokens, 4 heads, 10
-    classes) and a box around a uniform input."""
-    m = random_model(seed=seed, tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, residual=True)
+def _shape_m_case(seed: int, eps: float, suffix_kind: str = "linear"):
+    """A model of the benchmark's shape M (16 tokens, 4 heads, 10 classes,
+    hidden 32 for mlp1) and a box around a uniform input."""
+    m = random_model(
+        seed=seed, tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, residual=True,
+        suffix_kind=suffix_kind, hidden=32,
+    )
     x0 = np.random.default_rng(seed).uniform(0.0, 1.0, m.image_size)
     y = int(np.argmax(forward(m, x0)))
     return m, pixel_box(x0, eps), y, [t for t in range(m.n_classes) if t != y]
@@ -481,6 +491,10 @@ class TestAttackMargin:
             return forward_batch(model, xs)
 
         monkeypatch.setattr(harness, "forward_batch", recording)
+        real_bounds = harness.margin_gradient_bounds
+        # First with a gradient enclosure that proves nothing, so every flip
+        # off the current point is scored.
+        monkeypatch.setattr(harness, "margin_gradient_bounds", no_screen)
         got_x, got = _margin_polish(m, 0, t, starts, start_val, box.lo, box.hi)
         assert np.array_equal(got_x, best)
         assert np.allclose(got, np.einsum("tj,tj->t", a[1:], best), rtol=1e-14, atol=0.0)
@@ -490,6 +504,16 @@ class TestAttackMargin:
         # 20-23, its one round; target 4 at 0-3, 4-19 (moves at 10), 11-14,
         # 15-30 and 31-47.
         assert calls == [16, 40, 28, 56, 40]
+        # The margin is linear, so the real enclosure is its exact gradient
+        # and screens every flip but the four moves: the same windows score
+        # targets 1 and 2's first moves, then target 1's second and target
+        # 4's, and the windows after them score nothing, so make no call.
+        monkeypatch.setattr(harness, "margin_gradient_bounds", real_bounds)
+        calls.clear()
+        got_x, got = _margin_polish(m, 0, t, starts, start_val, box.lo, box.hi)
+        assert np.array_equal(got_x, best)
+        assert np.allclose(got, np.einsum("tj,tj->t", a[1:], best), rtol=1e-14, atol=0.0)
+        assert calls == [2, 2]
 
     @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
     def test_values_are_margins_at_points_of_the_box(self, suffix_kind):
@@ -583,20 +607,69 @@ class TestAttackMargin:
         assert attack_min_margin(m, box, 0, [1], budget=4, seed=0)[0] == 0.0
 
     def test_corner_start_skips_the_second_polish_round(self, monkeypatch):
-        # The sample batch, the probes, the corners, then one polish round:
-        # when no start moves, windows of 4, 16 and 44 of the 64 pixels.
-        calls = []
+        # The sample batch, the probes, the corners, then one polish round.
+        # Every start is a box vertex, so each pixel has one flip, to its
+        # other end; the round scores exactly the flips the gradient
+        # enclosure leaves, and no call follows it.  (Unscreened, with no
+        # start moving, the round was windows of 4, 16 and 44 of the 64
+        # pixels.)
+        calls, starts = [], []
 
         def recording(model, xs):
             calls.append(len(xs))
             return forward_batch(model, xs)
 
+        def polish(model, y, targets, start, *args):
+            starts.append(start.copy())
+            return _margin_polish(model, y, targets, start, *args)
+
         monkeypatch.setattr(harness, "forward_batch", recording)
+        monkeypatch.setattr(harness, "_margin_polish", polish)
         for seed in range(6):
             m, box, y, targets = _shape_m_case(seed, 0.001)
             calls.clear()
+            starts.clear()
             attack_min_margin(m, box, y, targets, budget=50, seed=seed)
-            assert calls == [53, m.image_size, len(targets)] + [4 * len(targets), 16 * len(targets), 44 * len(targets)]
+            assert calls[:3] == [53, m.image_size, len(targets)]
+            (start,) = starts
+            at_lo = start == box.lo
+            assert np.all(at_lo | (start == box.hi))
+            g_lo, g_hi = margin_gradient_bounds(m, box, y, np.array(targets))
+            flips = np.where(at_lo, g_lo <= 0.0, g_hi >= 0.0)  # the flip to hi, or to lo, is not screened
+            assert flips.sum() < flips.size
+            assert sum(calls[3:]) == flips.sum()
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("eps", [0.001, 0.01, 0.1])
+    def test_screened_flips_never_lower_the_margin(self, monkeypatch, suffix_kind, eps):
+        # At the polish's start points, every flip that the gradient
+        # enclosure screens is scored anyway: none is below its start's
+        # margin, scored in the same batch.
+        starts = []
+
+        def polish(model, y, targets, start, *args):
+            starts.append(start.copy())
+            return _margin_polish(model, y, targets, start, *args)
+
+        monkeypatch.setattr(harness, "_margin_polish", polish)
+        screened = 0
+        for seed in range(3):
+            m, box, y, targets = _shape_m_case(seed, eps, suffix_kind)
+            t = np.array(targets)
+            starts.clear()
+            attack_min_margin(m, box, y, targets, budget=50, seed=seed)
+            (start,) = starts
+            g_lo, g_hi = margin_gradient_bounds(m, box, y, t)
+            for end, proof in ((box.lo, g_hi < 0.0), (box.hi, g_lo > 0.0)):
+                r, j = np.nonzero(proof & (start != end))
+                flipped = start[r]
+                flipped[np.arange(r.size), j] = end[j]
+                logits = forward_batch(m, np.vstack((start, flipped)))
+                margins = logits[:, [y]] - logits[:, t]
+                assert np.all(margins[len(t) + np.arange(r.size), r] >= margins[r, r])
+                screened += r.size
+        # Crossing hidden neurons leave the mlp1 enclosure no sign at 0.1.
+        assert screened > 0 or (suffix_kind, eps) == ("mlp1", 0.1)
 
     def test_samples_scored_in_whole_forward_block_chunks(self, monkeypatch):
         # At shape M (16 points per forward block) the samples are drawn and

@@ -1,12 +1,20 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from attncert import AttentionModelSpec, LinearSuffix, ValidationError, pixel_box, random_model
+from attncert import AttentionModelSpec, LinearSuffix, ValidationError, forward_batch, pixel_box, random_model
 from attncert.attention import model_score_boxes
 from attncert.model import patch_pixel_indices
-from attncert.suffix import PreActBox, block_output_bounds, interval_forward, linear_suffix_bound, relu_suffix_bound
+from attncert.suffix import (
+    PreActBox,
+    block_output_bounds,
+    interval_forward,
+    linear_suffix_bound,
+    margin_gradient_bounds,
+    relu_suffix_bound,
+)
 from oracles import block_output_row_loop, forward_broadcast
 
 
@@ -205,3 +213,71 @@ class TestBlockOutputBounds:
                 lo, hi = block_output_bounds(m, box, model_score_boxes(m, box))
                 ref_lo, ref_hi = block_output_row_loop(m, box)
                 assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+
+
+class TestMarginGradientBounds:
+    @staticmethod
+    def central_differences(model, x, y, targets, h):
+        """(T, n) central differences of the margins at x, step h."""
+        n = model.image_size
+        steps = np.eye(n) * h
+        logits = forward_batch(model, np.vstack((x + steps, x - steps)))
+        margins = logits[:, [y]] - logits[:, targets]
+        return ((margins[:n] - margins[n:]) / (2 * h)).T
+
+    @pytest.mark.parametrize("shape", ["4-token", "M"])
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_central_differences_lie_inside(self, shape, suffix_kind, residual):
+        # At uniform samples, the lo and hi corners and the centre of boxes
+        # of every width.  A difference over two points of the box is the
+        # mean of the derivative between them, inside the enclosure; steps of
+        # 1e-6 leave the box only at its faces (and at radius 0), where the
+        # difference is within about 1e-9 of the derivative.
+        if shape == "4-token":
+            dims = dict(tokens=4, heads=2, d_model=6, n_classes=4)
+        else:
+            dims = dict(tokens=16, heads=4, d_model=16, d_head=4, n_classes=10)
+        m = random_model(seed=5, suffix_kind=suffix_kind, hidden=16, residual=residual, **dims)
+        rng = np.random.default_rng(11)
+        x0 = rng.uniform(0.1, 0.9, m.image_size)
+        y, targets = 0, np.arange(1, m.n_classes)
+        signed = 0
+        for eps in (0.0, 0.001, 0.01, 0.1, 0.3):
+            box = pixel_box(x0, eps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g_lo, g_hi = margin_gradient_bounds(m, box, y, targets)
+            assert g_lo.shape == g_hi.shape == (len(targets), m.image_size)
+            assert np.all(np.isfinite(g_lo)) and np.all(g_lo <= g_hi)
+            signed += np.sum((g_lo > 0) | (g_hi < 0))
+            points = [rng.uniform(box.lo, box.hi) for _ in range(6)] + [box.lo, box.hi, 0.5 * (box.lo + box.hi)]
+            for x in points:
+                d = self.central_differences(m, x, y, targets, 1e-6)
+                tol = 1e-7 * (1.0 + np.abs(d))
+                assert np.all(d >= g_lo - tol) and np.all(d <= g_hi + tol)
+        assert signed > 0
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    def test_zero_radius_is_the_gradient(self, suffix_kind):
+        # Over a one-point box the enclosure is the gradient, widened by
+        # 2**-30 of its size.
+        m = random_model(seed=6, tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, suffix_kind=suffix_kind)
+        x0 = np.random.default_rng(12).uniform(0.1, 0.9, m.image_size)
+        targets = np.arange(1, 10)
+        g_lo, g_hi = margin_gradient_bounds(m, pixel_box(x0, 0.0), 0, targets)
+        assert np.all(g_hi - g_lo <= 2.0**-27 * (1.0 + np.abs(g_lo)))
+        d = self.central_differences(m, x0, 0, targets, 1e-6)
+        assert np.allclose(0.5 * (g_lo + g_hi), d, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    def test_overflowing_scores_prove_nothing(self, suffix_kind):
+        # Scores past the float range: every entry is (-inf, inf), so the
+        # polish screens nothing, and no float warning escapes.
+        m = random_model(seed=0, tokens=4, heads=1, d_model=4, n_classes=3, suffix_kind=suffix_kind)
+        m = dataclasses.replace(m, wq=m.wq * 1e160, wk=m.wk * 1e160)
+        box = pixel_box(np.full(m.image_size, 0.5), 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g_lo, g_hi = margin_gradient_bounds(m, box, 0, np.array([1, 2]))
+        assert np.all(g_lo == -np.inf) and np.all(g_hi == np.inf)
