@@ -35,12 +35,12 @@ suffix.margin_gradient_bounds encloses every partial derivative of every
 target's margin over the box, so by the mean value theorem such a move
 cannot lower the margin, and the polish keeps the moves it would keep
 scoring them, up to forward_batch's ulp.  A window left with nothing to
-score makes no call.  On
-the benchmark's report pools at seeds 21-23 (shape M, 64 pixels, linear
-head) the attack made 5.9 calls and scored 304 points per box, against 6.4
-calls and 866 points unscreened (75.7 calls for a polish of one pixel per
-call), with the same values: 80 of 81 boxes bit-identical, and on the
-other one target 1.6e-16 lower, from forward_batch's batch-dependent ulp.
+score makes no call.  On the benchmark's report pools at seeds 21-23
+(shape M, 64 pixels, linear head) the attack made 5.9 calls and scored 304
+points per box, against 6.4 calls and 866 points unscreened (75.7 calls
+for a polish of one pixel per call), with the same values: 80 of 81 boxes
+bit-identical, and on the other one target 1.6e-16 lower, from
+forward_batch's batch-dependent ulp.
 """
 
 from __future__ import annotations

@@ -491,7 +491,6 @@ class TestAttackMargin:
             return forward_batch(model, xs)
 
         monkeypatch.setattr(harness, "forward_batch", recording)
-        real_bounds = harness.margin_gradient_bounds
         # First with a gradient enclosure that proves nothing, so every flip
         # off the current point is scored.
         monkeypatch.setattr(harness, "margin_gradient_bounds", no_screen)
@@ -508,7 +507,7 @@ class TestAttackMargin:
         # and screens every flip but the four moves: the same windows score
         # targets 1 and 2's first moves, then target 1's second and target
         # 4's, and the windows after them score nothing, so make no call.
-        monkeypatch.setattr(harness, "margin_gradient_bounds", real_bounds)
+        monkeypatch.setattr(harness, "margin_gradient_bounds", margin_gradient_bounds)
         calls.clear()
         got_x, got = _margin_polish(m, 0, t, starts, start_val, box.lo, box.hi)
         assert np.array_equal(got_x, best)
