@@ -160,9 +160,10 @@ def margin_gradient_bounds(
     G[t, h, i] . gamma x_k (the biases cancel), a sum taken about its
     a-weighted centre, so bounding o takes no softmax sweep; mlp1's
     pre-activation boxes bound o the same way.  The linear maps are composed
-    before any absolute value is taken (each class or hidden row through
-    W_o, w_embed and W_o gamma; alpha^T beta), and products are
-    midpoint-radius.  The enclosure is computed in round-to-nearest and its
+    before any absolute value is taken (g through w_embed and W_o gamma;
+    each hidden row through W_o and w_embed for the pre-activations, and a
+    crossing one through w_embed and W_o gamma for its radius; alpha^T beta
+    for the scores), and products are midpoint-radius.  The enclosure is computed in round-to-nearest and its
     radius widened by _GRAD_PAD (|mid| + rad).  An entry that is not finite
     is (-inf, inf), so it proves nothing, and no float warning is raised on
     the way."""
@@ -235,28 +236,25 @@ def _margin_gradient(model: AttentionModelSpec, box: PixelBox, y: int, targets: 
     # c (2 - sum_l am_il).
     a_sum = am.sum(axis=-1)
 
-    # Up to a constant the margin is sum_n coef[t, n] rows[n] . hplus: the
-    # class rows with coefficients +-1 for a linear head, the hidden rows
-    # with omega * rho for mlp1.  Its slope on token i's pixels runs through
-    # w_embed (the residual) and through W_o gamma, per head.
+    # The margin's slope on the block output, g (T, R * d_model): w_y - w_t
+    # for a linear head, and sum_k omega_tk rho_k W1[k] for mlp1, its
+    # midpoint taken before the maps.  Its slope on token i's pixels runs
+    # through w_embed (the residual) and through W_o gamma, per head; a
+    # crossing neuron's radius 0.5 |omega_tk| meets its own row composed
+    # with the maps.
     maps = np.concatenate((model.w_embed, model._w_pix_o), axis=1)  # (d_model, (heads + 1) * patch_dim)
     if isinstance(sfx, MlpSuffix):
-        rows = sfx.w1
         live, cross = _hidden_signs(model, xm, xr, v0, am, ar, a_sum)
         omega = sfx.w2[y] - sfx.w2[targets]
         coef = omega * live
         coef[:, cross] += 0.5 * omega[:, cross]
+        g = coef @ sfx.w1
     else:
-        rows, cross = sfx.w, ()
-        coef = np.zeros((n_t, model.n_classes))
-        coef[:, y] = 1.0
-        coef[np.arange(n_t), targets] = -1.0
-    # The coefficients' midpoints meet the rows before the maps; a crossing
-    # neuron's radius 0.5 |omega| meets its row composed with the maps.
-    slope_m = ((coef @ rows).reshape(-1, model.d_model) @ maps).reshape(n_t, r, h + 1, pd)
+        g, cross = sfx.w[y] - sfx.w[targets], ()
+    slope_m = (g.reshape(-1, model.d_model) @ maps).reshape(n_t, r, h + 1, pd)
     slope_r = np.zeros_like(slope_m)
     if len(cross):
-        w_cross = np.abs(rows[cross].reshape(-1, model.d_model) @ maps).reshape(len(cross), -1)
+        w_cross = np.abs(sfx.w1[cross].reshape(-1, model.d_model) @ maps).reshape(len(cross), -1)
         slope_r += (0.5 * np.abs(omega[:, cross]) @ w_cross).reshape(slope_r.shape)
     # Token-major: the residual slope (T, R, patch_dim) and C = G . gamma
     # (T, R, heads, patch_dim).
