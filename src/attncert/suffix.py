@@ -6,6 +6,10 @@ and through per-neuron linear ReLU relaxations for the one-hidden-layer
 head.  The relaxation needs boxes on the hidden pre-activations, which
 interval_forward supplies by running an interval version of the whole
 block (directional softmax bounds included) up to the hidden layer.
+
+margin_gradient_bounds encloses the same margins' pixel gradients over a
+box, for the attack's polish, which leaves out the moves the enclosure
+proves cannot lower a margin.
 """
 
 from __future__ import annotations
