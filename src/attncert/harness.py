@@ -13,6 +13,13 @@ minimum obtained from feasible points only:
   in one forward_batch, leaving out the moves that an enclosure of the
   margin's pixel gradient proves cannot lower it.
 
+run_sweep draws every trial's instance at one K and runs its attack, then
+bounds the stacked (trials, K) rows with one batched call per method
+(solver.sweep_min, baseline.baseline_min, certified.certified_sweep_min),
+each row bit for bit its one-row entry point's value.  A record's time_us is
+its method's batched call time over the trial count, so a (K, method)
+group's total_time_s is that call's time.
+
 Both attacks, and selfcheck's soundness sampling, draw and score their
 candidates in bounded blocks with a running minimum, so their memory does
 not grow with the budget; each block's values are those of one unblocked
@@ -53,8 +60,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .baseline import baseline_directional_min
-from .certified import certified_directional_min
+from .baseline import baseline_directional_min, baseline_min
+from .certified import certified_directional_min, certified_sweep_min
 from .errors import ValidationError, check_classes, check_int, check_real
 from .model import AttentionModelSpec, _forward_block_points, forward_batch
 from .model import forward  # noqa: F401  unused since the margin polish is batched; benchmark/tracing.py wraps this name
@@ -68,6 +75,7 @@ from .solver import (
     _threshold_vertices,
     directional_min,
     exhaustive_vertex_min,
+    sweep_min,
 )
 
 TRIAL_COLUMNS = ("K", "trial", "method", "lower", "attack", "gap", "time_us")
@@ -132,11 +140,17 @@ def trial_seed(seed: int, k: int, trial: int) -> int:
 def synth_instance(
     k: int, seed: int, width_scale: float = 1.0, coeff_scale: float = 1.0
 ) -> tuple[np.ndarray, ScoreBox]:
-    """Random instance: centers and coefficients standard normal, half-width
-    0.5 * width_scale on every coordinate.  Deterministic in (k, seed)."""
+    """Random instance: centers standard normal, coefficients standard
+    normal times coeff_scale, half-width 0.5 * width_scale on every
+    coordinate.  Deterministic in (k, seed).  A coefficient that overflows
+    is a ValidationError: the batched solves of run_sweep trust their
+    inputs."""
     rng = keyed_rng(check_int("seed", seed, 0), check_int("K", k, 1))
     centers = rng.standard_normal(k)
-    c = rng.standard_normal(k) * coeff_scale
+    with np.errstate(over="ignore"):
+        c = rng.standard_normal(k) * coeff_scale
+    if not np.all(np.isfinite(c)):
+        raise ValidationError(f"coeff_scale {coeff_scale!r} overflows a coefficient of K={k}")
     half = 0.5 * width_scale
     return c, ScoreBox(lower=centers - half, upper=centers + half)
 
@@ -366,38 +380,51 @@ def attack_min_margin(
     return _attack_margin_points(model, box, y, t, budget, seed)[1]
 
 
-def _run_trial(config: SweepConfig, k: int, trial: int, attack_budget: int) -> list[TrialRecord]:
-    seed = trial_seed(config.seed, k, trial)
-    c, box = synth_instance(k, seed, config.width_scale, config.coeff_scale)
-    attack = attack_min_objective(c, box, attack_budget, seed=seed)
+def _sweep_k(config: SweepConfig, k: int, attack_budget: int) -> list[TrialRecord]:
+    """run_sweep's records at one K, in (trial, method) order."""
+    c, lower, upper, attack = [], [], [], []
+    for trial in range(config.trials):
+        seed = trial_seed(config.seed, k, trial)
+        c_t, box = synth_instance(k, seed, config.width_scale, config.coeff_scale)
+        attack.append(attack_min_objective(c_t, box, attack_budget, seed=seed))
+        c.append(c_t)
+        lower.append(box.lower)
+        upper.append(box.upper)
+    c, lower, upper = np.stack(c), np.stack(lower), np.stack(upper)
 
     t0 = time.perf_counter_ns()
-    vertex = directional_min(c, box).value
-    t_vertex = (time.perf_counter_ns() - t0) / 1e3
-    t0 = time.perf_counter_ns()
-    base = baseline_directional_min(c, box)
-    t_base = (time.perf_counter_ns() - t0) / 1e3
-    t0 = time.perf_counter_ns()
-    cert = certified_directional_min(c, box).lower
-    t_cert = (time.perf_counter_ns() - t0) / 1e3
+    vertex = sweep_min(c, lower, upper)[0]
+    t1 = time.perf_counter_ns()
+    base = baseline_min(c, lower, upper)
+    t2 = time.perf_counter_ns()
+    cert = certified_sweep_min(c, lower, upper)[0]
+    t3 = time.perf_counter_ns()
 
-    rows = []
-    for method, lower, t_us in (("vertex", vertex, t_vertex), ("baseline", base, t_base), ("certified", cert, t_cert)):
-        rows.append(
-            TrialRecord(K=k, trial=trial, method=method, lower=lower, attack=attack, gap=attack - lower, time_us=t_us)
-        )
-    return rows
+    us = 1e3 * config.trials
+    bounds = (
+        ("vertex", vertex.tolist(), (t1 - t0) / us),
+        ("baseline", base.tolist(), (t2 - t1) / us),
+        ("certified", cert.tolist(), (t3 - t2) / us),
+    )
+    return [
+        TrialRecord(K=k, trial=t, method=method, lower=lows[t], attack=attack[t], gap=attack[t] - lows[t], time_us=t_us)
+        for t in range(config.trials)
+        for method, lows, t_us in bounds
+    ]
 
 
 def run_sweep(config: SweepConfig, attack_budget: int = 200) -> list[TrialRecord]:
     """Vertex, baseline, and certified bounds with a shared attack per trial.
 
-    Records come back in (K, trial, method) order; only the timing column
-    varies between reruns.  write_trial_csv and write_aggregate_csv save them.
+    Each K's trials are drawn and attacked one by one, then bounded by one
+    batched call per method over their stacked (trials, K) rows; every row
+    is exactly its one-row entry point's value.  A record's time_us is its
+    method's call time over the trial count, so a (K, method) group's
+    total_time_s is that call's time.  Records come back in (K, trial,
+    method) order; only the timing column varies between reruns.
+    write_trial_csv and write_aggregate_csv save them.
     """
-    return [
-        row for k in config.k_values for t in range(config.trials) for row in _run_trial(config, k, t, attack_budget)
-    ]
+    return [row for k in config.k_values for row in _sweep_k(config, k, attack_budget)]
 
 
 def write_trial_csv(records: Sequence[TrialRecord], path: str) -> None:

@@ -132,6 +132,13 @@ class TestSweep:
             assert main(["sweep", "--k", "4", "--trials", "1"] + args) == EXIT_VALIDATION
         assert match in capsys.readouterr().err
 
+    def test_overflowing_coeff_scale_exit_3(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--k", "4", "--trials", "3", "--coeff-scale", "1e308"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: coeff_scale")
+
 
 class TestCertify:
     def run_and_parse(self, argv, capsys):

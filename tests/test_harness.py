@@ -27,7 +27,7 @@ from attncert import (
     softmax_objective,
     synth_instance,
 )
-from attncert import harness
+from attncert import harness, solver
 from attncert.cli import main
 from attncert.harness import (
     AGGREGATE_COLUMNS,
@@ -112,6 +112,14 @@ class TestSynth:
     def test_k_validated(self):
         with pytest.raises(ValidationError):
             synth_instance(0, 1)
+
+    def test_overflowing_coeff_scale_is_a_validation_error(self):
+        # The product overflows quietly (RuntimeWarnings are errors here) and
+        # is refused before any solve.
+        with pytest.raises(ValidationError, match="coeff_scale"):
+            synth_instance(4, 0, coeff_scale=1e308)
+        with pytest.raises(ValidationError, match="coeff_scale"):
+            run_sweep(SweepConfig((4,), trials=3, seed=0, coeff_scale=1e308))
 
 
 class TestAttackObjective:
@@ -732,10 +740,23 @@ class TestRunSweep:
             assert r.lower == pytest.approx(value, abs=tol)
             assert r.attack == pytest.approx(value, abs=1e-12)
 
-    @pytest.mark.parametrize("width_scale, coeff_scale", [(1.0, 1.0), (50.0, 1e-3)])
-    def test_records_equal_their_per_cell_rebuild(self, width_scale, coeff_scale):
+    @pytest.mark.parametrize(
+        "width_scale, coeff_scale, block_elements",
+        [
+            pytest.param(1.0, 1.0, None, id="1.0-1.0"),
+            pytest.param(50.0, 1e-3, None, id="50.0-0.001"),
+            # Wide boxes: the sweep's tiny-denominator fallback and the
+            # baseline's flagged coordinates.
+            pytest.param(1e3, 1.0, None, id="1000.0-1.0"),
+            # Small kernel blocks: the K = 64 and K = 256 stacks span several.
+            pytest.param(1.0, 1.0, 128, id="1.0-1.0-blocks"),
+        ],
+    )
+    def test_records_equal_their_per_cell_rebuild(self, monkeypatch, width_scale, coeff_scale, block_elements):
         # Every record is rebuilt from its cell's instance: the loop oracle's
         # attack, the exact and baseline solves and the certified kernel.
+        if block_elements is not None:
+            monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", block_elements)
         config = SweepConfig((1, 4, 64, 256), trials=3, seed=13, width_scale=width_scale, coeff_scale=coeff_scale)
         budget = 40
         records = run_sweep(config, attack_budget=budget)
