@@ -8,20 +8,28 @@ The margin of a linear functional of the attention output then decomposes
 into one directional softmax row problem per (target, head, query token);
 every row is solved in one kernel call: exactly by the threshold sweep,
 from below by the certified sweep, or by the interval-softmax baseline.
-These stages trust their inputs, which verify.certify_targets checks.
+
+The row coefficients compose the suffix bound with the pixel -> value ->
+W_o maps.  That composition and its sign split do not depend on the box,
+so value_coefficients keeps them on the suffix bound: the linear head's
+bound is built once per (model, label) and its maps with it, while the
+mlp1 head's is built anew for every box.  These stages trust their
+inputs, which verify.certify_targets checks; the boxes they build (the
+score boxes here, the value and pre-activation bounds in suffix) hold
+their shape and order by construction and get one finite check each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .baseline import baseline_min
 from .certified import certified_sweep_min
 from .errors import CertificationInfeasibleError, ValidationError, check_box
-from .intervals import affine_bounds, affine_lower
+from .intervals import affine_bounds, sign_split
 from .model import AttentionModelSpec, patch_pixel_indices
 from .solver import ScoreBox, sweep_min
 from .solver import directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps this name
@@ -88,23 +96,72 @@ def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> 
     a row per (head, query token).
 
     Each scalar product q_ir * k_jr is bounded by its four endpoint
-    products; the bounds are summed over the head dimension, scaled, and
-    shifted by the additive mask.
+    products, taken in one chain of np.minimum / np.maximum calls (a
+    stacked reduce's order, so signed zeros come out alike); the bounds are
+    summed over the head dimension, scaled, and shifted by the additive
+    mask.  The lower bound is at most the upper one by construction, so the
+    box gets its finite check alone.
     """
     ql = q_lo[:, :, None, :]
     qh = q_hi[:, :, None, :]
     kl = k_lo[:, None, :, :]
     kh = k_hi[:, None, :, :]
-    corners = np.stack((ql * kl, ql * kh, qh * kl, qh * kh))
-    p_min = corners.min(axis=0).sum(axis=3)
-    p_max = corners.max(axis=0).sum(axis=3)
-    return ScoreBox(lower=scale * p_min + mask, upper=scale * p_max + mask)
+    first, second = ql * kl, ql * kh
+    p_min = np.minimum(first, second)
+    p_max = np.maximum(first, second, out=first)
+    for corner in (qh * kl, qh * kh):
+        np.minimum(p_min, corner, out=p_min)
+        np.maximum(p_max, corner, out=p_max)
+    return ScoreBox._built(scale * p_min.sum(axis=3) + mask, scale * p_max.sum(axis=3) + mask)
 
 
 def model_score_boxes(model: AttentionModelSpec, box: PixelBox) -> ScoreBox:
     """Score boxes for a model over a pixel box."""
     (q_lo, k_lo), (q_hi, k_hi) = _qkv_bounds(model, box, slice(0, 2))
     return score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, model.scale, model.mask)
+
+
+class _ValueMaps(NamedTuple):
+    """The part of value_coefficients that does not depend on the box, for
+    one suffix bound (beta, gamma) with g = gamma's (T * R, d_model) rows
+    and g_sum its sum over tokens: the sign-split halves of g @ W_pix_o,
+    ((T * R * heads), patch_dim) each, and the offsets g @ b_pix_o,
+    (T, R, heads, 1); beta + g_sum @ b_o; with a residual connection the
+    halves of the token map g @ w_embed, (T, R * patch_dim) each, and
+    g_sum @ b_embed (None without one).  Every array is read-only."""
+
+    w_pos: np.ndarray
+    w_neg: np.ndarray
+    offs: np.ndarray
+    floor: np.ndarray
+    res_pos: np.ndarray | None
+    res_neg: np.ndarray | None
+    res_floor: np.ndarray | None
+
+
+def _value_maps(suffix: "SuffixAffineBound", model: AttentionModelSpec) -> _ValueMaps:
+    """The suffix bound's _ValueMaps, built on its first use and kept on it,
+    so a bound that serves many boxes (the linear head's, one per label)
+    builds them once."""
+    if suffix.value_maps is not None:
+        return suffix.value_maps
+    gamma = suffix.gamma
+    n_t = len(gamma)
+    g = gamma.reshape(-1, model.d_model)  # (T * R, d_model) rows
+    g_sum = gamma.sum(axis=1)
+    w_pos, w_neg = sign_split((g @ model._w_pix_o).reshape(-1, model.patch_dim))
+    offs = (g @ model._b_pix_o).reshape(n_t, model.tokens, model.heads, 1)
+    floor = suffix.beta + g_sum @ model.bo
+    res_pos = res_neg = res_floor = None
+    if model.residual:
+        res_pos, res_neg = sign_split((g @ model.w_embed).reshape(n_t, -1))
+        res_floor = g_sum @ model.b_embed
+    maps = _ValueMaps(w_pos, w_neg, offs, floor, res_pos, res_neg, res_floor)
+    for a in maps:
+        if a is not None:
+            a.setflags(write=False)
+    object.__setattr__(suffix, "value_maps", maps)
+    return maps
 
 
 def value_coefficients(suffix: "SuffixAffineBound", model: AttentionModelSpec, box: PixelBox) -> ValueCoeffs:
@@ -118,23 +175,18 @@ def value_coefficients(suffix: "SuffixAffineBound", model: AttentionModelSpec, b
                    (+ exact lower bound of sum_i gamma[t, i] . H_i(x) when
                     the block has a residual connection).
 
-    Raises ValidationError unless every coefficient and floor is finite.
+    The maps from the pixels are the suffix bound's _ValueMaps; per box
+    only their lower products over the box are taken.  Raises
+    ValidationError unless every coefficient and floor is finite.
     """
-    gamma, beta = suffix.gamma, suffix.beta
-    tokens, d_model = model.tokens, model.d_model
-    n_t = len(gamma)
+    maps = _value_maps(suffix, model)
+    n_t = len(maps.floor)
     xlo, xhi = _token_pixel_boxes(model, box)
-    g = gamma.reshape(-1, d_model)  # (T * R, d_model) rows
-    w = (g @ model._w_pix_o).reshape(n_t, tokens, model.heads, model.patch_dim)
-    offs = (g @ model._b_pix_o).reshape(n_t, tokens, model.heads, 1)
-    c = affine_lower(w, xlo.T, xhi.T) + offs
+    c = (maps.w_pos @ xlo.T + maps.w_neg @ xhi.T).reshape(n_t, model.tokens, model.heads, model.tokens) + maps.offs
     c = np.transpose(c, (0, 2, 1, 3))  # (T, heads, i, j)
-
-    g_sum = gamma.sum(axis=1)
-    b_prime = beta + g_sum @ model.bo
+    b_prime = maps.floor
     if model.residual:
-        res = (g @ model.w_embed).reshape(n_t, -1)
-        b_prime = b_prime + (affine_lower(res, xlo.reshape(-1), xhi.reshape(-1)) + g_sum @ model.b_embed)
+        b_prime = b_prime + (maps.res_pos @ xlo.reshape(-1) + maps.res_neg @ xhi.reshape(-1) + maps.res_floor)
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b_prime))):
         raise ValidationError("value coefficients must be finite")
     return ValueCoeffs(c=c, b_prime=b_prime)

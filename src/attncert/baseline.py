@@ -47,9 +47,11 @@ def _output_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
     slack = (k + 1) * 2.0**-13
     with np.errstate(invalid="ignore"):
         share = e / den
-    cut = max(slack * shared.max(initial=0.0), _DEN_TINY)
-    if den.min(initial=np.inf) < cut or e.min(initial=np.inf) < _DEN_TINY:
-        flagged = (den < np.maximum(slack * shared, _DEN_TINY)) | (e < _DEN_TINY)
+    # Each row against its own cut, so one row with a large shared sum does
+    # not send every call through the mask.
+    cut = np.maximum(slack * shared, _DEN_TINY)
+    if np.any(den.min(axis=-1, keepdims=True, initial=np.inf) < cut) or e.min(initial=np.inf) < _DEN_TINY:
+        flagged = (den < cut) | (e < _DEN_TINY)
         plane, rows, j = np.nonzero(flagged.reshape(2, -1, k))
         ends = np.stack((upper, lower)).reshape(2, -1, k)
         vertex = ends[1 - plane, rows]
@@ -64,7 +66,7 @@ def baseline_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndar
     per box row, however many coefficient rows share it.  The inputs are
     trusted, as in solver.sweep_min."""
     a_lo, a_hi = _output_bounds(np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64))
-    return np.sum(np.where(c >= 0.0, c * a_lo, c * a_hi), axis=-1)
+    return np.sum(c * np.where(c >= 0.0, a_lo, a_hi), axis=-1)
 
 
 def baseline_directional_min(c, box: ScoreBox) -> float:

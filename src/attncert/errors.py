@@ -33,13 +33,19 @@ def check_box(what: str, lower, upper, ndim: int | None = None) -> tuple[np.ndar
     if lower.shape != upper.shape or not lower.ndim or ndim not in (None, lower.ndim):
         axes = "matched arrays with at least one axis" if ndim is None else f"matched {ndim}-D arrays"
         raise ValidationError(f"{what} endpoints must be {axes}, got shapes {lower.shape} and {upper.shape}")
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        raise ValidationError(f"{what} endpoints must be finite")
+    check_finite(what, lower, upper)
     if np.any(lower > upper):
         j = tuple(np.argwhere(lower > upper)[0].tolist())
         at = j[0] if len(j) == 1 else j
         raise ValidationError(f"{what} coordinate {at} has lower {lower[j]} > upper {upper[j]}")
     return lower, upper
+
+
+def check_finite(what: str, lower: np.ndarray, upper: np.ndarray) -> None:
+    """check_box's finite check alone, with its error: for the boxes the
+    verifier builds, whose shape and order hold by construction."""
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValidationError(f"{what} endpoints must be finite")
 
 
 def check_classes(n_classes: int, y, targets) -> tuple[int, np.ndarray]:

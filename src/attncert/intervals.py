@@ -1,10 +1,11 @@
 """Bounds of affine maps over boxes, and an exponential with a proven error.
 
 `affine_bounds` is where every affine map of the verifier meets a box: the
-embedding, the pixel -> Q/K/V maps, W_o and the ReLU head's hidden layer;
-`affine_lower`, its lower half alone, serves the value coefficients and
-their residual floor.  It is the sign split of the weights against the box
-ends, exact in real arithmetic.
+embedding, the pixel -> Q/K/V maps, W_o and the ReLU head's hidden layer.
+It is the sign split of the weights against the box ends, exact in real
+arithmetic.  The value coefficients and their residual floor keep their
+maps' `sign_split` halves per label and take the lower products alone,
+bit for bit affine_bounds' lower half.
 
 `exp` serves `certified.certified_sweep_min`, whose a-priori error bound
 needs one for every exponential it takes.  It is a numpy kernel over the
@@ -73,22 +74,17 @@ def affine_bounds(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     w has shape (..., n); the box is a vector pair of shape (n,), giving
     bounds of shape (...), or a matrix pair of shape (n, m), one box per
     column, giving bounds of shape (..., m)."""
-    shape, wp, wn = _sign_split(w, lo)
+    shape = w.shape[:-1] + lo.shape[1:]
+    wp, wn = sign_split(w)
     return (wp @ lo + wn @ hi).reshape(shape), (wp @ hi + wn @ lo).reshape(shape)
 
 
-def affine_lower(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """affine_bounds' least values alone, without the greatest's products."""
-    shape, wp, wn = _sign_split(w, lo)
-    return (wp @ lo + wn @ hi).reshape(shape)
-
-
-def _sign_split(w: np.ndarray, lo: np.ndarray):
-    """The bounds' shape and w's positive and negative parts as flat 2-D
-    weights: each product is one 2-D matmul, where stacked weights would
-    run as one small product per leading index."""
-    shape = w.shape[:-1] + lo.shape[1:]
-    return shape, np.maximum(w, 0.0).reshape(-1, w.shape[-1]), np.minimum(w, 0.0).reshape(-1, w.shape[-1])
+def sign_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w's positive and negative parts as flat 2-D weights, (-1, n) each:
+    each product is one 2-D matmul, where stacked weights would run as one
+    small product per leading index.  wp @ lo + wn @ hi is the least value
+    of w @ x over the box."""
+    return np.maximum(w, 0.0).reshape(-1, w.shape[-1]), np.minimum(w, 0.0).reshape(-1, w.shape[-1])
 
 
 # Cody and Waite's two-part ln 2 (fdlibm's ln2_hi and ln2_lo) and 1/ln 2.

@@ -49,9 +49,12 @@ class AttentionModelSpec:
     output projections (_w_qkv, _b_qkv, _w_o), the verifier's pixel -> Q/K/V
     maps (_w_pix_qkv, _b_pix_qkv), its pixel -> value -> W_o maps (_w_pix_o,
     _b_pix_o) and the patch gather indices (_patch_index) are built from
-    them then, as read-only attributes that are not dataclass fields.  To
-    change a weight, build a new spec (dataclasses.replace does).  _shapes
-    gives every array's shape; the mask is added to the scaled scores."""
+    them then, as read-only attributes that are not dataclass fields.
+    _suffix_bounds starts empty and keeps the linear head's margin forms
+    per label as suffix.linear_suffix_bound builds them.  To change a
+    weight, build a new spec (dataclasses.replace does; its copy starts
+    with no margin forms).  _shapes gives every array's shape; the mask is
+    added to the scaled scores."""
 
     height: int
     width: int
@@ -133,6 +136,9 @@ class AttentionModelSpec:
         for name, a in derived.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        # suffix.linear_suffix_bound's bounds by (label, targets), filled as
+        # labels are certified.
+        object.__setattr__(self, "_suffix_bounds", {})
 
     @property
     def tokens(self) -> int:

@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ValidationError, check_box
+from .errors import ValidationError, check_box, check_finite
 
 # Denominators below the smallest normal double (over min(max|c|, 1) in the
 # sweep) are evaluated again with a shift of their own, not as a 0/0.
@@ -62,6 +62,17 @@ class ScoreBox:
             raise ValidationError("score box must have at least one coordinate per row")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    @classmethod
+    def _built(cls, lower: np.ndarray, upper: np.ndarray) -> "ScoreBox":
+        """A box around float64 endpoints that the verifier built, of one
+        shape and with lower <= upper by construction: only their finite
+        check runs."""
+        check_finite("score box", lower, upper)
+        box = object.__new__(cls)
+        object.__setattr__(box, "lower", lower)
+        object.__setattr__(box, "upper", upper)
+        return box
 
     @property
     def size(self) -> int:

@@ -14,14 +14,14 @@ proves cannot lower a margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import PixelBox, _token_pixel_boxes, token_bounds, value_scalar_bounds
 from .attention import model_score_boxes  # noqa: F401  unused since the caller passes the score boxes; benchmark/tracing.py wraps this name
 from .baseline import _output_bounds
-from .errors import check_box
+from .errors import check_box, check_finite
 from .intervals import affine_bounds
 from .model import AttentionModelSpec, MlpSuffix
 from .solver import ScoreBox, sweep_min
@@ -32,10 +32,13 @@ from .solver import directional_max, directional_min  # noqa: F401  unused since
 class SuffixAffineBound:
     """margin_t >= beta[t] + sum_i gamma[t, i] . hplus_i for every target t
     and all inputs in the box the bound was built for.  beta has shape
-    (T,) and gamma (T, tokens, d_model)."""
+    (T,) and gamma (T, tokens, d_model).  value_maps holds the box-
+    independent part of attention.value_coefficients' work, which that
+    function keeps here on first use; a bound belongs to one model."""
 
     beta: np.ndarray
     gamma: np.ndarray
+    value_maps: object = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +53,35 @@ class PreActBox:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @classmethod
+    def _built(cls, lo: np.ndarray, hi: np.ndarray) -> "PreActBox":
+        """A box around the flat float64 bounds interval_forward built, lo <=
+        hi by construction: only their finite check runs."""
+        check_finite("pre-activation box", lo, hi)
+        box = object.__new__(cls)
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
+        return box
+
 
 def linear_suffix_bound(model: AttentionModelSpec, y: int, targets) -> SuffixAffineBound:
     """Exact margin forms for a linear head: beta[t] + gamma[t] . tokens
-    reproduces logit_y - logit_{targets[t]} identically."""
-    sfx = model.suffix
-    w = sfx.w[y] - sfx.w[targets]
-    return SuffixAffineBound(beta=sfx.b[y] - sfx.b[targets], gamma=w.reshape(len(targets), model.tokens, model.d_model))
+    reproduces logit_y - logit_{targets[t]} identically.
+
+    They depend on the label and the targets alone, so each (y, targets)
+    bound is built on its first call and kept on the model (read-only, with
+    the value maps value_coefficients adds to it); a replaced model starts
+    with none."""
+    key = (y, tuple(targets))
+    bound = model._suffix_bounds.get(key)
+    if bound is None:
+        sfx = model.suffix
+        beta = sfx.b[y] - sfx.b[targets]
+        gamma = (sfx.w[y] - sfx.w[targets]).reshape(len(targets), model.tokens, model.d_model)
+        beta.setflags(write=False)
+        gamma.setflags(write=False)
+        bound = model._suffix_bounds[key] = SuffixAffineBound(beta=beta, gamma=gamma)
+    return bound
 
 
 def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, targets) -> SuffixAffineBound:
@@ -98,7 +123,8 @@ def block_output_bounds(
     with the value bounds as coefficients.  `scores` is the box's
     model_score_boxes.
     """
-    v_lo, v_hi = check_box("value bounds", *value_scalar_bounds(model, box))
+    v_lo, v_hi = value_scalar_bounds(model, box)
+    check_finite("value bounds", v_lo, v_hi)
     # Row (p, h, i, r): coefficients v[h, :, r] over the score box of query
     # token i, with v_lo in plane 0 and -v_hi in plane 1; the maximum is
     # -min(-c).  Shapes (2, heads, 1, d_head, R) against (heads, R, 1, R).
@@ -124,7 +150,7 @@ def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBox)
     sfx = model.suffix
     h_lo, h_hi = block_output_bounds(model, box, scores)
     z_lo, z_hi = affine_bounds(sfx.w1, h_lo.reshape(-1), h_hi.reshape(-1))
-    return PreActBox(lo=z_lo + sfx.b1, hi=z_hi + sfx.b1)
+    return PreActBox._built(z_lo + sfx.b1, z_hi + sfx.b1)
 
 
 # margin_gradient_bounds widens its radius by this much of the enclosure's

@@ -23,7 +23,7 @@ from attncert.attention import (
     value_coefficients,
     value_scalar_bounds,
 )
-from attncert.intervals import affine_bounds, affine_lower
+from attncert.intervals import affine_bounds, sign_split
 from attncert.suffix import PreActBox, linear_suffix_bound
 
 from oracles import forward_broadcast, margin_row_loop
@@ -94,13 +94,14 @@ class TestAffineBounds:
 
     @pytest.mark.parametrize("box_shape", [(6,), (6, 3)])
     def test_lower_half_alone_is_the_same(self, box_shape):
-        # affine_lower computes only the lower products, bit for bit the
-        # first half of affine_bounds.
+        # The lower products of sign_split's halves alone, as the value
+        # coefficients take them, are bit for bit affine_bounds' first half.
         rng = np.random.default_rng(4)
         w = rng.normal(size=(9, 16, 4, 6))
         lo = rng.normal(size=box_shape)
         hi = lo + rng.uniform(0, 2, size=box_shape)
-        got = affine_lower(w, lo, hi)
+        wp, wn = sign_split(w)
+        got = (wp @ lo + wn @ hi).reshape(w.shape[:-1] + lo.shape[1:])
         want = affine_bounds(w, lo, hi)[0]
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -128,6 +129,31 @@ class TestScoreBoxes:
         t = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=1.0, mask=np.zeros((1, 1, 1)))
         assert t.lower[0, 0, 0] == -2.0
         assert t.upper[0, 0, 0] == 2.0
+
+    @pytest.mark.parametrize("d_head", [1, 4, 9])
+    def test_chained_corners_match_the_stacked_reduce(self, d_head):
+        # The chained np.minimum / np.maximum give the score boxes of a min /
+        # max over the stacked corner products bit for bit: the endpoints
+        # cross zero and half of them are exact zeros, +0.0 or -0.0.
+        rng = np.random.default_rng(11 + d_head)
+        heads, r = 3, 5
+        for _ in range(20):
+            ends = rng.normal(size=(4, heads, r, d_head))
+            ends[rng.uniform(size=ends.shape) < 0.5] = 0.0
+            ends *= rng.choice([-1.0, 1.0], size=ends.shape)
+            q_lo, q_hi = np.minimum(ends[0], ends[1]), np.maximum(ends[0], ends[1])
+            k_lo, k_hi = np.minimum(ends[2], ends[3]), np.maximum(ends[2], ends[3])
+            assert np.any(q_lo < 0.0) and np.any(q_hi > 0.0) and np.any(k_lo == 0.0)
+            ql, qh = q_lo[:, :, None, :], q_hi[:, :, None, :]
+            kl, kh = k_lo[:, None, :, :], k_hi[:, None, :, :]
+            corners = np.stack((ql * kl, ql * kh, qh * kl, qh * kh))
+            mask = rng.normal(size=(heads, r, r))
+            for scale in (1.0, 1 / 3):
+                t = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=scale, mask=mask)
+                want_lo = scale * corners.min(axis=0).sum(axis=3) + mask
+                want_hi = scale * corners.max(axis=0).sum(axis=3) + mask
+                assert np.array_equal(t.lower.view(np.uint64), want_lo.view(np.uint64))
+                assert np.array_equal(t.upper.view(np.uint64), want_hi.view(np.uint64))
 
     def test_degenerate_with_scale_and_mask(self):
         one = np.ones((1, 1, 1))

@@ -185,3 +185,23 @@ def test_output_bounds_match_own_shift_oracle(monkeypatch):
         # A degenerate box at the vertex bounds coordinate j by its value there.
         want = softmax_output_bounds_own_shift(vertex, vertex)[0][j]
         assert abs(got - want) <= 4 * np.spacing(want)
+
+
+def test_one_large_row_does_not_flag_the_stack(monkeypatch):
+    # Row 0 is a point with shared sums of 4, so its cut is 4 * 5 * 2**-13.
+    # Row 1's coordinate 0 at its lower end against its rivals' upper ends
+    # has a denominator of about 1.3e-3: below row 0's cut, above its own
+    # (its shared sums are about 1 and 1.3e-3), and with no cancellation.
+    # Each row is gated against its own cut, so no coordinate is evaluated
+    # again, and each row's value is its one-row call's.
+    lower = np.array([[0.0] * 4, [-7.0, -9.0, -9.0, -9.0]])
+    upper = np.array([[0.0] * 4, [0.0, -9.0, -9.0, -9.0]])
+    c = np.array([[1.0, -0.5, 0.25, -2.0], [-1.0, 2.0, 0.5, -0.25]])
+    want = [baseline_directional_min(c[n], box(lower[n], upper[n])) for n in range(2)]
+
+    def unreached(*_):
+        raise AssertionError("_own_share reached with no coordinate flagged")
+
+    monkeypatch.setattr(attncert.baseline, "_own_share", unreached)
+    got = attncert.baseline.baseline_min(c, lower, upper)
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))

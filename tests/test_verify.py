@@ -319,8 +319,11 @@ class TestValidation:
                     suffix=r(lin.suffix, w=lin.suffix.w * 1e10),
                 ),
             }[case]()
-            with pytest.raises(ValidationError, match="finite"):
-                certify_targets(m, pixel_box(np.full(m.image_size, 0.5), 0.01), 0, certified=certified)
+            # The second call finds the linear head's margin forms and value
+            # maps built, and still rejects the model.
+            for _ in ("cold", "warm"):
+                with pytest.raises(ValidationError, match="finite"):
+                    certify_targets(m, pixel_box(np.full(m.image_size, 0.5), 0.01), 0, certified=certified)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     @pytest.mark.parametrize("certified", [False, True])
@@ -332,6 +335,68 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="finite"):
                 certify_targets(m, box, 0, certified=certified)
+
+
+def bound_bits(result):
+    return [(b.target, b.l_vertex.hex(), b.l_baseline.hex(), b.l_hybrid.hex()) for b in result.bounds]
+
+
+SHAPE_M = dict(tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, residual=True)
+
+
+class TestLabelMaps:
+    """The linear head's margin forms and their value maps are built once per
+    (model, label) and reused by every later box."""
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    def test_warm_calls_match_cold_ones(self, kind):
+        # For every label, in both modes: a call on a model that has already
+        # certified that label on other boxes equals the first call on a
+        # fresh copy of the model, bit for bit.
+        m = random_model(3, suffix_kind=kind, hidden=32, **SHAPE_M)
+        rng = np.random.default_rng(5)
+        boxes = [pixel_box(rng.uniform(0, 1, m.image_size), eps) for eps in (0.001, 0.01)]
+        for y in range(m.n_classes):
+            for certified in (False, True):
+                for box in boxes:
+                    cold = certify_targets(dataclasses.replace(m), box, y, certified=certified)
+                    for _ in range(2):
+                        warm = certify_targets(m, box, y, certified=certified)
+                        assert bound_bits(warm) == bound_bits(cold)
+        assert len(m._suffix_bounds) == (m.n_classes if kind == "linear" else 0)
+
+    def test_replaced_model_gets_fresh_maps(self):
+        m = random_model(3, **SHAPE_M)
+        box = pixel_box(np.random.default_rng(6).uniform(0, 1, m.image_size), 0.003)
+        targets = list(range(1, m.n_classes))
+        certify_targets(m, box, 0)
+        bound = linear_suffix_bound(m, 0, targets)
+        assert linear_suffix_bound(m, 0, targets) is bound and bound.value_maps is not None
+        same = dataclasses.replace(m)
+        assert same._suffix_bounds == {}
+        assert linear_suffix_bound(same, 0, targets) is not bound
+        # A replaced suffix's margin forms follow its own weights.
+        doubled = dataclasses.replace(m, suffix=dataclasses.replace(m.suffix, w=m.suffix.w * 2.0))
+        assert np.array_equal(linear_suffix_bound(doubled, 0, targets).gamma, bound.gamma * 2.0)
+        want = certify_targets(random_model(3, **SHAPE_M), box, 0)
+        assert bound_bits(certify_targets(same, box, 0)) == bound_bits(want)
+
+    def test_cached_arrays_are_read_only(self):
+        m = random_model(3, **SHAPE_M)
+        certify_targets(m, pixel_box(np.full(m.image_size, 0.5), 0.01), 4)
+        (bound,) = m._suffix_bounds.values()
+        arrays = [bound.beta, bound.gamma, *(a for a in bound.value_maps if a is not None)]
+        assert len(arrays) == 9
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+
+    def test_mlp1_head_keeps_no_label_maps(self):
+        m = random_model(3, suffix_kind="mlp1", hidden=32, **SHAPE_M)
+        rng = np.random.default_rng(7)
+        for i in range(50):
+            certify_targets(m, pixel_box(rng.uniform(0, 1, m.image_size), 0.003), i % m.n_classes)
+        assert m._suffix_bounds == {}
 
 
 class TestBatchedArms:
