@@ -47,10 +47,13 @@ def _output_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
     slack = (k + 1) * 2.0**-13
     with np.errstate(invalid="ignore"):
         share = e / den
-    # Each row against its own cut, so one row with a large shared sum does
-    # not send every call through the mask.
+    # The stack's least denominator against its largest cut first (one
+    # flat reduce), then, only if that fires, each row against its own cut:
+    # one row with a large shared sum does not send the stack through the
+    # mask.
     cut = np.maximum(slack * shared, _DEN_TINY)
-    if np.any(den.min(axis=-1, keepdims=True, initial=np.inf) < cut) or e.min(initial=np.inf) < _DEN_TINY:
+    low = den.min(initial=np.inf) < cut.max(initial=0.0) and np.any(den.min(axis=-1, keepdims=True) < cut)
+    if low or e.min(initial=np.inf) < _DEN_TINY:
         flagged = (den < cut) | (e < _DEN_TINY)
         plane, rows, j = np.nonzero(flagged.reshape(2, -1, k))
         ends = np.stack((upper, lower)).reshape(2, -1, k)
