@@ -37,6 +37,13 @@ def tiny_model(seed, kind, n_classes=2):
     return random_model(seed=seed, tokens=2, heads=1, d_model=4, n_classes=n_classes, suffix_kind=kind)
 
 
+def bound_bits(result):
+    return [(b.target, b.l_vertex.hex(), b.l_baseline.hex(), b.l_hybrid.hex()) for b in result.bounds]
+
+
+SHAPE_M = dict(tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, residual=True)
+
+
 class TestPixelBox:
     def test_zero_radius(self):
         x0 = np.array([0.3, 0.7])
@@ -335,13 +342,6 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="finite"):
                 certify_targets(m, box, 0, certified=certified)
-
-
-def bound_bits(result):
-    return [(b.target, b.l_vertex.hex(), b.l_baseline.hex(), b.l_hybrid.hex()) for b in result.bounds]
-
-
-SHAPE_M = dict(tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, residual=True)
 
 
 class TestLabelMaps:
