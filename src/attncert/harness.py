@@ -10,8 +10,10 @@ minimum obtained from feasible points only:
 * attack_min_margin (a model's margins): every target of one pixel box in
   one search, with one shared sample set, a secant corner per target and
   an endpoint polish that scores every target's next window of pixel moves
-  in one forward_batch, leaving out the moves that an enclosure of the
-  margin's pixel gradient proves cannot lower it.
+  in one forward_batch.  An enclosure of the margin's pixel gradient over
+  the box, built once, sets the corner pixels whose sign it proves and
+  leaves out the samples and moves it proves cannot give a better start or
+  a lower margin.
 
 run_sweep draws every trial's instance at one K and runs its attack, then
 bounds the stacked (trials, K) rows with one batched call per method
@@ -22,32 +24,44 @@ group's total_time_s is that call's time.
 
 Both attacks, and selfcheck's soundness sampling, draw and score their
 candidates in bounded blocks with a running minimum, so their memory does
-not grow with the budget; each block's values are those of one unblocked
-batch.
+not grow with the budget.  Each block's values are those of one unblocked
+batch, the margin attack's wherever its screen leaves a whole chunk.
 
 A target's secant corner is the box vertex at hi wherever moving that one
 pixel of the center to hi lowers the target's margin: the sign-of-slope
-step of FGSM (Goodfellow et al., 2015), with the slope taken by forward
-differences.  On small boxes the margin is nearly linear, the corner is
-where the polish of an interior sample ends, and a polish that starts there
-makes one round instead of two.  A target's windows start at 4 pixels and
-grow 4-fold while it does not move, so a round without a move over 64
-pixels takes 3 calls (windows of 4, 16 and 44), and the whole attack 6.
-With one sample chunk it makes at most 2 * image_size + 3 forward_batch
-calls.
+step of FGSM (Goodfellow et al., 2015).  suffix.margin_gradient_bounds
+encloses every partial derivative of every target's margin over the box,
+so by the mean value theorem the move lowers margin t where g_hi[t, j] < 0
+and does not where g_lo[t, j] > 0; only the pixels that some target
+leaves unproven are probed, by a forward difference.  On small boxes the
+margin is nearly linear, the corner is where the polish of an interior
+sample ends, and a polish that starts there makes one round instead of
+two.  A target's windows start at 4 pixels and grow 4-fold while it does
+not move, so a round without a move over 64 pixels takes 3 calls (windows
+of 4, 16 and 44).
 
-The polish never scores a move to the box's lo end where the margin falls
-as the pixel rises over the whole box, nor one to hi where it rises:
-suffix.margin_gradient_bounds encloses every partial derivative of every
-target's margin over the box, so by the mean value theorem such a move
-cannot lower the margin, and the polish keeps the moves it would keep
-scoring them, up to forward_batch's ulp.  A window left with nothing to
-score makes no call.  On the benchmark's report pools at seeds 21-23
-(shape M, 64 pixels, linear head) the attack made 5.9 calls and scored 304
-points per box, against 6.4 calls and 866 points unscreened (75.7 calls
-for a polish of one pixel per call), with the same values: 80 of 81 boxes
-bit-identical, and on the other one target 1.6e-16 lower, from
-forward_batch's batch-dependent ulp.
+The attack scores lo, hi, the center and the probes in one forward_batch
+and the corners in a second.  It then draws the samples; a sample is
+scored only if, for some target, its mean-value bound about the center
+c, margin_t(c) + max(x - c, 0) . g_lo[t] + min(x - c, 0) . g_hi[t] (the
+centred form of interval arithmetic, Moore 1966), does not lie above the
+lower of the target's best point so far and its corner, by more than a
+rounding allowance (_SCREEN_PAD).  A sample left out could not become a
+start, so the starts are those of scoring every sample, up to
+forward_batch's ulp.  The polish likewise never scores a move to the
+box's lo end where the enclosure proves the margin falls as the pixel
+rises, nor one to hi where it proves it rises, and a window left with
+nothing to score makes no call.  With no start moving at 64 pixels the
+attack makes at most 5 calls when it scores no sample and 6 with one
+sample chunk, and with one sample chunk at most 2 * image_size + 3.  It scores 3 points,
+a probe per pixel left unproven, one corner per target, the samples left
+in and the polish's moves.
+
+On the benchmark's report pools at seeds 21-23 (shape M, 64 pixels,
+linear head, budget 200) the attack made 4.9 calls and scored 57.6 points
+(6.5 forward blocks) per box, against 5.9 calls and 303.9 points (21.7
+blocks) when it scored every sample and probe, with the same values on
+all 729 targets, bit for bit.  The enclosure ruled out every sample there.
 """
 
 from __future__ import annotations
@@ -225,7 +239,7 @@ _POLISH_GROWTH = 4
 
 def _margin_polish(
     model: AttentionModelSpec, y: int, targets: np.ndarray, start: np.ndarray, start_val: np.ndarray,
-    lo: np.ndarray, hi: np.ndarray,
+    lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint coordinate descent of the margin for every target at once.
 
@@ -240,13 +254,12 @@ def _margin_polish(
     window is stale: the next window starts at the coordinate after the move
     with _POLISH_WINDOW coordinates, and a window without a move is followed
     by one _POLISH_GROWTH times wider.  With no move, 64 pixels take three
-    calls (windows of 4, 16 and 44).  A candidate that
-    suffix.margin_gradient_bounds proves cannot lower its target's margin
-    over the box [lo, hi] is never scored (it could not be kept), and a call
-    with no candidate left is not made.  Returns the (T, n) best points and
-    their (T,) margins."""
+    calls (windows of 4, 16 and 44).  (g_lo, g_hi) is
+    suffix.margin_gradient_bounds over the box [lo, hi]; a candidate that it
+    proves cannot lower its target's margin is never scored (it could not
+    be kept), and a call with no candidate left is not made.  Returns the
+    (T, n) best points and their (T,) margins."""
     n = lo.size
-    g_lo, g_hi = margin_gradient_bounds(model, PixelBox(lo, hi), y, targets)
     # A flip to lo cannot lower margin t where the margin falls as x_j rises
     # over the whole box (g_hi < 0), nor a flip to hi where it rises
     # (g_lo > 0).  The flips left, by side, target and coordinate:
@@ -295,11 +308,18 @@ def _margin_polish(
     return best, best_val
 
 
-# The margin attack draws and scores its samples in chunks of about this
-# many pixel values (1,024 points at 64 pixels), each a whole number of
-# _forward blocks, so its memory does not grow with the budget and every
-# forward block, so every logit, is the one an unchunked batch gives.
+# The margin attack draws its samples in chunks of about this many pixel
+# values (1,024 points at shape M), each a whole number of _forward
+# blocks, so its memory does not grow with the budget and, where no sample
+# of a chunk is screened out, every logit is the one an unchunked batch
+# gives.
 _SAMPLE_CHUNK_ELEMENTS = 2**16
+
+# The sample screen's rounding allowance, relative to a target's scale:
+# 1 + |logit_y| + |logit_t| at the center plus the largest the mean-value
+# bound's linear part can be over the box.  It covers forward_batch's
+# round-to-nearest error at the center and at the sample.
+_SCREEN_PAD = 2.0**-30
 
 
 def _attack_margin_points(
@@ -309,35 +329,64 @@ def _attack_margin_points(
 
     Each target's polish starts from the better of its best sample and its
     secant corner: the box vertex at hi wherever moving that one pixel of
-    the center to hi lowered the target's margin, and at lo elsewhere."""
+    the center to hi lowers the target's margin, and at lo elsewhere.  The
+    gradient enclosure sets the corner's pixels whose move it proves the
+    sign of, and rules out the samples that could not become a start."""
+    g_lo, g_hi = margin_gradient_bounds(model, box, y, targets)
     rng = keyed_rng(seed, model.image_size, model.n_classes)
     center = 0.5 * (box.lo + box.hi)
-    block = _forward_block_points(model)
-    chunk = block * max(3, _SAMPLE_CHUNK_ELEMENTS // (block * box.size))  # the first holds lo, hi, center
     cols = np.arange(targets.size)
-    start, start_val = np.empty((targets.size, box.size)), np.full(targets.size, np.inf)
-    head = [box.lo[None, :], box.hi[None, :], center[None, :]]
-    drawn = 0
-    while head or drawn < budget:
-        size = min(chunk - len(head), budget - drawn)
-        points = np.vstack(head + [rng.uniform(box.lo, box.hi, size=(size, box.size))])
-        logits = forward_batch(model, points)
-        margins = logits[:, [y]] - logits[:, targets]
-        if head:
-            center_val = margins[2]
-        best_idx = np.argmin(margins, axis=0)
-        lower = margins[best_idx, cols] < start_val  # strict: an earlier chunk keeps a tie
-        start[lower], start_val[lower] = points[best_idx[lower]], margins[best_idx[lower], cols[lower]]
-        head, drawn = [], drawn + size
-    probes = np.repeat(center[None, :], box.size, axis=0)
-    np.fill_diagonal(probes, box.hi)  # probe j: the center with pixel j at hi
-    logits = forward_batch(model, probes)
-    corners = np.where((logits[:, [y]] - logits[:, targets] < center_val).T, box.hi, box.lo)
+    # By the mean value theorem, moving pixel j of the center to hi lowers
+    # margin t where g_hi[t, j] < 0, and does not where g_lo[t, j] > 0; a
+    # pixel that some target leaves unproven is probed.
+    falls, rises = g_hi < 0.0, g_lo > 0.0
+    probed = np.flatnonzero(~np.all(falls | rises, axis=0))
+    head = np.vstack((box.lo, box.hi, center))
+    probes = np.repeat(center[None, :], probed.size, axis=0)
+    probes[np.arange(probed.size), probed] = box.hi[probed]
+    logits = forward_batch(model, np.vstack((head, probes)))
+    center_scale = 1.0 + np.abs(logits[2, y]) + np.abs(logits[2, targets])
+    margins = logits[:, [y]] - logits[:, targets]
+    center_val = margins[2]
+    best_idx = np.argmin(margins[:3], axis=0)
+    start, start_val = head[best_idx], margins[best_idx, cols]
+    probe_lower = np.zeros_like(falls)
+    probe_lower[:, probed] = (margins[3:] < center_val).T
+    corners = np.where(falls | (probe_lower & ~rises), box.hi, box.lo)
     logits = forward_batch(model, corners)
     corner_val = logits[cols, y] - logits[cols, targets]
+
+    # margin_t(x) >= margin_t(c) + max(x - c, 0) . g_lo[t] + min(x - c, 0) .
+    # g_hi[t], so a sample whose bound lies above min(the best sample so
+    # far, the corner), with the pad, for every target could not be kept
+    # as a start.  A pad that is not finite (an enclosure entry or a center
+    # logit that is not) turns the screen off, and a NaN bound or threshold
+    # rules nothing out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = (box.hi - box.lo) @ np.maximum(-g_lo, g_hi).T
+        pad = _SCREEN_PAD * (center_scale + reach)
+    screen = bool(np.all(np.isfinite(pad)))
+    block = _forward_block_points(model)
+    chunk = block * max(1, _SAMPLE_CHUNK_ELEMENTS // (block * box.size))
+    for drawn in range(0, budget, chunk):
+        points = rng.uniform(box.lo, box.hi, size=(min(chunk, budget - drawn), box.size))
+        if screen:
+            d = points - center
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = np.maximum(d, 0.0) @ g_lo.T
+                bound += np.minimum(d, 0.0, out=d) @ g_hi.T
+                bound += center_val
+                points = points[~np.all(bound > np.minimum(start_val, corner_val) + pad, axis=1)]
+            if not len(points):
+                continue
+        logits = forward_batch(model, points)
+        margins = logits[:, [y]] - logits[:, targets]
+        best_idx = np.argmin(margins, axis=0)
+        lower = margins[best_idx, cols] < start_val  # strict: an earlier point keeps a tie
+        start[lower], start_val[lower] = points[best_idx[lower]], margins[best_idx[lower], cols[lower]]
     lower = corner_val < start_val
     start[lower], start_val[lower] = corners[lower], corner_val[lower]
-    return _margin_polish(model, y, targets, start, start_val, box.lo, box.hi)
+    return _margin_polish(model, y, targets, start, start_val, box.lo, box.hi, g_lo, g_hi)
 
 
 def attack_min_margin(
@@ -352,19 +401,23 @@ def attack_min_margin(
     inputs, one per target t, in the order given.
 
     One candidate set serves every target: the box corners lo and hi, the
-    center and `budget` uniform samples, drawn and scored by forward_batch
-    in chunks of whole forward blocks (one call up to 1,021 samples at 64
-    pixels; see _SAMPLE_CHUNK_ELEMENTS), keeping each target's first best
-    point.  One more forward_batch scores the image_size one-pixel probes
-    of the center and one the targets' secant corners; a corner replaces a
-    target's best sample when its margin is strictly lower.  Each target
-    then polishes its start by endpoint coordinate descent, every target's
-    next window of coordinates in one forward_batch, leaving out the moves
-    that the margin's gradient enclosure proves cannot lower it (see
-    _margin_polish): with one sample chunk, at most 6 calls in all when no
-    start moves at 64 pixels, and 2 * image_size + 3 at most.  Every value
-    is a forward margin at a point of the box, so it is an upper bound on
-    the true minimum.  The sample stream is keyed by (seed,
+    center and `budget` uniform samples, keeping each target's first best
+    point.  One forward_batch scores lo, hi, the center and the one-pixel
+    probes of the center that the margin's gradient enclosure leaves
+    unproven, one more the targets' secant corners.  The samples are drawn
+    and scored in chunks of whole forward blocks (1,024 at shape M; see
+    _SAMPLE_CHUNK_ELEMENTS), leaving out those that the enclosure proves
+    could not become a start; a corner replaces a target's best sample
+    when its margin is strictly lower.  Each target then polishes its
+    start by endpoint coordinate descent, every target's next window of
+    coordinates in one forward_batch, leaving out the moves that the
+    enclosure proves cannot lower it (see _margin_polish).  With one sample
+    chunk and no start moving at 64 pixels that is at most 6 calls in all
+    (5 when no sample is scored), and with one sample chunk 2 * image_size
+    + 3 at most; the points are 3, at most image_size probes, one corner
+    per target, at most `budget` samples and the polish's moves.  Every
+    value is a forward margin at a point of the box, so it is an upper
+    bound on the true minimum.  The sample stream is keyed by (seed,
     image_size, n_classes), apart from the stream of the CLI's default
     input.  A box whose widths are not all finite cannot be sampled: a
     ValidationError."""

@@ -49,10 +49,16 @@ class CertificationResult:
 
 def pixel_box(x0, epsilon: float) -> PixelBox:
     """L-infinity ball around x0 of radius epsilon (a number, inf
-    included), clipped to valid pixels."""
+    included), clipped to valid pixels.  Every pixel of x0 must lie in
+    [0, 1], or the clipped box need not meet x0's ball: a ValidationError
+    naming the first pixel outside."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1:
         raise ValidationError(f"clean input must be a flat vector, got shape {x0.shape}")
+    outside = np.flatnonzero(~((x0 >= 0.0) & (x0 <= 1.0)))
+    if outside.size:
+        i = outside[0]
+        raise ValidationError(f"clean input pixels must lie in [0, 1], got x0[{i}] = {float(x0[i])!r}")
     epsilon = check_real("epsilon", epsilon)
     if not epsilon >= 0.0:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")

@@ -218,6 +218,19 @@ class TestCertify:
         assert main(["certify", path, "--input", bad_y]) == EXIT_VALIDATION
         capsys.readouterr()
 
+    @pytest.mark.parametrize("label", [{"y": 0}, {}])
+    def test_input_outside_the_unit_range_exit_3(self, tmp_path, capsys, label):
+        path, m = model_file(tmp_path)
+        x = [0.5] * m.image_size
+        x[3] = 2.0
+        inp = write_instance(tmp_path, name="input.json", x=x, **label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", path, "--input", inp, "--epsilon", "0.01"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: clean input pixels must lie in [0, 1], got x0[3] = 2.0"]
+
     def test_negative_epsilon(self, tmp_path):
         path, _ = model_file(tmp_path)
         assert main(["certify", path, "--epsilon", "-0.1"]) == EXIT_VALIDATION

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -60,6 +61,20 @@ def no_screen(model, box, y, targets):
     """A gradient enclosure that proves nothing: (-inf, inf) everywhere."""
     shape = (len(targets), model.image_size)
     return np.full(shape, -np.inf), np.full(shape, np.inf)
+
+
+def one_pixel_abs_model(a: float):
+    """One pixel through two crossing ReLUs: logits = (|x - a|, 0)."""
+    return AttentionModelSpec(
+        height=1, width=1, channels=1, patch=1, d_model=1, d_head=1, heads=1, n_classes=2, residual=True,
+        w_embed=np.eye(1), b_embed=np.zeros(1), wq=np.zeros((1, 1, 1)), bq=np.zeros((1, 1)),
+        wk=np.zeros((1, 1, 1)), bk=np.zeros((1, 1)), wv=np.zeros((1, 1, 1)), bv=np.zeros((1, 1)),
+        wo=np.zeros((1, 1, 1)), bo=np.zeros(1), mask=np.zeros((1, 1, 1)),
+        suffix=MlpSuffix(
+            w1=np.array([[1.0], [-1.0]]), b1=np.array([-a, a]),
+            w2=np.array([[1.0, 1.0], [0.0, 0.0]]), b2=np.zeros(2),
+        ),
+    )
 
 
 def two_pixel_identity_model():
@@ -340,16 +355,36 @@ def _attack_case(seed: int, suffix_kind: str, n_classes: int = 4, eps: float = 0
     return m, pixel_box(x0, eps), y, [t for t in range(n_classes) if t != y]
 
 
-def _shape_m_case(seed: int, eps: float, suffix_kind: str = "linear"):
+def _shape_m_case(seed: int, eps: float, suffix_kind: str = "linear", residual: bool = True):
     """A model of the benchmark's shape M (16 tokens, 4 heads, 10 classes,
     hidden 32 for mlp1) and a box around a uniform input."""
     m = random_model(
-        seed=seed, tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, residual=True,
+        seed=seed, tokens=16, heads=4, d_model=16, d_head=4, n_classes=10, residual=residual,
         suffix_kind=suffix_kind, hidden=32,
     )
     x0 = np.random.default_rng(seed).uniform(0.0, 1.0, m.image_size)
     y = int(np.argmax(forward(m, x0)))
     return m, pixel_box(x0, eps), y, [t for t in range(m.n_classes) if t != y]
+
+
+def _record_attack(monkeypatch) -> dict:
+    """Wrap harness.forward_batch and harness._margin_polish.  The log holds
+    every scored batch, and for each polish its (start, start_val) and the
+    number of batches scored before it."""
+    log = {"batches": [], "starts": [], "before_polish": []}
+
+    def recording(model, xs):
+        log["batches"].append(np.array(xs))
+        return forward_batch(model, xs)
+
+    def polish(model, y, targets, start, start_val, *args):
+        log["starts"].append((start.copy(), start_val.copy()))
+        log["before_polish"].append(len(log["batches"]))
+        return _margin_polish(model, y, targets, start, start_val, *args)
+
+    monkeypatch.setattr(harness, "forward_batch", recording)
+    monkeypatch.setattr(harness, "_margin_polish", polish)
+    return log
 
 
 class TestAttackMargin:
@@ -438,7 +473,7 @@ class TestAttackMargin:
             starts = np.random.default_rng(100 + seed).uniform(box.lo, box.hi, (t.size, m.image_size))
             logits = forward_batch(m, starts)
             start_val = logits[:, y] - logits[np.arange(t.size), t]
-            _, got = _margin_polish(m, y, t, starts, start_val, box.lo, box.hi)
+            _, got = _margin_polish(m, y, t, starts, start_val, box.lo, box.hi, *margin_gradient_bounds(m, box, y, t))
             for r, target in enumerate(targets):
                 want = scalar_margin_polish(m, y, target, starts[r], box.lo, box.hi)
                 assert abs(got[r] - want) <= 1e-12 * max(1.0, abs(want))
@@ -463,7 +498,8 @@ class TestAttackMargin:
                 starts[r, j] = box.lo[j] + box.hi[j] - starts[r, j]
             logits = forward_batch(m, starts)
             start_val = logits[:, y] - logits[np.arange(t.size), t]
-            got_x, got = _margin_polish(m, y, t, starts, start_val, box.lo, box.hi)
+            grad = margin_gradient_bounds(m, box, y, t)
+            got_x, got = _margin_polish(m, y, t, starts, start_val, box.lo, box.hi, *grad)
             want_x, want = lockstep_margin_polish(m, y, t, starts, start_val, box.lo, box.hi)
             assert np.array_equal(got_x, want_x)
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -501,8 +537,7 @@ class TestAttackMargin:
         monkeypatch.setattr(harness, "forward_batch", recording)
         # First with a gradient enclosure that proves nothing, so every flip
         # off the current point is scored.
-        monkeypatch.setattr(harness, "margin_gradient_bounds", no_screen)
-        got_x, got = _margin_polish(m, 0, t, starts, start_val, box.lo, box.hi)
+        got_x, got = _margin_polish(m, 0, t, starts, start_val, box.lo, box.hi, *no_screen(m, box, 0, t))
         assert np.array_equal(got_x, best)
         assert np.allclose(got, np.einsum("tj,tj->t", a[1:], best), rtol=1e-14, atol=0.0)
         # Windows over the two rounds' coordinates 0-47: target 1 at 0-3
@@ -515,9 +550,9 @@ class TestAttackMargin:
         # and screens every flip but the four moves: the same windows score
         # targets 1 and 2's first moves, then target 1's second and target
         # 4's, and the windows after them score nothing, so make no call.
-        monkeypatch.setattr(harness, "margin_gradient_bounds", margin_gradient_bounds)
         calls.clear()
-        got_x, got = _margin_polish(m, 0, t, starts, start_val, box.lo, box.hi)
+        grad = margin_gradient_bounds(m, box, 0, t)
+        got_x, got = _margin_polish(m, 0, t, starts, start_val, box.lo, box.hi, *grad)
         assert np.array_equal(got_x, best)
         assert np.allclose(got, np.einsum("tj,tj->t", a[1:], best), rtol=1e-14, atol=0.0)
         assert calls == [2, 2]
@@ -554,15 +589,10 @@ class TestAttackMargin:
         m = random_model(seed=1, tokens=2, heads=1, d_model=4, n_classes=3)
         seed, budget = 4, 16
         default = keyed_rng(seed, m.image_size).uniform(0.0, 1.0, (budget, m.image_size))
-        batches = []
-
-        def recording(model, xs):
-            batches.append(np.array(xs))
-            return forward_batch(model, xs)
-
-        monkeypatch.setattr(harness, "forward_batch", recording)
+        log = _record_attack(monkeypatch)
+        monkeypatch.setattr(harness, "margin_gradient_bounds", no_screen)
         attack_min_margin(m, pixel_box(default[0], 1.0), 0, [1, 2], budget=budget, seed=seed)
-        samples = batches[0][3:]
+        samples = log["batches"][2]  # after the lo, hi, center and probe batch, and the corners
         assert samples.shape == default.shape
         assert not np.any(np.all(samples[:, None, :] == default[None, :, :], axis=-1))
 
@@ -599,52 +629,52 @@ class TestAttackMargin:
     def test_a_worse_corner_does_not_replace_the_best_sample(self):
         # One pixel, margin |x - 0.5|: the center is the minimum, and the
         # secant corner (lo, since the hi probe raises the margin) is 0.5.
-        m = AttentionModelSpec(
-            height=1, width=1, channels=1, patch=1, d_model=1, d_head=1, heads=1, n_classes=2, residual=True,
-            w_embed=np.eye(1), b_embed=np.zeros(1), wq=np.zeros((1, 1, 1)), bq=np.zeros((1, 1)),
-            wk=np.zeros((1, 1, 1)), bk=np.zeros((1, 1)), wv=np.zeros((1, 1, 1)), bv=np.zeros((1, 1)),
-            wo=np.zeros((1, 1, 1)), bo=np.zeros(1), mask=np.zeros((1, 1, 1)),
-            suffix=MlpSuffix(
-                w1=np.array([[1.0], [-1.0]]), b1=np.array([-0.5, 0.5]),
-                w2=np.array([[1.0, 1.0], [0.0, 0.0]]), b2=np.zeros(2),
-            ),
-        )
+        m = one_pixel_abs_model(0.5)
         box = pixel_box(np.array([0.5]), 0.5)
         assert np.array_equal(secant_corner(m, 0, 1, box), box.lo)
         assert attack_min_margin(m, box, 0, [1], budget=4, seed=0)[0] == 0.0
 
+    def test_a_sample_below_the_center_and_the_corner_is_scored(self, monkeypatch):
+        # One pixel, margin |x - 0.3| on [0, 1]: the center scores 0.2 and
+        # the secant corner (lo) 0.3, and the samples near 0.3 score lower.
+        # The gradient encloses [-1, 1], so a sample's mean-value bound is
+        # 0.2 - |x - 0.5|, not above 0.2: every sample is scored, and the best
+        # one, not the center, is the start.
+        m = one_pixel_abs_model(0.3)
+        box = pixel_box(np.array([0.5]), 0.5)
+        log = _record_attack(monkeypatch)
+        got = attack_min_margin(m, box, 0, [1], budget=20, seed=0)[0]
+        (before,) = log["before_polish"]
+        assert sum(len(batch) for batch in log["batches"][2:before]) == 20
+        samples = keyed_rng(0, 1, 2).uniform(0.0, 1.0, 20)
+        assert got == pytest.approx(np.abs(samples - 0.3).min(), abs=1e-15) and got < 0.2
+
     def test_corner_start_skips_the_second_polish_round(self, monkeypatch):
-        # The sample batch, the probes, the corners, then one polish round.
-        # Every start is a box vertex, so each pixel has one flip, to its
-        # other end; the round scores exactly the flips the gradient
-        # enclosure leaves, and no call follows it.  (Unscreened, with no
+        # One batch of lo, hi, the center and the probes of the pixels that
+        # the gradient enclosure leaves unproven for some target, one of the
+        # corners, none of the samples (the enclosure rules them all out),
+        # then one polish round.  Every start is a box vertex, so each pixel
+        # has one flip, to its other end; the round scores exactly the flips
+        # the enclosure leaves, and no call follows it.  (Unscreened, with no
         # start moving, the round was windows of 4, 16 and 44 of the 64
         # pixels.)
-        calls, starts = [], []
-
-        def recording(model, xs):
-            calls.append(len(xs))
-            return forward_batch(model, xs)
-
-        def polish(model, y, targets, start, *args):
-            starts.append(start.copy())
-            return _margin_polish(model, y, targets, start, *args)
-
-        monkeypatch.setattr(harness, "forward_batch", recording)
-        monkeypatch.setattr(harness, "_margin_polish", polish)
+        log = _record_attack(monkeypatch)
         for seed in range(6):
             m, box, y, targets = _shape_m_case(seed, 0.001)
-            calls.clear()
-            starts.clear()
+            for entries in log.values():
+                entries.clear()
             attack_min_margin(m, box, y, targets, budget=50, seed=seed)
-            assert calls[:3] == [53, m.image_size, len(targets)]
-            (start,) = starts
+            g_lo, g_hi = margin_gradient_bounds(m, box, y, np.array(targets))
+            unproven = ~np.all((g_hi < 0.0) | (g_lo > 0.0), axis=0)
+            calls = [len(b) for b in log["batches"]]
+            assert log["before_polish"] == [2]
+            assert calls[:2] == [3 + unproven.sum(), len(targets)]
+            ((start, _),) = log["starts"]
             at_lo = start == box.lo
             assert np.all(at_lo | (start == box.hi))
-            g_lo, g_hi = margin_gradient_bounds(m, box, y, np.array(targets))
             flips = np.where(at_lo, g_lo <= 0.0, g_hi >= 0.0)  # the flip to hi, or to lo, is not screened
             assert flips.sum() < flips.size
-            assert sum(calls[3:]) == flips.sum()
+            assert sum(calls[2:]) == flips.sum()
 
     @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
     @pytest.mark.parametrize("eps", [0.001, 0.01, 0.1])
@@ -652,20 +682,14 @@ class TestAttackMargin:
         # At the polish's start points, every flip that the gradient
         # enclosure screens is scored anyway: none is below its start's
         # margin, scored in the same batch.
-        starts = []
-
-        def polish(model, y, targets, start, *args):
-            starts.append(start.copy())
-            return _margin_polish(model, y, targets, start, *args)
-
-        monkeypatch.setattr(harness, "_margin_polish", polish)
+        log = _record_attack(monkeypatch)
         screened = 0
         for seed in range(3):
             m, box, y, targets = _shape_m_case(seed, eps, suffix_kind)
             t = np.array(targets)
-            starts.clear()
+            log["starts"].clear()
             attack_min_margin(m, box, y, targets, budget=50, seed=seed)
-            (start,) = starts
+            ((start, _),) = log["starts"]
             g_lo, g_hi = margin_gradient_bounds(m, box, y, t)
             for end, proof in ((box.lo, g_hi < 0.0), (box.hi, g_lo > 0.0)):
                 r, j = np.nonzero(proof & (start != end))
@@ -678,30 +702,103 @@ class TestAttackMargin:
         # Crossing hidden neurons leave the mlp1 enclosure no sign at 0.1.
         assert screened > 0 or (suffix_kind, eps) == ("mlp1", 0.1)
 
+    @pytest.mark.parametrize("budget", [30, 2000])
+    @pytest.mark.parametrize("eps", [0.001, 0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    def test_screens_keep_the_attack_values(self, monkeypatch, suffix_kind, residual, eps, budget):
+        # The gradient enclosure sets the proven corner pixels, rules out
+        # samples and screens polish flips; the stub that proves nothing
+        # turns all three off.  Budget 2,000 spans two sample chunks.
+        for seed in range(2):
+            m, box, y, targets = _shape_m_case(seed, eps, suffix_kind, residual)
+            got = attack_min_margin(m, box, y, targets, budget=budget, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "margin_gradient_bounds", no_screen)
+                want = attack_min_margin(m, box, y, targets, budget=budget, seed=seed)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("suffix_kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("eps", [0.001, 0.003, 0.1])
+    def test_skipped_samples_could_not_be_starts(self, monkeypatch, suffix_kind, eps):
+        # Every sample the screen leaves unscored, scored after the fact: none
+        # is strictly below its target's polish start.  The screen skips all
+        # of them on the small linear boxes, some of them on mlp1 at 0.003
+        # and on one of the linear boxes at 0.1.
+        log = _record_attack(monkeypatch)
+        budget, skipped_total = 2000, 0
+        for seed in range(3):
+            m, box, y, targets = _shape_m_case(seed, eps, suffix_kind)
+            for entries in log.values():
+                entries.clear()
+            attack_min_margin(m, box, y, targets, budget=budget, seed=seed)
+            (before,) = log["before_polish"]
+            ((_, start_val),) = log["starts"]
+            scored = {x.tobytes() for batch in log["batches"][2:before] for x in batch}
+            samples = keyed_rng(seed, m.image_size, m.n_classes).uniform(box.lo, box.hi, (budget, m.image_size))
+            skipped = samples[[x.tobytes() not in scored for x in samples]]
+            assert len(scored) + len(skipped) == budget
+            logits = forward_batch(m, skipped)
+            assert np.all(logits[:, [y]] - logits[:, targets] >= start_val)
+            skipped_total += len(skipped)
+        assert skipped_total > 0 or (suffix_kind, eps) == ("mlp1", 0.1)
+
+    @pytest.mark.parametrize("case", ["overflow", "one entry"])
+    def test_an_enclosure_that_is_not_finite_scores_every_sample(self, monkeypatch, case):
+        # An embedding scaled by 1e150 keeps the forward finite but overflows
+        # the gradient enclosure to (-inf, inf) everywhere; one entry (-inf,
+        # inf) proves nothing for its target.  Either way every sample is
+        # scored (0 * inf must not make a NaN bound that rules them out), with
+        # no float warning.  Unscaled and fully finite, the screen rules them
+        # all out.
+        m, box, y, targets = _shape_m_case(0, 0.001)
+        if case == "overflow":
+            m = dataclasses.replace(m, w_embed=m.w_embed * 1e150)
+        else:
+
+            def one_entry(*args):
+                g_lo, g_hi = margin_gradient_bounds(*args)
+                g_lo[-1, 0], g_hi[-1, 0] = -np.inf, np.inf
+                return g_lo, g_hi
+
+            monkeypatch.setattr(harness, "margin_gradient_bounds", one_entry)
+        log = _record_attack(monkeypatch)
+        budget = 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = attack_min_margin(m, box, y, targets, budget=budget, seed=0)
+        (before,) = log["before_polish"]
+        assert sum(len(batch) for batch in log["batches"][2:before]) == budget
+        monkeypatch.setattr(harness, "margin_gradient_bounds", no_screen)
+        want = attack_min_margin(m, box, y, targets, budget=budget, seed=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
     def test_samples_scored_in_whole_forward_block_chunks(self, monkeypatch):
-        # At shape M (16 points per forward block) the samples are drawn and
-        # scored in chunks of 1,024 points, the first led by lo, hi and the
-        # center.  Every chunk is whole forward blocks, so the attack values
-        # equal those of one unchunked batch bit for bit.
+        # With a gradient enclosure that proves nothing, the attack scores lo,
+        # hi, the center and all 64 one-pixel probes of the center, the 9
+        # corners, then every sample, drawn and scored in chunks of 1,024
+        # points at shape M (16 points per forward block).  Every chunk is
+        # whole forward blocks, so the attack values equal those of one
+        # unchunked batch bit for bit.
         m, box, y, targets = _shape_m_case(0, 0.05)
         budget, seed = 2500, 3
-        batches = []
-
-        def recording(model, xs):
-            batches.append(np.array(xs))
-            return forward_batch(model, xs)
-
-        monkeypatch.setattr(harness, "forward_batch", recording)
-        got = attack_min_margin(m, box, y, targets, budget=budget, seed=seed)
-        chunks = batches[:3]
-        assert [len(b) for b in chunks] == [1024, 1024, 455]
-        assert np.array_equal(chunks[0][:3], np.vstack((box.lo, box.hi, 0.5 * (box.lo + box.hi))))
+        log = _record_attack(monkeypatch)
+        monkeypatch.setattr(harness, "margin_gradient_bounds", no_screen)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = attack_min_margin(m, box, y, targets, budget=budget, seed=seed)
+        batches = log["batches"][: log["before_polish"][0]]
+        assert [len(b) for b in batches] == [3 + m.image_size, len(targets), 1024, 1024, 452]
+        center = 0.5 * (box.lo + box.hi)
+        probes = np.repeat(center[None, :], m.image_size, axis=0)
+        np.fill_diagonal(probes, box.hi)
+        assert np.array_equal(batches[0], np.vstack((box.lo, box.hi, center, probes)))
         samples = keyed_rng(seed, m.image_size, m.n_classes).uniform(box.lo, box.hi, (budget, m.image_size))
-        assert np.array_equal(np.vstack(chunks)[3:], samples)
-        batches.clear()
+        assert np.array_equal(np.vstack(batches[2:]), samples)
+        log["batches"].clear()
         monkeypatch.setattr(harness, "_SAMPLE_CHUNK_ELEMENTS", 2**40)
         want = attack_min_margin(m, box, y, targets, budget=budget, seed=seed)
-        assert len(batches[0]) == budget + 3
+        assert len(log["batches"][2]) == budget
         assert np.array_equal(got, want)
 
     def test_keyed_stream_is_pinned(self):

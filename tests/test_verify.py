@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -62,6 +63,16 @@ class TestPixelBox:
             pixel_box(np.zeros((2, 2)), 0.1)
         with pytest.raises(ValidationError):
             pixel_box(np.array([0.5]), float("nan"))
+
+    @pytest.mark.parametrize("bad", [2.0, -0.25, 1.0 + 2**-52, float("nan"), float("inf")])
+    def test_input_outside_the_unit_range_rejected(self, bad):
+        # x0 = 2.0 with eps 0.01 clipped to the point box at 1.0, which
+        # misses x0's ball, and certify_targets certified that box.
+        x0 = np.array([0.0, 0.5, bad, 1.0, bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"\[0, 1\], got x0\[2\] = {re.escape(repr(bad))}$"):
+                pixel_box(x0, 0.01)
 
     @pytest.mark.parametrize("bad", ["0.1", None, True, False, np.bool_(True), 1j, [0.1]])
     def test_epsilon_must_be_a_number(self, bad):
