@@ -26,7 +26,7 @@ from .harness import (
     write_aggregate_csv,
     write_trial_csv,
 )
-from .model import _require_keys, forward, load_model, read_json
+from .model import _require_keys, forward, load_model, open_output, read_json
 from .solver import ScoreBox, directional_min
 from .verify import certify_targets, pixel_box
 
@@ -143,7 +143,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     }
     text = json.dumps(report, indent=1)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -77,7 +77,7 @@ import numpy as np
 from .baseline import baseline_directional_min, baseline_min
 from .certified import certified_directional_min, certified_sweep_min
 from .errors import ValidationError, check_classes, check_int, check_real
-from .model import AttentionModelSpec, _forward_block_points, forward_batch
+from .model import AttentionModelSpec, _forward_block_points, forward_batch, open_output
 from .model import forward  # noqa: F401  unused since the margin polish is batched; benchmark/tracing.py wraps this name
 from .attention import PixelBox
 from .suffix import margin_gradient_bounds
@@ -226,7 +226,7 @@ def attack_min_objective(c, box: ScoreBox, budget: int, seed: int = 0) -> float:
     rank = _stable_rank(c)
     best = np.inf
     for i in range(0, k + 1, step):
-        vertices = _threshold_vertices(c, box.lower, box.upper, np.arange(i, min(i + step, k + 1)), rank)
+        vertices = _threshold_vertices(rank, box.lower, box.upper, np.arange(i, min(i + step, k + 1)))
         best = np.minimum(best, _objective(c, vertices).min())
     return float(np.minimum(best, _sample_objective_min(c, box.lower, width, keyed_rng(seed, k, 1), budget)))
 
@@ -481,7 +481,7 @@ def run_sweep(config: SweepConfig, attack_budget: int = 200) -> list[TrialRecord
 
 
 def write_trial_csv(records: Sequence[TrialRecord], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         w = csv.writer(fh)
         w.writerow(TRIAL_COLUMNS)
         for r in records:
@@ -511,7 +511,7 @@ def aggregate_records(records: Sequence[TrialRecord]) -> list[dict]:
 
 
 def write_aggregate_csv(records: Sequence[TrialRecord], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         w = csv.writer(fh)
         w.writerow(AGGREGATE_COLUMNS)
         for row in aggregate_records(records):

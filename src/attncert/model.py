@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Union
@@ -159,10 +160,6 @@ class AttentionModelSpec:
     @property
     def suffix_kind(self) -> str:
         return "linear" if isinstance(self.suffix, LinearSuffix) else "mlp1"
-
-    @property
-    def hidden(self) -> int:
-        return 0 if isinstance(self.suffix, LinearSuffix) else int(self.suffix.w1.shape[0])
 
 
 # The weight layout: the "weights" object of a weight file, by suffix kind.
@@ -343,6 +340,16 @@ def read_json(path: str):
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep to parse
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+
+
+@contextmanager
+def open_output(path: str) -> Iterator:
+    """The file at path, open to write text; an OSError is a ValidationError naming it."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _encode_array(a: np.ndarray) -> dict:

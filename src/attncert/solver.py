@@ -147,15 +147,12 @@ def _stable_rank(c: np.ndarray) -> np.ndarray:
     return np.argsort(_sorted_rows(c)[0], axis=-1)
 
 
-def _threshold_vertices(c: np.ndarray, lower: np.ndarray, upper: np.ndarray, m, rank=None) -> np.ndarray:
+def _threshold_vertices(rank: np.ndarray, lower: np.ndarray, upper: np.ndarray, m) -> np.ndarray:
     """Threshold vertex m of every row of (..., K) arrays that broadcast
-    together (m broadcasts against their leading shape): the coordinates of
-    rank < m in the row's stable ascending order of c sit at their upper
-    endpoint and the rest at their lower endpoint, in original order.  A
-    caller that builds c's vertices in several calls passes
-    rank = _stable_rank(c), taken once."""
-    if rank is None:
-        rank = _stable_rank(c)
+    together (m broadcasts against their leading shape), rank being
+    _stable_rank(c): the first m coordinates in each row's stable ascending
+    order of c sit at their upper endpoint and the rest at their lower
+    endpoint, in original order."""
     return np.where(rank < m[..., None], upper, lower)
 
 
@@ -217,15 +214,6 @@ def sweep_min(c: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.n
     directional_min's value and m.  The inputs are trusted: finite, K >= 1
     and lower <= upper (callers validate at their API boundary).
     """
-    value, m_star, _ = _sweep(c, lower, upper)
-    return value, m_star
-
-
-def _sweep(c, lower, upper):
-    """sweep_min's (value, m), and the (nc, K) stable ascending order of
-    c's own rows that m counts in, or None where rows were scaled: the
-    scaling can flush small entries to equal ones, so that order is not
-    c's own."""
     c = np.asarray(c, dtype=np.float64)
     # Coefficients this large overflow the weighted prefix sums; such rows
     # are scaled by an exact power of two before the sort, and the value
@@ -242,8 +230,7 @@ def _sweep(c, lower, upper):
     value, m_star = _blockwise(_sweep_block, c_row, box_row, order, cs, box_exp.reshape(2, -1), lower, upper)
     if shift is not None:
         value = np.ldexp(value, shift.reshape(-1)[c_row])
-        order = None
-    return value.reshape(lead), m_star.reshape(lead), order
+    return value.reshape(lead), m_star.reshape(lead)
 
 
 def _shifted_box(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -362,7 +349,7 @@ def _sweep_block(c_row, box_row, order, cs, box_exp, lower: np.ndarray, upper: n
         at, ms = np.nonzero(tiny)
         ends = flat[at]
         # The sorted rows cs[at] rank as the identity.
-        vertices = _threshold_vertices(cs[at], np.take(lower, ends), np.take(upper, ends), ms, np.arange(cs.shape[1]))
+        vertices = _threshold_vertices(np.arange(cs.shape[1]), np.take(lower, ends), np.take(upper, ends), ms)
         tau[at, ms] = _objective(cs[at], vertices)
 
     m_star = tau.argmin(axis=-1)
@@ -378,13 +365,8 @@ def directional_min(c, box: ScoreBox) -> ThresholdResult:
     ties between candidate thresholds resolve to the smallest m.
     """
     c = _as_direction(c, box.lower)
-    value, m, order = _sweep(c, box.lower, box.upper)
-    rank = None
-    if order is not None:
-        # The sweep's own order, inverted: the row is not sorted again.
-        rank = np.empty_like(order[0])
-        rank[order[0]] = np.arange(len(c))
-    vertex = _threshold_vertices(c, box.lower, box.upper, m, rank)
+    value, m = sweep_min(c, box.lower, box.upper)
+    vertex = _threshold_vertices(_stable_rank(c), box.lower, box.upper, m)
     return ThresholdResult(value=float(value), m=int(m), vertex=vertex, sense="min")
 
 

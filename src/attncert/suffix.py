@@ -3,8 +3,8 @@
 The margins logit_y - logit_t of all targets t are reduced at once to
 affine functions of the block output tokens: exactly for a linear head,
 and through per-neuron linear ReLU relaxations for the one-hidden-layer
-head.  The relaxation needs boxes on the hidden pre-activations, which
-interval_forward supplies by running an interval version of the whole
+head.  The relaxation needs (lo, hi) bounds on the hidden pre-activations,
+which interval_forward builds by running an interval version of the whole
 block (directional softmax bounds included) up to the hidden layer.
 
 margin_gradient_bounds encloses the same margins' pixel gradients over a
@@ -21,7 +21,7 @@ import numpy as np
 from .attention import PixelBox, _token_pixel_boxes, token_bounds, value_scalar_bounds
 from .attention import model_score_boxes  # noqa: F401  unused since the caller passes the score boxes; benchmark/tracing.py wraps this name
 from .baseline import _output_bounds
-from .errors import check_box, check_finite
+from .errors import check_finite
 from .intervals import affine_bounds
 from .model import AttentionModelSpec, MlpSuffix
 from .solver import ScoreBox, sweep_min
@@ -39,29 +39,6 @@ class SuffixAffineBound:
     beta: np.ndarray
     gamma: np.ndarray
     value_maps: object = field(default=None, init=False, repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class PreActBox:
-    """Bounds on the hidden-layer pre-activations of an mlp1 head."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo, hi = check_box("pre-activation box", self.lo, self.hi, ndim=1)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @classmethod
-    def _built(cls, lo: np.ndarray, hi: np.ndarray) -> "PreActBox":
-        """A box around the flat float64 bounds interval_forward built, lo <=
-        hi by construction: only their finite check runs."""
-        check_finite("pre-activation box", lo, hi)
-        box = object.__new__(cls)
-        object.__setattr__(box, "lo", lo)
-        object.__setattr__(box, "hi", hi)
-        return box
 
 
 def linear_suffix_bound(model: AttentionModelSpec, y: int, targets) -> SuffixAffineBound:
@@ -84,16 +61,16 @@ def linear_suffix_bound(model: AttentionModelSpec, y: int, targets) -> SuffixAff
     return bound
 
 
-def relu_suffix_bound(model: AttentionModelSpec, preact: PreActBox, y: int, targets) -> SuffixAffineBound:
-    """Affine margin lower bounds through the ReLU head, one per target.
+def relu_suffix_bound(model: AttentionModelSpec, preact: tuple, y: int, targets) -> SuffixAffineBound:
+    """Affine margin lower bounds through the ReLU head over preact, the
+    (lo, hi) of interval_forward, one per target.
 
     For each target, each crossing neuron is replaced by a line: the chord
     from below when the outgoing margin coefficient is negative, and a zero-
     or unit-slope line through the origin (whichever halves the gap better)
-    when it is positive.  Stable neurons pass through exactly.
-    """
+    when it is positive.  Stable neurons pass through exactly."""
     sfx = model.suffix
-    lo, hi = preact.lo, preact.hi
+    lo, hi = preact
     omega = sfx.w2[y] - sfx.w2[targets]  # (T, hidden)
     dead = hi <= 0.0
     live = lo >= 0.0
@@ -144,13 +121,17 @@ def block_output_bounds(
     return out_lo, out_hi
 
 
-def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBox) -> PreActBox:
-    """Hidden pre-activation boxes of an mlp1 head over the pixel box.
-    `scores` is passed on to block_output_bounds."""
+def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBox) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi), each (hidden,), on an mlp1 head's pre-activations
+    over the pixel box, lo <= hi by construction; a non-finite bound is a
+    ValidationError.  `scores` is passed on to block_output_bounds."""
     sfx = model.suffix
     h_lo, h_hi = block_output_bounds(model, box, scores)
-    z_lo, z_hi = affine_bounds(sfx.w1, h_lo.reshape(-1), h_hi.reshape(-1))
-    return PreActBox._built(z_lo + sfx.b1, z_hi + sfx.b1)
+    lo, hi = affine_bounds(sfx.w1, h_lo.reshape(-1), h_hi.reshape(-1))
+    lo += sfx.b1
+    hi += sfx.b1
+    check_finite("pre-activation box", lo, hi)
+    return lo, hi
 
 
 # margin_gradient_bounds widens its radius by this much of the enclosure's

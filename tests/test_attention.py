@@ -24,7 +24,7 @@ from attncert.attention import (
     value_scalar_bounds,
 )
 from attncert.intervals import affine_bounds, sign_split
-from attncert.suffix import PreActBox, linear_suffix_bound
+from attncert.suffix import linear_suffix_bound
 
 from oracles import forward_broadcast, margin_row_loop
 
@@ -48,7 +48,6 @@ BOX_KINDS = {
     "score-row": (ScoreBox, ("lower", "upper"), (3,)),
     "score-stack": (ScoreBox, ("lower", "upper"), (2, 2, 3)),
     "pixel": (PixelBox, ("lo", "hi"), (3,)),
-    "preact": (PreActBox, ("lo", "hi"), (3,)),
 }
 
 
@@ -165,8 +164,8 @@ class TestScoreBoxes:
     @pytest.mark.parametrize("kind", list(BOX_KINDS))
     def test_box_validation(self, kind, bad):
         # Every box type checks its endpoints through errors.check_box, plus
-        # its own rule ("extra"): a score row needs a coordinate, the pixel
-        # and pre-activation boxes are flat.
+        # its own rule ("extra"): a score row needs a coordinate, a pixel box
+        # is flat.
         cls, names, shape = BOX_KINDS[kind]
         lower, upper = np.zeros(shape), np.ones(shape)
         if bad == "nan":

@@ -320,6 +320,27 @@ class TestCertify:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "{model}", "--epsilon", "0.01", "--budget", "10", "--out"],
+        ["sweep", "--k", "4", "--trials", "1", "--budget", "10", "--out"],
+        ["sweep", "--k", "4", "--trials", "1", "--budget", "10", "--agg-out"],
+    ],
+    ids=["certify-out", "sweep-out", "sweep-agg-out"],
+)
+def test_unwritable_output_exit_3(tmp_path, capsys, argv, where):
+    # An output path that cannot be opened for writing is one error line
+    # naming it, exit 3, and no traceback.
+    path, _ = model_file(tmp_path)
+    out = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+    argv = [a.replace("{model}", path) for a in argv] + [str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+
+
 class TestSelfcheck:
     def test_passes(self, capsys):
         assert main(["selfcheck", "--trials", "25", "--samples", "25"]) == EXIT_OK

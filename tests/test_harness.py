@@ -188,7 +188,7 @@ class TestAttackObjective:
         lower = rng.normal(size=k)
         box = ScoreBox(lower=lower, upper=lower + rng.uniform(0, 2, size=k))
         want = np.vstack((threshold_vertices(c, box), threshold_vertices(-c, box)))
-        got = _threshold_vertices(np.stack((c, -c))[:, None], box.lower, box.upper, np.arange(k + 1))
+        got = _threshold_vertices(_stable_rank(np.stack((c, -c))[:, None]), box.lower, box.upper, np.arange(k + 1))
         assert np.array_equal(got.reshape(-1, k), want)
         assert np.array_equal(attack_vertices_loop(c, box), want)
 
@@ -269,7 +269,7 @@ class TestAttackObjective:
             points = np.vstack(seen)  # the candidate set, scored in blocks
             assert points.shape == (k + 1 + budget, k)
             assert np.array_equal(points[k + 1 :].view(np.uint64), want.view(np.uint64))
-            assert np.array_equal(points[: k + 1], _threshold_vertices(c, box.lower, box.upper, np.arange(k + 1)))
+            assert np.array_equal(points[: k + 1], _threshold_vertices(_stable_rank(c), box.lower, box.upper, np.arange(k + 1)))
 
     @pytest.mark.parametrize(
         "k, budget", [(k, budget) for k in (1, 4, 256) for budget in (1, 40, 1000)] + [(2**14 + 1, 40)]
@@ -292,7 +292,7 @@ class TestAttackObjective:
         def spy(c_, points):
             nonlocal scored
             idx = np.arange(scored, scored + len(points))
-            vertices = _threshold_vertices(c, box.lower, box.upper, idx[idx <= k], rank)
+            vertices = _threshold_vertices(rank, box.lower, box.upper, idx[idx <= k])
             want = np.vstack((vertices, samples[idx[idx > k] - k - 1]))
             assert np.array_equal(points.view(np.uint64), want.view(np.uint64))
             calls.append(len(points))

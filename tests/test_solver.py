@@ -43,6 +43,33 @@ def rand_instance(rng, k, width=1.0):
     return c, box(centers - w, centers + w)
 
 
+def tied_rows(rng, k):
+    """Coefficient rows of length k with and without ties, -0.0 and 0.0
+    included."""
+    rows = [
+        rng.normal(size=k),  # no tie
+        np.round(rng.normal(size=k)),  # ties
+        np.full(k, 0.5),  # all equal
+        rng.choice([0.0, -0.0], k),  # zeros of both signs
+        rng.choice([-0.0, 0.0, 1.0, -1.0], k),
+        np.where(rng.random(k) < 0.5, 0.0, rng.normal(size=k)),
+    ]
+    return np.stack(rows)
+
+
+def huge_rows(rng, k, n=6):
+    """n coefficient rows of length k above DBL_MAX / (2 (K + 1)) but for
+    their first k // 2 entries, which are tiny: the sweep scales such rows
+    by a power of two that flushes the tiny entries to +-0.0, so distinct
+    coefficients tie there.  Row 0 is a normal row the scaling leaves
+    alone."""
+    c = rng.choice([-1.0, 1.0], (n, k)) * rng.uniform(2e307, 1.79e308, (n, k))
+    h = k // 2
+    c[:, :h] = rng.choice([-1.0, 1.0], (n, h)) * rng.choice([5e-324, 1e-320, 2e-310, 3e-300], (n, h))
+    c[0] = rng.normal(size=k)
+    return c
+
+
 class TestSoftmaxObjective:
     def test_uniform(self):
         assert softmax_objective([0.0, 1.0], [0.0, 0.0]) == 0.5
@@ -137,6 +164,24 @@ class TestDirectionalMin:
             assert on_edge.all()
             f = softmax_objective(c, r.vertex)
             assert f == pytest.approx(r.value, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16, 64])
+    def test_vertex_is_the_stable_threshold_vertex(self, k):
+        # On rows with ties and on the rows the sweep scales, the vertex sits
+        # at upper on the first m coordinates of the row's stable ascending
+        # order and at lower elsewhere; a point box and the maximum too.  A
+        # row of equal non-dyadic entries puts m inside the tie by rounding,
+        # where the order within the tie decides the vertex.  Values are not
+        # compared on the huge rows: softmax_objective can overflow there.
+        rng = np.random.default_rng(6100 + k)
+        lower = rng.uniform(-3, 3, k)
+        for b in (box(lower, lower + rng.uniform(0, 2, k)), box(lower, lower)):
+            for c in np.vstack((tied_rows(rng, k), huge_rows(rng, k), np.full((1, k), 0.3))):
+                for r, d in ((directional_min(c, b), c), (directional_max(c, b), -c)):
+                    want = b.lower.copy()
+                    up = np.argsort(d, kind="stable")[: r.m]
+                    want[up] = b.upper[up]
+                    assert np.array_equal(r.vertex, want)
 
     def test_smallest_minimizing_threshold(self):
         # Zero direction makes every threshold vertex optimal; the sweep must
@@ -486,22 +531,10 @@ class TestSortedRows:
     """solver._sorted_rows sorts with numpy's default sort and re-sorts the
     tied rows stably; its order is the stable one on every row."""
 
-    @staticmethod
-    def tied_rows(rng, k):
-        rows = [
-            rng.normal(size=k),  # no tie
-            np.round(rng.normal(size=k)),  # ties
-            np.full(k, 0.5),  # all equal
-            rng.choice([0.0, -0.0], k),  # zeros of both signs
-            rng.choice([-0.0, 0.0, 1.0, -1.0], k),
-            np.where(rng.random(k) < 0.5, 0.0, rng.normal(size=k)),
-        ]
-        return np.stack(rows)
-
     @pytest.mark.parametrize("k", [1, 2, 3, 16, 64, 257])
     def test_matches_stable_argsort(self, k):
         rng = np.random.default_rng(7000 + k)
-        c = self.tied_rows(rng, k)
+        c = tied_rows(rng, k)
         order, cs = solver._sorted_rows(c)
         want_order, want_cs = stable_sorted(c)
         assert np.array_equal(order, want_order)
@@ -511,7 +544,7 @@ class TestSortedRows:
 
     def test_one_row_and_stacks(self):
         rng = np.random.default_rng(7100)
-        c = self.tied_rows(rng, 5)
+        c = tied_rows(rng, 5)
         for rows in (c[3], c.reshape(2, 3, 5), c[:, :1], np.zeros((0, 4))):
             order, cs = solver._sorted_rows(rows)
             want_order, want_cs = stable_sorted(rows)
@@ -532,9 +565,7 @@ class TestSortedRows:
         # +-0.0 or to equal subnormals, so distinct coefficients tie there.
         rng = np.random.default_rng(7200)
         k = 8
-        c = rng.choice([-1.0, 1.0], (6, k)) * rng.uniform(2e307, 1.79e308, (6, k))
-        c[:, :4] = rng.choice([-1.0, 1.0], (6, 4)) * rng.choice([5e-324, 1e-320, 2e-310, 3e-300], (6, 4))
-        c[0] = rng.normal(size=k)  # a row the shift leaves alone
+        c = huge_rows(rng, k)
         seen = []
         original = solver._sorted_rows
 

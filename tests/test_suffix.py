@@ -7,8 +7,8 @@ import pytest
 from attncert import AttentionModelSpec, LinearSuffix, ValidationError, forward_batch, pixel_box, random_model
 from attncert.attention import model_score_boxes
 from attncert.model import patch_pixel_indices
+from attncert import suffix
 from attncert.suffix import (
-    PreActBox,
     block_output_bounds,
     interval_forward,
     linear_suffix_bound,
@@ -79,7 +79,7 @@ class TestReluSuffix:
     def test_all_active_equals_exact_composition(self):
         m = random_model(seed=6, tokens=2, d_model=3, suffix_kind="mlp1", hidden=5)
         sfx = m.suffix
-        pre = PreActBox(lo=np.full(5, 0.1), hi=np.full(5, 2.0))
+        pre = (np.full(5, 0.1), np.full(5, 2.0))
         sb = relu_suffix_bound(m, pre, 0, [1])
         omega = sfx.w2[0] - sfx.w2[1]
         gamma_exact = (sfx.w1.T @ omega).reshape(m.tokens, m.d_model)
@@ -89,7 +89,7 @@ class TestReluSuffix:
 
     def test_all_dead_layer(self):
         m = random_model(seed=7, suffix_kind="mlp1", hidden=5)
-        pre = PreActBox(lo=np.full(5, -3.0), hi=np.full(5, -0.5))
+        pre = (np.full(5, -3.0), np.full(5, -0.5))
         sb = relu_suffix_bound(m, pre, 1, [0])
         assert np.array_equal(sb.gamma, np.zeros_like(sb.gamma))
         assert sb.beta[0] == float(m.suffix.b2[1] - m.suffix.b2[0])
@@ -101,7 +101,7 @@ class TestReluSuffix:
             x0 = np.random.default_rng(100 + seed).uniform(0.2, 0.8, m.image_size)
             box = pixel_box(x0, 0.05)
             pre = interval_forward(m, box, model_score_boxes(m, box))
-            assert np.any((pre.lo < 0) & (pre.hi > 0)), "fixture should have crossing neurons"
+            assert np.any((pre[0] < 0) & (pre[1] > 0)), "fixture should have crossing neurons"
             for y, t in ((0, 1), (1, 0)):
                 sb = relu_suffix_bound(m, pre, y, [t])
                 xs = sample_inputs(m, 2000, rng, box)
@@ -113,7 +113,7 @@ class TestReluSuffix:
     def test_stable_neuron_consistency(self):
         # Pre-activation boxes that exclude zero make the relaxation exact.
         m = random_model(seed=13, suffix_kind="mlp1", hidden=4)
-        pre = PreActBox(lo=np.array([0.2, 0.5, -2.0, -0.1]), hi=np.array([1.0, 2.0, -0.4, -0.05]))
+        pre = (np.array([0.2, 0.5, -2.0, -0.1]), np.array([1.0, 2.0, -0.4, -0.05]))
         sb = relu_suffix_bound(m, pre, 0, [1])
         sfx = m.suffix
         omega = sfx.w2[0] - sfx.w2[1]
@@ -142,29 +142,29 @@ class TestIntervalForward:
             m = random_model(seed=16, tokens=3, heads=2, d_model=4, d_head=2, suffix_kind="mlp1", hidden=5, residual=residual)
             x0 = np.random.default_rng(4).uniform(0, 1, m.image_size)
             box = pixel_box(x0, 0.0)
-            pre = interval_forward(m, box, model_score_boxes(m, box))
+            lo, hi = interval_forward(m, box, model_score_boxes(m, box))
             exact = forward_broadcast(m, x0).hidden_pre
-            assert pre.lo == pytest.approx(exact, abs=1e-12)
-            assert pre.hi == pytest.approx(exact, abs=1e-12)
+            assert lo == pytest.approx(exact, abs=1e-12)
+            assert hi == pytest.approx(exact, abs=1e-12)
 
     def test_monotone_in_epsilon(self):
         m = random_model(seed=17, tokens=2, suffix_kind="mlp1", hidden=6)
         x0 = np.random.default_rng(5).uniform(0.2, 0.8, m.image_size)
         box = pixel_box(x0, 0.0)
-        prev = interval_forward(m, box, model_score_boxes(m, box))
+        prev_lo, prev_hi = interval_forward(m, box, model_score_boxes(m, box))
         for eps in (0.01, 0.03, 0.1):
             box = pixel_box(x0, eps)
-            cur = interval_forward(m, box, model_score_boxes(m, box))
-            assert np.all(cur.lo <= prev.lo + 1e-12)
-            assert np.all(cur.hi >= prev.hi - 1e-12)
-            prev = cur
+            lo, hi = interval_forward(m, box, model_score_boxes(m, box))
+            assert np.all(lo <= prev_lo + 1e-12)
+            assert np.all(hi >= prev_hi - 1e-12)
+            prev_lo, prev_hi = lo, hi
 
     def test_sampled_containment(self):
         rng = np.random.default_rng(6)
         m = random_model(seed=18, tokens=3, heads=1, d_model=4, suffix_kind="mlp1", hidden=6)
         x0 = rng.uniform(0.2, 0.8, m.image_size)
         box = pixel_box(x0, 0.05)
-        pre = interval_forward(m, box, model_score_boxes(m, box))
+        lo, hi = interval_forward(m, box, model_score_boxes(m, box))
         idx = patch_pixel_indices(m)
         xs = sample_inputs(m, 10_000, rng, box)
         # Batched hidden pre-activations, mirroring the reference forward.
@@ -178,8 +178,8 @@ class TestIntervalForward:
         head_out = np.einsum("nhij,nhjd->nhid", attn, v)
         hplus = np.einsum("hmd,nhid->nim", m.wo, head_out) + m.bo + toks
         z = hplus.reshape(len(xs), -1) @ m.suffix.w1.T + m.suffix.b1
-        assert np.all(z >= pre.lo[None, :] - 1e-9)
-        assert np.all(z <= pre.hi[None, :] + 1e-9)
+        assert np.all(z >= lo[None, :] - 1e-9)
+        assert np.all(z <= hi[None, :] + 1e-9)
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -194,13 +194,22 @@ class TestIntervalForward:
             (-np.inf, -np.inf),
         ],
     )
-    def test_preact_box_rejects_non_finite_endpoints(self, lo, hi):
-        # A NaN passes the lo > hi check, and -inf..inf would reach the
-        # chord's inf / inf in relu_suffix_bound.
+    def test_preact_box_rejects_non_finite_endpoints(self, monkeypatch, lo, hi):
+        # interval_forward's bounds get the finite check: a NaN would pass a
+        # lo > hi check, and -inf..inf would reach the chord's inf / inf in
+        # relu_suffix_bound.  The bounds are planted as the hidden layer's
+        # affine_bounds, before interval_forward adds b1.
+        m = random_model(seed=19, tokens=2, suffix_kind="mlp1", hidden=3)
+        box = pixel_box(np.full(m.image_size, 0.5), 0.01)
+        planted = (np.array([0.0, lo, -1.0]), np.array([1.0, hi, 1.0]))
+        original = suffix.affine_bounds
+        monkeypatch.setattr(
+            suffix, "affine_bounds", lambda w, *ends: planted if w is m.suffix.w1 else original(w, *ends)
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="finite"):
-                PreActBox(lo=np.array([0.0, lo, -1.0]), hi=np.array([1.0, hi, 1.0]))
+            with pytest.raises(ValidationError, match="pre-activation box endpoints must be finite"):
+                interval_forward(m, box, model_score_boxes(m, box))
 
 
 class TestBlockOutputBounds:
