@@ -3,20 +3,22 @@
 Everything before the softmax is affine in the pixels of a single patch, so
 query/key/value coordinates get exact interval bounds over a pixel box.
 Score boxes come from interval products of the query and key bounds, as
-one ScoreBox stack of shape (heads, R, R), a row per (head, query token).
-The margin of a linear functional of the attention output then decomposes
-into one directional softmax row problem per (target, head, query token);
-every row is solved in one kernel call: exactly by the threshold sweep,
-from below by the certified sweep, or by the interval-softmax baseline.
+one (lower, upper) pair of (heads, R, R) arrays, a row per (head, query
+token).  The margin of a linear functional of the attention output then
+decomposes into one directional softmax row problem per (target, head,
+query token); every row is solved in one kernel call: exactly by the
+threshold sweep, from below by the certified sweep, or by the
+interval-softmax baseline.
 
 The row coefficients compose the suffix bound with the pixel -> value ->
-W_o maps.  That composition and its sign split do not depend on the box,
-so value_coefficients keeps them on the suffix bound: the linear head's
-bound is built once per (model, label) and its maps with it, while the
-mlp1 head's is built anew for every box.  These stages trust their
-inputs, which verify.certify_targets checks; the boxes they build (the
-score boxes here, the value and pre-activation bounds in suffix) hold
-their shape and order by construction and get one finite check each.
+W_o maps.  That composition and its sign split do not depend on the box:
+value_maps builds them, and value_coefficients takes them over one box.
+verify.certify_targets keeps the linear head's maps per (model, label);
+the mlp1 head's suffix bound, and so its maps, are built anew for every
+box.  These stages trust their inputs, which verify.certify_targets
+checks; the boxes they build (the score boxes here, the value and
+pre-activation bounds in suffix) hold their shape and order by
+construction and get one finite check each.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ import numpy as np
 
 from .baseline import baseline_min
 from .certified import certified_sweep_min
-from .errors import CertificationInfeasibleError, ValidationError, check_box
+from .errors import CertificationInfeasibleError, ValidationError, check_box, check_finite
 from .intervals import affine_bounds, sign_split
 from .model import AttentionModelSpec, patch_pixel_indices
-from .solver import ScoreBox, sweep_min
+from .solver import sweep_min
 from .solver import directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps this name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,7 +48,7 @@ class PixelBox:
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo, hi = check_box("pixel box", self.lo, self.hi, ndim=1)
+        lo, hi = check_box("pixel box", self.lo, self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -91,16 +93,16 @@ def value_scalar_bounds(model: AttentionModelSpec, box: PixelBox):
     return v_lo, v_hi
 
 
-def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> ScoreBox:
-    """Score boxes from query/key coordinate bounds: one (heads, R, R) stack,
-    a row per (head, query token).
+def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Score boxes from query/key coordinate bounds: the (lower, upper) pair
+    of (heads, R, R) arrays, a row per (head, query token).
 
     Each scalar product q_ir * k_jr is bounded by its four endpoint
     products, taken in one chain of np.minimum / np.maximum calls (a
     stacked reduce's order, so signed zeros come out alike); the bounds are
     summed over the head dimension, scaled, and shifted by the additive
     mask.  The lower bound is at most the upper one by construction, so the
-    box gets its finite check alone.
+    boxes get their finite check alone.
     """
     ql = q_lo[:, :, None, :]
     qh = q_hi[:, :, None, :]
@@ -112,10 +114,12 @@ def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> 
     for corner in (qh * kl, qh * kh):
         np.minimum(p_min, corner, out=p_min)
         np.maximum(p_max, corner, out=p_max)
-    return ScoreBox._built(scale * p_min.sum(axis=3) + mask, scale * p_max.sum(axis=3) + mask)
+    lower, upper = scale * p_min.sum(axis=3) + mask, scale * p_max.sum(axis=3) + mask
+    check_finite("score box", lower, upper)
+    return lower, upper
 
 
-def model_score_boxes(model: AttentionModelSpec, box: PixelBox) -> ScoreBox:
+def model_score_boxes(model: AttentionModelSpec, box: PixelBox) -> tuple[np.ndarray, np.ndarray]:
     """Score boxes for a model over a pixel box."""
     (q_lo, k_lo), (q_hi, k_hi) = _qkv_bounds(model, box, slice(0, 2))
     return score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, model.scale, model.mask)
@@ -139,12 +143,9 @@ class _ValueMaps(NamedTuple):
     res_floor: np.ndarray | None
 
 
-def _value_maps(suffix: "SuffixAffineBound", model: AttentionModelSpec) -> _ValueMaps:
-    """The suffix bound's _ValueMaps, built on its first use and kept on it,
-    so a bound that serves many boxes (the linear head's, one per label)
-    builds them once."""
-    if suffix.value_maps is not None:
-        return suffix.value_maps
+def value_maps(suffix: "SuffixAffineBound", model: AttentionModelSpec) -> _ValueMaps:
+    """The suffix bound's _ValueMaps, read-only: a bound that serves many
+    boxes (the linear head's, one per label) needs them built once."""
     gamma = suffix.gamma
     n_t = len(gamma)
     g = gamma.reshape(-1, model.d_model)  # (T * R, d_model) rows
@@ -160,26 +161,24 @@ def _value_maps(suffix: "SuffixAffineBound", model: AttentionModelSpec) -> _Valu
     for a in maps:
         if a is not None:
             a.setflags(write=False)
-    object.__setattr__(suffix, "value_maps", maps)
     return maps
 
 
-def value_coefficients(suffix: "SuffixAffineBound", model: AttentionModelSpec, box: PixelBox) -> ValueCoeffs:
+def value_coefficients(maps: _ValueMaps, model: AttentionModelSpec, box: PixelBox) -> ValueCoeffs:
     """Per-row directional coefficients and the input-independent margin floor.
 
-    For target t of the stacked suffix bound (beta, gamma), row (h, i) gets
-    coefficients c[t, h, i, j] = exact lower bound over the pixel box of the
-    value contribution gamma[t, i] . W_o^h V_j^h(x), and
+    For target t of the stacked suffix bound (beta, gamma) whose value_maps
+    are maps, row (h, i) gets coefficients c[t, h, i, j] = exact lower
+    bound over the pixel box of the value contribution
+    gamma[t, i] . W_o^h V_j^h(x), and
 
       b_prime[t] = beta[t] + sum_i gamma[t, i] . b_o
                    (+ exact lower bound of sum_i gamma[t, i] . H_i(x) when
                     the block has a residual connection).
 
-    The maps from the pixels are the suffix bound's _ValueMaps; per box
-    only their lower products over the box are taken.  Raises
+    Per box only the maps' lower products over the box are taken.  Raises
     ValidationError unless every coefficient and floor is finite.
     """
-    maps = _value_maps(suffix, model)
     n_t = len(maps.floor)
     xlo, xhi = _token_pixel_boxes(model, box)
     c = (maps.w_pos @ xlo.T + maps.w_neg @ xhi.T).reshape(n_t, model.tokens, model.heads, model.tokens) + maps.offs
@@ -218,22 +217,23 @@ def _accumulate_down(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.nextafter(_accumulate(floor, rows) - pad, -np.inf)
 
 
-def margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
+def margin_lower_bound(coeffs: ValueCoeffs, scores: tuple) -> np.ndarray:
     """Sound margin lower bounds, shape (T,): each target's floor plus the
-    exact directional minimum of its every (head, query token) row."""
-    values, _ = sweep_min(coeffs.c, scores.lower, scores.upper)
+    exact directional minimum of its every (head, query token) row over
+    scores, model_score_boxes' (lower, upper) pair."""
+    values, _ = sweep_min(coeffs.c, *scores)
     return _accumulate(coeffs.b_prime, values)
 
 
-def baseline_margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
+def baseline_margin_lower_bound(coeffs: ValueCoeffs, scores: tuple) -> np.ndarray:
     """margin_lower_bound with the interval-softmax baseline bounding each row."""
-    return _accumulate(coeffs.b_prime, baseline_min(coeffs.c, scores.lower, scores.upper))
+    return _accumulate(coeffs.b_prime, baseline_min(coeffs.c, *scores))
 
 
-def certified_margin_lower_bound(coeffs: ValueCoeffs, scores: ScoreBox) -> np.ndarray:
+def certified_margin_lower_bound(coeffs: ValueCoeffs, scores: tuple) -> np.ndarray:
     """margin_lower_bound with every (target, head, query token) row bounded
     by the certified sweep, in one kernel call, and the sum rounded down."""
-    rows, saturated = certified_sweep_min(coeffs.c, scores.lower, scores.upper)
+    rows, saturated = certified_sweep_min(coeffs.c, *scores)
     total = _accumulate_down(coeffs.b_prime, rows)
     if saturated.any() or not np.all(np.isfinite(total)):
         raise CertificationInfeasibleError(

@@ -103,17 +103,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
         doc = read_json(args.input)
         _require_keys(doc, {"x"}, {"y"}, args.input)
         x0 = _number_array(doc, "x", args.input)
-        if "y" in doc:
-            y = doc["y"]
-            if not isinstance(y, int) or isinstance(y, bool):
-                raise ValidationError(f"{args.input}: field 'y' must be an integer class index")
-        else:
-            y = _predicted_class(model, x0)
+        y = doc.get("y")
+        if "y" in doc and (not isinstance(y, int) or isinstance(y, bool)):
+            raise ValidationError(f"{args.input}: field 'y' must be an integer class index")
     else:
         x0 = keyed_rng(seed, model.image_size).uniform(0.0, 1.0, model.image_size)
-        y = _predicted_class(model, x0)
+        y = None
 
+    # The box checks x0's pixels before the prediction reads them.
     box = pixel_box(x0, args.epsilon)
+    if y is None:
+        y = _predicted_class(model, x0)
     result = certify_targets(model, box, y, certified=args.certified)
 
     attacks = attack_min_margin(model, box, y, [b.target for b in result.bounds], args.budget, seed=seed).tolist()

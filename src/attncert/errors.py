@@ -25,19 +25,17 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
-def check_box(what: str, lower, upper, ndim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) as float64 arrays, if they share one shape with at least
-    one axis (exactly ndim when given), are finite and lower <= upper."""
+def check_box(what: str, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) as float64 arrays, if they are 1-D arrays of one length,
+    are finite and lower <= upper."""
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
-    if lower.shape != upper.shape or not lower.ndim or ndim not in (None, lower.ndim):
-        axes = "matched arrays with at least one axis" if ndim is None else f"matched {ndim}-D arrays"
-        raise ValidationError(f"{what} endpoints must be {axes}, got shapes {lower.shape} and {upper.shape}")
+    if lower.shape != upper.shape or lower.ndim != 1:
+        raise ValidationError(f"{what} endpoints must be matched 1-D arrays, got shapes {lower.shape} and {upper.shape}")
     check_finite(what, lower, upper)
     if np.any(lower > upper):
-        j = tuple(np.argwhere(lower > upper)[0].tolist())
-        at = j[0] if len(j) == 1 else j
-        raise ValidationError(f"{what} coordinate {at} has lower {lower[j]} > upper {upper[j]}")
+        j = int(np.argmax(lower > upper))
+        raise ValidationError(f"{what} coordinate {j} has lower {lower[j]} > upper {upper[j]}")
     return lower, upper
 
 

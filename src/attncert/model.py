@@ -51,11 +51,11 @@ class AttentionModelSpec:
     maps (_w_pix_qkv, _b_pix_qkv), its pixel -> value -> W_o maps (_w_pix_o,
     _b_pix_o) and the patch gather indices (_patch_index) are built from
     them then, as read-only attributes that are not dataclass fields.
-    _suffix_bounds starts empty and keeps the linear head's margin forms
-    per label as suffix.linear_suffix_bound builds them.  To change a
-    weight, build a new spec (dataclasses.replace does; its copy starts
-    with no margin forms).  _shapes gives every array's shape; the mask is
-    added to the scaled scores."""
+    _label_maps starts empty and keeps the linear head's value maps by
+    label as verify.certify_targets builds them.  To change a weight,
+    build a new spec (dataclasses.replace does; its copy starts with no
+    maps).  _shapes gives every array's shape; the mask is added to the
+    scaled scores."""
 
     height: int
     width: int
@@ -137,9 +137,9 @@ class AttentionModelSpec:
         for name, a in derived.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        # suffix.linear_suffix_bound's bounds by (label, targets), filled as
-        # labels are certified.
-        object.__setattr__(self, "_suffix_bounds", {})
+        # attention.value_maps of the linear head by label, filled as labels
+        # are certified.
+        object.__setattr__(self, "_label_maps", {})
 
     @property
     def tokens(self) -> int:
@@ -421,6 +421,8 @@ def _decode(layout, node, shapes: dict, heads: int, path: str, per_head: bool = 
 
 
 def save_model(model: AttentionModelSpec, path: str) -> None:
+    """Write the model's weight file; a path that cannot be written is a
+    ValidationError naming it."""
     doc = {
         "arch": "patch-attn-residual" if model.residual else "patch-attn",
         "dims": {key: getattr(model, field) for key, field in _DIMS.items()},
@@ -429,7 +431,7 @@ def save_model(model: AttentionModelSpec, path: str) -> None:
         "suffix_kind": model.suffix_kind,
         "weights": _encode(_LAYOUTS[model.suffix_kind], model),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 

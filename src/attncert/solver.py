@@ -8,13 +8,14 @@ and taking the best ratio gives the exact optimum in O(K log K); that ratio
 is the value, evaluated again only where its denominator underflows.
 Every row problem of the package (exact, certified, baseline, block-output
 bounds and attack vertices) exponentiates its box through _shifted_box or
-builds its vertices with _threshold_vertices.  A ScoreBox holds one row or
-a (..., K) stack of rows; the batched kernels (sweep_min and its certified
-and baseline twins) take any stack, and the single-row entry points reject
-a stacked box in _as_direction.  sweep_min and its certified twin sort each
-distinct coefficient row once (_sorted_rows: numpy's default sort, and the
-stable one only for rows with a tie) and exponentiate each box row once;
-every output row gathers its sorted row and its box row's exponentials.
+builds its vertices with _threshold_vertices.  A ScoreBox holds one row,
+the problem of the single-row entry points; the batched kernels (sweep_min
+and its certified and baseline twins) take (..., K) arrays that broadcast
+together, as the verifier builds them.  sweep_min and its certified twin
+sort each distinct coefficient row once (_sorted_rows: numpy's default
+sort, and the stable one only for rows with a tie) and exponentiate each
+box row once; every output row gathers its sorted row and its box row's
+exponentials.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import threading
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ValidationError, check_box, check_finite
+from .errors import ValidationError, check_box
 
 # Denominators below the smallest normal double (over min(max|c|, 1) in the
 # sweep) are evaluated again with a shift of their own, not as a 0/0.
@@ -34,8 +35,7 @@ _DBL_MAX = sys.float_info.max
 
 def _as_direction(c, row: np.ndarray) -> np.ndarray:
     """c as a float64 direction for one score row `row` (a box's lower end
-    or a score vector), which must be one-dimensional: the single-row entry
-    points take no stacked box."""
+    or a score vector), which must be one-dimensional."""
     if row.ndim != 1:
         raise ValidationError(f"expected one score row, got shape {row.shape}")
     c = np.asarray(c, dtype=np.float64)
@@ -50,34 +50,23 @@ def _as_direction(c, row: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScoreBox:
-    """Axis-aligned boxes of score rows, lower <= upper coordinatewise: one
-    row of shape (K,) or a stack of shape (..., K), with K >= 1."""
+    """An axis-aligned box of one score row, lower <= upper coordinatewise,
+    each of shape (K,) with K >= 1."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self) -> None:
         lower, upper = check_box("score box", self.lower, self.upper)
-        if lower.shape[-1] < 1:
-            raise ValidationError("score box must have at least one coordinate per row")
+        if not lower.size:
+            raise ValidationError("score box must have at least one coordinate")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    @classmethod
-    def _built(cls, lower: np.ndarray, upper: np.ndarray) -> "ScoreBox":
-        """A box around float64 endpoints that the verifier built, of one
-        shape and with lower <= upper by construction: only their finite
-        check runs."""
-        check_finite("score box", lower, upper)
-        box = object.__new__(cls)
-        object.__setattr__(box, "lower", lower)
-        object.__setattr__(box, "upper", upper)
-        return box
 
     @property
     def size(self) -> int:
         """The row length K."""
-        return int(self.lower.shape[-1])
+        return int(self.lower.shape[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ proves cannot lower a margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .baseline import _output_bounds
 from .errors import check_finite
 from .intervals import affine_bounds
 from .model import AttentionModelSpec, MlpSuffix
-from .solver import ScoreBox, sweep_min
+from .solver import sweep_min
 from .solver import directional_max, directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps these names
 
 
@@ -32,33 +32,21 @@ from .solver import directional_max, directional_min  # noqa: F401  unused since
 class SuffixAffineBound:
     """margin_t >= beta[t] + sum_i gamma[t, i] . hplus_i for every target t
     and all inputs in the box the bound was built for.  beta has shape
-    (T,) and gamma (T, tokens, d_model).  value_maps holds the box-
-    independent part of attention.value_coefficients' work, which that
-    function keeps here on first use; a bound belongs to one model."""
+    (T,) and gamma (T, tokens, d_model)."""
 
     beta: np.ndarray
     gamma: np.ndarray
-    value_maps: object = field(default=None, init=False, repr=False)
 
 
 def linear_suffix_bound(model: AttentionModelSpec, y: int, targets) -> SuffixAffineBound:
     """Exact margin forms for a linear head: beta[t] + gamma[t] . tokens
-    reproduces logit_y - logit_{targets[t]} identically.
-
-    They depend on the label and the targets alone, so each (y, targets)
-    bound is built on its first call and kept on the model (read-only, with
-    the value maps value_coefficients adds to it); a replaced model starts
-    with none."""
-    key = (y, tuple(targets))
-    bound = model._suffix_bounds.get(key)
-    if bound is None:
-        sfx = model.suffix
-        beta = sfx.b[y] - sfx.b[targets]
-        gamma = (sfx.w[y] - sfx.w[targets]).reshape(len(targets), model.tokens, model.d_model)
-        beta.setflags(write=False)
-        gamma.setflags(write=False)
-        bound = model._suffix_bounds[key] = SuffixAffineBound(beta=beta, gamma=gamma)
-    return bound
+    reproduces logit_y - logit_{targets[t]} identically.  They depend on
+    the label and the targets alone, so verify.certify_targets keeps the
+    value maps built from them per (model, label)."""
+    sfx = model.suffix
+    beta = sfx.b[y] - sfx.b[targets]
+    gamma = (sfx.w[y] - sfx.w[targets]).reshape(len(targets), model.tokens, model.d_model)
+    return SuffixAffineBound(beta=beta, gamma=gamma)
 
 
 def relu_suffix_bound(model: AttentionModelSpec, preact: tuple, y: int, targets) -> SuffixAffineBound:
@@ -90,15 +78,13 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: tuple, y: int, targets)
     return SuffixAffineBound(beta=beta, gamma=gamma.reshape(len(targets), model.tokens, model.d_model))
 
 
-def block_output_bounds(
-    model: AttentionModelSpec, box: PixelBox, scores: ScoreBox
-) -> tuple[np.ndarray, np.ndarray]:
+def block_output_bounds(model: AttentionModelSpec, box: PixelBox, scores: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Boxes on the block output tokens, (R, d_model) pair.
 
     Head outputs are convex combinations of value vectors, so each coordinate
     is bounded by a directional softmax problem over the head's score box
     with the value bounds as coefficients.  `scores` is the box's
-    model_score_boxes.
+    model_score_boxes, a (lower, upper) pair of (heads, R, R) arrays.
     """
     v_lo, v_hi = value_scalar_bounds(model, box)
     check_finite("value bounds", v_lo, v_hi)
@@ -106,7 +92,8 @@ def block_output_bounds(
     # token i, with v_lo in plane 0 and -v_hi in plane 1; the maximum is
     # -min(-c).  Shapes (2, heads, 1, d_head, R) against (heads, R, 1, R).
     c = np.stack((v_lo, -v_hi)).transpose(0, 1, 3, 2)[:, :, None]
-    o_lo, neg_hi = sweep_min(c, scores.lower[:, :, None, :], scores.upper[:, :, None, :])[0]
+    s_lo, s_hi = scores
+    o_lo, neg_hi = sweep_min(c, s_lo[:, :, None, :], s_hi[:, :, None, :])[0]
     o_hi = -neg_hi
     # The two optima can cross by a ulp on near-degenerate rows; widen outward.
     o_lo, o_hi = np.minimum(o_lo, o_hi), np.maximum(o_lo, o_hi)
@@ -121,7 +108,7 @@ def block_output_bounds(
     return out_lo, out_hi
 
 
-def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: ScoreBox) -> tuple[np.ndarray, np.ndarray]:
+def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (lo, hi), each (hidden,), on an mlp1 head's pre-activations
     over the pixel box, lo <= hi by construction; a non-finite bound is a
     ValidationError.  `scores` is passed on to block_output_bounds."""

@@ -22,6 +22,7 @@ from .attention import (
     margin_lower_bound,
     model_score_boxes,
     value_coefficients,
+    value_maps,
 )
 from .baseline import baseline_directional_min  # noqa: F401  unused since the baseline arm is batched; benchmark/tracing.py wraps this name
 from .certified import certified_directional_min  # noqa: F401  unused since the certified arm is batched; benchmark/tracing.py wraps this name
@@ -90,10 +91,14 @@ def certify_targets(
     with np.errstate(over="ignore", invalid="ignore"):
         scores = model_score_boxes(model, box)
         if isinstance(model.suffix, MlpSuffix):
-            suffix = relu_suffix_bound(model, interval_forward(model, box, scores), y, targets)
+            maps = value_maps(relu_suffix_bound(model, interval_forward(model, box, scores), y, targets), model)
         else:
-            suffix = linear_suffix_bound(model, y, targets)
-        coeffs = value_coefficients(suffix, model, box)
+            # The linear head's maps depend on the label alone: built on its
+            # first certification and kept on the model.
+            maps = model._label_maps.get(y)
+            if maps is None:
+                maps = model._label_maps[y] = value_maps(linear_suffix_bound(model, y, targets), model)
+        coeffs = value_coefficients(maps, model, box)
 
     vertex = (certified_margin_lower_bound if certified else margin_lower_bound)(coeffs, scores).tolist()
     baseline = baseline_margin_lower_bound(coeffs, scores).tolist()

@@ -368,24 +368,25 @@ def margin_row_loop(coeffs, scores, target_pos, row_bound) -> float:
     token) row of one target, added one row at a time in that order."""
     c = coeffs.c[target_pos]
     total = float(coeffs.b_prime[target_pos])
-    heads, tokens = scores.lower.shape[:2]
+    lower, upper = scores
+    heads, tokens = lower.shape[:2]
     for h in range(heads):
         for i in range(tokens):
-            total += row_bound(c[h, i], ScoreBox(lower=scores.lower[h, i], upper=scores.upper[h, i]))
+            total += row_bound(c[h, i], ScoreBox(lower=lower[h, i], upper=upper[h, i]))
     return total
 
 
 def block_output_row_loop(model, box):
     """block_output_bounds with one directional_min / directional_max call
     per (head, query token, value coordinate) row."""
-    scores = model_score_boxes(model, box)
+    s_lo, s_hi = model_score_boxes(model, box)
     v_lo, v_hi = value_scalar_bounds(model, box)
     heads, tokens, d_head = v_lo.shape
     o_lo = np.empty((heads, tokens, d_head))
     o_hi = np.empty((heads, tokens, d_head))
     for h in range(heads):
         for i in range(tokens):
-            row = ScoreBox(lower=scores.lower[h, i], upper=scores.upper[h, i])
+            row = ScoreBox(lower=s_lo[h, i], upper=s_hi[h, i])
             for r in range(d_head):
                 o_lo[h, i, r] = directional_min(v_lo[h, :, r], row).value
                 o_hi[h, i, r] = directional_max(v_hi[h, :, r], row).value

@@ -21,6 +21,7 @@ from attncert.attention import (
     score_boxes_interval_product,
     token_bounds,
     value_coefficients,
+    value_maps,
     value_scalar_bounds,
 )
 from attncert.intervals import affine_bounds, sign_split
@@ -46,6 +47,7 @@ def corner_extremes(w, lo, hi):
 # Box types by kind: the class, its endpoint field names and a valid shape.
 BOX_KINDS = {
     "score-row": (ScoreBox, ("lower", "upper"), (3,)),
+    # A stack of score rows is no ScoreBox.
     "score-stack": (ScoreBox, ("lower", "upper"), (2, 2, 3)),
     "pixel": (PixelBox, ("lo", "hi"), (3,)),
 }
@@ -119,15 +121,15 @@ class TestScoreBoxes:
     def test_positive_product(self):
         # One head, one token, one head dim: q in [1, 2], k in [3, 4].
         q_lo, q_hi, k_lo, k_hi = (np.full((1, 1, 1), v) for v in (1.0, 2.0, 3.0, 4.0))
-        t = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=1.0, mask=np.zeros((1, 1, 1)))
-        assert t.lower[0, 0, 0] == 3.0
-        assert t.upper[0, 0, 0] == 8.0
+        lo, hi = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=1.0, mask=np.zeros((1, 1, 1)))
+        assert lo[0, 0, 0] == 3.0
+        assert hi[0, 0, 0] == 8.0
 
     def test_sign_crossing_product(self):
         q_lo, q_hi, k_lo, k_hi = (np.full((1, 1, 1), v) for v in (-1.0, 1.0, -2.0, 2.0))
-        t = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=1.0, mask=np.zeros((1, 1, 1)))
-        assert t.lower[0, 0, 0] == -2.0
-        assert t.upper[0, 0, 0] == 2.0
+        lo, hi = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=1.0, mask=np.zeros((1, 1, 1)))
+        assert lo[0, 0, 0] == -2.0
+        assert hi[0, 0, 0] == 2.0
 
     @pytest.mark.parametrize("d_head", [1, 4, 9])
     def test_chained_corners_match_the_stacked_reduce(self, d_head):
@@ -148,24 +150,25 @@ class TestScoreBoxes:
             corners = np.stack((ql * kl, ql * kh, qh * kl, qh * kh))
             mask = rng.normal(size=(heads, r, r))
             for scale in (1.0, 1 / 3):
-                t = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=scale, mask=mask)
+                lo, hi = score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=scale, mask=mask)
                 want_lo = scale * corners.min(axis=0).sum(axis=3) + mask
                 want_hi = scale * corners.max(axis=0).sum(axis=3) + mask
-                assert np.array_equal(t.lower.view(np.uint64), want_lo.view(np.uint64))
-                assert np.array_equal(t.upper.view(np.uint64), want_hi.view(np.uint64))
+                assert np.array_equal(lo.view(np.uint64), want_lo.view(np.uint64))
+                assert np.array_equal(hi.view(np.uint64), want_hi.view(np.uint64))
 
     def test_degenerate_with_scale_and_mask(self):
         one = np.ones((1, 1, 1))
-        t = score_boxes_interval_product(one, one, one, one, scale=0.5, mask=0.5 * one)
-        assert t.lower[0, 0, 0] == 1.0
-        assert t.upper[0, 0, 0] == 1.0
+        lo, hi = score_boxes_interval_product(one, one, one, one, scale=0.5, mask=0.5 * one)
+        assert lo[0, 0, 0] == 1.0
+        assert hi[0, 0, 0] == 1.0
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "order", "shape", "extra"])
     @pytest.mark.parametrize("kind", list(BOX_KINDS))
     def test_box_validation(self, kind, bad):
         # Every box type checks its endpoints through errors.check_box, plus
         # its own rule ("extra"): a score row needs a coordinate, a pixel box
-        # is flat.
+        # is flat.  A score stack is rejected for its shape whatever else is
+        # wrong with it, and its "extra" case is a valid stack.
         cls, names, shape = BOX_KINDS[kind]
         lower, upper = np.zeros(shape), np.ones(shape)
         if bad == "nan":
@@ -178,34 +181,38 @@ class TestScoreBoxes:
             lower.flat[-1] = 2.0
         elif bad == "shape":
             upper = np.ones(shape[:-1] + (shape[-1] + 1,))
-        elif cls is ScoreBox:
-            lower, upper = np.zeros(shape[:-1] + (0,)), np.zeros(shape[:-1] + (0,))
-        else:
+        elif kind == "score-row":
+            lower, upper = np.zeros(0), np.zeros(0)
+        elif kind == "pixel":
             lower, upper = np.zeros((2,) + shape), np.ones((2,) + shape)
-        match = {"order": "lower 2.0 > upper 1.0", "shape": "matched", "extra": "coordinate per row|1-D"}
+        match = {"order": "lower 2.0 > upper 1.0", "shape": "matched", "extra": "at least one coordinate|1-D"}.get(bad, "finite")
+        if kind == "score-stack":
+            match = "matched 1-D arrays"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match=match.get(bad, "finite")):
+            with pytest.raises(ValidationError, match=match):
                 cls(**dict(zip(names, (lower, upper))))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_tensor_rejects_non_finite(self, bad):
-        lo = np.zeros((1, 2, 2))
-        hi = np.ones((1, 2, 2))
-        for which in ("lower", "upper"):
-            arrays = {"lower": lo.copy(), "upper": hi.copy()}
-            arrays[which][0, 1, 0] = bad
-            with pytest.raises(ValidationError, match="finite"):
-                ScoreBox(**arrays)
+        # The verifier's (heads, R, R) score boxes get the finite check where
+        # they are built: here a mask entry puts `bad` in both endpoints.
+        q_lo, q_hi, k_lo, k_hi = np.zeros((1, 2, 3)), np.ones((1, 2, 3)), np.zeros((1, 2, 3)), np.ones((1, 2, 3))
+        mask = np.zeros((1, 2, 2))
+        mask[0, 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="score box endpoints must be finite"):
+                score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale=1.0, mask=mask)
 
     def test_degenerate_box_matches_trace(self):
         for seed in range(4):
             m = random_model(seed=seed, tokens=3, heads=2, d_model=5, d_head=3)
             x0 = np.random.default_rng(50 + seed).uniform(0, 1, m.image_size)
-            t = model_score_boxes(m, degenerate_box(x0))
+            lo, hi = model_score_boxes(m, degenerate_box(x0))
             tr = forward_broadcast(m, x0)
-            assert t.lower == pytest.approx(tr.scores, abs=1e-9)
-            assert t.upper == pytest.approx(tr.scores, abs=1e-9)
+            assert lo == pytest.approx(tr.scores, abs=1e-9)
+            assert hi == pytest.approx(tr.scores, abs=1e-9)
 
     def test_sampled_scores_stay_inside(self):
         rng = np.random.default_rng(1)
@@ -213,12 +220,12 @@ class TestScoreBoxes:
             m = random_model(seed=seed, tokens=2, heads=2, d_model=4, weight_scale=1.3)
             x0 = rng.uniform(0.1, 0.9, m.image_size)
             box = pixel_box(x0, 0.08)
-            t = model_score_boxes(m, box)
+            lo, hi = model_score_boxes(m, box)
             for _ in range(300):
                 x = rng.uniform(box.lo, box.hi)
                 s = forward_broadcast(m, x).scores
-                assert np.all(s >= t.lower - 1e-9)
-                assert np.all(s <= t.upper + 1e-9)
+                assert np.all(s >= lo - 1e-9)
+                assert np.all(s <= hi + 1e-9)
 
 
 class TestTokenAndValueBounds:
@@ -245,7 +252,7 @@ class TestValueCoefficients:
         m = random_model(seed=4, tokens=2, heads=2, d_model=4, d_head=3, n_classes=3)
         x0 = np.random.default_rng(9).uniform(0, 1, m.image_size)
         bounds = linear_suffix_bound(m, 0, [1, 2])
-        coeffs = value_coefficients(bounds, m, degenerate_box(x0))
+        coeffs = value_coefficients(value_maps(bounds, m), m, degenerate_box(x0))
         tr = forward_broadcast(m, x0)
         v = np.einsum("hdm,rm->hrd", m.wv, tr.tokens) + m.bv[:, None, :]
         for ti, (beta, gamma) in enumerate(zip(bounds.beta, bounds.gamma)):
@@ -261,7 +268,7 @@ class TestValueCoefficients:
         m = random_model(seed=5, tokens=2, heads=1, d_model=3)
         sb = linear_suffix_bound(m, 0, [1])
         zero = type(sb)(beta=np.array([0.25]), gamma=np.zeros_like(sb.gamma))
-        coeffs = value_coefficients(zero, m, degenerate_box(np.full(m.image_size, 0.5)))
+        coeffs = value_coefficients(value_maps(zero, m), m, degenerate_box(np.full(m.image_size, 0.5)))
         assert np.all(coeffs.c[0] == 0.0)
         assert coeffs.b_prime[0] == 0.25
 
@@ -272,7 +279,7 @@ class TestValueCoefficients:
         assert m.image_size == 8
         box = PixelBox(lo=np.full(8, 0.2), hi=np.full(8, 0.8))
         sb = linear_suffix_bound(m, 0, [1])
-        coeffs = value_coefficients(sb, m, box)
+        coeffs = value_coefficients(value_maps(sb, m), m, box)
         gamma = sb.gamma[0]
         eta = np.einsum("hmd,im->ihd", m.wo, gamma)
         corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
@@ -300,7 +307,7 @@ class TestValueCoefficients:
             gamma[0, 1, 2] = bad
             for suffix in (type(sb)(beta=sb.beta, gamma=gamma), type(sb)(beta=np.array([bad]), gamma=sb.gamma)):
                 with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="finite"):
-                    value_coefficients(suffix, m, box)
+                    value_coefficients(value_maps(suffix, m), m, box)
 
 
 class TestMarginLowerBound:
@@ -308,20 +315,20 @@ class TestMarginLowerBound:
         coeffs = ValueCoeffs(c=np.array([[[[0.0, 1.0]]]]), b_prime=np.array([0.0]))
         z = np.zeros((1, 1, 2))
         # Both scores pinned to 0 -> uniform attention -> margin 0.5.
-        scores = ScoreBox(lower=z, upper=z)
+        scores = (z, z)
         assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(0.5, abs=0)
 
     def test_single_skewed_row(self):
         coeffs = ValueCoeffs(c=np.array([[[[0.0, 1.0]]]]), b_prime=np.array([0.0]))
         s = np.array([[[1.0, -1.0]]])
-        scores = ScoreBox(lower=s, upper=s)
+        scores = (s, s)
         assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(ROW_MIN_01, abs=1e-15)
 
     def test_two_rows_plus_floor(self):
         c = np.array([[[[0.0, 1.0], [0.0, 1.0]]]])
         coeffs = ValueCoeffs(c=c, b_prime=np.array([1.0]))
         s = np.array([[[1.0, -1.0], [1.0, -1.0]]])
-        scores = ScoreBox(lower=s, upper=s)
+        scores = (s, s)
         assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(1.0 + 2.0 * ROW_MIN_01, abs=1e-15)
 
     def test_targets_stack_into_one_call(self):
@@ -329,7 +336,7 @@ class TestMarginLowerBound:
         heads, r, targets = 2, 3, 4
         coeffs = ValueCoeffs(c=rng.normal(size=(targets, heads, r, r)), b_prime=rng.normal(size=targets))
         lo = rng.normal(size=(heads, r, r))
-        scores = ScoreBox(lower=lo, upper=lo + rng.uniform(0, 2, size=lo.shape))
+        scores = (lo, lo + rng.uniform(0, 2, size=lo.shape))
         rows = (lambda c, row: directional_min(c, row).value, baseline_directional_min)
         for arm, row in zip((margin_lower_bound, baseline_margin_lower_bound), rows):
             stacked = arm(coeffs, scores)
@@ -345,7 +352,7 @@ class TestMarginLowerBound:
             heads, r = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             coeffs = ValueCoeffs(c=rng.normal(size=(1, heads, r, r)), b_prime=rng.normal(size=1))
             lo = rng.normal(size=(heads, r, r))
-            scores = ScoreBox(lower=lo, upper=lo + rng.uniform(0, 2, size=lo.shape))
+            scores = (lo, lo + rng.uniform(0, 2, size=lo.shape))
             exact = margin_lower_bound(coeffs, scores)[0]
             relaxed = baseline_margin_lower_bound(coeffs, scores)[0]
             assert exact >= relaxed - 1e-12

@@ -231,6 +231,23 @@ class TestCertify:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: clean input pixels must lie in [0, 1], got x0[3] = 2.0"]
 
+    @pytest.mark.parametrize("label", [{"y": 0}, {}])
+    @pytest.mark.parametrize("pixel, shown", [("NaN", "nan"), ("1e400", "inf")], ids=["nan", "inf"])
+    def test_non_finite_pixel_exit_3(self, tmp_path, capsys, pixel, shown, label):
+        # The box is built, and the pixel named, before the prediction reads
+        # the input: without a label it would fail on non-finite logits.
+        path, m = model_file(tmp_path)
+        x = ["0.5"] * m.image_size
+        x[3] = pixel
+        inp = tmp_path / "input.json"
+        inp.write_text('{"x": [' + ", ".join(x) + "]" + "".join(f', "{k}": {v}' for k, v in label.items()) + "}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", path, "--input", str(inp), "--epsilon", "0.01"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: clean input pixels must lie in [0, 1], got x0[3] = {shown}"]
+
     def test_negative_epsilon(self, tmp_path):
         path, _ = model_file(tmp_path)
         assert main(["certify", path, "--epsilon", "-0.1"]) == EXIT_VALIDATION

@@ -543,7 +543,7 @@ class TestModelIO:
         fields, want = FORMAT_CASES[kind]
         path = tmp_path / "m.json"
         save_model(AttentionModelSpec(**fields), str(path))
-        text = path.read_text()
+        text = path.read_bytes().decode("utf-8")
         assert json.loads(text) == want
         assert text == json.dumps(want, indent=1) + "\n"
         back = load_model(str(path))  # every array, the nonzero mask included, reads back
@@ -551,6 +551,14 @@ class TestModelIO:
             if isinstance(a, np.ndarray):
                 got = getattr(back, name) if name in fields else getattr(back.suffix, name)
                 assert np.array_equal(got, a), name
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_path_rejected(self, tmp_path, where):
+        # As load_model names a file it cannot read, save_model names a path
+        # it cannot write.
+        path = tmp_path / "missing" / "m.json" if where == "missing-directory" else tmp_path
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: ")):
+            save_model(random_model(seed=0, tokens=4, n_classes=3), str(path))
 
     @pytest.mark.parametrize("group", ["wv", "wo.w"])
     def test_wrong_head_count_rejected(self, tmp_path, group):

@@ -14,7 +14,6 @@ from attncert import (
     ValidationError,
     attack_min_objective,
     baseline_directional_min,
-    certified_directional_min,
     directional_max,
     directional_min,
     exhaustive_vertex_min,
@@ -90,6 +89,10 @@ class TestSoftmaxObjective:
         with pytest.raises(ValidationError):
             softmax_objective([1.0], [0.0, 0.0])
 
+    def test_stacked_scores_rejected(self):
+        with pytest.raises(ValidationError, match="one score row"):
+            softmax_objective(np.ones(3), np.zeros((2, 3)))
+
 
 class TestScoreBox:
     def test_validation(self):
@@ -105,26 +108,12 @@ class TestScoreBox:
     def test_degenerate_allowed(self):
         b = box([1.0, 2.0], [1.0, 3.0])
         assert b.size == 2
-        # A stack of rows is a box too; its size is the row length.
-        assert box(np.zeros((4, 3)), np.zeros((4, 3))).size == 3
 
-    @pytest.mark.parametrize(
-        "solve",
-        [
-            directional_min,
-            directional_max,
-            exhaustive_vertex_min,
-            baseline_directional_min,
-            certified_directional_min,
-            lambda c, b: attack_min_objective(c, b, budget=4),
-        ],
-        ids=["min", "max", "exhaustive", "baseline", "certified", "attack"],
-    )
-    def test_single_row_calls_reject_a_stack(self, solve):
-        # A stack is a valid ScoreBox, but these calls solve one row.
-        stack = box(np.zeros((2, 3)), np.ones((2, 3)))
-        with pytest.raises(ValidationError, match="one score row"):
-            solve(np.ones(3), stack)
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (2, 2, 3), ()], ids=["one-row", "two-rows", "3-D", "0-D"])
+    def test_stack_rejected_at_construction(self, shape):
+        # A ScoreBox is one row, so no single-row call can be handed a stack.
+        with pytest.raises(ValidationError, match="matched 1-D arrays"):
+            box(np.zeros(shape), np.ones(shape))
 
 
 class TestDirectionalMin:

@@ -13,7 +13,6 @@ import attncert.suffix
 import attncert.verify
 from attncert import (
     CertificationInfeasibleError,
-    ScoreBox,
     ValidationError,
     baseline_directional_min,
     certified_directional_min,
@@ -24,7 +23,7 @@ from attncert import (
     pixel_box,
     random_model,
 )
-from attncert.attention import model_score_boxes, value_coefficients
+from attncert.attention import model_score_boxes, value_coefficients, value_maps
 from attncert.suffix import interval_forward, linear_suffix_bound, relu_suffix_bound
 from oracles import margin_row_loop
 
@@ -197,7 +196,7 @@ class TestCertifiedMode:
         m = random_model(seed=0, tokens=4, heads=1, d_model=4, suffix_kind="linear")
         box = pixel_box(np.full(m.image_size, 0.5), 0.01)
         bounds = linear_suffix_bound(m, 0, range(1, m.n_classes))
-        c_max = np.abs(value_coefficients(bounds, m, box).c).max()
+        c_max = np.abs(value_coefficients(value_maps(bounds, m), m, box).c).max()
         m = dataclasses.replace(m, wo=m.wo * (0.3 * sys.float_info.max / c_max))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -267,11 +266,10 @@ class TestCertifiedMode:
         # shared by every target, so certified mode cannot certify any.
         m = random_model(seed=2, tokens=4, heads=2, d_model=8, n_classes=4, suffix_kind="linear")
         box = pixel_box(np.full(m.image_size, 0.5), 0.01)
-        scores = model_score_boxes(m, box)
-        lower, upper = scores.lower.copy(), scores.upper.copy()
+        lower, upper = (a.copy() for a in model_score_boxes(m, box))
         lower[1, 2, 0] = -1e308
         upper[1, 2, 3] = 1e308
-        monkeypatch.setattr(attncert.verify, "model_score_boxes", lambda *_: ScoreBox(lower, upper))
+        monkeypatch.setattr(attncert.verify, "model_score_boxes", lambda *_: (lower, upper))
         # The fast path takes the row without a warning (the baseline arm's
         # shift used to overflow on it).
         assert certify_targets(m, box, 0).bounds
@@ -356,8 +354,8 @@ class TestValidation:
 
 
 class TestLabelMaps:
-    """The linear head's margin forms and their value maps are built once per
-    (model, label) and reused by every later box."""
+    """certify_targets keeps the linear head's value maps on the model, by
+    label, and every later box of that label reuses them."""
 
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     def test_warm_calls_match_cold_ones(self, kind):
@@ -374,30 +372,32 @@ class TestLabelMaps:
                     for _ in range(2):
                         warm = certify_targets(m, box, y, certified=certified)
                         assert bound_bits(warm) == bound_bits(cold)
-        assert len(m._suffix_bounds) == (m.n_classes if kind == "linear" else 0)
+        assert sorted(m._label_maps) == (list(range(m.n_classes)) if kind == "linear" else [])
 
     def test_replaced_model_gets_fresh_maps(self):
         m = random_model(3, **SHAPE_M)
         box = pixel_box(np.random.default_rng(6).uniform(0, 1, m.image_size), 0.003)
-        targets = list(range(1, m.n_classes))
         certify_targets(m, box, 0)
-        bound = linear_suffix_bound(m, 0, targets)
-        assert linear_suffix_bound(m, 0, targets) is bound and bound.value_maps is not None
+        maps = m._label_maps[0]
+        certify_targets(m, box, 0)
+        assert m._label_maps[0] is maps
         same = dataclasses.replace(m)
-        assert same._suffix_bounds == {}
-        assert linear_suffix_bound(same, 0, targets) is not bound
-        # A replaced suffix's margin forms follow its own weights.
-        doubled = dataclasses.replace(m, suffix=dataclasses.replace(m.suffix, w=m.suffix.w * 2.0))
-        assert np.array_equal(linear_suffix_bound(doubled, 0, targets).gamma, bound.gamma * 2.0)
+        assert same._label_maps == {}
         want = certify_targets(random_model(3, **SHAPE_M), box, 0)
         assert bound_bits(certify_targets(same, box, 0)) == bound_bits(want)
+        assert same._label_maps[0] is not maps
+        # A replaced suffix's maps follow its own weights.
+        doubled = dataclasses.replace(m, suffix=dataclasses.replace(m.suffix, w=m.suffix.w * 2.0))
+        certify_targets(doubled, box, 0)
+        for name in ("w_pos", "w_neg", "res_pos", "res_neg"):
+            assert np.array_equal(getattr(doubled._label_maps[0], name), getattr(maps, name) * 2.0)
 
     def test_cached_arrays_are_read_only(self):
         m = random_model(3, **SHAPE_M)
         certify_targets(m, pixel_box(np.full(m.image_size, 0.5), 0.01), 4)
-        (bound,) = m._suffix_bounds.values()
-        arrays = [bound.beta, bound.gamma, *(a for a in bound.value_maps if a is not None)]
-        assert len(arrays) == 9
+        (maps,) = m._label_maps.values()
+        arrays = [a for a in maps if a is not None]
+        assert len(arrays) == 7
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 1.0
@@ -407,7 +407,7 @@ class TestLabelMaps:
         rng = np.random.default_rng(7)
         for i in range(50):
             certify_targets(m, pixel_box(rng.uniform(0, 1, m.image_size), 0.003), i % m.n_classes)
-        assert m._suffix_bounds == {}
+        assert m._label_maps == {}
 
 
 class TestBatchedArms:
@@ -431,7 +431,7 @@ class TestBatchedArms:
                     suffix = relu_suffix_bound(m, interval_forward(m, box, scores), y, targets)
                 else:
                     suffix = linear_suffix_bound(m, y, targets)
-                coeffs = value_coefficients(suffix, m, box)
+                coeffs = value_coefficients(value_maps(suffix, m), m, box)
                 fast = certify_targets(m, box, y)
                 cert = certify_targets(m, box, y, certified=True)
                 for pos, (b, cb) in enumerate(zip(fast.bounds, cert.bounds)):
