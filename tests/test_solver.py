@@ -14,6 +14,7 @@ from attncert import (
     ValidationError,
     attack_min_objective,
     baseline_directional_min,
+    certified_directional_min,
     directional_max,
     directional_min,
     exhaustive_vertex_min,
@@ -114,6 +115,24 @@ class TestScoreBox:
         # A ScoreBox is one row, so no single-row call can be handed a stack.
         with pytest.raises(ValidationError, match="matched 1-D arrays"):
             box(np.zeros(shape), np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            directional_min,
+            directional_max,
+            exhaustive_vertex_min,
+            baseline_directional_min,
+            certified_directional_min,
+            lambda c, b: attack_min_objective(c, b, budget=4),
+        ],
+        ids=["min", "max", "exhaustive", "baseline", "certified", "attack"],
+    )
+    def test_single_row_calls_reject_a_stack(self, solve):
+        # The box cannot be a stack, so the stack can only come as the
+        # direction; these calls solve one row and reject it.
+        with pytest.raises(ValidationError, match="direction must be one-dimensional"):
+            solve(np.ones((2, 3)), box(np.zeros(3), np.ones(3)))
 
 
 class TestDirectionalMin:
