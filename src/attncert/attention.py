@@ -10,9 +10,11 @@ query token); every row is solved in one kernel call: exactly by the
 threshold sweep, from below by the certified sweep, or by the
 interval-softmax baseline.
 
-The row coefficients compose the suffix bound with the pixel -> value ->
-W_o maps.  That composition and its sign split do not depend on the box:
-value_maps builds them, and value_coefficients takes them over one box.
+The row coefficients compose the suffix bound (beta, gamma) with the
+pixel -> value -> W_o maps.  That composition and its sign split do not
+depend on the box: value_maps builds them, and value_coefficients takes
+them over one box, as each target's row coefficients c and floor b_prime,
+the plain arrays the three margin arms take with the score boxes.
 verify.certify_targets keeps the linear head's maps per (model, label);
 the mlp1 head's suffix bound, and so its maps, are built anew for every
 box.  These stages trust their inputs, which verify.certify_targets
@@ -24,7 +26,7 @@ construction and get one finite check each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +37,6 @@ from .intervals import affine_bounds, sign_split
 from .model import AttentionModelSpec, patch_pixel_indices
 from .solver import sweep_min
 from .solver import directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps this name
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .suffix import SuffixAffineBound
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,15 +54,6 @@ class PixelBox:
     @property
     def size(self) -> int:
         return int(self.lo.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class ValueCoeffs:
-    """Row coefficients c[t, h, i, j] and the input-independent floor
-    b_prime[t] for each certification target."""
-
-    c: np.ndarray
-    b_prime: np.ndarray
 
 
 def _token_pixel_boxes(model: AttentionModelSpec, box: PixelBox) -> tuple[np.ndarray, np.ndarray]:
@@ -85,12 +75,6 @@ def _qkv_bounds(model: AttentionModelSpec, box: PixelBox, parts: slice):
     lo, hi = affine_bounds(model._w_pix_qkv[parts], xlo.T, xhi.T)  # (parts, heads, d_head, R)
     off = model._b_pix_qkv[parts, :, :, None]
     return (lo + off).swapaxes(2, 3), (hi + off).swapaxes(2, 3)
-
-
-def value_scalar_bounds(model: AttentionModelSpec, box: PixelBox):
-    """Exact bounds for every value coordinate, (heads, R, d_head) pair."""
-    (v_lo,), (v_hi,) = _qkv_bounds(model, box, slice(2, 3))
-    return v_lo, v_hi
 
 
 def score_boxes_interval_product(q_lo, q_hi, k_lo, k_hi, scale: float, mask) -> tuple[np.ndarray, np.ndarray]:
@@ -143,16 +127,16 @@ class _ValueMaps(NamedTuple):
     res_floor: np.ndarray | None
 
 
-def value_maps(suffix: "SuffixAffineBound", model: AttentionModelSpec) -> _ValueMaps:
-    """The suffix bound's _ValueMaps, read-only: a bound that serves many
-    boxes (the linear head's, one per label) needs them built once."""
-    gamma = suffix.gamma
+def value_maps(beta: np.ndarray, gamma: np.ndarray, model: AttentionModelSpec) -> _ValueMaps:
+    """The _ValueMaps of the suffix bound (beta, gamma), shapes (T,) and
+    (T, R, d_model), read-only: a bound that serves many boxes (the linear
+    head's, one per label) needs them built once."""
     n_t = len(gamma)
     g = gamma.reshape(-1, model.d_model)  # (T * R, d_model) rows
     g_sum = gamma.sum(axis=1)
     w_pos, w_neg = sign_split((g @ model._w_pix_o).reshape(-1, model.patch_dim))
     offs = (g @ model._b_pix_o).reshape(n_t, model.tokens, model.heads, 1)
-    floor = suffix.beta + g_sum @ model.bo
+    floor = beta + g_sum @ model.bo
     res_pos = res_neg = res_floor = None
     if model.residual:
         res_pos, res_neg = sign_split((g @ model.w_embed).reshape(n_t, -1))
@@ -164,8 +148,9 @@ def value_maps(suffix: "SuffixAffineBound", model: AttentionModelSpec) -> _Value
     return maps
 
 
-def value_coefficients(maps: _ValueMaps, model: AttentionModelSpec, box: PixelBox) -> ValueCoeffs:
-    """Per-row directional coefficients and the input-independent margin floor.
+def value_coefficients(maps: _ValueMaps, model: AttentionModelSpec, box: PixelBox) -> tuple[np.ndarray, np.ndarray]:
+    """(c, b_prime): per-row directional coefficients, (T, heads, R, R), and
+    the input-independent margin floor, (T,).
 
     For target t of the stacked suffix bound (beta, gamma) whose value_maps
     are maps, row (h, i) gets coefficients c[t, h, i, j] = exact lower
@@ -188,7 +173,7 @@ def value_coefficients(maps: _ValueMaps, model: AttentionModelSpec, box: PixelBo
         b_prime = b_prime + (maps.res_pos @ xlo.reshape(-1) + maps.res_neg @ xhi.reshape(-1) + maps.res_floor)
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b_prime))):
         raise ValidationError("value coefficients must be finite")
-    return ValueCoeffs(c=c, b_prime=b_prime)
+    return c, b_prime
 
 
 def _accumulate(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -217,24 +202,24 @@ def _accumulate_down(floor: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.nextafter(_accumulate(floor, rows) - pad, -np.inf)
 
 
-def margin_lower_bound(coeffs: ValueCoeffs, scores: tuple) -> np.ndarray:
-    """Sound margin lower bounds, shape (T,): each target's floor plus the
-    exact directional minimum of its every (head, query token) row over
-    scores, model_score_boxes' (lower, upper) pair."""
-    values, _ = sweep_min(coeffs.c, *scores)
-    return _accumulate(coeffs.b_prime, values)
+def margin_lower_bound(c: np.ndarray, b_prime: np.ndarray, scores: tuple) -> np.ndarray:
+    """Sound margin lower bounds, shape (T,): each target's floor b_prime[t]
+    plus the exact directional minimum of its every (head, query token) row
+    c[t, h, i] over scores, model_score_boxes' (lower, upper) pair."""
+    values, _ = sweep_min(c, *scores)
+    return _accumulate(b_prime, values)
 
 
-def baseline_margin_lower_bound(coeffs: ValueCoeffs, scores: tuple) -> np.ndarray:
+def baseline_margin_lower_bound(c: np.ndarray, b_prime: np.ndarray, scores: tuple) -> np.ndarray:
     """margin_lower_bound with the interval-softmax baseline bounding each row."""
-    return _accumulate(coeffs.b_prime, baseline_min(coeffs.c, *scores))
+    return _accumulate(b_prime, baseline_min(c, *scores))
 
 
-def certified_margin_lower_bound(coeffs: ValueCoeffs, scores: tuple) -> np.ndarray:
+def certified_margin_lower_bound(c: np.ndarray, b_prime: np.ndarray, scores: tuple) -> np.ndarray:
     """margin_lower_bound with every (target, head, query token) row bounded
     by the certified sweep, in one kernel call, and the sum rounded down."""
-    rows, saturated = certified_sweep_min(coeffs.c, *scores)
-    total = _accumulate_down(coeffs.b_prime, rows)
+    rows, saturated = certified_sweep_min(c, *scores)
+    total = _accumulate_down(b_prime, rows)
     if saturated.any() or not np.all(np.isfinite(total)):
         raise CertificationInfeasibleError(
             "float evaluation saturated; the certified bound is not valid for this instance"

@@ -97,11 +97,15 @@ AGGREGATE_COLUMNS = ("K", "method", "cert_rate", "mean_lower", "mean_gap", "tota
 METHODS = ("vertex", "baseline", "certified")
 
 
-def _check_finite(name: str, value) -> float:
-    """value as a float, if it is a finite real number (not a bool)."""
+def _check_scale(name: str, value, positive: bool) -> float:
+    """value as a float, if it is a finite real number (not a bool), > 0
+    when positive and >= 0 otherwise: SweepConfig's and synth_instance's
+    width_scale and coeff_scale."""
     value = check_real(name, value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
+    if value < 0.0 or (positive and value == 0.0):
+        raise ValidationError(f"{name} must be {'> 0' if positive else '>= 0'}, got {value!r}")
     return value
 
 
@@ -121,12 +125,8 @@ class SweepConfig:
         object.__setattr__(self, "k_values", tuple(check_int("K", k, 1) for k in k_values))
         object.__setattr__(self, "trials", check_int("trials", self.trials, 1))
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
-        width_scale = _check_finite("width_scale", self.width_scale)
-        coeff_scale = _check_finite("coeff_scale", self.coeff_scale)
-        if width_scale < 0.0 or coeff_scale <= 0.0:
-            raise ValidationError("width_scale must be >= 0 and coeff_scale > 0")
-        object.__setattr__(self, "width_scale", width_scale)
-        object.__setattr__(self, "coeff_scale", coeff_scale)
+        object.__setattr__(self, "width_scale", _check_scale("width_scale", self.width_scale, False))
+        object.__setattr__(self, "coeff_scale", _check_scale("coeff_scale", self.coeff_scale, True))
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,10 +156,12 @@ def synth_instance(
 ) -> tuple[np.ndarray, ScoreBox]:
     """Random instance: centers standard normal, coefficients standard
     normal times coeff_scale, half-width 0.5 * width_scale on every
-    coordinate.  Deterministic in (k, seed).  A coefficient that overflows
-    is a ValidationError: the batched solves of run_sweep trust their
-    inputs."""
+    coordinate.  Deterministic in (k, seed).  The scales are checked as
+    SweepConfig checks them, and a coefficient that overflows is a
+    ValidationError: the batched solves of run_sweep trust their inputs."""
     rng = keyed_rng(check_int("seed", seed, 0), check_int("K", k, 1))
+    width_scale = _check_scale("width_scale", width_scale, False)
+    coeff_scale = _check_scale("coeff_scale", coeff_scale, True)
     centers = rng.standard_normal(k)
     with np.errstate(over="ignore"):
         c = rng.standard_normal(k) * coeff_scale
@@ -558,30 +560,26 @@ def selfcheck(trials: int = 200, samples: int = 200, seed: int = 0) -> Selfcheck
     equivalence_fail: list[int] = []
     soundness_fail: list[int] = []
     dominance_fail: list[int] = []
-    n_equiv = n_sound = n_dom = 0
     for i in range(trials):
         s_i = trial_seed(seed, 0, i)
         k = int(rng_k.integers(2, 11))
         c, box = synth_instance(k, s_i)
         fast = directional_min(c, box).value
 
-        n_equiv += 1
         if abs(fast - exhaustive_vertex_min(c, box).value) > 1e-9:
             equivalence_fail.append(s_i)
 
-        n_sound += 1
         cert = certified_directional_min(c, box).lower
         low = _sample_objective_min(c, box.lower, box.upper - box.lower, keyed_rng(s_i, k, 1), samples)
         if low < fast - 1e-9 or low < cert - 1e-15:
             soundness_fail.append(s_i)
 
-        n_dom += 1
         if fast < baseline_directional_min(c, box) - 1e-12:
             dominance_fail.append(s_i)
 
     suites = (
-        SuiteResult("oracle-equivalence", n_equiv, len(equivalence_fail), tuple(equivalence_fail[:10])),
-        SuiteResult("soundness-sampling", n_sound, len(soundness_fail), tuple(soundness_fail[:10])),
-        SuiteResult("dominance", n_dom, len(dominance_fail), tuple(dominance_fail[:10])),
+        SuiteResult("oracle-equivalence", trials, len(equivalence_fail), tuple(equivalence_fail[:10])),
+        SuiteResult("soundness-sampling", trials, len(soundness_fail), tuple(soundness_fail[:10])),
+        SuiteResult("dominance", trials, len(dominance_fail), tuple(dominance_fail[:10])),
     )
     return SelfcheckReport(suites=suites)

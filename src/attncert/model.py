@@ -23,7 +23,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,9 +495,12 @@ def random_model(
     output projection, then the suffix), each scaled by
     weight_scale / sqrt(fan_in).  The grid is one patch-row of `tokens`
     patches.  The mask is zero.  The seed and the sizes must be integers
-    (>= 0 and >= 1), not bools.
+    (>= 0 and >= 1), not bools, and weight_scale a finite number.
     """
     check_int("seed", seed, 0)
+    weight_scale = check_real("weight_scale", weight_scale)
+    if not math.isfinite(weight_scale):
+        raise ValidationError(f"weight_scale must be finite, got {weight_scale!r}")
     if not isinstance(suffix_kind, str) or suffix_kind not in _LAYOUTS:
         raise ValidationError(f"suffix_kind must be 'linear' or 'mlp1', got {suffix_kind!r}")
     sizes = {

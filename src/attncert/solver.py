@@ -133,7 +133,7 @@ def _sorted_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _stable_rank(c: np.ndarray) -> np.ndarray:
     """Each entry's rank in its (..., K) row's stable ascending order."""
     # An order's entries are distinct, so any sort of them is the stable one.
-    return np.argsort(_sorted_rows(c)[0], axis=-1)
+    return np.argsort(np.argsort(c, axis=-1, kind="stable"), axis=-1)
 
 
 def _threshold_vertices(rank: np.ndarray, lower: np.ndarray, upper: np.ndarray, m) -> np.ndarray:

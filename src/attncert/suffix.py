@@ -1,11 +1,17 @@
 """Affine lower bounds on class-score margins through the classifier head.
 
 The margins logit_y - logit_t of all targets t are reduced at once to
-affine functions of the block output tokens: exactly for a linear head,
-and through per-neuron linear ReLU relaxations for the one-hidden-layer
-head.  The relaxation needs (lo, hi) bounds on the hidden pre-activations,
-which interval_forward builds by running an interval version of the whole
-block (directional softmax bounds included) up to the hidden layer.
+affine functions of the block output tokens hplus: exactly for a linear
+head, and through per-neuron linear ReLU relaxations for the
+one-hidden-layer head.  Either gives a suffix bound, the plain pair
+(beta, gamma) of shapes (T,) and (T, tokens, d_model), with
+
+  margin_t >= beta[t] + sum_i gamma[t, i] . hplus_i
+
+for every target t and every input in the box the bound was built for.
+The relaxation needs (lo, hi) bounds on the hidden pre-activations, which
+interval_forward builds by running an interval version of the whole block
+(directional softmax bounds included) up to the hidden layer.
 
 margin_gradient_bounds encloses the same margins' pixel gradients over a
 box, for the attack's polish, which leaves out the moves the enclosure
@@ -14,11 +20,9 @@ proves cannot lower a margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .attention import PixelBox, _token_pixel_boxes, token_bounds, value_scalar_bounds
+from .attention import PixelBox, _qkv_bounds, _token_pixel_boxes, token_bounds
 from .attention import model_score_boxes  # noqa: F401  unused since the caller passes the score boxes; benchmark/tracing.py wraps this name
 from .baseline import _output_bounds
 from .errors import check_finite
@@ -28,30 +32,20 @@ from .solver import sweep_min
 from .solver import directional_max, directional_min  # noqa: F401  unused since rows go through sweep_min; benchmark/tracing.py wraps these names
 
 
-@dataclass(frozen=True, eq=False)
-class SuffixAffineBound:
-    """margin_t >= beta[t] + sum_i gamma[t, i] . hplus_i for every target t
-    and all inputs in the box the bound was built for.  beta has shape
-    (T,) and gamma (T, tokens, d_model)."""
-
-    beta: np.ndarray
-    gamma: np.ndarray
-
-
-def linear_suffix_bound(model: AttentionModelSpec, y: int, targets) -> SuffixAffineBound:
-    """Exact margin forms for a linear head: beta[t] + gamma[t] . tokens
-    reproduces logit_y - logit_{targets[t]} identically.  They depend on
-    the label and the targets alone, so verify.certify_targets keeps the
-    value maps built from them per (model, label)."""
+def linear_suffix_bound(model: AttentionModelSpec, y: int, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The exact suffix bound (beta, gamma) of a linear head: beta[t] +
+    gamma[t] . tokens reproduces logit_y - logit_{targets[t]} identically.
+    It depends on the label and the targets alone, so verify.certify_targets
+    keeps the value maps built from it per (model, label)."""
     sfx = model.suffix
     beta = sfx.b[y] - sfx.b[targets]
     gamma = (sfx.w[y] - sfx.w[targets]).reshape(len(targets), model.tokens, model.d_model)
-    return SuffixAffineBound(beta=beta, gamma=gamma)
+    return beta, gamma
 
 
-def relu_suffix_bound(model: AttentionModelSpec, preact: tuple, y: int, targets) -> SuffixAffineBound:
-    """Affine margin lower bounds through the ReLU head over preact, the
-    (lo, hi) of interval_forward, one per target.
+def relu_suffix_bound(model: AttentionModelSpec, preact: tuple, y: int, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The suffix bound (beta, gamma) through the ReLU head over preact, the
+    (lo, hi) of interval_forward: one affine margin lower bound per target.
 
     For each target, each crossing neuron is replaced by a line: the chord
     from below when the outgoing margin coefficient is negative, and a zero-
@@ -75,7 +69,7 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: tuple, y: int, targets)
 
     beta = sfx.b2[y] - sfx.b2[targets] + slope @ sfx.b1 + intercept.sum(axis=1)
     gamma = slope @ sfx.w1
-    return SuffixAffineBound(beta=beta, gamma=gamma.reshape(len(targets), model.tokens, model.d_model))
+    return beta, gamma.reshape(len(targets), model.tokens, model.d_model)
 
 
 def block_output_bounds(model: AttentionModelSpec, box: PixelBox, scores: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +80,7 @@ def block_output_bounds(model: AttentionModelSpec, box: PixelBox, scores: tuple)
     with the value bounds as coefficients.  `scores` is the box's
     model_score_boxes, a (lower, upper) pair of (heads, R, R) arrays.
     """
-    v_lo, v_hi = value_scalar_bounds(model, box)
+    (v_lo,), (v_hi,) = _qkv_bounds(model, box, slice(2, 3))  # (heads, R, d_head) each
     check_finite("value bounds", v_lo, v_hi)
     # Row (p, h, i, r): coefficients v[h, :, r] over the score box of query
     # token i, with v_lo in plane 0 and -v_hi in plane 1; the maximum is

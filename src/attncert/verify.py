@@ -7,6 +7,11 @@ the input is certified when every hybrid bound is positive.  In certified
 mode the vertex arm's rows and their sum are rounded down and the hybrid is
 that arm alone: the baseline arm is round-to-nearest, so it is reported but
 never lifts a certified bound.
+
+The stages hand each other plain arrays: the score boxes (lower, upper),
+the suffix bound (beta, gamma), its value maps, and each target's row
+coefficients and floor (c, b_prime), which both arms take with the score
+boxes.
 """
 
 from __future__ import annotations
@@ -74,10 +79,13 @@ def certify_targets(
 ) -> CertificationResult:
     """Hybrid margin bounds for all targets t != y, in ascending target order.
 
-    With certified=True the vertex arm runs through the certified sweep
-    and l_hybrid is l_vertex; saturation raises
-    CertificationInfeasibleError.
+    certified is a bool (np.bool_ included).  With certified=True the
+    vertex arm runs through the certified sweep and l_hybrid is l_vertex;
+    saturation raises CertificationInfeasibleError.
     """
+    if not isinstance(certified, (bool, np.bool_)):
+        raise ValidationError(f"certified must be a bool, got {certified!r}")
+    certified = bool(certified)
     y = check_int("y", y, 0)
     if y >= model.n_classes:
         raise ValidationError(f"class index y={y} out of range for {model.n_classes} classes")
@@ -91,17 +99,17 @@ def certify_targets(
     with np.errstate(over="ignore", invalid="ignore"):
         scores = model_score_boxes(model, box)
         if isinstance(model.suffix, MlpSuffix):
-            maps = value_maps(relu_suffix_bound(model, interval_forward(model, box, scores), y, targets), model)
+            maps = value_maps(*relu_suffix_bound(model, interval_forward(model, box, scores), y, targets), model)
         else:
             # The linear head's maps depend on the label alone: built on its
             # first certification and kept on the model.
             maps = model._label_maps.get(y)
             if maps is None:
-                maps = model._label_maps[y] = value_maps(linear_suffix_bound(model, y, targets), model)
-        coeffs = value_coefficients(maps, model, box)
+                maps = model._label_maps[y] = value_maps(*linear_suffix_bound(model, y, targets), model)
+        c, b_prime = value_coefficients(maps, model, box)
 
-    vertex = (certified_margin_lower_bound if certified else margin_lower_bound)(coeffs, scores).tolist()
-    baseline = baseline_margin_lower_bound(coeffs, scores).tolist()
+    vertex = (certified_margin_lower_bound if certified else margin_lower_bound)(c, b_prime, scores).tolist()
+    baseline = baseline_margin_lower_bound(c, b_prime, scores).tolist()
     bounds = [
         MarginBound(target=t, l_vertex=lv, l_baseline=lb, l_hybrid=lv if certified else max(lv, lb))
         for t, lv, lb in zip(targets, vertex, baseline)

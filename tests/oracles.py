@@ -87,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from attncert import ScoreBox, directional_max, directional_min, intervals, softmax_objective
-from attncert.attention import model_score_boxes, token_bounds, value_scalar_bounds
+from attncert.attention import _qkv_bounds, model_score_boxes, token_bounds
 from attncert.intervals import affine_bounds
 from attncert.model import LinearSuffix, forward, forward_batch, patch_pixel_indices
 from attncert.solver import _objective
@@ -363,11 +363,12 @@ E_HI_PREC = Decimal("2.718281828459045235360287471352662497757247093699959574966
 E_INV_HI_PREC = Decimal("0.367879441171442321595523770161460867445811131031767834507837")
 
 
-def margin_row_loop(coeffs, scores, target_pos, row_bound) -> float:
-    """The floor plus row_bound(c_row, row_box) for every (head, query
-    token) row of one target, added one row at a time in that order."""
-    c = coeffs.c[target_pos]
-    total = float(coeffs.b_prime[target_pos])
+def margin_row_loop(c, b_prime, scores, target_pos, row_bound) -> float:
+    """The floor b_prime[target_pos] plus row_bound(c_row, row_box) for every
+    (head, query token) row c[target_pos, h, i], added one row at a time in
+    that order."""
+    c = c[target_pos]
+    total = float(b_prime[target_pos])
     lower, upper = scores
     heads, tokens = lower.shape[:2]
     for h in range(heads):
@@ -380,7 +381,7 @@ def block_output_row_loop(model, box):
     """block_output_bounds with one directional_min / directional_max call
     per (head, query token, value coordinate) row."""
     s_lo, s_hi = model_score_boxes(model, box)
-    v_lo, v_hi = value_scalar_bounds(model, box)
+    (v_lo,), (v_hi,) = _qkv_bounds(model, box, slice(2, 3))
     heads, tokens, d_head = v_lo.shape
     o_lo = np.empty((heads, tokens, d_head))
     o_hi = np.empty((heads, tokens, d_head))

@@ -14,7 +14,7 @@ from attncert import (
     random_model,
 )
 from attncert.attention import (
-    ValueCoeffs,
+    _qkv_bounds,
     baseline_margin_lower_bound,
     margin_lower_bound,
     model_score_boxes,
@@ -22,7 +22,6 @@ from attncert.attention import (
     token_bounds,
     value_coefficients,
     value_maps,
-    value_scalar_bounds,
 )
 from attncert.intervals import affine_bounds, sign_split
 from attncert.suffix import linear_suffix_bound
@@ -240,7 +239,7 @@ class TestTokenAndValueBounds:
     def test_degenerate_value_bounds(self):
         m = random_model(seed=8, tokens=2, heads=2, d_model=4, d_head=3)
         x0 = np.random.default_rng(3).uniform(0, 1, m.image_size)
-        v_lo, v_hi = value_scalar_bounds(m, degenerate_box(x0))
+        (v_lo,), (v_hi,) = _qkv_bounds(m, degenerate_box(x0), slice(2, 3))
         tr = forward_broadcast(m, x0)
         v = np.einsum("hdm,rm->hrd", m.wv, tr.tokens) + m.bv[:, None, :]
         assert v_lo == pytest.approx(v, abs=1e-12)
@@ -251,26 +250,26 @@ class TestValueCoefficients:
     def test_degenerate_box_is_exact(self):
         m = random_model(seed=4, tokens=2, heads=2, d_model=4, d_head=3, n_classes=3)
         x0 = np.random.default_rng(9).uniform(0, 1, m.image_size)
-        bounds = linear_suffix_bound(m, 0, [1, 2])
-        coeffs = value_coefficients(value_maps(bounds, m), m, degenerate_box(x0))
+        betas, gammas = linear_suffix_bound(m, 0, [1, 2])
+        c, b_prime = value_coefficients(value_maps(betas, gammas, m), m, degenerate_box(x0))
         tr = forward_broadcast(m, x0)
         v = np.einsum("hdm,rm->hrd", m.wv, tr.tokens) + m.bv[:, None, :]
-        for ti, (beta, gamma) in enumerate(zip(bounds.beta, bounds.gamma)):
+        for ti, (beta, gamma) in enumerate(zip(betas, gammas)):
             eta = np.einsum("hmd,im->ihd", m.wo, gamma)
             expect = np.einsum("ihd,hjd->hij", eta, v)
-            assert coeffs.c[ti] == pytest.approx(expect, abs=1e-12)
+            assert c[ti] == pytest.approx(expect, abs=1e-12)
             bp = beta + float(gamma.sum(axis=0) @ m.bo)
             if m.residual:
                 bp += float(np.sum(gamma * tr.tokens))
-            assert coeffs.b_prime[ti] == pytest.approx(bp, abs=1e-12)
+            assert b_prime[ti] == pytest.approx(bp, abs=1e-12)
 
     def test_zero_gamma_gives_floor_only(self):
         m = random_model(seed=5, tokens=2, heads=1, d_model=3)
-        sb = linear_suffix_bound(m, 0, [1])
-        zero = type(sb)(beta=np.array([0.25]), gamma=np.zeros_like(sb.gamma))
-        coeffs = value_coefficients(value_maps(zero, m), m, degenerate_box(np.full(m.image_size, 0.5)))
-        assert np.all(coeffs.c[0] == 0.0)
-        assert coeffs.b_prime[0] == 0.25
+        _, gamma = linear_suffix_bound(m, 0, [1])
+        maps = value_maps(np.array([0.25]), np.zeros_like(gamma), m)
+        c, b_prime = value_coefficients(maps, m, degenerate_box(np.full(m.image_size, 0.5)))
+        assert np.all(c[0] == 0.0)
+        assert b_prime[0] == 0.25
 
     def test_coefficients_sound_over_all_corners(self):
         # 8 pixels -> 256 corners; each row coefficient must equal the corner
@@ -278,84 +277,82 @@ class TestValueCoefficients:
         m = random_model(seed=3, tokens=2, heads=1, d_model=3, patch=2, channels=1, weight_scale=1.2)
         assert m.image_size == 8
         box = PixelBox(lo=np.full(8, 0.2), hi=np.full(8, 0.8))
-        sb = linear_suffix_bound(m, 0, [1])
-        coeffs = value_coefficients(value_maps(sb, m), m, box)
-        gamma = sb.gamma[0]
+        betas, gammas = linear_suffix_bound(m, 0, [1])
+        c, b_prime = value_coefficients(value_maps(betas, gammas, m), m, box)
+        gamma = gammas[0]
         eta = np.einsum("hmd,im->ihd", m.wo, gamma)
         corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
-        best = np.full(coeffs.c[0].shape, np.inf)
+        best = np.full(c[0].shape, np.inf)
         res_best = np.inf
         for x in corners:
             tr = forward_broadcast(m, x)
             v = np.einsum("hdm,rm->hrd", m.wv, tr.tokens) + m.bv[:, None, :]
             best = np.minimum(best, np.einsum("ihd,hjd->hij", eta, v))
             res_best = min(res_best, float(np.sum(gamma * tr.tokens)))
-        assert coeffs.c[0] == pytest.approx(best, abs=1e-9)
-        floor = sb.beta[0] + float(gamma.sum(axis=0) @ m.bo)
+        assert c[0] == pytest.approx(best, abs=1e-9)
+        floor = betas[0] + float(gamma.sum(axis=0) @ m.bo)
         if m.residual:
             floor += res_best
-        assert coeffs.b_prime[0] == pytest.approx(floor, abs=1e-9)
+        assert b_prime[0] == pytest.approx(floor, abs=1e-9)
 
     def test_non_finite_coefficients_rejected(self):
         # One check covers the row coefficients and the floors.  The float
         # warnings on the way are silenced, as certify_targets does.
         m = random_model(seed=0, tokens=2, d_model=4)
-        sb = linear_suffix_bound(m, 0, [1])
+        beta, gamma = linear_suffix_bound(m, 0, [1])
         box = degenerate_box(np.full(m.image_size, 0.5))
         for bad in (np.inf, np.nan):
-            gamma = sb.gamma.copy()
-            gamma[0, 1, 2] = bad
-            for suffix in (type(sb)(beta=sb.beta, gamma=gamma), type(sb)(beta=np.array([bad]), gamma=sb.gamma)):
+            bad_gamma = gamma.copy()
+            bad_gamma[0, 1, 2] = bad
+            for suffix in ((beta, bad_gamma), (np.array([bad]), gamma)):
                 with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="finite"):
-                    value_coefficients(value_maps(suffix, m), m, box)
+                    value_coefficients(value_maps(*suffix, m), m, box)
 
 
 class TestMarginLowerBound:
     def test_single_even_row(self):
-        coeffs = ValueCoeffs(c=np.array([[[[0.0, 1.0]]]]), b_prime=np.array([0.0]))
+        c, b_prime = np.array([[[[0.0, 1.0]]]]), np.array([0.0])
         z = np.zeros((1, 1, 2))
         # Both scores pinned to 0 -> uniform attention -> margin 0.5.
         scores = (z, z)
-        assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(0.5, abs=0)
+        assert margin_lower_bound(c, b_prime, scores)[0] == pytest.approx(0.5, abs=0)
 
     def test_single_skewed_row(self):
-        coeffs = ValueCoeffs(c=np.array([[[[0.0, 1.0]]]]), b_prime=np.array([0.0]))
+        c, b_prime = np.array([[[[0.0, 1.0]]]]), np.array([0.0])
         s = np.array([[[1.0, -1.0]]])
         scores = (s, s)
-        assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(ROW_MIN_01, abs=1e-15)
+        assert margin_lower_bound(c, b_prime, scores)[0] == pytest.approx(ROW_MIN_01, abs=1e-15)
 
     def test_two_rows_plus_floor(self):
         c = np.array([[[[0.0, 1.0], [0.0, 1.0]]]])
-        coeffs = ValueCoeffs(c=c, b_prime=np.array([1.0]))
         s = np.array([[[1.0, -1.0], [1.0, -1.0]]])
         scores = (s, s)
-        assert margin_lower_bound(coeffs, scores)[0] == pytest.approx(1.0 + 2.0 * ROW_MIN_01, abs=1e-15)
+        assert margin_lower_bound(c, np.array([1.0]), scores)[0] == pytest.approx(1.0 + 2.0 * ROW_MIN_01, abs=1e-15)
 
     def test_targets_stack_into_one_call(self):
         rng = np.random.default_rng(7)
         heads, r, targets = 2, 3, 4
-        coeffs = ValueCoeffs(c=rng.normal(size=(targets, heads, r, r)), b_prime=rng.normal(size=targets))
+        c, b_prime = rng.normal(size=(targets, heads, r, r)), rng.normal(size=targets)
         lo = rng.normal(size=(heads, r, r))
         scores = (lo, lo + rng.uniform(0, 2, size=lo.shape))
         rows = (lambda c, row: directional_min(c, row).value, baseline_directional_min)
         for arm, row in zip((margin_lower_bound, baseline_margin_lower_bound), rows):
-            stacked = arm(coeffs, scores)
+            stacked = arm(c, b_prime, scores)
             assert stacked.shape == (targets,)
             for t in range(targets):
-                alone = ValueCoeffs(c=coeffs.c[t : t + 1], b_prime=coeffs.b_prime[t : t + 1])
-                assert stacked[t] == arm(alone, scores)[0]
-                assert stacked[t] == margin_row_loop(coeffs, scores, t, row)
+                assert stacked[t] == arm(c[t : t + 1], b_prime[t : t + 1], scores)[0]
+                assert stacked[t] == margin_row_loop(c, b_prime, scores, t, row)
 
     def test_vertex_arm_dominates_baseline_arm(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             heads, r = int(rng.integers(1, 3)), int(rng.integers(1, 4))
-            coeffs = ValueCoeffs(c=rng.normal(size=(1, heads, r, r)), b_prime=rng.normal(size=1))
+            c, b_prime = rng.normal(size=(1, heads, r, r)), rng.normal(size=1)
             lo = rng.normal(size=(heads, r, r))
             scores = (lo, lo + rng.uniform(0, 2, size=lo.shape))
-            exact = margin_lower_bound(coeffs, scores)[0]
-            relaxed = baseline_margin_lower_bound(coeffs, scores)[0]
+            exact = margin_lower_bound(c, b_prime, scores)[0]
+            relaxed = baseline_margin_lower_bound(c, b_prime, scores)[0]
             assert exact >= relaxed - 1e-12
-        floor_only = ValueCoeffs(c=np.zeros_like(coeffs.c), b_prime=coeffs.b_prime)
-        assert margin_lower_bound(floor_only, scores)[0] == float(coeffs.b_prime[0])
-        assert baseline_margin_lower_bound(floor_only, scores)[0] == float(coeffs.b_prime[0])
+        zero = np.zeros_like(c)
+        assert margin_lower_bound(zero, b_prime, scores)[0] == float(b_prime[0])
+        assert baseline_margin_lower_bound(zero, b_prime, scores)[0] == float(b_prime[0])

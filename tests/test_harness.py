@@ -128,6 +128,27 @@ class TestSynth:
         with pytest.raises(ValidationError):
             synth_instance(0, 1)
 
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"width_scale": "x"}, "width_scale must be a number"),
+            ({"coeff_scale": "x"}, "coeff_scale must be a number"),
+            ({"width_scale": True}, "width_scale must be a number"),
+            ({"width_scale": float("nan")}, "width_scale must be finite"),
+            ({"coeff_scale": float("inf")}, "coeff_scale must be finite"),
+            ({"width_scale": -1.0}, "width_scale must be >= 0"),
+            ({"coeff_scale": -1.0}, "coeff_scale must be > 0"),
+            ({"coeff_scale": 0.0}, "coeff_scale must be > 0"),
+        ],
+        ids=["width-str", "coeff-str", "width-bool", "width-nan", "coeff-inf", "width-neg", "coeff-neg", "coeff-zero"],
+    )
+    def test_scales_validated(self, changes, match):
+        # The same checks as SweepConfig's, before any draw.
+        with pytest.raises(ValidationError, match=match):
+            synth_instance(4, 0, **changes)
+        with pytest.raises(ValidationError, match=match):
+            SweepConfig((4,), trials=1, seed=0, **changes)
+
     def test_overflowing_coeff_scale_is_a_validation_error(self):
         # The product overflows quietly (RuntimeWarnings are errors here) and
         # is refused before any solve.

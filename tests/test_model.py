@@ -335,6 +335,20 @@ class TestRandomModel:
         with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
             random_model(**{"seed": 0, **kw})
 
+    @pytest.mark.parametrize(
+        "scale, match",
+        [
+            ("x", "weight_scale must be a number"),
+            (True, "weight_scale must be a number"),
+            (float("nan"), "weight_scale must be finite"),
+            (float("-inf"), "weight_scale must be finite"),
+        ],
+        ids=["str", "bool", "nan", "-inf"],
+    )
+    def test_bad_weight_scale_rejected(self, scale, match):
+        with pytest.raises(ValidationError, match=match):
+            random_model(seed=0, weight_scale=scale)
+
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     def test_draws_follow_the_documented_stream(self, kind):
         seed, tokens, heads, d_model, d_head, patch, channels, classes, hidden, scale = 5, 3, 2, 4, 3, 2, 2, 3, 5, 1.5

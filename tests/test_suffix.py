@@ -25,7 +25,8 @@ def sample_inputs(model, n, rng, box=None):
 
 
 def eval_bound(bound, hplus, t=0):
-    return bound.beta[t] + float(np.sum(bound.gamma[t] * hplus))
+    beta, gamma = bound
+    return beta[t] + float(np.sum(gamma[t] * hplus))
 
 
 class TestLinearSuffix:
@@ -43,9 +44,9 @@ class TestLinearSuffix:
                 "suffix": LinearSuffix(w=np.eye(2), b=np.array([0.4, -0.1])),
             }
         )
-        sb = linear_suffix_bound(m, 0, [1])
-        assert np.array_equal(sb.gamma, [[[1.0, -1.0]]])
-        assert np.array_equal(sb.beta, [0.5])
+        beta, gamma = linear_suffix_bound(m, 0, [1])
+        assert np.array_equal(gamma, [[[1.0, -1.0]]])
+        assert np.array_equal(beta, [0.5])
 
     def test_identical_class_rows(self):
         m = random_model(seed=2, tokens=2, d_model=3, n_classes=2)
@@ -61,9 +62,9 @@ class TestLinearSuffix:
                 "suffix": LinearSuffix(w=w, b=np.array([1.0, 3.0])),
             }
         )
-        sb = linear_suffix_bound(m2, 0, [1])
-        assert np.array_equal(sb.gamma, np.zeros((1, 2, 3)))
-        assert np.array_equal(sb.beta, [-2.0])
+        beta, gamma = linear_suffix_bound(m2, 0, [1])
+        assert np.array_equal(gamma, np.zeros((1, 2, 3)))
+        assert np.array_equal(beta, [-2.0])
 
     def test_exactness_against_forward(self):
         rng = np.random.default_rng(3)
@@ -80,19 +81,19 @@ class TestReluSuffix:
         m = random_model(seed=6, tokens=2, d_model=3, suffix_kind="mlp1", hidden=5)
         sfx = m.suffix
         pre = (np.full(5, 0.1), np.full(5, 2.0))
-        sb = relu_suffix_bound(m, pre, 0, [1])
+        beta, gamma = relu_suffix_bound(m, pre, 0, [1])
         omega = sfx.w2[0] - sfx.w2[1]
         gamma_exact = (sfx.w1.T @ omega).reshape(m.tokens, m.d_model)
         beta_exact = float(sfx.b2[0] - sfx.b2[1] + omega @ sfx.b1)
-        assert sb.gamma[0] == pytest.approx(gamma_exact, abs=1e-12)
-        assert sb.beta[0] == pytest.approx(beta_exact, abs=1e-12)
+        assert gamma[0] == pytest.approx(gamma_exact, abs=1e-12)
+        assert beta[0] == pytest.approx(beta_exact, abs=1e-12)
 
     def test_all_dead_layer(self):
         m = random_model(seed=7, suffix_kind="mlp1", hidden=5)
         pre = (np.full(5, -3.0), np.full(5, -0.5))
-        sb = relu_suffix_bound(m, pre, 1, [0])
-        assert np.array_equal(sb.gamma, np.zeros_like(sb.gamma))
-        assert sb.beta[0] == float(m.suffix.b2[1] - m.suffix.b2[0])
+        beta, gamma = relu_suffix_bound(m, pre, 1, [0])
+        assert np.array_equal(gamma, np.zeros_like(gamma))
+        assert beta[0] == float(m.suffix.b2[1] - m.suffix.b2[0])
 
     def test_mixed_neurons_sound_by_sampling(self):
         rng = np.random.default_rng(8)
@@ -114,26 +115,26 @@ class TestReluSuffix:
         # Pre-activation boxes that exclude zero make the relaxation exact.
         m = random_model(seed=13, suffix_kind="mlp1", hidden=4)
         pre = (np.array([0.2, 0.5, -2.0, -0.1]), np.array([1.0, 2.0, -0.4, -0.05]))
-        sb = relu_suffix_bound(m, pre, 0, [1])
+        beta, gamma = relu_suffix_bound(m, pre, 0, [1])
         sfx = m.suffix
         omega = sfx.w2[0] - sfx.w2[1]
         active = np.array([1.0, 1.0, 0.0, 0.0])
         slope = omega * active
         gamma_exact = (sfx.w1.T @ slope).reshape(m.tokens, m.d_model)
         beta_exact = float(sfx.b2[0] - sfx.b2[1] + slope @ sfx.b1)
-        assert sb.gamma[0] == pytest.approx(gamma_exact, abs=1e-9)
-        assert sb.beta[0] == pytest.approx(beta_exact, abs=1e-9)
+        assert gamma[0] == pytest.approx(gamma_exact, abs=1e-9)
+        assert beta[0] == pytest.approx(beta_exact, abs=1e-9)
 
     def test_stacked_targets_match_single_targets(self):
         m = random_model(seed=9, tokens=2, heads=1, d_model=4, n_classes=5, suffix_kind="mlp1", hidden=6)
         box = pixel_box(np.random.default_rng(9).uniform(0.2, 0.8, m.image_size), 0.05)
         pre = interval_forward(m, box, model_score_boxes(m, box))
-        stacked = relu_suffix_bound(m, pre, 2, np.array([4, 0, 1, 3]))
-        assert stacked.beta.shape == (4,) and stacked.gamma.shape == (4, m.tokens, m.d_model)
+        beta, gamma = relu_suffix_bound(m, pre, 2, np.array([4, 0, 1, 3]))
+        assert beta.shape == (4,) and gamma.shape == (4, m.tokens, m.d_model)
         for pos, t in enumerate((4, 0, 1, 3)):
-            alone = relu_suffix_bound(m, pre, 2, [t])
-            assert stacked.beta[pos] == pytest.approx(alone.beta[0], rel=1e-14, abs=1e-14)
-            assert stacked.gamma[pos] == pytest.approx(alone.gamma[0], rel=1e-14, abs=1e-14)
+            beta_t, gamma_t = relu_suffix_bound(m, pre, 2, [t])
+            assert beta[pos] == pytest.approx(beta_t[0], rel=1e-14, abs=1e-14)
+            assert gamma[pos] == pytest.approx(gamma_t[0], rel=1e-14, abs=1e-14)
 
 
 class TestIntervalForward:

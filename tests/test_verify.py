@@ -196,7 +196,7 @@ class TestCertifiedMode:
         m = random_model(seed=0, tokens=4, heads=1, d_model=4, suffix_kind="linear")
         box = pixel_box(np.full(m.image_size, 0.5), 0.01)
         bounds = linear_suffix_bound(m, 0, range(1, m.n_classes))
-        c_max = np.abs(value_coefficients(value_maps(bounds, m), m, box).c).max()
+        c_max = np.abs(value_coefficients(value_maps(*bounds, m), m, box)[0]).max()
         m = dataclasses.replace(m, wo=m.wo * (0.3 * sys.float_info.max / c_max))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -303,6 +303,21 @@ class TestValidation:
         assert [(b.target, b.l_vertex, b.l_baseline, b.l_hybrid) for b in got.bounds] == [
             (b.target, b.l_vertex, b.l_baseline, b.l_hybrid) for b in want.bounds
         ]
+
+    @pytest.mark.parametrize("certified", ["False", 1, None], ids=["str", "int", "none"])
+    def test_certified_must_be_a_bool(self, certified):
+        # A truthy non-bool once ran certified mode silently.
+        m = random_model(0, tokens=4, n_classes=3)
+        with pytest.raises(ValidationError, match="certified must be a bool"):
+            certify_targets(m, pixel_box(np.full(m.image_size, 0.5), 0.01), 0, certified=certified)
+
+    def test_numpy_bool_certified(self):
+        m = random_model(0, tokens=4, n_classes=3)
+        box = pixel_box(np.full(m.image_size, 0.5), 0.01)
+        for flag in (False, True):
+            want = certify_targets(m, box, 0, certified=flag)
+            got = certify_targets(m, box, 0, certified=np.bool_(flag))
+            assert [b.l_vertex for b in got.bounds] == [b.l_vertex for b in want.bounds]
 
     def test_box_size_mismatch(self):
         m = tiny_model(0, "linear")
@@ -431,12 +446,12 @@ class TestBatchedArms:
                     suffix = relu_suffix_bound(m, interval_forward(m, box, scores), y, targets)
                 else:
                     suffix = linear_suffix_bound(m, y, targets)
-                coeffs = value_coefficients(value_maps(suffix, m), m, box)
+                c, b_prime = value_coefficients(value_maps(*suffix, m), m, box)
                 fast = certify_targets(m, box, y)
                 cert = certify_targets(m, box, y, certified=True)
                 for pos, (b, cb) in enumerate(zip(fast.bounds, cert.bounds)):
-                    assert b.l_vertex == margin_row_loop(coeffs, scores, pos, vertex_row)
-                    assert b.l_baseline == margin_row_loop(coeffs, scores, pos, baseline_directional_min)
+                    assert b.l_vertex == margin_row_loop(c, b_prime, scores, pos, vertex_row)
+                    assert b.l_baseline == margin_row_loop(c, b_prime, scores, pos, baseline_directional_min)
                     # The certified sum is the row loop's, rounded down below
                     # the exact sum of the floor and the certified rows.
                     rows = []
@@ -445,8 +460,8 @@ class TestBatchedArms:
                         rows.append(certified_row(c, row))
                         return rows[-1]
 
-                    loop = margin_row_loop(coeffs, scores, pos, recorded_row)
-                    terms = [float(coeffs.b_prime[pos])] + rows
+                    loop = margin_row_loop(c, b_prime, scores, pos, recorded_row)
+                    terms = [float(b_prime[pos])] + rows
                     assert Fraction(cb.l_vertex) <= sum(map(Fraction, terms))
                     assert 0.0 < loop - cb.l_vertex <= 2 * len(terms) * 2.0**-52 * sum(map(abs, terms))
                     assert cb.l_baseline == b.l_baseline
