@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 usage error (argparse), 3 validation error,
 4 certification infeasible (the certified sweep saturated), 5 selfcheck failure.
+The number lists of the input files (solve's c, ell and u, certify's x) are
+read as weight data is, by model._number_list: a bad entry is exit 3.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .harness import (
     write_aggregate_csv,
     write_trial_csv,
 )
-from .model import _require_keys, forward, load_model, open_output, read_json
+from .model import _number_list, _require_keys, forward, load_model, open_output, read_json
 from .solver import ScoreBox, directional_min
 from .verify import certify_targets, pixel_box
 
@@ -39,17 +41,10 @@ EXIT_INTERNAL = 5
 REPORT_SCHEMA = "certify-report/1"
 
 
-def _number_array(doc: dict, key: str, path: str) -> np.ndarray:
-    v = doc[key]
-    if not isinstance(v, list) or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-        raise ValidationError(f"{path}: field '{key}' must be a list of numbers")
-    return np.asarray(v, dtype=np.float64)
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     doc = read_json(args.instance)
     _require_keys(doc, {"c", "ell", "u"}, set(), args.instance)
-    c, ell, u = (_number_array(doc, key, args.instance) for key in ("c", "ell", "u"))
+    c, ell, u = (_number_list(doc[key], f"{args.instance}: field '{key}'") for key in ("c", "ell", "u"))
     box = ScoreBox(lower=ell, upper=u)
     res = directional_min(c, box)
     print(f"value={res.value!r} m={res.m} sense={res.sense}")
@@ -102,7 +97,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.input is not None:
         doc = read_json(args.input)
         _require_keys(doc, {"x"}, {"y"}, args.input)
-        x0 = _number_array(doc, "x", args.input)
+        x0 = _number_list(doc["x"], f"{args.input}: field 'x'")
         y = doc.get("y")
         if "y" in doc and (not isinstance(y, int) or isinstance(y, bool)):
             raise ValidationError(f"{args.input}: field 'y' must be an integer class index")

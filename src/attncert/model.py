@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Union
@@ -356,10 +356,18 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": [float(v) for v in a.reshape(-1)]}
 
 
+def _number_list(v, where: str) -> np.ndarray:
+    """A JSON list of numbers, each an int or a float (not a bool) in the
+    float64 range, as a float64 array; anything else is a ValidationError
+    naming where.  Non-finite entries (1e400 reads as inf) are the caller's."""
+    if isinstance(v, list) and set(map(type, v)) <= {int, float}:
+        with suppress(OverflowError):  # an integer past the float64 range
+            return np.asarray(v, dtype=np.float64)
+    raise ValidationError(f"{where}: non-numeric data, expected a list of numbers in the float64 range")
+
+
 def _decode_shape(shape, path: str) -> tuple[int, ...]:
-    if not isinstance(shape, list) or not shape or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape
-    ):
+    if not isinstance(shape, list) or not shape or not all(type(v) is int and v >= 1 for v in shape):
         raise ValidationError(f"{path}.shape: expected a non-empty list of positive integers, got {shape!r}")
     return tuple(shape)
 
@@ -372,10 +380,7 @@ def _decode_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
     data = node["data"]
     if not isinstance(data, list) or len(data) != math.prod(shape):
         raise ValidationError(f"{path}: data length does not match shape {list(shape)}")
-    try:
-        a = np.asarray(data, dtype=np.float64).reshape(shape)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: non-numeric data ({exc})") from exc
+    a = _number_list(data, path).reshape(shape)
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{path}: entries must be finite")
     return a
@@ -437,8 +442,8 @@ def save_model(model: AttentionModelSpec, path: str) -> None:
 
 
 def load_model(path: str) -> AttentionModelSpec:
-    """Parse and validate a weight file.  Unknown fields anywhere are
-    rejected; shape errors name the offending field path."""
+    """Parse and validate a weight file.  Unknown fields anywhere are rejected,
+    and every error names its field path; data lists are read by _number_list."""
     doc = read_json(path)
     _require_keys(doc, {"arch", "dims", "patch", "heads", "suffix_kind", "weights"}, set(), "top level")
     arch = doc["arch"]
@@ -459,10 +464,8 @@ def load_model(path: str) -> AttentionModelSpec:
     if suffix_kind == "mlp1":
         # The decode reaches weights.suffix.w1 before any other leaf whose
         # shape uses hidden, and reports a malformed w1 there.
-        try:
+        with suppress(KeyError, IndexError, TypeError):
             hidden = weights["suffix"]["w1"]["shape"][0]
-        except (KeyError, IndexError, TypeError):
-            pass
     tokens = (dims["height"] // patch) * (dims["width"] // patch)
     patch_dim = dims["channels"] * patch * patch
     shapes = _shapes(heads, tokens, patch_dim, dims["d_model"], dims["d_head"], dims["n_classes"], hidden)

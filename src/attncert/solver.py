@@ -121,12 +121,14 @@ def _sorted_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cs = c.take(at)
     # Neighbours are compared across the whole buffer first: one pair per
     # row boundary is not a tie, and only a match sends the rows through
-    # the exact test.
+    # the exact test (a single row with a match is tied).
     flat = cs.reshape(-1)
     if (flat[1:] == flat[:-1]).any():
-        tied = (cs[..., 1:] == cs[..., :-1]).any(axis=-1)
-        order[tied] = c[tied].argsort(axis=-1, kind="stable")
-        cs[tied] = np.take_along_axis(c[tied], order[tied], axis=-1)
+        k = c.shape[-1]
+        rows, by_row, cs_rows = (a.reshape(-1, k) for a in (c, order, cs))
+        tied = slice(None) if len(rows) == 1 else np.flatnonzero((cs_rows[:, 1:] == cs_rows[:, :-1]).any(axis=-1))
+        by_row[tied] = rows[tied].argsort(axis=-1, kind="stable")
+        cs_rows[tied] = rows.take(by_row[tied] + np.arange(0, c.size, k)[tied, None])
     return order, cs
 
 

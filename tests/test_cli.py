@@ -89,6 +89,17 @@ class TestSolve:
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("field", ["c", "ell", "u"])
+    def test_integer_past_the_float_range_exit_3(self, tmp_path, capsys, field):
+        fields = {"c": [1.0, 0.0], "ell": [0.0, 0.0], "u": [1.0, 1.0]}
+        fields[field][1] = 10**400
+        path = write_instance(tmp_path, **fields)
+        assert main(["solve", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {path}: field '{field}': non-numeric data")
+
 
 class TestSweep:
     def test_aggregate_output_and_files(self, tmp_path, capsys):
@@ -247,6 +258,17 @@ class TestCertify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: clean input pixels must lie in [0, 1], got x0[3] = {shown}"]
+
+    def test_integer_past_the_float_range_exit_3(self, tmp_path, capsys):
+        path, m = model_file(tmp_path)
+        x = [0.5] * m.image_size
+        x[3] = 10**400
+        inp = write_instance(tmp_path, name="input.json", x=x)
+        assert main(["certify", path, "--input", inp, "--epsilon", "0.01"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {inp}: field 'x': non-numeric data")
 
     def test_negative_epsilon(self, tmp_path):
         path, _ = model_file(tmp_path)

@@ -684,6 +684,19 @@ class TestModelIO:
         with pytest.raises(ValidationError, match=r"weights\.embed\.b: non-numeric"):
             load_model(self._write(doc, path))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda d: ["1.5"] + d[1:], lambda d: [True] + d[1:], lambda d: [[v] for v in d]],
+        ids=["string", "bool", "one-element-lists"],
+    )
+    def test_data_entries_that_are_not_numbers_rejected(self, tmp_path, edit):
+        # numpy reads each of these as float data; a weight must be a JSON number.
+        doc, path = self._doc(tmp_path)
+        b = doc["weights"]["embed"]["b"]
+        b["data"] = edit(b["data"])
+        with pytest.raises(ValidationError, match=r"^weights\.embed\.b: non-numeric"):
+            load_model(self._write(doc, path))
+
     @pytest.mark.parametrize("field", ["arch", "suffix_kind"])
     def test_unhashable_tag_rejected(self, tmp_path, field):
         doc, path = self._doc(tmp_path)
