@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 usage error (argparse), 3 validation error,
 4 certification infeasible (the certified sweep saturated), 5 selfcheck failure.
-The number lists of the input files (solve's c, ell and u, certify's x) are
-read as weight data is, by model._number_list: a bad entry is exit 3.
+Input files' number lists are read by model._number_list: a bad entry is exit 3.
 """
 
 from __future__ import annotations

@@ -367,7 +367,9 @@ def _number_list(v, where: str) -> np.ndarray:
 
 
 def _decode_shape(shape, path: str) -> tuple[int, ...]:
-    if not isinstance(shape, list) or not shape or not all(type(v) is int and v >= 1 for v in shape):
+    if not isinstance(shape, list) or not shape or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape
+    ):
         raise ValidationError(f"{path}.shape: expected a non-empty list of positive integers, got {shape!r}")
     return tuple(shape)
 
@@ -464,8 +466,10 @@ def load_model(path: str) -> AttentionModelSpec:
     if suffix_kind == "mlp1":
         # The decode reaches weights.suffix.w1 before any other leaf whose
         # shape uses hidden, and reports a malformed w1 there.
-        with suppress(KeyError, IndexError, TypeError):
+        try:
             hidden = weights["suffix"]["w1"]["shape"][0]
+        except (KeyError, IndexError, TypeError):
+            pass
     tokens = (dims["height"] // patch) * (dims["width"] // patch)
     patch_dim = dims["channels"] * patch * patch
     shapes = _shapes(heads, tokens, patch_dim, dims["d_model"], dims["d_head"], dims["n_classes"], hidden)

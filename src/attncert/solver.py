@@ -121,12 +121,12 @@ def _sorted_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cs = c.take(at)
     # Neighbours are compared across the whole buffer first: one pair per
     # row boundary is not a tie, and only a match sends the rows through
-    # the exact test (a single row with a match is tied).
+    # the exact test.
     flat = cs.reshape(-1)
     if (flat[1:] == flat[:-1]).any():
         k = c.shape[-1]
         rows, by_row, cs_rows = (a.reshape(-1, k) for a in (c, order, cs))
-        tied = slice(None) if len(rows) == 1 else np.flatnonzero((cs_rows[:, 1:] == cs_rows[:, :-1]).any(axis=-1))
+        tied = np.flatnonzero((cs_rows[:, 1:] == cs_rows[:, :-1]).any(axis=-1))
         by_row[tied] = rows[tied].argsort(axis=-1, kind="stable")
         cs_rows[tied] = rows.take(by_row[tied] + np.arange(0, c.size, k)[tied, None])
     return order, cs
