@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage error (argparse), 3 validation error,
 4 certification infeasible (the certified sweep saturated), 5 selfcheck failure.
-Input files' number lists are read by model._number_list: a bad entry is exit 3.
+Input files' number lists (and weight data written as a list) are read by
+model._number_list; weight data written as base64 by model._decode_array.
+A bad entry is exit 3.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ def _predicted_class(model, x0: np.ndarray) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
     seed = check_int("seed", args.seed, 0)
+    check_int("budget", args.budget, 1)
     model = load_model(args.model)
     if args.input is not None:
         doc = read_json(args.input)

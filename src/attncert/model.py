@@ -3,7 +3,9 @@
 Architecture: non-overlapping patches -> affine embedding -> one multi-head
 softmax attention block (optional residual) -> flatten tokens -> linear or
 one-hidden-layer ReLU head.  Weights live in a strict JSON format with
-explicit shapes so files are portable and mistakes fail loudly.
+explicit shapes so files are portable and mistakes fail loudly; each array's
+data is the base64 of its little-endian float64 bytes (save_model), or a
+JSON number list in hand-written and older files.
 
 Layout conventions, pinned here and relied on everywhere else:
   * flat image index   = channel*(height*width) + row*width + col
@@ -14,6 +16,7 @@ Layout conventions, pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from contextlib import contextmanager, suppress
@@ -353,13 +356,18 @@ def open_output(path: str) -> Iterator:
 
 
 def _encode_array(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": [float(v) for v in a.reshape(-1)]}
+    """An array's file node: its shape, and as data the standard padded
+    base64 of its row-major, little-endian float64 bytes."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "data": base64.b64encode(raw).decode("ascii")}
 
 
 def _number_list(v, where: str) -> np.ndarray:
     """A JSON list of numbers, each an int or a float (not a bool) in the
     float64 range, as a float64 array; anything else is a ValidationError
-    naming where.  Non-finite entries (1e400 reads as inf) are the caller's."""
+    naming where.  Non-finite entries (1e400 reads as inf) are the caller's.
+    It reads every input number list: solve's c, ell and u, certify's x and
+    weight data written as a list."""
     if isinstance(v, list) and set(map(type, v)) <= {int, float}:
         with suppress(OverflowError):  # an integer past the float64 range
             return np.asarray(v, dtype=np.float64)
@@ -379,10 +387,25 @@ def _decode_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
     got = _decode_shape(node["shape"], path)
     if got != shape:
         raise ValidationError(f"{path}: expected shape {list(shape)}, got {list(got)}")
-    data = node["data"]
-    if not isinstance(data, list) or len(data) != math.prod(shape):
+    data, n = node["data"], math.prod(shape)
+    if isinstance(data, str):
+        chars = 4 * -(-8 * n // 3)  # checked before decoding, so a wrong size costs nothing
+        if len(data) != chars:
+            raise ValidationError(
+                f"{path}: data length does not match shape {list(shape)}: "
+                f"{len(data)} base64 characters, expected {chars}"
+            )
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError:  # binascii.Error, or a character outside ASCII
+            raw = b""
+        if len(raw) != 8 * n:  # a decode error, or padding that drops or adds a byte
+            raise ValidationError(f"{path}: data is not standard padded base64")
+        a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    elif isinstance(data, list) and len(data) == n:
+        a = _number_list(data, path).reshape(shape)
+    else:
         raise ValidationError(f"{path}: data length does not match shape {list(shape)}")
-    a = _number_list(data, path).reshape(shape)
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{path}: entries must be finite")
     return a
@@ -428,8 +451,9 @@ def _decode(layout, node, shapes: dict, heads: int, path: str, per_head: bool = 
 
 
 def save_model(model: AttentionModelSpec, path: str) -> None:
-    """Write the model's weight file; a path that cannot be written is a
-    ValidationError naming it."""
+    """Write the model's weight file, each array's data as base64 float64
+    (_encode_array); a path that cannot be written is a ValidationError
+    naming it."""
     doc = {
         "arch": "patch-attn-residual" if model.residual else "patch-attn",
         "dims": {key: getattr(model, field) for key, field in _DIMS.items()},
@@ -445,7 +469,9 @@ def save_model(model: AttentionModelSpec, path: str) -> None:
 
 def load_model(path: str) -> AttentionModelSpec:
     """Parse and validate a weight file.  Unknown fields anywhere are rejected,
-    and every error names its field path; data lists are read by _number_list."""
+    and every error names its field path.  An array's data is a base64
+    string, checked for its exact length before it is decoded, or a number
+    list read by _number_list; either way it must be finite."""
     doc = read_json(path)
     _require_keys(doc, {"arch", "dims", "patch", "heads", "suffix_kind", "weights"}, set(), "top level")
     arch = doc["arch"]

@@ -318,6 +318,24 @@ class TestCertify:
     def test_missing_model(self, tmp_path):
         assert main(["certify", str(tmp_path / "none.json")]) == EXIT_VALIDATION
 
+    def test_bad_budget_rejected_before_the_model_is_read(self, tmp_path, capsys):
+        assert main(["certify", str(tmp_path / "missing.json"), "--budget", "0"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: budget")
+
+    def test_corrupt_base64_weight_exit_3(self, tmp_path, capsys):
+        path, _ = model_file(tmp_path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        b = doc["weights"]["embed"]["b"]
+        b["data"] = "-" + b["data"][1:]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["certify", path, "--epsilon", "0.01"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: weights.embed.b: data is not standard padded base64"]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("with_input", [False, True])
     def test_negative_seed_exit_3(self, tmp_path, capsys, with_input):
         path, m = model_file(tmp_path)

@@ -1,7 +1,10 @@
+import base64
 import dataclasses
 import json
 import math
 import re
+import struct
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from attncert import (
     random_model,
     save_model,
 )
-from attncert.model import _FORWARD_BLOCK_ELEMENTS, _forward, patch_pixel_indices
+from attncert.model import _FORWARD_BLOCK_ELEMENTS, _LEAVES, _forward, patch_pixel_indices
 
 from oracles import forward_broadcast
 
@@ -399,8 +402,38 @@ def _arr(shape, *data):
     return {"shape": list(shape), "data": list(data)}
 
 
-# Two small specs with np.arange weights and their weight files, written out
-# by hand: the format must not move with numpy's random streams.
+def _b64(values) -> str:
+    """Standard padded base64 of the values as little-endian float64s."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def _floats(text: str) -> list[float]:
+    raw = base64.b64decode(text)
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+
+def _map_data(node, f):
+    """A weights node with f applied to every array's data."""
+    if isinstance(node, list):
+        return [_map_data(v, f) for v in node]
+    if "data" in node:
+        return {**node, "data": f(node["data"])}
+    return {key: _map_data(v, f) for key, v in node.items()}
+
+
+def _with_data(doc, f):
+    return {**doc, "weights": _map_data(doc["weights"], f)}
+
+
+def _leaf_bytes(m) -> dict[str, bytes]:
+    """Every array of a spec, as its raw bytes, by leaf."""
+    return {name: attrgetter(name)(m).tobytes() for name in _LEAVES[m.suffix_kind]}
+
+
+# Two small specs with np.arange weights and their weight files in the
+# number-list form, written out by hand: the format must not move with
+# numpy's random streams.  save_model writes each list as _b64 of its values;
+# older and hand-written files keep the lists, which load_model still reads.
 FORMAT_CASES = {
     "linear": (
         dict(
@@ -504,17 +537,19 @@ class TestModelIO:
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     def test_roundtrip_bit_exact(self, tmp_path, kind):
         m = random_model(seed=21, tokens=3, heads=2, d_model=4, d_head=2, suffix_kind=kind, residual=(kind == "mlp1"))
+        # np.array_equal takes -0.0 for 0.0, so the bytes are compared, with
+        # a negative zero, a subnormal and values near the float64 limit planted.
+        w_embed, wq = m.w_embed.copy(), m.wq.copy()
+        w_embed.flat[:3] = -0.0, 5e-324, 1.7976931348623157e308
+        wq[1].flat[-2:] = -2.2250738585072014e-308, -1.5e308
+        m = dataclasses.replace(m, w_embed=w_embed, wq=wq)
         path = tmp_path / "model.json"
         save_model(m, str(path))
         m2 = load_model(str(path))
-        for name in ("w_embed", "b_embed", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "mask"):
-            assert np.array_equal(getattr(m, name), getattr(m2, name)), name
-        if kind == "linear":
-            assert np.array_equal(m.suffix.w, m2.suffix.w)
-            assert np.array_equal(m.suffix.b, m2.suffix.b)
-        else:
-            for name in ("w1", "b1", "w2", "b2"):
-                assert np.array_equal(getattr(m.suffix, name), getattr(m2.suffix, name)), name
+        assert _leaf_bytes(m2) == _leaf_bytes(m)
+        for name in _LEAVES[kind]:
+            a = attrgetter(name)(m2)
+            assert a.dtype == np.float64 and a.dtype.isnative and a.flags.writeable, name
         assert m2.residual == m.residual
         assert m2.suffix_kind == kind
 
@@ -524,6 +559,11 @@ class TestModelIO:
         save_model(m, str(path))
         with open(path) as fh:
             return json.load(fh), path
+
+    def _list_doc(self, tmp_path):
+        """_doc with every array's data rewritten as a number list."""
+        doc, path = self._doc(tmp_path)
+        return _with_data(doc, _floats), path
 
     def _write(self, doc, path):
         with open(path, "w") as fh:
@@ -554,17 +594,29 @@ class TestModelIO:
 
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     def test_saved_format_is_pinned(self, tmp_path, kind):
-        fields, want = FORMAT_CASES[kind]
+        fields, lists = FORMAT_CASES[kind]
+        want = _with_data(lists, _b64)
+        # embed.w holds 0.0 and 0.5 for the linear case, 0.0 for mlp1.
+        embed_w = {"linear": "AAAAAAAAAAAAAAAAAADgPw==", "mlp1": "AAAAAAAAAAA="}[kind]
+        assert want["weights"]["embed"]["w"]["data"] == embed_w
         path = tmp_path / "m.json"
         save_model(AttentionModelSpec(**fields), str(path))
         text = path.read_bytes().decode("utf-8")
         assert json.loads(text) == want
         assert text == json.dumps(want, indent=1) + "\n"
         back = load_model(str(path))  # every array, the nonzero mask included, reads back
-        for name, a in [*fields.items(), *vars(fields["suffix"]).items()]:
-            if isinstance(a, np.ndarray):
-                got = getattr(back, name) if name in fields else getattr(back.suffix, name)
-                assert np.array_equal(got, a), name
+        assert _leaf_bytes(back) == _leaf_bytes(AttentionModelSpec(**fields))
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    def test_number_list_form_still_read(self, tmp_path, kind):
+        # Files saved before the base64 form, and hand-written ones, carry
+        # number lists; they load to the same arrays, byte for byte.
+        fields, lists = FORMAT_CASES[kind]
+        path = tmp_path / "m.json"
+        save_model(AttentionModelSpec(**fields), str(path))
+        from_b64 = load_model(str(path))
+        from_lists = load_model(self._write(lists, tmp_path / "lists.json"))
+        assert _leaf_bytes(from_lists) == _leaf_bytes(from_b64) == _leaf_bytes(AttentionModelSpec(**fields))
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_path_rejected(self, tmp_path, where):
@@ -625,7 +677,7 @@ class TestModelIO:
             load_model(self._write(doc, path))
 
     def test_data_length_mismatch(self, tmp_path):
-        doc, path = self._doc(tmp_path)
+        doc, path = self._list_doc(tmp_path)
         doc["weights"]["embed"]["b"]["data"].append(0.0)
         with pytest.raises(ValidationError, match=r"weights\.embed\.b"):
             load_model(self._write(doc, path))
@@ -652,7 +704,7 @@ class TestModelIO:
             load_model(self._write(doc, path))
 
     def test_non_numeric_data_rejected(self, tmp_path):
-        doc, path = self._doc(tmp_path)
+        doc, path = self._list_doc(tmp_path)
         doc["weights"]["embed"]["w"]["data"][0] = "zero"
         with pytest.raises(ValidationError, match=r"weights\.embed\.w"):
             load_model(self._write(doc, path))
@@ -679,7 +731,7 @@ class TestModelIO:
             load_model(self._write(doc, path))
 
     def test_integer_data_past_float_range_rejected(self, tmp_path):
-        doc, path = self._doc(tmp_path)
+        doc, path = self._list_doc(tmp_path)
         doc["weights"]["embed"]["b"]["data"][0] = 10**400
         with pytest.raises(ValidationError, match=r"weights\.embed\.b: non-numeric"):
             load_model(self._write(doc, path))
@@ -691,10 +743,42 @@ class TestModelIO:
     )
     def test_data_entries_that_are_not_numbers_rejected(self, tmp_path, edit):
         # numpy reads each of these as float data; a weight must be a JSON number.
-        doc, path = self._doc(tmp_path)
+        doc, path = self._list_doc(tmp_path)
         b = doc["weights"]["embed"]["b"]
         b["data"] = edit(b["data"])
         with pytest.raises(ValidationError, match=r"^weights\.embed\.b: non-numeric"):
+            load_model(self._write(doc, path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d[:-1], "data length does not match shape [2]: 23 base64 characters, expected 24"),
+            # The length is checked first: the extra character is not decoded.
+            (lambda d: d + "-", "data length does not match shape [2]: 25 base64 characters, expected 24"),
+            (lambda d: "-" + d[1:], "data is not standard padded base64"),
+            (lambda d: "_" + d[1:], "data is not standard padded base64"),
+            (lambda d: d[:8] + "\n" + d[9:], "data is not standard padded base64"),
+            (lambda d: d[:-2] + "A=", "data is not standard padded base64"),
+            (lambda d: d[:-2] + "AA", "data is not standard padded base64"),
+            (lambda d: d[:-3] + "=A=", "data is not standard padded base64"),
+            (lambda d: _b64([1.0, math.nan]), "entries must be finite"),
+            (lambda d: _b64([math.inf, 1.0]), "entries must be finite"),
+            (lambda d: _b64([1.0, -math.inf]), "entries must be finite"),
+            (lambda d: 1.5, "data length does not match shape [2]"),
+            (lambda d: None, "data length does not match shape [2]"),
+            (lambda d: {"data": d}, "data length does not match shape [2]"),
+        ],
+        ids=[
+            "one-short", "one-long", "dash", "underscore", "newline", "padding-short", "padding-missing",
+            "padding-split", "nan", "inf", "minus-inf", "number", "null", "object",
+        ],
+    )
+    def test_bad_base64_data_rejected(self, tmp_path, edit, message):
+        doc, path = self._doc(tmp_path)
+        b = doc["weights"]["suffix"]["b"]  # two float64s: 24 characters, "==" padded
+        assert len(b["data"]) == 24 and b["data"].endswith("==")
+        b["data"] = edit(b["data"])
+        with pytest.raises(ValidationError, match="^" + re.escape(f"weights.suffix.b: {message}") + "$"):
             load_model(self._write(doc, path))
 
     @pytest.mark.parametrize("field", ["arch", "suffix_kind"])
