@@ -95,6 +95,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
     seed = check_int("seed", args.seed, 0)
     check_int("budget", args.budget, 1)
+    # A report holds epsilon, and strict JSON has no Infinity.
+    if not 0.0 <= args.epsilon < float("inf"):
+        raise ValidationError(f"epsilon must be a finite number >= 0, got {args.epsilon!r}")
     model = load_model(args.model)
     if args.input is not None:
         doc = read_json(args.input)

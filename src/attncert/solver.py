@@ -155,7 +155,7 @@ def _threshold_vertices(rank: np.ndarray, lower: np.ndarray, upper: np.ndarray, 
 # budget: about 65-71 bytes per element in either kernel at K >= 16
 # (tracemalloc, empty workspace), so at most about 2.3 MB per thread.  A
 # shape-M stack (the 9,216-element margin stack, the 8,192-element
-# block_output_bounds stack) is one block whose planes the next sweep on
+# interval_forward stack) is one block whose planes the next sweep on
 # the thread reuses.
 _BLOCK_ELEMENTS = 2**15
 

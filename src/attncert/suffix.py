@@ -72,13 +72,16 @@ def relu_suffix_bound(model: AttentionModelSpec, preact: tuple, y: int, targets)
     return beta, gamma.reshape(len(targets), model.tokens, model.d_model)
 
 
-def block_output_bounds(model: AttentionModelSpec, box: PixelBox, scores: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Boxes on the block output tokens, (R, d_model) pair.
-
-    Head outputs are convex combinations of value vectors, so each coordinate
-    is bounded by a directional softmax problem over the head's score box
-    with the value bounds as coefficients.  `scores` is the box's
+def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi), each (hidden,), on an mlp1 head's pre-activations
+    over the pixel box, lo <= hi by construction; a non-finite value or
+    pre-activation bound is a ValidationError.  `scores` is the box's
     model_score_boxes, a (lower, upper) pair of (heads, R, R) arrays.
+
+    Head outputs are convex combinations of value vectors, so each
+    coordinate is bounded by a directional softmax problem over the head's
+    score box with the value bounds as coefficients.  W_o (and the
+    residual) take those boxes to the block output, W1 to the hidden layer.
     """
     (v_lo,), (v_hi,) = _qkv_bounds(model, box, slice(2, 3))  # (heads, R, d_head) each
     check_finite("value bounds", v_lo, v_hi)
@@ -93,24 +96,13 @@ def block_output_bounds(model: AttentionModelSpec, box: PixelBox, scores: tuple)
     o_lo, o_hi = np.minimum(o_lo, o_hi), np.maximum(o_lo, o_hi)
     # W_o against one box per query token, the (heads * d_head, R) columns.
     cols = [o.transpose(0, 2, 1).reshape(-1, model.tokens) for o in (o_lo, o_hi)]
-    out_lo, out_hi = affine_bounds(model._w_o.T, *cols)
-    out_lo, out_hi = out_lo.T + model.bo, out_hi.T + model.bo
+    h_lo, h_hi = affine_bounds(model._w_o.T, *cols)
+    h_lo, h_hi = h_lo.T + model.bo, h_hi.T + model.bo  # (R, d_model) block output boxes
     if model.residual:
         t_lo, t_hi = token_bounds(model, box)
-        out_lo = out_lo + t_lo
-        out_hi = out_hi + t_hi
-    return out_lo, out_hi
-
-
-def interval_forward(model: AttentionModelSpec, box: PixelBox, scores: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi), each (hidden,), on an mlp1 head's pre-activations
-    over the pixel box, lo <= hi by construction; a non-finite bound is a
-    ValidationError.  `scores` is passed on to block_output_bounds."""
-    sfx = model.suffix
-    h_lo, h_hi = block_output_bounds(model, box, scores)
-    lo, hi = affine_bounds(sfx.w1, h_lo.reshape(-1), h_hi.reshape(-1))
-    lo += sfx.b1
-    hi += sfx.b1
+        h_lo, h_hi = h_lo + t_lo, h_hi + t_hi
+    lo, hi = affine_bounds(model.suffix.w1, h_lo.reshape(-1), h_hi.reshape(-1))
+    lo, hi = lo + model.suffix.b1, hi + model.suffix.b1
     check_finite("pre-activation box", lo, hi)
     return lo, hi
 

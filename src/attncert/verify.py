@@ -1,12 +1,12 @@
 """Target-wise robustness certification for one input box.
 
-For every wrong class t the margin logit_y - logit_t gets two independent
-sound lower bounds: the vertex path (exact directional softmax rows) and the
-baseline path (interval-softmax rows).  Their maximum is the hybrid bound;
-the input is certified when every hybrid bound is positive.  In certified
-mode the vertex arm's rows and their sum are rounded down and the hybrid is
-that arm alone: the baseline arm is round-to-nearest, so it is reported but
-never lifts a certified bound.
+For every wrong class t the margin logit_y - logit_t gets two sound lower
+bounds: the vertex arm (exact directional softmax rows), which is the hybrid
+bound in both modes, and the baseline arm (interval-softmax rows), reported
+for comparison only: Vertex-Softmax is the tightest bound that the score
+boxes alone give, so the baseline never raises it.  The input is certified
+when every hybrid bound is positive.  In certified mode the vertex arm's
+rows and their sum are rounded down.
 
 The stages hand each other plain arrays: the score boxes (lower, upper),
 the suffix bound (beta, gamma), its value maps, and each target's row
@@ -79,8 +79,9 @@ def certify_targets(
 ) -> CertificationResult:
     """Hybrid margin bounds for all targets t != y, in ascending target order.
 
-    certified is a bool (np.bool_ included).  With certified=True the
-    vertex arm runs through the certified sweep and l_hybrid is l_vertex;
+    l_hybrid is l_vertex in both modes; l_baseline is reported beside it
+    and enters no certificate.  certified is a bool (np.bool_ included).
+    With certified=True the vertex arm runs through the certified sweep;
     saturation raises CertificationInfeasibleError.
     """
     if not isinstance(certified, (bool, np.bool_)):
@@ -111,7 +112,7 @@ def certify_targets(
     vertex = (certified_margin_lower_bound if certified else margin_lower_bound)(c, b_prime, scores).tolist()
     baseline = baseline_margin_lower_bound(c, b_prime, scores).tolist()
     bounds = [
-        MarginBound(target=t, l_vertex=lv, l_baseline=lb, l_hybrid=lv if certified else max(lv, lb))
+        MarginBound(target=t, l_vertex=lv, l_baseline=lb, l_hybrid=lv)
         for t, lv, lb in zip(targets, vertex, baseline)
     ]
     return CertificationResult(y=y, bounds=bounds, certified=all(b.l_hybrid > 0.0 for b in bounds))

@@ -378,8 +378,9 @@ def margin_row_loop(c, b_prime, scores, target_pos, row_bound) -> float:
 
 
 def block_output_row_loop(model, box):
-    """block_output_bounds with one directional_min / directional_max call
-    per (head, query token, value coordinate) row."""
+    """The block output token boxes that suffix.interval_forward maps through
+    the hidden layer, (R, d_model) pair, with one directional_min /
+    directional_max call per (head, query token, value coordinate) row."""
     s_lo, s_hi = model_score_boxes(model, box)
     (v_lo,), (v_hi,) = _qkv_bounds(model, box, slice(2, 3))
     heads, tokens, d_head = v_lo.shape

@@ -171,7 +171,7 @@ class TestCertify:
         assert report["epsilon"] == 0.02
         hybrids = []
         for t in report["targets"]:
-            assert t["l_hybrid"] == max(t["l_vertex"], t["l_baseline"])
+            assert t["l_hybrid"] == t["l_vertex"] and t["l_vertex"] >= t["l_baseline"] - 1e-12
             assert t["attack"] >= t["l_hybrid"] - 1e-9
             hybrids.append(t["l_hybrid"])
         assert report["min_hybrid"] == min(hybrids)
@@ -322,6 +322,16 @@ class TestCertify:
         assert main(["certify", str(tmp_path / "missing.json"), "--budget", "0"]) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: budget")
+
+    @pytest.mark.parametrize("epsilon, exists", [("inf", True), ("1e400", True), ("inf", False), ("nan", True)])
+    def test_non_finite_epsilon_rejected_before_the_model_is_read(self, tmp_path, capsys, epsilon, exists):
+        # A report holding "epsilon": Infinity is not strict JSON.
+        path = model_file(tmp_path)[0] if exists else str(tmp_path / "missing.json")
+        out = tmp_path / "report.json"
+        assert main(["certify", path, "--epsilon", epsilon, "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: epsilon must be a finite number >= 0, got {float(epsilon)!r}"]
+        assert captured.out == "" and not out.exists()
 
     def test_corrupt_base64_weight_exit_3(self, tmp_path, capsys):
         path, _ = model_file(tmp_path)

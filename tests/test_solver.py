@@ -603,7 +603,7 @@ class TestBroadcastCoefficients:
 
     @staticmethod
     def block_output_layout(rng, heads=4, d_head=4, tokens=16):
-        """suffix.block_output_bounds' layout: (2, heads, 1, d_head, R)
+        """suffix.interval_forward's layout: (2, heads, 1, d_head, R)
         coefficients against a (heads, R, 1, R) box, with tied, signed-zero,
         huge and underflowing rows."""
         c = rng.normal(size=(2, heads, 1, d_head, tokens))

@@ -8,13 +8,7 @@ from attncert import AttentionModelSpec, LinearSuffix, ValidationError, forward_
 from attncert.attention import model_score_boxes
 from attncert.model import patch_pixel_indices
 from attncert import suffix
-from attncert.suffix import (
-    block_output_bounds,
-    interval_forward,
-    linear_suffix_bound,
-    margin_gradient_bounds,
-    relu_suffix_bound,
-)
+from attncert.suffix import interval_forward, linear_suffix_bound, margin_gradient_bounds, relu_suffix_bound
 from oracles import block_output_row_loop, forward_broadcast
 
 
@@ -215,14 +209,17 @@ class TestIntervalForward:
 
 class TestBlockOutputBounds:
     def test_matches_row_loop(self):
+        # interval_forward's pre-activation box equals the hidden layer
+        # applied to the row-at-a-time block output boxes, bit for bit.
         for seed in range(3):
             m = random_model(seed=seed, tokens=3, heads=2, d_model=6, d_head=3, suffix_kind="mlp1")
             x0 = np.random.default_rng(90 + seed).uniform(0, 1, m.image_size)
             for eps in (0.0, 0.05, 0.5):
                 box = pixel_box(x0, eps)
-                lo, hi = block_output_bounds(m, box, model_score_boxes(m, box))
-                ref_lo, ref_hi = block_output_row_loop(m, box)
-                assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+                lo, hi = interval_forward(m, box, model_score_boxes(m, box))
+                ref_lo, ref_hi = suffix.affine_bounds(m.suffix.w1, *(b.reshape(-1) for b in block_output_row_loop(m, box)))
+                ref_lo, ref_hi = ref_lo + m.suffix.b1, ref_hi + m.suffix.b1
+                assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
 
 
 class TestMarginGradientBounds:

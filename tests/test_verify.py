@@ -121,14 +121,38 @@ class TestBoundStructure:
         assert [b.target for b in res.bounds] == [0, 1, 3]
         assert res.y == 2
 
-    def test_hybrid_is_max_of_arms(self):
+    def test_hybrid_is_the_vertex_arm(self):
         for seed in range(6):
             m = tiny_model(seed, "mlp1" if seed % 2 else "linear", n_classes=3)
             x0 = np.random.default_rng(seed).uniform(0.2, 0.8, m.image_size)
             res = certify_targets(m, pixel_box(x0, 0.03), 0)
             for mb in res.bounds:
-                assert mb.l_hybrid == max(mb.l_vertex, mb.l_baseline)
+                assert mb.l_hybrid == mb.l_vertex
                 assert mb.l_vertex >= mb.l_baseline - 1e-12
+
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_vertex_arm_dominates_baseline_on_sharp_attention(self, certified):
+        # Vertex-Softmax is the tightest bound the score boxes alone give, so
+        # the interval-softmax baseline never beats it (the reason l_hybrid
+        # is l_vertex).  Shape-M models of both heads with their query and
+        # key maps scaled by alpha, so softmax rows are sharp.
+        rng = np.random.default_rng(34)
+        checked = 0
+        for kind in ("linear", "mlp1"):
+            for seed in range(3):
+                m = random_model(seed, suffix_kind=kind, hidden=32, **SHAPE_M)
+                xs = rng.uniform(0, 1, (4, m.image_size))
+                for alpha in (1.0, 3.0, 6.0):
+                    ma = dataclasses.replace(m, wq=m.wq * alpha, bq=m.bq * alpha, wk=m.wk * alpha, bk=m.bk * alpha)
+                    for x0 in xs:
+                        y = int(np.argmax(forward(ma, x0)))
+                        for eps in (0.001, 0.01, 0.03):
+                            for b in certify_targets(ma, pixel_box(x0, eps), y, certified=certified).bounds:
+                                assert b.l_vertex >= b.l_baseline - 1e-12 * max(1.0, abs(b.l_baseline)), (
+                                    kind, seed, alpha, eps, b.target, b.l_vertex, b.l_baseline
+                                )
+                                checked += 1
+        assert checked == 2 * 3 * 4 * 3 * 3 * 9
 
     def test_monotone_in_radius(self):
         for seed, kind in ((0, "linear"), (1, "mlp1")):
