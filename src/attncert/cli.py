@@ -10,6 +10,7 @@ A bad entry is exit 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -168,7 +169,10 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args keeps
+    no state in it, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="attncert",
         description="Exact directional softmax bounds over score boxes and attention-model certification.",
@@ -210,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -104,14 +104,16 @@ class AttentionModelSpec:
         elif not isinstance(sfx, LinearSuffix):
             raise ValidationError(f"unsupported suffix type {type(sfx).__name__}")
         shapes = _shapes(self.heads, self.tokens, self.patch_dim, self.d_model, self.d_head, self.n_classes, hidden)
+        leaves = {}
         for name in _LEAVES[self.suffix_kind]:
-            a = np.asarray(attrgetter(name)(self), dtype=np.float64)
+            a = leaves[name] = np.asarray(attrgetter(name)(self), dtype=np.float64)
             if a.shape != shapes[name]:
                 raise ValidationError(f"{name}: expected shape {shapes[name]}, got {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise ValidationError(f"{name}: entries must be finite")
             owner, _, field = name.rpartition(".")
             object.__setattr__(sfx if owner else self, field, a)
+        if not _all_finite(leaves.values()):
+            bad = next(name for name, a in leaves.items() if not np.isfinite(a).all())
+            raise ValidationError(f"{bad}: entries must be finite")
         h, dh, dm = self.heads, self.d_head, self.d_model
         p = self.patch
         grid = np.arange(self.image_size).reshape(self.channels, self.height // p, p, self.width // p, p)
@@ -212,16 +214,27 @@ def _shapes(
     }
 
 
-def _leaves(layout) -> Iterator[str]:
-    """The leaves under a layout node, in file order."""
+def _leaves(
+    layout, heads: int = 1, path: str = "weights", head: int | None = None
+) -> Iterator[tuple[str, str, int | None]]:
+    """(file path, leaf, head) for every array under a layout node, in file
+    order; head indexes axis 0 of a per-head leaf's array, None elsewhere."""
     if isinstance(layout, str):
-        yield layout
+        yield path, layout, head
+    elif isinstance(layout, list):
+        for h in range(heads):
+            yield from _leaves(layout[0], heads, f"{path}[{h}]", h)
     else:
-        for sub in layout if isinstance(layout, list) else layout.values():
-            yield from _leaves(sub)
+        for key, sub in layout.items():
+            yield from _leaves(sub, heads, f"{path}.{key}", head)
 
 
-_LEAVES = {kind: tuple(_leaves(layout)) for kind, layout in _LAYOUTS.items()}
+_LEAVES = {kind: tuple(leaf for _, leaf, _ in _leaves(layout)) for kind, layout in _LAYOUTS.items()}
+
+
+def _all_finite(arrays) -> bool:
+    """Whether every entry of the arrays is finite, in one pass over them all."""
+    return bool(np.isfinite(np.concatenate([a.ravel() for a in arrays])).all())
 
 
 def _build(arrays: dict[str, np.ndarray], suffix_kind: str, **dims) -> AttentionModelSpec:
@@ -406,8 +419,6 @@ def _decode_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
         a = _number_list(data, path).reshape(shape)
     else:
         raise ValidationError(f"{path}: data length does not match shape {list(shape)}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{path}: entries must be finite")
     return a
 
 
@@ -471,7 +482,9 @@ def load_model(path: str) -> AttentionModelSpec:
     """Parse and validate a weight file.  Unknown fields anywhere are rejected,
     and every error names its field path.  An array's data is a base64
     string, checked for its exact length before it is decoded, or a number
-    list read by _number_list; either way it must be finite."""
+    list read by _number_list.  Every decoded entry must be finite: one pass
+    checks them all, and a non-finite entry is reported at its array's path,
+    the first in file order."""
     doc = read_json(path)
     _require_keys(doc, {"arch", "dims", "patch", "heads", "suffix_kind", "weights"}, set(), "top level")
     arch = doc["arch"]
@@ -499,7 +512,14 @@ def load_model(path: str) -> AttentionModelSpec:
     tokens = (dims["height"] // patch) * (dims["width"] // patch)
     patch_dim = dims["channels"] * patch * patch
     shapes = _shapes(heads, tokens, patch_dim, dims["d_model"], dims["d_head"], dims["n_classes"], hidden)
-    arrays = _decode(_LAYOUTS[suffix_kind], weights, shapes, heads, "weights")
+    layout = _LAYOUTS[suffix_kind]
+    arrays = _decode(layout, weights, shapes, heads, "weights")
+    if not _all_finite(arrays.values()):
+        # Only a failing pass looks for the first bad array, in file order.
+        for where, leaf, head in _leaves(layout, heads):
+            a = arrays.get(leaf)  # None for a mask the file leaves out
+            if a is not None and not np.isfinite(a if head is None else a[head]).all():
+                raise ValidationError(f"{where}: entries must be finite")
     if "mask" not in arrays:
         # Built only now: the mask grows with the square of the token count,
         # which the decoded arrays bound, but the dims alone do not.

@@ -10,7 +10,7 @@ import pytest
 
 import attncert.harness
 from attncert import random_model, save_model
-from attncert.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, REPORT_SCHEMA, main
+from attncert.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, REPORT_SCHEMA, build_parser, main
 
 # The exact minimum (1 - e**2) / (e**2 + 2), at vertex (1, -1, -1),
 # correctly rounded.
@@ -450,3 +450,25 @@ class TestUsage:
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, 2, EXIT_VALIDATION, EXIT_INFEASIBLE, EXIT_INTERNAL}) == 5
+
+
+def test_one_parser_reused_without_state(tmp_path, capsys):
+    # main parses every call with one parser; a certified run, a usage error
+    # and a sweep before a fast run leave nothing in it.
+    assert build_parser() is build_parser()
+    path, _ = model_file(tmp_path, n_classes=3)
+    common = ["certify", path, "--epsilon", "0.01", "--budget", "10", "--out"]
+    assert main(common + [str(tmp_path / "a.json"), "--certified"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["certify"])
+    assert exc.value.code == 2
+    assert main(["sweep", "--k", "4", "--trials", "1"]) == EXIT_OK
+    assert main(common + [str(tmp_path / "b.json")]) == EXIT_OK
+    build_parser.cache_clear()
+    assert main(common + [str(tmp_path / "c.json")]) == EXIT_OK
+    capsys.readouterr()
+    reused, fresh = (json.loads((tmp_path / name).read_text()) for name in ("b.json", "c.json"))
+    assert reused["certified_mode"] is False
+    for report in (reused, fresh):
+        del report["time_ms"]
+    assert reused == fresh

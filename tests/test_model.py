@@ -290,6 +290,24 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             identity_embed_model(2, 4, 1, 2, bo=np.array([np.inf, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [(("wo",), "wo"), (("suffix.b", "w_embed"), "w_embed"), (("mask", "suffix.w"), "mask")],
+        ids=["wo", "embed-before-suffix", "mask-before-suffix"],
+    )
+    def test_first_non_finite_field_named(self, bad, named):
+        m = random_model(seed=0, tokens=2, heads=2, d_model=4)
+        fields = {}
+        for name in bad:
+            a = attrgetter(name)(m).copy()
+            a.flat[-1] = np.nan
+            fields[name] = a
+        sfx = {name[len("suffix."):]: fields.pop(name) for name in list(fields) if name.startswith("suffix.")}
+        if sfx:
+            fields["suffix"] = dataclasses.replace(m.suffix, **sfx)
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{named}: entries must be finite") + "$"):
+            dataclasses.replace(m, **fields)
+
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             identity_embed_model(2, 4, 1, 2, n_classes=1, suffix=LinearSuffix(w=np.zeros((1, 8)), b=np.zeros(1)))
@@ -591,6 +609,53 @@ class TestModelIO:
         node["shape"] = node["shape"] + [1]
         with pytest.raises(ValidationError, match=re.escape(leaf) + ": expected shape"):
             load_model(self._write(doc, path))
+
+    @pytest.mark.parametrize("kind, leaf", LEAF_PATHS)
+    def test_non_finite_entry_names_field_path(self, tmp_path, kind, leaf):
+        path = tmp_path / "m.json"
+        save_model(random_model(seed=24, tokens=2, heads=2, d_model=2, suffix_kind=kind, hidden=3), str(path))
+        doc = json.loads(path.read_text())
+        node = _node(doc, leaf)
+        node["data"] = _b64([math.inf] + _floats(node["data"])[1:])
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{leaf}: entries must be finite") + "$"):
+            load_model(self._write(doc, path))
+
+    def _heads_doc(self, tmp_path):
+        """A linear model's file with three heads."""
+        path = tmp_path / "m.json"
+        save_model(random_model(seed=25, tokens=2, heads=3, d_model=3, d_head=2), str(path))
+        return json.loads(path.read_text()), path
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            (["weights.wq[2].w"], "weights.wq[2].w"),
+            (["weights.suffix.b", "weights.embed.w"], "weights.embed.w"),
+            # Within a per-head group the file runs head by head.
+            (["weights.wq[2].w", "weights.wq[1].b"], "weights.wq[1].b"),
+            (["weights.wk[0].w", "weights.wq[2].b"], "weights.wq[2].b"),
+        ],
+        ids=["one-head", "embed-before-suffix", "head-order", "group-order"],
+    )
+    def test_first_non_finite_leaf_in_file_order_named(self, tmp_path, bad, named):
+        doc, path = self._heads_doc(tmp_path)
+        for leaf in bad:
+            node = _node(doc, leaf)
+            values = _floats(node["data"])
+            values[-1] = math.nan
+            node["data"] = _b64(values)
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{named}: entries must be finite") + "$"):
+            load_model(self._write(doc, path))
+
+    def test_overflowing_list_entry_named(self, tmp_path):
+        # JSON's 1e400 reads as inf; json.dump cannot write it, so it is
+        # spliced into the text.
+        doc, path = self._heads_doc(tmp_path)
+        doc = _with_data(doc, _floats)
+        _node(doc, "weights.wq[2].w")["data"][0] = "overflow"
+        path.write_text(json.dumps(doc).replace('"overflow"', "1e400"))
+        with pytest.raises(ValidationError, match=r"^weights\.wq\[2\]\.w: entries must be finite$"):
+            load_model(str(path))
 
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     def test_saved_format_is_pinned(self, tmp_path, kind):
